@@ -59,14 +59,11 @@ class RunConfig:
     n_max: int = 1
     kinds: tuple = ()
     quad_safety: int = 0
-    tol: float | None = None
     out_path: str | None = None
 
     def __post_init__(self):
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ParameterError(f"bad degree range {self.n_min}..{self.n_max}")
-        if self.tol is not None and not 0.0 < self.tol <= 1e-6:
-            raise ParameterError(f"tol must lie in (0, 1e-6], got {self.tol}")
 
 
 def _fmt(x: float) -> str:

@@ -1,11 +1,14 @@
 """Extremal Rayleigh quotients over truncated polynomial spaces.
 
-The additive constants come from one generalized symmetric eigenproblem.
-The multiplicative constant is the supremum of a quotient mixing three
-forms; it is computed by the scalar fixed point that rebalances the mass
-and gradient denominators until the geometric-mean split is stationary.
-Generalized problems are reduced by an explicit triangular congruence so
-the conditioning of each step stays visible.
+The additive constants come from one generalized symmetric eigenproblem,
+reduced by an explicit triangular congruence so the conditioning of each
+step stays visible. The multiplicative constant is the supremum of a
+quotient mixing the mass, H1 and numerator forms; since
+sqrt(xy) = min_r (r x + y/r)/2 and the mass is the identity in the
+orthonormal basis, it is the maximum over r of the top eigenvalue of
+(2B, r I + A/r). One eigendecomposition of the H1 form reduces every such
+eigenvalue to a problem of the numerator's rank, and the maximizer is
+bisected in log r on a bracket fixed by the H1 spectrum.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .errors import IterationError, NumericError, ParameterError
 from .forms import (
     SymmetricForm,
     h1_form,
-    mass_form,
     point_eval_form,
     projection_form,
     trace_form,
@@ -39,8 +41,7 @@ __all__ = [
 
 _KINDS = ("mult", "add_h1_denominator", "h1_stability")
 _NUMERATORS = ("trace", "point", "h1_of_projection")
-_REL_TOL = 1e-12
-_TIE_TOL = 1e-12
+_LOG_R_WIDTH = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,94 +156,18 @@ def additive_constant(N: int, dim: int, numerator: str, nodes: int | None = None
     )
 
 
-def _pick_by_quality(order, quality):
-    """First index whose quality no later candidate beats by more than the
-    tie tolerance."""
-    best_j, best_q = None, -np.inf
-    for j in order:
-        q = quality(j)
-        if best_j is None or q > best_q + _TIE_TOL * max(1.0, abs(best_q)):
-            best_j, best_q = j, q
-    return best_j, best_q
-
-
-class _DensePencil:
-    def __init__(self, Bm, Mm, Am):
-        self.Bm, self.Mm, self.Am = Bm, Mm, Am
-
-    def _solve(self, num, den):
-        w, V, _ = _congruent_eigh(num, den)
-        lam = float(w[-1])
-        cand = np.flatnonzero(w >= lam - _TIE_TOL * max(1.0, abs(lam)))
-
-        def quality(j):
-            v = V[:, j]
-            bv = v @ self.Bm @ v
-            mv = v @ self.Mm @ v
-            av = v @ self.Am @ v
-            return bv / np.sqrt(mv * av)
-
-        best_j, best_q = _pick_by_quality(cand, quality)
-        v = V[:, best_j]
-        r_new = float(np.sqrt((v @ self.Am @ v) / (v @ self.Mm @ v)))
-        return lam, float(best_q), r_new
-
-    def initial(self):
-        _, q, r0 = self._solve(self.Bm, self.Am)
-        return r0
-
-    def step(self, r):
-        return self._solve(2.0 * self.Bm, r * self.Mm + self.Am / r)
-
-
-class _FactoredPencil:
-    """Same fixed-point step with the mass treated as the identity and the
-    numerator kept in factored form; one dense eigendecomposition of the H1
-    form is reused across all iterations."""
-
-    def __init__(self, W, Am, Bm):
-        self.lam_a, VA = eigh(Am)
-        self.U = VA.T @ W
-        self.Bm = Bm
-
-    def _solve(self, d, two=True):
-        Z = d[:, None] * self.U
-        S = Z.T @ Z
-        if two:
-            S = 2.0 * S
-        S = (S + S.T) / 2.0
-        mu, Y = eigh(S)
-        lam = float(mu[-1])
-        cand = np.flatnonzero(mu >= lam - _TIE_TOL * max(1.0, abs(lam)))
-        coords = {}
-
-        def quality(j):
-            c = d * (Z @ Y[:, j])
-            coords[j] = c
-            bv = float(np.sum((self.U.T @ c) ** 2))
-            return bv / np.sqrt((c @ c) * (c @ (self.lam_a * c)))
-
-        best_j, best_q = _pick_by_quality(cand, quality)
-        c = coords[best_j]
-        r_new = float(np.sqrt((c @ (self.lam_a * c)) / (c @ c)))
-        return lam, float(best_q), r_new
-
-    def initial(self):
-        _, _, r0 = self._solve(1.0 / np.sqrt(self.lam_a), two=False)
-        return r0
-
-    def step(self, r):
-        return self._solve(1.0 / np.sqrt(r + self.lam_a / r))
-
-
 def multiplicative_constant(
     N: int, dim: int, nodes: int | None = None, max_iterations: int = 1000
 ) -> ConstantRecord:
-    """Sharp constant of the multiplicative estimate via the rebalancing
-    fixed point on the denominator split parameter.
+    """Sharp constant of the multiplicative estimate, as the maximum over
+    the split parameter r of lambda(r) = lambda_max(2B, r I + A/r).
 
-    The iteration is linearly convergent with a rate that degrades roughly
-    like 1 - c/N, so the budget scales to cover the largest tabulated N.
+    With A = V diag(a) V^T and U = V^T C for the numerator factor C, each
+    lambda(r) is the top eigenvalue of the k x k matrix
+    2 U^T diag(1/(r + a/r)) U. Its slope in s = log r changes sign from
+    nonnegative to nonpositive across [log a_min, log a_max] / 2, and the
+    root is bisected on that bracket; ``iterations`` counts the lambda
+    evaluations and ``residual`` is |d lambda/ds| / lambda at the result.
     """
     if dim not in (1, 2):
         raise ParameterError(f"dim must be 1 or 2, got {dim}")
@@ -250,35 +175,40 @@ def multiplicative_constant(
         raise ParameterError(f"N must be a positive integer, got {N!r}")
     N = int(N)
 
-    mass = mass_form(2 * N, dim, nodes=nodes)
     denom = h1_form(2 * N, dim, nodes=nodes)
     raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim, "edge", nodes=nodes)
-    B = projection_form(raw, N)
+    a, V = eigh(denom.entries)
+    if a[0] <= 0.0:
+        raise NumericError(
+            "denominator form is not positive definite: "
+            f"eigenvalue range [{a[0]:.6g}, {a[-1]:.6g}]"
+        )
+    U = V.T @ projection_form(raw, N).factor
 
-    card = B.basis.cardinality
-    mass_dev = float(np.max(np.abs(mass.entries - np.eye(card))))
-    if B.factor is not None and card >= 600 and mass_dev <= 1e-11:
-        pencil = _FactoredPencil(B.factor, denom.entries, B.entries)
-    else:
-        pencil = _DensePencil(B.entries, mass.entries, denom.entries)
-
-    r = pencil.initial()
-    value, rel = np.nan, np.inf
+    lo, hi = 0.5 * math.log(a[0]), 0.5 * math.log(a[-1])
+    value, residual = np.nan, np.inf
     for it in range(1, max_iterations + 1):
-        lam, q, r_new = pencil.step(r)
-        rel = abs(r_new - r) / max(abs(r_new), 1e-300)
-        value = q
-        r = r_new
-        if rel <= _REL_TOL:
+        s = (lo + hi) / 2.0
+        r = math.exp(s)
+        d = 1.0 / (r + a / r)
+        mu, Y = eigh(2.0 * (U.T * d) @ U)
+        value = float(mu[-1])
+        slope = -2.0 * float(np.sum((r - a / r) * (d * (U @ Y[:, -1])) ** 2))
+        residual = abs(slope) / value
+        if hi - lo <= _LOG_R_WIDTH * max(1.0, abs(s)):
             return ConstantRecord(
-                dim=dim, N=N, kind="mult", value=value, iterations=it, residual=rel
+                dim=dim, N=N, kind="mult", value=value, iterations=it, residual=residual
             )
+        if slope > 0.0:
+            lo = s
+        else:
+            hi = s
     best = ConstantRecord(
-        dim=dim, N=N, kind="mult", value=value, iterations=max_iterations, residual=rel
+        dim=dim, N=N, kind="mult", value=value, iterations=max_iterations, residual=residual
     )
     raise IterationError(
-        f"fixed point did not settle in {max_iterations} iterations "
-        f"(last relative change {rel:.3e})",
+        f"bisection in log r did not settle in {max_iterations} evaluations "
+        f"(bracket width {hi - lo:.3e})",
         best=best,
     )
 

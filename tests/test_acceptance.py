@@ -97,7 +97,7 @@ def test_interval_constants_match_published_values(interval_rows):
 
 def test_interval_extended_precision_values(interval_rows):
     rows, _ = interval_rows
-    assert abs(rows[1][0] - 1.18184916854199) <= 1e-8
+    assert abs(rows[1][0] - 1.181849168039031) <= 1e-11
     assert abs(rows[1][1] - 0.875) <= 1e-8
     v120 = multiplicative_constant(120, 1).value
     assert abs(v120 - 2.99018284042270) <= 1e-8

@@ -26,10 +26,6 @@ def test_run_config_validation():
         RunConfig(command="constants", dim=1, n_min=0, n_max=3)
     with pytest.raises(ParameterError):
         RunConfig(command="constants", dim=1, n_min=4, n_max=3)
-    with pytest.raises(ParameterError):
-        RunConfig(command="verify", tol=0.0)
-    with pytest.raises(ParameterError):
-        RunConfig(command="verify", tol=1e-3)
 
 
 def test_table_rows_match_published_ranges():

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,8 +19,11 @@ from simplex_spectra import (
     trace_error_rate,
     trace_form,
 )
-from simplex_spectra.extremal import _DensePencil, _FactoredPencil
+from simplex_spectra import extremal
 from simplex_spectra.forms import SymmetricForm
+
+# (N, dim) rows checked against the assembled dense pencil
+_DENSE_ROWS = ((2, 1), (6, 1), (3, 2), (5, 2))
 
 
 def small_form(entries):
@@ -114,19 +118,38 @@ def test_multiplicative_interval_closed_form():
     assert rec.residual <= 1e-12
 
 
+def _mult_forms(N, dim):
+    """Truncated numerator, assembled mass and H1 forms of the mult row."""
+    raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim, "edge")
+    return projection_form(raw, N), mass_form(2 * N, dim), h1_form(2 * N, dim)
+
+
+def _dense_lambda(B, M, A, r):
+    """Top eigenvalue of the assembled pencil (2B, r M + A/r)."""
+    num = SymmetricForm(basis=B.basis, kind=B.kind, entries=2.0 * B.entries, scaling=B.scaling)
+    den = SymmetricForm(
+        basis=A.basis, kind="h1", entries=r * M.entries + A.entries / r, scaling=A.scaling
+    )
+    return rayleigh_sup(num, den).lambda_max
+
+
+def _log_r_grid(A, n=41):
+    a = np.linalg.eigvalsh(A.entries)
+    return np.linspace(0.5 * np.log(a[0]), 0.5 * np.log(a[-1]), n)
+
+
 def test_multiplicative_matches_exhaustive_sampling():
     N = 3
-    rec = multiplicative_constant(N, 1)
-    mass = mass_form(2 * N, 1)
-    A = h1_form(2 * N, 1)
-    B = projection_form(point_eval_form(2 * N), N)
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        v = rng.standard_normal(mass.basis.cardinality)
-        q = (v @ B.entries @ v) / np.sqrt(
-            (v @ mass.entries @ v) * (v @ A.entries @ v)
-        )
-        assert q <= rec.value + 1e-10
+    for dim in (1, 2):
+        rec = multiplicative_constant(N, dim)
+        B, mass, A = _mult_forms(N, dim)
+        for _ in range(50):
+            v = rng.standard_normal(mass.basis.cardinality)
+            q = (v @ B.entries @ v) / np.sqrt(
+                (v @ mass.entries @ v) * (v @ A.entries @ v)
+            )
+            assert q <= rec.value + 1e-10
 
 
 def test_multiplicative_monotone_in_degree():
@@ -135,39 +158,78 @@ def test_multiplicative_monotone_in_degree():
         assert hi >= lo - 1e-6
 
 
+def test_multiplicative_is_max_over_dense_pencil():
+    # every split r bounds the constant from below through the assembled
+    # (not assumed) mass form, so no grid point may exceed the returned value
+    for N, dim in _DENSE_ROWS:
+        rec = multiplicative_constant(N, dim)
+        B, mass, A = _mult_forms(N, dim)
+        lams = [_dense_lambda(B, mass, A, np.exp(s)) for s in _log_r_grid(A)]
+        assert max(lams) <= rec.value * (1 + 1e-12), (N, dim)
+        assert max(lams) >= rec.value * (1 - 1e-3), (N, dim)
+        assert rec.residual <= 1e-12
+
+
 def test_scale_invariance():
     # scaling u by any positive factor leaves the quotient unchanged, so the
-    # computed constant must agree between (B, M, A) and (B, 4M, A/4)
-    N = 2
-    mass = mass_form(2 * N, 1)
-    A = h1_form(2 * N, 1)
-    B = projection_form(point_eval_form(2 * N), N)
-    p1 = _DensePencil(B.entries, mass.entries, A.entries)
-    p2 = _DensePencil(B.entries, 4.0 * mass.entries, 0.25 * A.entries)
-    r1 = p1.initial()
-    lam1, q1, rn1 = p1.step(r1)
-    # r' M' + A'/r' reproduces r M + A/r at r' = r/4
-    lam2, q2, rn2 = p2.step(r1 / 4.0)
-    assert_allclose(lam2, lam1, rtol=1e-12)
-    assert_allclose(q2, q1, rtol=1e-12)
-    assert_allclose(rn2, rn1 / 4.0, rtol=1e-12)
+    # pencil (2B, r M + A/r) must agree with (2B, r' 4M + (A/4)/r') at r' = r/4
+    for N, dim in _DENSE_ROWS:
+        B, mass, A = _mult_forms(N, dim)
+        M4 = SymmetricForm(
+            basis=mass.basis, kind="mass", entries=4.0 * mass.entries, scaling=mass.scaling
+        )
+        A4 = SymmetricForm(basis=A.basis, kind="h1", entries=A.entries / 4.0, scaling=A.scaling)
+        for s in _log_r_grid(A, 5):
+            r = np.exp(s)
+            assert_allclose(
+                _dense_lambda(B, M4, A4, r / 4.0), _dense_lambda(B, mass, A, r), rtol=1e-12
+            )
 
 
-def test_dense_and_factored_paths_agree():
-    N = 4
-    mass = mass_form(2 * N, 2)
-    A = h1_form(2 * N, 2)
-    B = projection_form(trace_form(2 * N, 2, "edge"), N)
-    dense = _DensePencil(B.entries, mass.entries, A.entries)
-    fact = _FactoredPencil(B.factor, A.entries, B.entries)
-    r0d, r0f = dense.initial(), fact.initial()
-    assert_allclose(r0f, r0d, rtol=1e-12)
-    for r in (r0d, 1.7, 3.0):
-        lam_d, q_d, rn_d = dense.step(r)
-        lam_f, q_f, rn_f = fact.step(r)
-        assert_allclose(lam_f, lam_d, rtol=1e-11)
-        assert_allclose(q_f, q_d, rtol=1e-11)
-        assert_allclose(rn_f, rn_d, rtol=1e-11)
+def _legendre_mult_oracle(N):
+    """Interval constant at 40 digits from the exact orthonormal-Legendre H1
+    Gram I + K, K_ij = s_i s_j m(m+1) for i+j even with m = min(i, j) and
+    s_k = sqrt((2k+1)/2), and the truncated endpoint vector c_k = s_k, k <= N.
+
+    Returns (the maximum over t = log r of 2 c^T (r I + A/r)^-1 c, the Gram).
+    """
+    with mp.workdps(40):
+        M = 2 * N
+        s = [mp.sqrt(mp.mpf(2 * k + 1) / 2) for k in range(M + 1)]
+        A = mp.matrix(M + 1, M + 1)
+        for i in range(M + 1):
+            A[i, i] = 1
+            for j in range(i % 2, M + 1, 2):
+                m = min(i, j)
+                A[i, j] += s[i] * s[j] * m * (m + 1)
+        a, Q = mp.eigsy(A)
+        w = Q.T * mp.matrix([s[k] if k <= N else 0 for k in range(M + 1)])
+
+        def lam(t):
+            return 2 * mp.fsum(w[i] ** 2 / (mp.exp(t) + a[i] / mp.exp(t)) for i in range(M + 1))
+
+        def slope(t):
+            r = mp.exp(t)
+            return -2 * mp.fsum(
+                w[i] ** 2 * (r - a[i] / r) / (r + a[i] / r) ** 2 for i in range(M + 1)
+            )
+
+        bracket = (mp.log(min(a)) / 2, mp.log(max(a)) / 2)
+        value = lam(mp.findroot(slope, bracket, solver="anderson"))
+        gram = np.array(A.tolist(), dtype=float)
+    return value, gram
+
+
+def test_multiplicative_extended_precision_oracle():
+    value, _ = _legendre_mult_oracle(1)
+    with mp.workdps(40):
+        assert abs(value - mp.mpf("1.18184916803903096795")) <= mp.mpf("1e-20")
+    for N in (1, 2, 5, 10):
+        value, gram = _legendre_mult_oracle(N)
+        A = h1_form(2 * N, 1).entries
+        assert np.max(np.abs(gram - A)) <= 1e-13 * np.max(np.abs(gram))
+        rec = multiplicative_constant(N, 1)
+        assert abs(rec.value - float(value)) <= 1e-12 * float(value), N
 
 
 def test_iteration_budget_exhaustion():
@@ -177,6 +239,18 @@ def test_iteration_budget_exhaustion():
     assert isinstance(best, ConstantRecord)
     assert best.iterations == 3
     assert best.value > 0
+
+
+def test_multiplicative_rejects_indefinite_denominator(monkeypatch):
+    real = extremal.h1_form
+
+    def negated(M, dim, nodes=None):
+        A = real(M, dim, nodes=nodes)
+        return SymmetricForm(basis=A.basis, kind="h1", entries=-A.entries, scaling=A.scaling)
+
+    monkeypatch.setattr(extremal, "h1_form", negated)
+    with pytest.raises(NumericError, match="eigenvalue range"):
+        multiplicative_constant(2, 1)
 
 
 def test_multiplicative_validation():
