@@ -13,13 +13,11 @@ from .extremal import (
     trace_error_rate,
 )
 from .forms import (
-    ProjectionMatrix,
     SymmetricForm,
     h1_form,
     mass_form,
     point_eval_form,
     projection_form,
-    projection_matrix,
     trace_form,
 )
 from .identities import (

@@ -30,6 +30,7 @@ from .identities import (
 )
 from .simplex import (
     _boundary_norm_direct,
+    _rule_size,
     boundary_trace_parseval,
     dubiner_norm_sq,
     enumerate_basis,
@@ -101,7 +102,7 @@ def _parse_kinds(text: str | None, dim: int, parser: argparse.ArgumentParser):
 
 
 def _nodes_for(N: int, safety: int) -> int | None:
-    return None if safety == 0 else 2 * (2 * N) + 6 + safety
+    return None if safety == 0 else _rule_size(2 * N) + safety
 
 
 def _emit_constants(cfg: RunConfig, ns, stream) -> int:
@@ -188,7 +189,7 @@ def _suite_coefficient_bound(args) -> VerificationReport:
 def _suite_orthogonality(args) -> VerificationReport:
     details, worst_case, worst = {}, "", -1.0
     for dim, M in ((2, 8), (3, 6)):
-        form = mass_form(M, dim, nodes=2 * M + 6 + args.quad_safety)
+        form = mass_form(M, dim, nodes=_rule_size(M) + args.quad_safety)
         dev = np.abs(form.entries - np.eye(form.basis.cardinality))
         details[f"gram-dim{dim}"] = float(np.max(dev))
         if details[f"gram-dim{dim}"] > worst:

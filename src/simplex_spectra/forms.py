@@ -2,8 +2,9 @@
 evaluation) over the orthonormalized bases, plus coefficient truncation.
 
 Assembly runs on the cube through the collapsed-coordinate map with the
-volume factor explicit in the integrand. Matrix products are chunked over
-quadrature nodes so large bases never materialize a full value matrix.
+volume factor explicit in the integrand. Every volume integrand is a short
+sum of separable per-axis products, so each Gram is a sum of Hadamard
+products of one-dimensional Grams (sum factorization).
 """
 
 from __future__ import annotations
@@ -20,18 +21,17 @@ from .simplex import (
     _boundary_rule,
     _dubiner_matrix,
     _gl_nodes,
+    _rule_size,
     dubiner_norm_sq,
     enumerate_basis,
 )
 
 __all__ = [
     "SymmetricForm",
-    "ProjectionMatrix",
     "mass_form",
     "h1_form",
     "trace_form",
     "point_eval_form",
-    "projection_matrix",
     "projection_form",
 ]
 
@@ -70,28 +70,6 @@ class SymmetricForm:
             raise ParameterError("factor row count must match the basis cardinality")
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectionMatrix:
-    """Diagonal 0/1 coefficient truncation from degree from_degree down to
-    to_degree in the orthonormal basis; entries is the diagonal."""
-
-    from_degree: int
-    to_degree: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if not 0 <= self.to_degree <= self.from_degree:
-            raise ParameterError(
-                f"need 0 <= to_degree <= from_degree, got {self.to_degree}, {self.from_degree}"
-            )
-        vals = np.unique(self.entries)
-        if not np.all(np.isin(vals, (0.0, 1.0))):
-            raise ParameterError("entries must be a 0/1 diagonal")
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.entries * coeffs
-
-
 def _symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
@@ -118,20 +96,14 @@ def _check_degree_arg(M: int) -> int:
 
 def _node_count(M: int, nodes: int | None) -> int:
     if nodes is None:
-        return 2 * M + 6
+        return _rule_size(M)
     if nodes < M + 2:
         raise ParameterError(f"nodes={nodes} cannot integrate a degree-{M} basis")
     return int(nodes)
 
 
-def _chunks(n_nodes: int, card: int):
-    step = max(1024, min(n_nodes, int(2.0e7 / max(card, 1))))
-    for start in range(0, n_nodes, step):
-        yield np.arange(start, min(start + step, n_nodes))
-
-
 def _axis_tables(basis: BasisSet, t: np.ndarray, grad: bool) -> dict:
-    """Flattened per-axis factor tables, one row per basis index.
+    """Per-axis factor tables, one row per basis index.
 
     Value rows multiply to the unscaled basis function on the tensor grid;
     gradient rows realize the pulled-back simplex gradient with every
@@ -147,6 +119,8 @@ def _axis_tables(basis: BasisSet, t: np.ndarray, grad: bool) -> dict:
         dleg = _deriv_table(N, 0.0, t)
         tabs["AD"] = dleg[p_arr]
         tabs["AX"] = (1.0 + t)[None, :] * tabs["AD"]
+    if dim == 1:
+        return tabs
 
     names = ["BV"] + (["BU", "BQ"] if grad else []) + (["BY"] if grad and dim == 3 else [])
     for name in names:
@@ -195,70 +169,47 @@ def _axis_tables(basis: BasisSet, t: np.ndarray, grad: bool) -> dict:
     return tabs
 
 
+# Each integrand is a list of separable terms (coefficient, per-axis table
+# names): the scaled value, then each component of the pulled-back gradient.
+_VALUE = {1: [(1.0, ("AV",))], 2: [(1.0, ("AV", "BV"))], 3: [(1.0, ("AV", "BV", "CV"))]}
+_GRADIENT = {
+    1: [[(1.0, ("AD",))]],
+    2: [[(1.0, ("AD", "BU"))], [(0.5, ("AX", "BU")), (1.0, ("AV", "BQ"))]],
+    3: [
+        [(1.0, ("AD", "BU", "CU"))],
+        [(0.5, ("AX", "BU", "CU")), (1.0, ("AV", "BQ", "CU"))],
+        [(0.5, ("AX", "BU", "CU")), (0.5, ("AV", "BY", "CU")), (1.0, ("AV", "BV", "CR"))],
+    ],
+}
+
+
 def _assemble_volume(basis: BasisSet, m: int, want_stiffness: bool):
-    """Mass (always) and stiffness (optional) Grams of the scaled basis."""
+    """Mass (always) and stiffness (optional) Grams of the scaled basis.
+
+    The tensor Gauss rule integrates a separable product as the product of
+    per-axis sums, so each pair of terms contributes the Hadamard product
+    of one card x card Gram per axis; axis k carries the collapsed volume
+    factor half**k in its weights.
+    """
     t, w = _gl_nodes(m)
-    dim, card = basis.dim, basis.cardinality
+    half = (1.0 - t) / 2.0
+    weights = [w * half**k for k in range(basis.dim)]
+    tabs = _axis_tables(basis, t, grad=want_stiffness)
     s = _scaling_vector(basis)
 
-    if dim == 1:
-        phi = s[:, None] * _jacobi_table(basis.N, _LEG, t)
-        mass = _symmetrize((phi * w) @ phi.T)
-        stiff = None
-        if want_stiffness:
-            dphi = s[:, None] * _deriv_table(basis.N, 0.0, t)
-            stiff = _symmetrize((dphi * w) @ dphi.T)
-        return mass, stiff
+    def gram(integrands):
+        out = np.zeros((basis.cardinality, basis.cardinality))
+        for terms in integrands:
+            for ca, a in terms:
+                for cb, b in terms:
+                    prod = ca * cb
+                    for wk, ta, tb in zip(weights, a, b):
+                        prod = prod * ((tabs[ta] * wk) @ tabs[tb].T)
+                    out += prod
+        return _symmetrize(s[:, None] * out * s[None, :])
 
-    tabs = _axis_tables(basis, t, grad=want_stiffness)
-    half = (1.0 - t) / 2.0
-    if dim == 2:
-        n_nodes = m * m
-        wflat = (w[:, None] * w[None, :] * half[None, :]).ravel()
-    else:
-        n_nodes = m * m * m
-        wflat = (
-            w[:, None, None] * w[None, :, None] * w[None, None, :] * half[None, :, None] * half[None, None, :] ** 2
-        ).ravel()
-
-    mass = np.zeros((card, card))
-    stiff = np.zeros((card, card)) if want_stiffness else None
-    sc = s[:, None]
-    for f in _chunks(n_nodes, card):
-        if dim == 2:
-            i1, i2 = f // m, f % m
-        else:
-            i3 = f % m
-            i12 = f // m
-            i1, i2 = i12 // m, i12 % m
-        wc = wflat[f]
-        if dim == 2:
-            phi = sc * (tabs["AV"][:, i1] * tabs["BV"][:, i2])
-        else:
-            phi = sc * (tabs["AV"][:, i1] * tabs["BV"][:, i2] * tabs["CV"][:, i3])
-        mass += (phi * wc) @ phi.T
-        if not want_stiffness:
-            continue
-        if dim == 2:
-            comps = (
-                tabs["AD"][:, i1] * tabs["BU"][:, i2],
-                0.5 * tabs["AX"][:, i1] * tabs["BU"][:, i2] + tabs["AV"][:, i1] * tabs["BQ"][:, i2],
-            )
-        else:
-            au = tabs["AX"][:, i1] * tabs["BU"][:, i2] * tabs["CU"][:, i3]
-            comps = (
-                tabs["AD"][:, i1] * tabs["BU"][:, i2] * tabs["CU"][:, i3],
-                0.5 * au + tabs["AV"][:, i1] * tabs["BQ"][:, i2] * tabs["CU"][:, i3],
-                0.5 * au
-                + 0.5 * tabs["AV"][:, i1] * tabs["BY"][:, i2] * tabs["CU"][:, i3]
-                + tabs["AV"][:, i1] * tabs["BV"][:, i2] * tabs["CR"][:, i3],
-            )
-        for g in comps:
-            g = sc * g
-            stiff += (g * wc) @ g.T
-    mass = _symmetrize(mass)
-    if stiff is not None:
-        stiff = _symmetrize(stiff)
+    mass = gram([_VALUE[basis.dim]])
+    stiff = gram(_GRADIENT[basis.dim]) if want_stiffness else None
     return mass, stiff
 
 
@@ -374,23 +325,12 @@ def point_eval_form(M: int) -> SymmetricForm:
     )
 
 
-def projection_matrix(basis: BasisSet, to_degree: int) -> ProjectionMatrix:
-    """0/1 coefficient truncation onto total degree <= to_degree."""
-    if isinstance(to_degree, bool) or not isinstance(to_degree, (int, np.integer)):
-        raise ParameterError(f"to_degree must be an integer, got {to_degree!r}")
-    if not 0 <= to_degree <= basis.N:
-        raise ParameterError(
-            f"to_degree {to_degree} outside the basis degree range 0..{basis.N}"
-        )
-    diag = np.array([1.0 if idx.degree <= to_degree else 0.0 for idx in basis.indices])
-    return ProjectionMatrix(from_degree=basis.N, to_degree=int(to_degree), entries=diag)
-
-
 def projection_form(B: SymmetricForm, N: int) -> SymmetricForm:
     """The form B composed with coefficient truncation to degree N on both
     arguments (same basis, rows and columns above degree N zeroed)."""
-    pm = projection_matrix(B.basis, N)
-    d = pm.entries
+    if _check_degree_arg(N) > B.basis.N:
+        raise ParameterError(f"N {N} outside the basis degree range 0..{B.basis.N}")
+    d = np.array([idx.degree <= N for idx in B.basis.indices])
     factor = None if B.factor is None else d[:, None] * B.factor
     return SymmetricForm(
         basis=B.basis,

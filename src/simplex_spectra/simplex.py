@@ -255,8 +255,9 @@ def dubiner_eval(idx: SimplexIndex, xi, dim: int) -> float:
 
 
 def _rule_size(N: int) -> int:
-    # per-direction node count for degree-N bases; ample for every assembled
-    # integrand and re-validated by the doubling tests
+    # per-direction node count for degree-N bases, the one rule behind every
+    # default rule in analysis, form assembly and the CLI; ample for every
+    # assembled integrand and re-validated by the doubling tests
     return 2 * N + 6
 
 

@@ -12,11 +12,10 @@ from simplex_spectra import (
     mass_form,
     point_eval_form,
     projection_form,
-    projection_matrix,
     trace_form,
 )
-from simplex_spectra.forms import ProjectionMatrix
-from simplex_spectra.simplex import _boundary_rule, _gl_nodes
+from simplex_spectra.forms import _axis_tables, _scaling_vector
+from simplex_spectra.simplex import _boundary_rule, _gl_nodes, _rule_size
 
 
 def orthonormal_coeffs(f, M, dim):
@@ -75,6 +74,45 @@ def test_h1_tetrahedron_vs_direct_integral():
     uu = X1 * X3 + X2**2
     direct = np.sum(W * (uu**2 + X3**2 + 4 * X2**2 + X1**2))
     assert_allclose(chat @ H.entries @ chat, direct, rtol=1e-12)
+
+
+def _tensor_grid_grams(M, dim, nodes):
+    # brute force over the full tensor grid: each integrand is sampled at
+    # every node from the per-axis tables, then summed with tensor weights
+    basis = enumerate_basis(M, dim)
+    t, w = _gl_nodes(nodes)
+    T = _axis_tables(basis, t, grad=True)
+    s = _scaling_vector(basis)
+    axes = "ijl"[:dim]
+    weights = [w * ((1 - t) / 2) ** k for k in range(dim)]
+    W = np.einsum(",".join(axes) + "->" + axes, *weights).ravel()
+
+    def grid(*names):
+        f = np.einsum(",".join("k" + a for a in axes) + "->k" + axes, *(T[n] for n in names))
+        return s[:, None] * f.reshape(len(s), -1)
+
+    value, grads = {
+        1: lambda: (grid("AV"), [grid("AD")]),
+        2: lambda: (grid("AV", "BV"), [grid("AD", "BU"), grid("AX", "BU") / 2 + grid("AV", "BQ")]),
+        3: lambda: (
+            grid("AV", "BV", "CV"),
+            [
+                grid("AD", "BU", "CU"),
+                grid("AX", "BU", "CU") / 2 + grid("AV", "BQ", "CU"),
+                grid("AX", "BU", "CU") / 2 + grid("AV", "BY", "CU") / 2 + grid("AV", "BV", "CR"),
+            ],
+        ),
+    }[dim]()
+    mass = (value * W) @ value.T
+    return mass, mass + sum((g * W) @ g.T for g in grads)
+
+
+def test_volume_grams_match_tensor_grid():
+    for M, dim, nodes in ((12, 1, None), (7, 2, None), (5, 3, None), (6, 2, 23)):
+        mass, h1 = _tensor_grid_grams(M, dim, _rule_size(M) if nodes is None else nodes)
+        for form, ref in ((mass_form(M, dim, nodes=nodes), mass), (h1_form(M, dim, nodes=nodes), h1)):
+            err = np.max(np.abs(form.entries - ref)) / np.max(np.abs(ref))
+            assert err < 1e-13, (form.kind, M, dim, nodes, err)
 
 
 def test_h1_dominates_mass():
@@ -140,25 +178,13 @@ def test_point_eval_squares_endpoint_value():
     assert np.max(np.abs(P.factor @ P.factor.T - P.entries)) < 1e-13
 
 
-def test_projection_matrix_structure():
-    basis = enumerate_basis(6, 2)
-    pm = projection_matrix(basis, 3)
-    assert int(pm.entries.sum()) == 10  # dim P_3(T^2)
-    assert np.array_equal(pm.entries * pm.entries, pm.entries)
-    kept = pm.apply(np.ones(basis.cardinality))
-    assert kept.sum() == 10
-    with pytest.raises(ParameterError):
-        projection_matrix(basis, 7)
-    with pytest.raises(ParameterError):
-        projection_matrix(basis, -1)
-
-
 def test_projection_form_blocks():
     T = trace_form(6, 2, "edge")
-    pm = projection_matrix(T.basis, 3)
     PB = projection_form(T, 3)
-    live = np.flatnonzero(pm.entries)
-    dead = np.flatnonzero(1 - pm.entries)
+    degrees = np.array([idx.degree for idx in T.basis.indices])
+    live = np.flatnonzero(degrees <= 3)
+    dead = np.flatnonzero(degrees > 3)
+    assert live.size == 10  # dim P_3(T^2)
     assert np.max(np.abs(PB.entries[dead])) == 0.0
     assert np.max(np.abs(PB.entries[:, dead])) == 0.0
     assert np.array_equal(
@@ -167,6 +193,10 @@ def test_projection_form_blocks():
     assert PB.factor is not None
     assert np.max(np.abs(PB.factor @ PB.factor.T - PB.entries)) < 1e-12
     assert PB.kind == T.kind and PB.basis is T.basis
+    with pytest.raises(ParameterError):
+        projection_form(T, 7)
+    with pytest.raises(ParameterError):
+        projection_form(T, -1)
 
 
 def test_quadrature_doubling_stability():
@@ -203,10 +233,6 @@ def test_form_validation():
     with pytest.raises(ParameterError):
         SymmetricForm(
             basis=basis, kind="mass", entries=good, scaling=s, factor=np.ones((n + 2, 1))
-        )
-    with pytest.raises(ParameterError):
-        ProjectionMatrix(
-            from_degree=2, to_degree=1, entries=np.array([1.0, 0.5, 0.0])
         )
     with pytest.raises(ParameterError):
         mass_form(-1, 2)
