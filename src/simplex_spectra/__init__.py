@@ -10,6 +10,7 @@ from .extremal import (
     additive_constant,
     multiplicative_constant,
     rayleigh_sup,
+    row_constants,
     trace_error_rate,
 )
 from .forms import (

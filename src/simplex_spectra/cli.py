@@ -15,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IterationError, NumericError, ParameterError
-from .extremal import additive_constant, multiplicative_constant, trace_error_rate
+from .extremal import _KINDS, row_constants, trace_error_rate
+
+# bound for perfbench/tracing.py, which wraps these names; the row loop
+# below computes every kind through row_constants
+from .extremal import additive_constant, multiplicative_constant  # noqa: F401
 from .forms import h1_form, mass_form, trace_form
 from .identities import (
     VerificationReport,
@@ -38,7 +42,6 @@ from .simplex import (
 )
 
 _CSV_HEADER = "dim,N,kind,value,iterations,residual"
-_KIND_ORDER = ("mult", "add_h1_denominator", "h1_stability")
 _KIND_TOKENS = {
     "mult": "mult",
     "add": "add_h1_denominator",
@@ -108,32 +111,24 @@ def _nodes_for(N: int, safety: int) -> int | None:
 def _emit_constants(cfg: RunConfig, ns, stream) -> int:
     print(_CSV_HEADER, file=stream)
     for N in ns:
-        for kind in _KIND_ORDER:
-            if kind not in cfg.kinds:
-                continue
-            try:
-                if kind == "mult":
-                    rec = multiplicative_constant(N, cfg.dim, nodes=_nodes_for(N, cfg.quad_safety))
-                else:
-                    numerator = {
-                        "add_h1_denominator": "point" if cfg.dim == 1 else "trace",
-                        "h1_stability": "h1_of_projection",
-                    }[kind]
-                    rec = additive_constant(
-                        N, cfg.dim, numerator, nodes=_nodes_for(N, cfg.quad_safety)
-                    )
-            except (IterationError, NumericError) as exc:
-                best = getattr(exc, "best", None)
-                its = best.iterations if best is not None else 0
-                res = _fmt(best.residual) if best is not None else "nan"
-                print(f"{cfg.dim},{N},{kind},error,{its},{res}", file=stream)
-                print(f"solver failure at N={N} kind={kind}: {exc}", file=sys.stderr)
-                return 1
-            print(
-                f"{rec.dim},{rec.N},{rec.kind},{_fmt(rec.value)},"
-                f"{rec.iterations},{_fmt(rec.residual)}",
-                file=stream,
-            )
+        pending = [kind for kind in _KINDS if kind in cfg.kinds]
+        try:
+            for rec in row_constants(
+                N, cfg.dim, pending, nodes=_nodes_for(N, cfg.quad_safety)
+            ):
+                print(
+                    f"{rec.dim},{rec.N},{rec.kind},{_fmt(rec.value)},"
+                    f"{rec.iterations},{_fmt(rec.residual)}",
+                    file=stream,
+                )
+                pending.pop(0)
+        except (IterationError, NumericError) as exc:
+            best = getattr(exc, "best", None)
+            its = best.iterations if best is not None else 0
+            res = _fmt(best.residual) if best is not None else "nan"
+            print(f"{cfg.dim},{N},{pending[0]},error,{its},{res}", file=stream)
+            print(f"solver failure at N={N} kind={pending[0]}: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 
@@ -364,6 +359,8 @@ def main(argv=None) -> int:
     p_table.add_argument("--quad-safety", type=int, default=0, help="extra quadrature points")
 
     args = parser.parse_args(argv)
+    if args.quad_safety < 0:
+        parser.error(f"--quad-safety must be >= 0, got {args.quad_safety}")
 
     if args.command == "verify":
         if args.tol is not None and not 0.0 < args.tol <= 1e-6:

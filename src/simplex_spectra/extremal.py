@@ -1,14 +1,24 @@
 """Extremal Rayleigh quotients over truncated polynomial spaces.
 
-The additive constants come from one generalized symmetric eigenproblem,
-reduced by an explicit triangular congruence so the conditioning of each
-step stays visible. The multiplicative constant is the supremum of a
-quotient mixing the mass, H1 and numerator forms; since
+Each constant of an (N, dim) row is the supremum of a degree-N-truncated
+numerator against the H1 form A on degree 2N, and a row assembles A and
+the numerator factor once for all of its kinds.
+
+The multiplicative constant mixes the mass, H1 and numerator forms; since
 sqrt(xy) = min_r (r x + y/r)/2 and the mass is the identity in the
 orthonormal basis, it is the maximum over r of the top eigenvalue of
-(2B, r I + A/r). One eigendecomposition of the H1 form reduces every such
-eigenvalue to a problem of the numerator's rank, and the maximizer is
-bisected in log r on a bracket fixed by the H1 spectrum.
+(2B, r I + A/r). One eigendecomposition of A reduces every such eigenvalue
+to a problem of the numerator's rank, and the maximizer is bisected in
+log r on a bracket fixed by the H1 spectrum.
+
+Both additive numerators vanish off the degree-<=N block, which the graded
+basis puts first, so each additive constant is an eigenproblem of that
+block's size against the Schur complement S = A11 - A12 A22^-1 A21, taken
+through Cholesky factors of A22 and S: the trace (2-D) or endpoint (1-D)
+constant is the top eigenvalue of the Gram of L_S^-1 C1, square in the
+numerator factor's column count, and the H1-stability constant that of
+L_S^-1 A11 L_S^-T. ``rayleigh_sup`` solves a full pencil densely; it is
+the oracle these reductions are tested against.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ __all__ = [
     "EigenSolution",
     "ConstantRecord",
     "rayleigh_sup",
+    "row_constants",
     "additive_constant",
     "multiplicative_constant",
     "trace_error_rate",
@@ -86,11 +97,13 @@ def _check_compatible(B: SymmetricForm, G: SymmetricForm) -> None:
         )
 
 
-def _chol_lower(Gm: np.ndarray) -> np.ndarray:
+def _chol_lower(Gm: np.ndarray, whole: np.ndarray | None = None) -> np.ndarray:
+    """Lower Cholesky factor of Gm. A failure raises NumericError with the
+    eigenvalue range of ``whole``, the form Gm is a block of, or of Gm."""
     try:
         return cholesky(Gm, lower=True)
     except LinAlgError as exc:
-        ev = eigvalsh(Gm)
+        ev = eigvalsh(Gm if whole is None else whole)
         raise NumericError(
             "denominator form is not positive definite: "
             f"eigenvalue range [{ev[0]:.6g}, {ev[-1]:.6g}]"
@@ -120,6 +133,103 @@ def rayleigh_sup(B: SymmetricForm, G: SymmetricForm) -> EigenSolution:
     return EigenSolution(lambda_max=lam, vector=v, ortho_residual=ortho)
 
 
+def row_constants(
+    N: int, dim: int, kinds=_KINDS, nodes: int | None = None, max_iterations: int = 1000
+):
+    """The constants of one (N, dim) row: an iterator of one ConstantRecord
+    per requested kind, in the order of ("mult", "add_h1_denominator",
+    "h1_stability").
+
+    The H1 form on degree 2N and the truncated numerator factor (endpoint
+    evaluation in 1-D, the bottom edge in 2-D) are assembled once, when the
+    first record is asked for, and every kind shares them. A solver failure
+    raises when its kind is reached, after the records before it.
+    """
+    if dim not in (1, 2):
+        raise ParameterError(f"dim must be 1 or 2, got {dim}")
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ParameterError(f"N must be a positive integer, got {N!r}")
+    unknown = [k for k in kinds if k not in _KINDS]
+    if unknown:
+        raise ParameterError(f"kinds must be among {_KINDS}, got {unknown}")
+    return _row(int(N), dim, [k for k in _KINDS if k in kinds], nodes, max_iterations)
+
+
+def _row(N: int, dim: int, wanted: list, nodes: int | None, max_iterations: int):
+    if not wanted:
+        return
+    A = h1_form(2 * N, dim, nodes=nodes).entries
+    C = None
+    if "mult" in wanted or "add_h1_denominator" in wanted:
+        raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim, "edge", nodes=nodes)
+        C = projection_form(raw, N).factor
+    if "mult" in wanted:
+        yield _multiplicative(N, dim, A, C, max_iterations)
+    if wanted == ["mult"]:
+        return
+
+    # the graded basis puts the degree <= N block, where both additive
+    # numerators live, first
+    n1 = enumerate_basis(N, dim).cardinality
+    factors = _schur_factors(A, n1)
+    _, _, LS = factors
+    if "add_h1_denominator" in wanted:
+        Y = solve_triangular(LS, C[:n1], lower=True)
+        mu, Z = eigh(Y.T @ Y)
+        v1 = solve_triangular(LS, Y @ Z[:, -1], lower=True, trans="T")
+        Bv1 = C[:n1] @ (C[:n1].T @ v1)
+        yield ConstantRecord(
+            dim=dim,
+            N=N,
+            kind="add_h1_denominator",
+            value=float(mu[-1]),
+            iterations=1,
+            residual=_pencil_residual(A, factors, v1, Bv1, mu[-1]),
+        )
+    if "h1_stability" in wanted:
+        X = solve_triangular(LS, A[:n1, :n1], lower=True)
+        K = solve_triangular(LS, X.T, lower=True)
+        mu, Z = eigh((K + K.T) / 2.0)
+        v1 = solve_triangular(LS, Z[:, -1], lower=True, trans="T")
+        Bv1 = A[:n1, :n1] @ v1
+        yield ConstantRecord(
+            dim=dim,
+            N=N,
+            kind="h1_stability",
+            value=float(mu[-1]) / (N + 1),
+            iterations=1,
+            residual=_pencil_residual(A, factors, v1, Bv1, mu[-1]),
+        )
+
+
+def _schur_factors(A: np.ndarray, n1: int):
+    """(L22, W, LS): L22 L22^T = A22 for the trailing block, W = L22^-1 A21,
+    and LS LS^T = S = A11 - W^T W, the Schur complement of the leading n1
+    block. In the reversed block order A = [[L22, 0], [W^T, LS]] times its
+    transpose, so the supremum of a form B that vanishes off the leading
+    block against A is that of B11 against S."""
+    L22 = _chol_lower(A[n1:, n1:], A)
+    W = solve_triangular(L22, A[n1:, :n1], lower=True)
+    LS = _chol_lower(A[:n1, :n1] - W.T @ W, A)
+    return L22, W, LS
+
+
+def _pencil_residual(A: np.ndarray, factors, v1: np.ndarray, Bv1: np.ndarray, lam: float) -> float:
+    """A^-1 norm of B v - lam A v in the full pencil, for v the unit A-norm
+    multiple of the lift (v1, -L22^-T W v1) of a leading-block maximizer;
+    Bv1 is B11 v1, the only block of B v that is not zero. The norm is
+    taken through the block factor of A in the reversed order."""
+    L22, W, LS = factors
+    n1 = v1.size
+    v = np.concatenate([v1, -solve_triangular(L22, W @ v1, lower=True, trans="T")])
+    Av = A @ v
+    res = -lam * Av
+    res[:n1] += Bv1
+    y2 = solve_triangular(L22, res[n1:], lower=True)
+    y1 = solve_triangular(LS, res[:n1] - W.T @ y2, lower=True)
+    return math.sqrt((y1 @ y1 + y2 @ y2) / (v @ Av))
+
+
 def additive_constant(N: int, dim: int, numerator: str, nodes: int | None = None) -> ConstantRecord:
     """Sharp constant of the additive estimate: the top eigenvalue of the
     degree-N-truncated numerator form against the full H1 form on degree 2N.
@@ -132,28 +242,8 @@ def additive_constant(N: int, dim: int, numerator: str, nodes: int | None = None
         raise ParameterError("the point numerator is the interval case (dim 1)")
     if numerator == "trace" and dim != 2:
         raise ParameterError("the trace numerator is the triangle case (dim 2)")
-    if dim not in (1, 2):
-        raise ParameterError(f"dim must be 1 or 2, got {dim}")
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-        raise ParameterError(f"N must be a positive integer, got {N!r}")
-    N = int(N)
-
-    denom = h1_form(2 * N, dim, nodes=nodes)
-    if numerator == "point":
-        raw = point_eval_form(2 * N)
-    elif numerator == "trace":
-        raw = trace_form(2 * N, dim, "edge", nodes=nodes)
-    else:
-        raw = denom
-    B = projection_form(raw, N)
-    sol = rayleigh_sup(B, denom)
-    if numerator == "h1_of_projection":
-        kind, value = "h1_stability", sol.lambda_max / (N + 1)
-    else:
-        kind, value = "add_h1_denominator", sol.lambda_max
-    return ConstantRecord(
-        dim=dim, N=N, kind=kind, value=value, iterations=1, residual=sol.ortho_residual
-    )
+    kind = "h1_stability" if numerator == "h1_of_projection" else "add_h1_denominator"
+    return next(row_constants(N, dim, (kind,), nodes=nodes))
 
 
 def multiplicative_constant(
@@ -169,21 +259,19 @@ def multiplicative_constant(
     root is bisected on that bracket; ``iterations`` counts the lambda
     evaluations and ``residual`` is |d lambda/ds| / lambda at the result.
     """
-    if dim not in (1, 2):
-        raise ParameterError(f"dim must be 1 or 2, got {dim}")
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-        raise ParameterError(f"N must be a positive integer, got {N!r}")
-    N = int(N)
+    return next(row_constants(N, dim, ("mult",), nodes=nodes, max_iterations=max_iterations))
 
-    denom = h1_form(2 * N, dim, nodes=nodes)
-    raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim, "edge", nodes=nodes)
-    a, V = eigh(denom.entries)
+
+def _multiplicative(
+    N: int, dim: int, A: np.ndarray, C: np.ndarray, max_iterations: int
+) -> ConstantRecord:
+    a, V = eigh(A)
     if a[0] <= 0.0:
         raise NumericError(
             "denominator form is not positive definite: "
             f"eigenvalue range [{a[0]:.6g}, {a[-1]:.6g}]"
         )
-    U = V.T @ projection_form(raw, N).factor
+    U = V.T @ C
 
     lo, hi = 0.5 * math.log(a[0]), 0.5 * math.log(a[-1])
     value, residual = np.nan, np.inf

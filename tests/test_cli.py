@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from simplex_spectra import ConstantRecord, IterationError
-from simplex_spectra import cli
+from scipy.linalg import LinAlgError
+
+from simplex_spectra import extremal
 from simplex_spectra.cli import RunConfig, _TABLE_ROWS, _fmt, main
 from simplex_spectra.errors import ParameterError
+from simplex_spectra.forms import SymmetricForm
 
 
 def run(capsys, *argv):
@@ -91,20 +93,57 @@ def test_constants_out_file(tmp_path, capsys):
     assert ",mult," in body
 
 
-def test_constants_solver_failure_row(capsys, monkeypatch):
-    def explode(N, dim, nodes=None):
-        best = ConstantRecord(
-            dim=dim, N=N, kind="mult", value=1.2, iterations=7, residual=3e-9
-        )
-        raise IterationError("fixed point stalled", best=best)
+def _negated_h1(monkeypatch):
+    real = extremal.h1_form
 
-    monkeypatch.setattr(cli, "multiplicative_constant", explode)
+    def negated(M, dim, nodes=None):
+        A = real(M, dim, nodes=nodes)
+        return SymmetricForm(basis=A.basis, kind="h1", entries=-A.entries, scaling=A.scaling)
+
+    monkeypatch.setattr(extremal, "h1_form", negated)
+
+
+def test_constants_solver_failure_row(capsys, monkeypatch):
+    _negated_h1(monkeypatch)
     code, out, err = run(capsys, "constants", "--dim", "1", "--n", "5")
     assert code == 1
     lines = out.strip().splitlines()
     assert lines[0] == "dim,N,kind,value,iterations,residual"
-    assert lines[1] == "1,5,mult,error,7,3e-09"
+    assert lines[1] == "1,5,mult,error,0,nan"
     assert "solver failure at N=5 kind=mult" in err
+
+
+def test_constants_failure_after_an_earlier_kind(capsys, monkeypatch):
+    # the mult solver takes no Cholesky factor, so it prints its row before
+    # the additive kind of the same N fails to factor the H1 form
+    def no_factor(a, lower=False):
+        raise LinAlgError("injected")
+
+    monkeypatch.setattr(extremal, "cholesky", no_factor)
+    code, out, err = run(capsys, "constants", "--dim", "2", "--n", "2")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("2,2,mult,") and ",error," not in lines[1]
+    assert lines[2] == "2,2,add_h1_denominator,error,0,nan"
+    assert "solver failure at N=2 kind=add_h1_denominator" in err
+    assert "not positive definite" in err
+
+
+def test_constants_row_assembles_each_form_once(capsys, monkeypatch):
+    calls = {"h1_form": 0, "trace_form": 0}
+    for name in calls:
+        real = getattr(extremal, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(extremal, name, counted)
+    code, out, _ = run(capsys, "constants", "--dim", "2", "--n", "3..4")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 2 * 3
+    assert calls == {"h1_form": 2, "trace_form": 2}
 
 
 def test_verify_all_suites(capsys):
@@ -166,10 +205,14 @@ def test_usage_errors_exit_two(capsys):
         ["rates", "--family", "hs:0.3", "--n", "4..8"],
         ["rates", "--family", "weird", "--n", "4..8"],
         ["table", "3"],
+        ["constants", "--dim", "1", "--n", "1", "--quad-safety", "-100"],
+        ["verify", "--quad-safety", "-50"],
+        ["rates", "--family", "poly", "--n", "4..8", "--quad-safety", "-60"],
+        ["table", "1", "--quad-safety", "-1"],
         [],
     ]
     for argv in bad_argvs:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2, argv
-        capsys.readouterr()
+        assert capsys.readouterr().out == "", argv

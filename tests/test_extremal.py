@@ -17,6 +17,7 @@ from simplex_spectra import (
     point_eval_form,
     projection_form,
     rayleigh_sup,
+    row_constants,
     trace_error_rate,
     trace_form,
 )
@@ -187,22 +188,30 @@ def test_scale_invariance():
             )
 
 
+def _legendre_h1_gram(M):
+    """Exact H1 Gram of the orthonormal Legendre basis on degree M at the
+    working mpmath precision: I + K, K_ij = s_i s_j m(m+1) for i+j even with
+    m = min(i, j) and s_k = sqrt((2k+1)/2). Returns (Gram, s); s_k is also
+    the value of basis function k at the right endpoint."""
+    s = [mp.sqrt(mp.mpf(2 * k + 1) / 2) for k in range(M + 1)]
+    A = mp.matrix(M + 1, M + 1)
+    for i in range(M + 1):
+        A[i, i] = 1
+        for j in range(i % 2, M + 1, 2):
+            m = min(i, j)
+            A[i, j] += s[i] * s[j] * m * (m + 1)
+    return A, s
+
+
 def _legendre_mult_oracle(N):
-    """Interval constant at 40 digits from the exact orthonormal-Legendre H1
-    Gram I + K, K_ij = s_i s_j m(m+1) for i+j even with m = min(i, j) and
-    s_k = sqrt((2k+1)/2), and the truncated endpoint vector c_k = s_k, k <= N.
+    """Interval constant at 40 digits from the exact H1 Gram on degree 2N
+    and the truncated endpoint vector c_k = s_k, k <= N.
 
     Returns (the maximum over t = log r of 2 c^T (r I + A/r)^-1 c, the Gram).
     """
     with mp.workdps(40):
         M = 2 * N
-        s = [mp.sqrt(mp.mpf(2 * k + 1) / 2) for k in range(M + 1)]
-        A = mp.matrix(M + 1, M + 1)
-        for i in range(M + 1):
-            A[i, i] = 1
-            for j in range(i % 2, M + 1, 2):
-                m = min(i, j)
-                A[i, j] += s[i] * s[j] * m * (m + 1)
+        A, s = _legendre_h1_gram(M)
         a, Q = mp.eigsy(A)
         w = Q.T * mp.matrix([s[k] if k <= N else 0 for k in range(M + 1)])
 
@@ -233,6 +242,75 @@ def test_multiplicative_extended_precision_oracle():
         assert abs(rec.value - float(value)) <= 1e-12 * float(value), N
 
 
+def test_additive_point_extended_precision_oracle():
+    # the endpoint numerator has rank one, so the constant is (Pc)^T A^-1 (Pc)
+    for N in (1, 2, 5, 10, 40):
+        with mp.workdps(40):
+            A, s = _legendre_h1_gram(2 * N)
+            c = mp.matrix([s[k] if k <= N else 0 for k in range(2 * N + 1)])
+            value = float(mp.fsum(c[k] * x for k, x in enumerate(mp.lu_solve(A, c))))
+        rec = additive_constant(N, 1, "point")
+        assert abs(rec.value - value) <= 1e-13 * value, N
+        assert rec.residual <= 1e-12, N
+
+
+def test_additive_kinds_match_dense_oracle():
+    for N, dim in _DENSE_ROWS:
+        A = h1_form(2 * N, dim)
+        raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim, "edge")
+        cases = (
+            ("point" if dim == 1 else "trace", raw, 1),
+            ("h1_of_projection", A, N + 1),
+        )
+        for numerator, form, scale in cases:
+            rec = additive_constant(N, dim, numerator)
+            want = rayleigh_sup(projection_form(form, N), A).lambda_max / scale
+            assert abs(rec.value - want) <= 1e-13 * want, (N, dim, numerator)
+            assert rec.residual <= 1e-12, (N, dim, numerator)
+
+
+def test_additive_kinds_avoid_full_size_solves(monkeypatch):
+    # both additive kinds work on the degree-N block: no eigh of the full
+    # form, and no triangular solve of its size or with as many columns
+    N, dim = 4, 2
+    card = enumerate_basis(2 * N, dim).cardinality
+    sizes = []
+    real_eigh, real_solve = extremal.eigh, extremal.solve_triangular
+
+    def eigh(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real_eigh(a, *args, **kwargs)
+
+    def solve_triangular(a, b, *args, **kwargs):
+        sizes.extend([a.shape[0], b.shape[1] if b.ndim == 2 else 1])
+        return real_solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(extremal, "eigh", eigh)
+    monkeypatch.setattr(extremal, "solve_triangular", solve_triangular)
+    for kind in ("add_h1_denominator", "h1_stability"):
+        next(row_constants(N, dim, (kind,)))
+    assert sizes and max(sizes) < card
+
+
+def test_row_constants_share_one_row():
+    for N, dim in ((3, 1), (3, 2)):
+        recs = list(row_constants(N, dim))
+        assert [r.kind for r in recs] == ["mult", "add_h1_denominator", "h1_stability"]
+        singles = [
+            multiplicative_constant(N, dim),
+            additive_constant(N, dim, "point" if dim == 1 else "trace"),
+            additive_constant(N, dim, "h1_of_projection"),
+        ]
+        assert recs == singles
+    # kinds come out in the fixed order whatever order they are asked in
+    recs = row_constants(2, 2, ("h1_stability", "mult"))
+    assert [r.kind for r in recs] == ["mult", "h1_stability"]
+    with pytest.raises(ParameterError):
+        row_constants(2, 2, ("mult", "slope"))
+    with pytest.raises(ParameterError):
+        row_constants(0, 2)
+
+
 def test_iteration_budget_exhaustion():
     with pytest.raises(IterationError) as info:
         multiplicative_constant(10, 1, max_iterations=3)
@@ -252,6 +330,10 @@ def test_multiplicative_rejects_indefinite_denominator(monkeypatch):
     monkeypatch.setattr(extremal, "h1_form", negated)
     with pytest.raises(NumericError, match="eigenvalue range"):
         multiplicative_constant(2, 1)
+    # the additive kinds share the row's H1 form and reject it the same way
+    for numerator in ("point", "h1_of_projection"):
+        with pytest.raises(NumericError, match="eigenvalue range"):
+            additive_constant(2, 1, numerator)
 
 
 def test_multiplicative_validation():
