@@ -1,15 +1,18 @@
 """Extremal Rayleigh quotients over truncated polynomial spaces.
 
 Each constant of an (N, dim) row is the supremum of a degree-N-truncated
-numerator against the H1 form A on degree 2N, and a row assembles A and
-the numerator factor once for all of its kinds.
+numerator against the H1 form A on degree 2N, and a row assembles A once
+for all of its kinds. The numerator factor C, with C C^T the truncated
+endpoint (1-D) or bottom-edge (2-D) form, is known in closed form: one
+column in 1-D and N+1 in 2-D, one per Legendre degree on the edge.
 
 The multiplicative constant mixes the mass, H1 and numerator forms; since
 sqrt(xy) = min_r (r x + y/r)/2 and the mass is the identity in the
 orthonormal basis, it is the maximum over r of the top eigenvalue of
-(2B, r I + A/r). One eigendecomposition of A reduces every such eigenvalue
-to a problem of the numerator's rank, and the maximizer is bisected in
-log r on a bracket fixed by the H1 spectrum.
+(2B, r I + A/r). One Householder reduction A = Q T Q^T to tridiagonal T,
+carried through C, turns every such eigenvalue into a tridiagonal solve
+and a problem of C's column count, and the maximizer is bisected in log r
+on a bracket fixed by the extreme eigenvalues of T.
 
 Both additive numerators vanish off the degree-<=N block, which the graded
 basis puts first, so each additive constant is an eigenproblem of that
@@ -18,7 +21,8 @@ through Cholesky factors of A22 and S: the trace (2-D) or endpoint (1-D)
 constant is the top eigenvalue of the Gram of L_S^-1 C1, square in the
 numerator factor's column count, and the H1-stability constant that of
 L_S^-1 A11 L_S^-T. ``rayleigh_sup`` solves a full pencil densely; it is
-the oracle these reductions are tested against.
+the oracle these reductions are tested against, as the quadrature-assembled
+``trace_form`` and ``point_eval_form`` are for C.
 """
 
 from __future__ import annotations
@@ -27,16 +31,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, eigh, eigvalsh, solve_triangular
+from scipy.linalg import (
+    LinAlgError,
+    cholesky,
+    eigh,
+    eigvalsh,
+    eigvalsh_tridiagonal,
+    solve_triangular,
+)
+from scipy.linalg.lapack import dormqr, dptsv, dsytrd, dsytrd_lwork
 
 from .errors import IterationError, NumericError, ParameterError
-from .forms import (
-    SymmetricForm,
-    h1_form,
-    point_eval_form,
-    projection_form,
-    trace_form,
-)
+from .forms import SymmetricForm, h1_form
 from .jacobi import JacobiWeight, _jacobi_table
 from .simplex import _gl_nodes, analyze, dubiner_norm_sq, enumerate_basis
 
@@ -152,17 +158,20 @@ def row_constants(
     unknown = [k for k in kinds if k not in _KINDS]
     if unknown:
         raise ParameterError(f"kinds must be among {_KINDS}, got {unknown}")
-    return _row(int(N), dim, [k for k in _KINDS if k in kinds], nodes, max_iterations)
+    if (
+        isinstance(max_iterations, bool)
+        or not isinstance(max_iterations, (int, np.integer))
+        or max_iterations < 1
+    ):
+        raise ParameterError(f"max_iterations must be a positive integer, got {max_iterations!r}")
+    return _row(int(N), dim, [k for k in _KINDS if k in kinds], nodes, int(max_iterations))
 
 
 def _row(N: int, dim: int, wanted: list, nodes: int | None, max_iterations: int):
     if not wanted:
         return
     A = h1_form(2 * N, dim, nodes=nodes).entries
-    C = None
-    if "mult" in wanted or "add_h1_denominator" in wanted:
-        raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim, "edge", nodes=nodes)
-        C = projection_form(raw, N).factor
+    C = _numerator_factor(N, dim)
     if "mult" in wanted:
         yield _multiplicative(N, dim, A, C, max_iterations)
     if wanted == ["mult"]:
@@ -200,6 +209,30 @@ def _row(N: int, dim: int, wanted: list, nodes: int | None, max_iterations: int)
             iterations=1,
             residual=_pencil_residual(A, factors, v1, Bv1, mu[-1]),
         )
+
+
+def _numerator_factor(N: int, dim: int) -> np.ndarray:
+    """The truncated numerator factor C on the degree-2N basis, in closed
+    form: C C^T is the endpoint (1-D) or bottom-edge (2-D) form with the
+    rows and columns above degree N zeroed.
+
+    With s_k the orthonormalizing scale of basis function k, the function
+    is s_k at the right endpoint in 1-D, so C[k] = s_k. In 2-D, function
+    (p, q) is s_k (-1)^q L_p on the edge y = -1, so against the orthonormal
+    Legendre basis of that edge C[k, p] = s_k (-1)^q sqrt(2 / (2p + 1)),
+    N+1 columns.
+    """
+    basis = enumerate_basis(2 * N, dim)
+    C = np.zeros((basis.cardinality, 1 if dim == 1 else N + 1))
+    for k, idx in enumerate(basis.indices):
+        if idx.degree > N:
+            break
+        s = 1.0 / np.sqrt(dubiner_norm_sq(idx))
+        if dim == 1:
+            C[k, 0] = s
+        else:
+            C[k, idx.p] = (-1.0) ** idx.q * s * math.sqrt(2.0 / (2 * idx.p + 1))
+    return C
 
 
 def _schur_factors(A: np.ndarray, n1: int):
@@ -252,36 +285,64 @@ def multiplicative_constant(
     """Sharp constant of the multiplicative estimate, as the maximum over
     the split parameter r of lambda(r) = lambda_max(2B, r I + A/r).
 
-    With A = V diag(a) V^T and U = V^T C for the numerator factor C, each
-    lambda(r) is the top eigenvalue of the k x k matrix
-    2 U^T diag(1/(r + a/r)) U. Its slope in s = log r changes sign from
-    nonnegative to nonpositive across [log a_min, log a_max] / 2, and the
-    root is bisected on that bracket; ``iterations`` counts the lambda
-    evaluations and ``residual`` is |d lambda/ds| / lambda at the result.
+    With A = Q T Q^T, T tridiagonal, and U = Q^T C for the numerator
+    factor C, each lambda(r) is the top eigenvalue of the k x k matrix
+    2 U^T Z, where Z = (r I + T/r)^-1 U comes from one tridiagonal solve
+    and k is C's column count (1 in 1-D, N+1 in 2-D). Its slope in
+    s = log r changes sign from nonnegative to nonpositive across
+    [log a_min, log a_max] / 2, with a_min and a_max the extreme
+    eigenvalues of T, and the root is bisected on that bracket;
+    ``iterations`` counts the lambda evaluations and ``residual`` is
+    |d lambda/ds| / lambda at the result.
     """
     return next(row_constants(N, dim, ("mult",), nodes=nodes, max_iterations=max_iterations))
+
+
+def _tridiagonalize(A: np.ndarray, C: np.ndarray):
+    """(d, e, U): the diagonal and off-diagonal of T = Q^T A Q, from one
+    blocked Householder reduction of A, and U = Q^T C through the same
+    reflectors. In lower storage Q = diag(1, Q1), with Q1 the product of
+    the n-1 reflectors below the first row, as LAPACK's dormtr applies it."""
+    n = A.shape[0]
+    lwork, _ = dsytrd_lwork(n, lower=1)
+    c, d, e, tau, _ = dsytrd(A, lower=1, lwork=int(lwork))
+    reflectors = c[1:, : n - 1]
+    _, work, _ = dormqr("L", "T", reflectors, tau, C[1:], -1)
+    U = C.copy()
+    U[1:], _, _ = dormqr("L", "T", reflectors, tau, C[1:], int(work[0]))
+    return d, e, U
 
 
 def _multiplicative(
     N: int, dim: int, A: np.ndarray, C: np.ndarray, max_iterations: int
 ) -> ConstantRecord:
-    a, V = eigh(A)
-    if a[0] <= 0.0:
+    d, e, U = _tridiagonalize(A, C)
+    n = d.size
+    a_min, a_max = (
+        float(eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))[0]) for i in (0, n - 1)
+    )
+    if a_min <= 0.0:
         raise NumericError(
             "denominator form is not positive definite: "
-            f"eigenvalue range [{a[0]:.6g}, {a[-1]:.6g}]"
+            f"eigenvalue range [{a_min:.6g}, {a_max:.6g}]"
         )
-    U = V.T @ C
 
-    lo, hi = 0.5 * math.log(a[0]), 0.5 * math.log(a[-1])
+    lo, hi = 0.5 * math.log(a_min), 0.5 * math.log(a_max)
     value, residual = np.nan, np.inf
     for it in range(1, max_iterations + 1):
         s = (lo + hi) / 2.0
         r = math.exp(s)
-        d = 1.0 / (r + a / r)
-        mu, Y = eigh(2.0 * (U.T * d) @ U)
+        _, _, Z, info = dptsv(r + d / r, e / r, U)
+        if info != 0:
+            raise NumericError(f"r I + A/r is not positive definite at r = {r:.6g}")
+        G = U.T @ Z  # 2 U^T Z, symmetrized, is G + G^T
+        mu, Y = eigh(G + G.T)
         value = float(mu[-1])
-        slope = -2.0 * float(np.sum((r - a / r) * (d * (U @ Y[:, -1])) ** 2))
+        z = Z @ Y[:, -1]
+        Tz = d * z
+        Tz[:-1] += e * z[1:]
+        Tz[1:] += e * z[:-1]
+        slope = -2.0 * float(z @ (r * z - Tz / r))
         residual = abs(slope) / value
         if hi - lo <= _LOG_R_WIDTH * max(1.0, abs(s)):
             return ConstantRecord(
