@@ -311,6 +311,8 @@ def _rate_function(family: str, n_min: int, parser):
 
 def _run_rates(args, parser) -> int:
     a, b = _parse_range(args.n, parser)
+    if b == a:
+        parser.error(f"rates needs at least two degrees to fit a rate, got {args.n!r}")
     fn = _rate_function(args.family, a, parser)
     nodes = None if args.quad_safety == 0 else 2 * b + 40 + args.quad_safety
     rows, slope, _ = trace_error_rate(fn, list(range(a, b + 1)), nodes=nodes)

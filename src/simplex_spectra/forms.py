@@ -4,7 +4,8 @@ evaluation) over the orthonormalized bases, plus coefficient truncation.
 Assembly runs on the cube through the collapsed-coordinate map with the
 volume factor explicit in the integrand. Every volume integrand is a short
 sum of separable per-axis products, so each Gram is a sum of Hadamard
-products of one-dimensional Grams (sum factorization).
+products of one-dimensional Grams (sum factorization), built from the
+per-axis weights and factor tables of ``simplex`` in any dimension.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from .jacobi import JacobiWeight, _jacobi_table
 from .simplex import (
     BasisSet,
     SimplexIndex,
+    _axis_factors,
+    _axis_weights,
     _boundary_rule,
     _dubiner_matrix,
     _gl_nodes,
-    _rule_size,
+    _node_count,
     dubiner_norm_sq,
     enumerate_basis,
 )
@@ -78,109 +81,48 @@ def _scaling_vector(basis: BasisSet) -> np.ndarray:
     return np.array([1.0 / np.sqrt(dubiner_norm_sq(idx)) for idx in basis.indices])
 
 
-def _deriv_table(n: int, alpha: float, t: np.ndarray) -> np.ndarray:
-    """Rows of first derivatives for the weight (alpha, 0), degrees 0..n."""
-    out = np.zeros((n + 1, t.size))
-    if n >= 1:
-        shifted = _jacobi_table(n - 1, JacobiWeight(alpha + 1.0, 1.0), t)
-        for k in range(1, n + 1):
-            out[k] = 0.5 * (k + alpha + 1.0) * shifted[k - 1]
-    return out
-
-
 def _check_degree_arg(M: int) -> int:
     if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 0:
         raise ParameterError(f"degree must be a nonnegative integer, got {M!r}")
     return int(M)
 
 
-def _node_count(M: int, nodes: int | None) -> int:
-    if nodes is None:
-        return _rule_size(M)
-    if nodes < M + 2:
-        raise ParameterError(f"nodes={nodes} cannot integrate a degree-{M} basis")
-    return int(nodes)
+# Each integrand is a list of separable terms (coefficient, kinds): letter k
+# names the axis-k factor kind of simplex._axis_factors. The value first,
+# then each component of the pulled-back gradient.
+_VALUE = {1: [(1.0, "V")], 2: [(1.0, "VV")], 3: [(1.0, "VVV")]}
+_GRADIENT = {
+    1: [[(1.0, "D")]],
+    2: [[(1.0, "DU")], [(0.5, "XU"), (1.0, "VD")]],
+    3: [
+        [(1.0, "DUU")],
+        [(0.5, "XUU"), (1.0, "VDU")],
+        [(0.5, "XUU"), (0.5, "VXU"), (1.0, "VVD")],
+    ],
+}
 
 
 def _axis_tables(basis: BasisSet, t: np.ndarray, grad: bool) -> dict:
-    """Per-axis factor tables, one row per basis index.
+    """Per-axis factor tables keyed (kind, axis), one row per basis index,
+    for the kinds the value (and with ``grad`` the gradient) integrands use.
 
-    Value rows multiply to the unscaled basis function on the tensor grid;
-    gradient rows realize the pulled-back simplex gradient with every
-    collapsed-power division cancelled algebraically beforehand.
+    Row i of (kind, k) is the axis-k factor of index i: the table for its
+    prefix sum over the earlier axes, at its axis-k component.
     """
-    N, dim, card, m = basis.N, basis.dim, basis.cardinality, t.size
-    p_arr = np.array([i.p for i in basis.indices])
-    q_arr = np.array([i.q for i in basis.indices])
-    half = (1.0 - t) / 2.0
-    leg = _jacobi_table(N, _LEG, t)
-    tabs = {"AV": leg[p_arr]}
-    if grad:
-        dleg = _deriv_table(N, 0.0, t)
-        tabs["AD"] = dleg[p_arr]
-        tabs["AX"] = (1.0 + t)[None, :] * tabs["AD"]
-    if dim == 1:
-        return tabs
-
-    names = ["BV"] + (["BU", "BQ"] if grad else []) + (["BY"] if grad and dim == 3 else [])
-    for name in names:
-        tabs[name] = np.zeros((card, m))
-    for p in range(N + 1):
-        rows = np.flatnonzero(p_arr == p)
-        if rows.size == 0:
-            continue
-        qt = _jacobi_table(N - p, JacobiWeight(2.0 * p + 1.0, 0.0), t)
-        tp = half**p
-        qrows = q_arr[rows]
-        tabs["BV"][rows] = qt[qrows] * tp
-        if grad:
-            dqt = _deriv_table(N - p, 2.0 * p + 1.0, t)
-            bq = dqt[qrows] * tp
-            if p >= 1:
-                tpm1 = half ** (p - 1)
-                tabs["BU"][rows] = qt[qrows] * tpm1
-                bq = bq - (p / 2.0) * qt[qrows] * tpm1
-            tabs["BQ"][rows] = bq
-            if dim == 3:
-                tabs["BY"][rows] = (1.0 + t)[None, :] * bq
-
-    if dim == 3:
-        r_arr = np.array([i.r for i in basis.indices])
-        for name in ["CV"] + (["CU", "CR"] if grad else []):
-            tabs[name] = np.zeros((card, m))
-        for p in range(N + 1):
-            for q in range(N - p + 1):
-                rows = np.flatnonzero((p_arr == p) & (q_arr == q))
-                if rows.size == 0:
-                    continue
-                n_pq = 2.0 * p + 2.0 * q + 2.0
-                rt = _jacobi_table(N - p - q, JacobiWeight(n_pq, 0.0), t)
-                wpq = half ** (p + q)
-                rrows = r_arr[rows]
-                tabs["CV"][rows] = rt[rrows] * wpq
-                if grad:
-                    drt = _deriv_table(N - p - q, n_pq, t)
-                    cr = drt[rrows] * wpq
-                    if p + q >= 1:
-                        wpqm1 = half ** (p + q - 1)
-                        tabs["CU"][rows] = rt[rrows] * wpqm1
-                        cr = cr - ((p + q) / 2.0) * rt[rrows] * wpqm1
-                    tabs["CR"][rows] = cr
+    integrands = [_VALUE[basis.dim]] + (_GRADIENT[basis.dim] if grad else [])
+    comps = np.array([idx.components() for idx in basis.indices])
+    prefix = np.cumsum(comps, axis=1) - comps
+    tabs = {}
+    for k in range(basis.dim):
+        kinds = {term[k] for terms in integrands for _, term in terms}
+        for kind in kinds:
+            tabs[kind, k] = np.empty((basis.cardinality, t.size))
+        for s in np.unique(prefix[:, k]):
+            rows = np.flatnonzero(prefix[:, k] == s)
+            factors = _axis_factors(k, int(s), basis.N, t, "".join(kinds))
+            for kind in kinds:
+                tabs[kind, k][rows] = factors.pop(kind)[comps[rows, k]]
     return tabs
-
-
-# Each integrand is a list of separable terms (coefficient, per-axis table
-# names): the scaled value, then each component of the pulled-back gradient.
-_VALUE = {1: [(1.0, ("AV",))], 2: [(1.0, ("AV", "BV"))], 3: [(1.0, ("AV", "BV", "CV"))]}
-_GRADIENT = {
-    1: [[(1.0, ("AD",))]],
-    2: [[(1.0, ("AD", "BU"))], [(0.5, ("AX", "BU")), (1.0, ("AV", "BQ"))]],
-    3: [
-        [(1.0, ("AD", "BU", "CU"))],
-        [(0.5, ("AX", "BU", "CU")), (1.0, ("AV", "BQ", "CU"))],
-        [(0.5, ("AX", "BU", "CU")), (0.5, ("AV", "BY", "CU")), (1.0, ("AV", "BV", "CR"))],
-    ],
-}
 
 
 def _assemble_volume(basis: BasisSet, m: int, want_stiffness: bool):
@@ -191,9 +133,8 @@ def _assemble_volume(basis: BasisSet, m: int, want_stiffness: bool):
     of one card x card Gram per axis; axis k carries the collapsed volume
     factor half**k in its weights.
     """
-    t, w = _gl_nodes(m)
-    half = (1.0 - t) / 2.0
-    weights = [w * half**k for k in range(basis.dim)]
+    t, _ = _gl_nodes(m)
+    weights = _axis_weights(basis.dim, m)
     tabs = _axis_tables(basis, t, grad=want_stiffness)
     s = _scaling_vector(basis)
 
@@ -203,8 +144,8 @@ def _assemble_volume(basis: BasisSet, m: int, want_stiffness: bool):
             for ca, a in terms:
                 for cb, b in terms:
                     prod = ca * cb
-                    for wk, ta, tb in zip(weights, a, b):
-                        prod = prod * ((tabs[ta] * wk) @ tabs[tb].T)
+                    for k, wk in enumerate(weights):
+                        prod = prod * ((tabs[a[k], k] * wk) @ tabs[b[k], k].T)
                     out += prod
         return _symmetrize(s[:, None] * out * s[None, :])
 
@@ -234,7 +175,8 @@ def h1_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
 
 
 def _edge_chain(dim: int):
-    """Boundary pieces as (map to simplex coords, line measure factor)."""
+    """Boundary pieces as (map from (npts, dim-1) parameters to simplex
+    coords, measure factor)."""
     if dim == 2:
         return [
             (lambda a: np.column_stack([a, -np.ones_like(a)]), 1.0),
@@ -289,16 +231,11 @@ def trace_form(M: int, dim: int, gamma: str, nodes: int | None = None) -> Symmet
         )
 
     # full boundary: evaluate the basis on every face through the affine maps
-    if dim == 2:
-        a, w1 = _gl_nodes(m)
-        params, base_w = a[:, None], w1
-    else:
-        pts2, w2 = _boundary_rule(3, m)
-        params, base_w = pts2[:, :2], w2
+    # of the bottom piece's parameters
+    bottom, base_w = _boundary_rule(dim, m)
     blocks = []
     for to_simplex, measure in _edge_chain(dim):
-        pts = to_simplex(params if dim == 3 else params[:, 0])
-        ev = s[:, None] * _dubiner_matrix(basis, pts)
+        ev = s[:, None] * _dubiner_matrix(basis, to_simplex(bottom[:, :-1]))
         blocks.append(ev * np.sqrt(measure * base_w)[None, :])
     factor = np.hstack(blocks)
     return SymmetricForm(

@@ -11,6 +11,13 @@ import numpy as np
 from .errors import ParameterError
 from .jacobi import (
     JacobiWeight,
+    _deriv_table,
+    _g1,
+    _g2,
+    _g3,
+    _h1,
+    _h2,
+    _h3,
     _jacobi_table,
     gauss_jacobi_rule,
     jacobi_antideriv,
@@ -34,32 +41,6 @@ __all__ = [
     "verify_hardy",
     "verify_coefficient_bound",
 ]
-
-
-# The six factors as plain array-capable formulas. Callers below guarantee
-# nonzero denominators; the public entry point validates instead.
-def _h1(q, a):
-    return -2.0 * (q + 1.0) / ((2.0 * q + a + 1.0) * (2.0 * q + a + 2.0))
-
-
-def _h2(q, a):
-    return 2.0 * a / ((2.0 * q + a + 2.0) * (2.0 * q + a))
-
-
-def _h3(q, a):
-    return 2.0 * (q + a) / ((2.0 * q + a + 1.0) * (2.0 * q + a))
-
-
-def _g1(q, a):
-    return (2.0 * q + 2.0 * a) / ((2.0 * q + a - 1.0) * (2.0 * q + a))
-
-
-def _g2(q, a):
-    return 2.0 * a / ((2.0 * q + a - 2.0) * (2.0 * q + a))
-
-
-def _g3(q, a):
-    return -(2.0 * q - 2.0) / ((2.0 * q + a - 1.0) * (2.0 * q + a - 2.0))
 
 
 def _norms(q, a):
@@ -133,14 +114,7 @@ def _check_index(value, name: str) -> int:
     return int(value)
 
 
-def _factor_or_raise(num: float, den: float, label: str, q: int, alpha: int) -> float:
-    # a factor with identically vanishing numerator is zero no matter the
-    # denominator; a true pole is a domain error
-    if num == 0.0:
-        return 0.0
-    if den == 0.0:
-        raise ParameterError(f"factor {label} has a vanishing denominator at q={q}, alpha={alpha}")
-    return num / den
+_FACTORS = {"h1": _h1, "h2": _h2, "h3": _h3, "g1": _g1, "g2": _g2, "g3": _g3}
 
 
 def factors(q: int, alpha: int) -> FactorTable:
@@ -149,15 +123,16 @@ def factors(q: int, alpha: int) -> FactorTable:
     alpha = _check_index(alpha, "alpha")
     if q < 0 or alpha < 0:
         raise ParameterError(f"factors need q >= 0 and alpha >= 0, got q={q}, alpha={alpha}")
-    fq, fa = float(q), float(alpha)
-    s = 2.0 * fq + fa
-    h1 = _factor_or_raise(-2.0 * (fq + 1.0), (s + 1.0) * (s + 2.0), "h1", q, alpha)
-    h2 = _factor_or_raise(2.0 * fa, (s + 2.0) * s, "h2", q, alpha)
-    h3 = _factor_or_raise(2.0 * (fq + fa), (s + 1.0) * s, "h3", q, alpha)
-    g1 = _factor_or_raise(2.0 * fq + 2.0 * fa, (s - 1.0) * s, "g1", q, alpha)
-    g2 = _factor_or_raise(2.0 * fa, (s - 2.0) * s, "g2", q, alpha)
-    g3 = _factor_or_raise(-(2.0 * fq - 2.0), (s - 1.0) * (s - 2.0), "g3", q, alpha)
-    return FactorTable(q=q, alpha=alpha, h1=h1, h2=h2, h3=h3, g1=g1, g2=g2, g3=g3)
+    values = {}
+    for label, formula in _FACTORS.items():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = float(formula(np.float64(q), np.float64(alpha)))
+        # 0/0 is an identically vanishing numerator, so the factor is zero no
+        # matter the denominator; a nonzero numerator over zero is a true pole
+        if np.isinf(v):
+            raise ParameterError(f"factor {label} has a vanishing denominator at q={q}, alpha={alpha}")
+        values[label] = 0.0 if np.isnan(v) or v == 0.0 else v
+    return FactorTable(q=q, alpha=alpha, **values)
 
 
 def connect_coefficients(b, alpha: int) -> np.ndarray:
@@ -353,11 +328,9 @@ def verify_deriv_norm_bound(q_max: int, alpha_max: int) -> VerificationReport:
         fa = float(alpha)
         w = JacobiWeight(fa, 0.0)
         rule = gauss_jacobi_rule(q_max + 1, w)
-        shifted = JacobiWeight(fa + 1.0, 1.0)
-        tab = _jacobi_table(q_max - 1, shifted, rule.nodes)
+        dtab = _deriv_table(q_max, fa, rule.nodes)
         for q in range(1, q_max + 1):
-            deriv = 0.5 * (q + fa + 1.0) * tab[q - 1]
-            i_sq = float(rule.weights @ (deriv * deriv))
+            i_sq = float(rule.weights @ (dtab[q] * dtab[q]))
             bound = 4.0 * q * (q + 1.0 + fa) ** 2 * _norms(float(q), fa)
             violation = (i_sq - bound) / bound
             n += 1

@@ -1,5 +1,6 @@
 """Jacobi polynomials on [-1, 1] for the weight (1-x)^alpha (1+x)^beta:
-evaluation, derivatives, squared norms, antiderivatives, Gauss rules."""
+evaluation, derivatives, squared norms, antiderivatives and the factors
+behind them, Gauss rules."""
 
 from __future__ import annotations
 
@@ -126,6 +127,18 @@ def _jacobi_table(n: int, weight: JacobiWeight, x) -> np.ndarray:
     return out
 
 
+def _deriv_table(n: int, alpha: float, x) -> np.ndarray:
+    """First derivatives for the weight (alpha, 0), degrees 0..n at the points x;
+    row k is 0.5 (k + alpha + 1) P_{k-1}^{(alpha+1, 1)}."""
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros((n + 1,) + xs.shape)
+    if n >= 1:
+        shifted = _jacobi_table(n - 1, JacobiWeight(alpha + 1.0, 1.0), xs)
+        for k in range(1, n + 1):
+            out[k] = 0.5 * (k + alpha + 1.0) * shifted[k - 1]
+    return out
+
+
 def _scaled_jacobi_table(n: int, weight: JacobiWeight, num, den) -> np.ndarray:
     """Homogenized rows S_k = den^k P_k(num/den); finite for den >= 0.
 
@@ -181,6 +194,32 @@ def jacobi_norm_sq(n: int, weight: JacobiWeight) -> float:
     return float(np.exp(log_v)) / (2.0 * n + a + b + 1.0)
 
 
+# The factors relating P_q, weight (a, 0), to integrals (h) and derivatives
+# (g) of its neighbours; callers guarantee nonzero denominators.
+def _h1(q, a):
+    return -2.0 * (q + 1.0) / ((2.0 * q + a + 1.0) * (2.0 * q + a + 2.0))
+
+
+def _h2(q, a):
+    return 2.0 * a / ((2.0 * q + a + 2.0) * (2.0 * q + a))
+
+
+def _h3(q, a):
+    return 2.0 * (q + a) / ((2.0 * q + a + 1.0) * (2.0 * q + a))
+
+
+def _g1(q, a):
+    return (2.0 * q + 2.0 * a) / ((2.0 * q + a - 1.0) * (2.0 * q + a))
+
+
+def _g2(q, a):
+    return 2.0 * a / ((2.0 * q + a - 2.0) * (2.0 * q + a))
+
+
+def _g3(q, a):
+    return -(2.0 * q - 2.0) / ((2.0 * q + a - 1.0) * (2.0 * q + a - 2.0))
+
+
 def jacobi_antideriv(n: int, alpha: float, x) -> np.ndarray:
     """Antiderivative from -1 of the degree-(n-1) polynomial, weight (alpha, 0).
 
@@ -194,11 +233,8 @@ def jacobi_antideriv(n: int, alpha: float, x) -> np.ndarray:
     if n == 1:
         return xs + 1.0
     q, a = float(n), float(alpha)
-    g1 = (2.0 * q + 2.0 * a) / ((2.0 * q + a - 1.0) * (2.0 * q + a))
-    g2 = 2.0 * a / ((2.0 * q + a - 2.0) * (2.0 * q + a))
-    g3 = -(2.0 * q - 2.0) / ((2.0 * q + a - 1.0) * (2.0 * q + a - 2.0))
     table = _jacobi_table(n, JacobiWeight(a, 0.0), xs)
-    return g1 * table[n] + g2 * table[n - 1] + g3 * table[n - 2]
+    return _g1(q, a) * table[n] + _g2(q, a) * table[n - 1] + _g3(q, a) * table[n - 2]
 
 
 def gauss_jacobi_rule(m: int, weight: JacobiWeight) -> QuadratureRule:

@@ -3,21 +3,30 @@ the cube-to-simplex map, the orthogonal polynomial basis adapted to it,
 analysis/synthesis of expansions, boundary traces, and the line-function
 reduction behind the trace identities.
 
+The one home of the collapsed layout: on cube axis k the basis function
+with components c has the factor P_{c_k}^(2s+k, 0)(eta_k) ((1 - eta_k)/2)^s,
+s = c_0 + ... + c_{k-1}, and the volume factor ((1 - eta_k)/2)^k.
+``_collapsed_grid``, ``_axis_weights`` and ``_axis_factors`` give the grid,
+its weights and the factor tables in any dimension.
+
 Convention: function callbacks are vectorized over points, taking an
 (npts, dim) array of simplex coordinates and returning (npts,) values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import ParameterError, SingularityError
-from .identities import _h2, _h3
 from .jacobi import (
     JacobiWeight,
+    _deriv_table,
+    _h2,
+    _h3,
     _jacobi_table,
     _scaled_jacobi_table,
     gauss_jacobi_rule,
@@ -75,7 +84,7 @@ class SimplexIndex:
         return self.p + (self.q or 0) + (self.r or 0)
 
     def components(self) -> tuple:
-        return tuple(c for c in (self.p, self.q, self.r) if c is not None)
+        return (self.p, self.q, self.r)[: self.dim]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +102,7 @@ class BasisSet:
         if self.N < 0:
             raise ParameterError(f"N must be nonnegative, got {self.N}")
         n = self.N
-        expected = {1: n + 1, 2: (n + 1) * (n + 2) // 2, 3: (n + 1) * (n + 2) * (n + 3) // 6}[self.dim]
+        expected = math.comb(n + self.dim, self.dim)
         if self.cardinality != expected or len(self.indices) != expected:
             raise ParameterError("cardinality does not match the degree and dimension")
 
@@ -261,6 +270,72 @@ def _rule_size(N: int) -> int:
     return 2 * N + 6
 
 
+def _node_count(N: int, nodes) -> int:
+    """Per-direction node count for a degree-N basis: the default rule, or
+    ``nodes`` when it is an integer of at least N + 2."""
+    if nodes is None:
+        return _rule_size(N)
+    if isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)) or nodes < N + 2:
+        raise ParameterError(f"nodes={nodes!r} cannot integrate a degree-{N} basis")
+    return int(nodes)
+
+
+def _lift(y: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Points one dimension up over the simplex points y (rows) and the
+    collapsed coordinates e (columns), y-major: y shrinks toward the top
+    vertex by (1 - e)/2 and e becomes the last coordinate."""
+    half = (1.0 - e) / 2.0
+    x = (1.0 + y[:, None, :]) * half[None, :, None] - 1.0
+    last = np.broadcast_to(e[None, :, None], (len(y), len(e), 1))
+    return np.concatenate([x, last], axis=2).reshape(-1, y.shape[1] + 1)
+
+
+def _collapsed_grid(dim: int, m: int) -> np.ndarray:
+    """The m-point tensor Gauss grid of the cube mapped onto the simplex,
+    as (m**dim, dim) points with eta_1 slowest."""
+    t, _ = _gl_nodes(m)
+    pts = t[:, None]
+    for _ in range(1, dim):
+        pts = _lift(pts, t)
+    return pts
+
+
+def _axis_weights(dim: int, m: int) -> list:
+    """Per-axis weights of the collapsed grid: w * ((1 - eta)/2)**k on axis
+    k carries the map's volume factor."""
+    t, w = _gl_nodes(m)
+    half = (1.0 - t) / 2.0
+    return [w * half**k for k in range(dim)]
+
+
+def _axis_factors(k: int, s: int, N: int, t: np.ndarray, kinds: str = "V") -> dict:
+    """Axis-k factor tables for the prefix sum s, one row per component
+    c = 0..N-s at the nodes t: V = P_c^(2s+k, 0) half**s, half = (1 - t)/2,
+    and the kinds named in ``kinds`` that the pulled-back gradient needs with
+    its collapsed powers cancelled: U = P_c half**(s-1) (zero at s = 0),
+    D = dV/dt and X = (1 + t) D."""
+    alpha = 2.0 * s + k
+    half = (1.0 - t) / 2.0
+    tab = _jacobi_table(N - s, JacobiWeight(alpha, 0.0), t)
+    out = {}
+    if "U" in kinds:
+        out["U"] = tab * half ** (s - 1) if s >= 1 else np.zeros(tab.shape)
+    if "D" in kinds or "X" in kinds:
+        d = _deriv_table(N - s, alpha, t)
+        if s >= 1:
+            d *= half**s
+            d -= (s / 2.0) * tab * half ** (s - 1)
+        out["D"] = d
+        if "X" in kinds:
+            out["X"] = (1.0 + t) * d
+    # V last, as U and D need the unscaled table; in place, to hold one
+    # table fewer
+    if s >= 1:
+        tab *= half**s
+    out["V"] = tab
+    return out
+
+
 def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     """Raw inner products of f against every basis function of degree <= N.
 
@@ -268,47 +343,28 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     per-direction node count follows the degree (override with ``nodes``).
     """
     basis = enumerate_basis(N, dim)
-    m = _rule_size(N) if nodes is None else int(nodes)
+    m = _node_count(N, nodes)
     t, w = _gl_nodes(m)
-    out = np.empty(basis.cardinality)
-    pos = {idx: i for i, idx in enumerate(basis.indices)}
-    if dim == 1:
-        vals = f(t[:, None])
-        tab = _jacobi_table(N, _LEG, t)
-        return tab @ (w * vals)
-    if dim == 2:
-        x1 = (1.0 + t[:, None]) * (1.0 - t[None, :]) / 2.0 - 1.0
-        x2 = np.broadcast_to(t[None, :], x1.shape)
-        pts = np.column_stack([x1.ravel(), x2.ravel()])
-        vals = f(pts).reshape(m, m)
-        wf = (w[:, None] * w[None, :]) * ((1.0 - t[None, :]) / 2.0) * vals
-        contracted = _jacobi_table(N, _LEG, t) @ wf  # (N+1, m) over eta2
-        half = (1.0 - t) / 2.0
-        for p in range(N + 1):
-            qtab = _jacobi_table(N - p, JacobiWeight(2.0 * p + 1.0, 0.0), t) * half**p
-            row = qtab @ contracted[p]
-            for q in range(N - p + 1):
-                out[pos[SimplexIndex(p, q)]] = row[q]
-        return out
-    x1 = (1.0 + t[:, None, None]) * (1.0 - t[None, :, None]) * (1.0 - t[None, None, :]) / 4.0 - 1.0
-    shape = x1.shape
-    x2 = np.broadcast_to(((1.0 + t[:, None]) * (1.0 - t[None, :]) / 2.0 - 1.0)[None, :, :], shape)
-    x3 = np.broadcast_to(t[None, None, :], shape)
-    pts = np.column_stack([x1.ravel(), x2.ravel(), x3.ravel()])
-    vals = f(pts).reshape(shape)
-    det = ((1.0 - t[None, :, None]) / 2.0) * ((1.0 - t[None, None, :]) / 2.0) ** 2
-    wf = (w[:, None, None] * w[None, :, None] * w[None, None, :]) * det * vals
-    contracted = np.tensordot(_jacobi_table(N, _LEG, t), wf, axes=(1, 0))  # (N+1, m, m)
+    pts = _collapsed_grid(dim, m)
     half = (1.0 - t) / 2.0
-    for p in range(N + 1):
-        qtab = _jacobi_table(N - p, JacobiWeight(2.0 * p + 1.0, 0.0), t) * half**p
-        plane = qtab @ contracted[p]  # (N-p+1, m) over eta3
-        for q in range(N - p + 1):
-            rtab = _jacobi_table(N - p - q, JacobiWeight(2.0 * p + 2.0 * q + 2.0, 0.0), t) * half ** (p + q)
-            row = rtab @ plane[q]
-            for r in range(N - p - q + 1):
-                out[pos[SimplexIndex(p, q, r)]] = row[r]
-    return out
+    # raw tensor weights times the volume factor, in an order that fixes the
+    # last bits of the 1-D and 2-D sums, which `rates` errors print
+    volume = reduce(np.multiply.outer, [half**k for k in range(1, dim)], 1.0)
+    weight = reduce(np.multiply.outer, [w] * dim) * volume
+    # contract one axis at a time over the index prefixes fixed so far
+    parts = {(): weight * f(pts).reshape((m,) * dim)}
+    for k in range(dim):
+        by_sum = {}
+        for prefix in parts:
+            by_sum.setdefault(sum(prefix), []).append(prefix)
+        contracted = {}
+        for s, prefixes in by_sum.items():
+            tab = _axis_factors(k, s, N, t)["V"]
+            for prefix in prefixes:
+                for c, row in enumerate(np.tensordot(tab, parts.pop(prefix), axes=1)):
+                    contracted[prefix + (c,)] = row
+        parts = contracted
+    return np.array([parts[idx.components()] for idx in basis.indices])
 
 
 def synthesize(coeffs, basis: BasisSet, xi) -> float:
@@ -353,19 +409,17 @@ def line_functions(f, p: int, q: int, nodes: int = 40):
     if p < 0 or q < 0:
         raise ParameterError("p and q must be nonnegative")
     m = int(nodes)
-    t, w = _gl_nodes(m)
-    phi1 = w * _jacobi_table(p, _LEG, t)[p]
-    phi2 = w * _jacobi_table(q, JacobiWeight(2.0 * p + 1.0, 0.0), t)[q] * ((1.0 - t) / 2.0) ** (p + 1)
+    t, _ = _gl_nodes(m)
+    section = _collapsed_grid(2, m)
+    w1, w2 = _axis_weights(2, m)
+    phi1 = w1 * _axis_factors(0, 0, p, t)["V"][p]
+    phi2 = w2 * _axis_factors(1, p, p + q, t)["V"][q]
 
     def u_line(eta3):
         e3s = np.atleast_1d(np.asarray(eta3, dtype=float))
         vals = np.empty(e3s.shape)
         for i, e3 in enumerate(e3s):
-            x1 = (1.0 + t[:, None]) * (1.0 - t[None, :]) * (1.0 - e3) / 4.0 - 1.0
-            x2 = (1.0 + t[None, :]) * (1.0 - e3) / 2.0 - 1.0
-            pts = np.column_stack(
-                [x1.ravel(), np.broadcast_to(x2, x1.shape).ravel(), np.full(x1.size, e3)]
-            )
+            pts = _lift(section, np.array([e3]))
             vals[i] = phi1 @ f(pts).reshape(m, m) @ phi2
         return vals if np.ndim(eta3) else float(vals[0])
 
@@ -385,12 +439,7 @@ def _legendre_derivative_values(values: np.ndarray, t: np.ndarray, w: np.ndarray
     k_max = t.size - 1
     tab = _jacobi_table(k_max, _LEG, t)
     coeff = (np.arange(k_max + 1) + 0.5) * (tab @ (w * values))
-    dtab = np.zeros_like(tab)
-    if k_max >= 1:
-        shifted = _jacobi_table(k_max - 1, JacobiWeight(1.0, 1.0), t)
-        for k in range(1, k_max + 1):
-            dtab[k] = 0.5 * (k + 1.0) * shifted[k - 1]
-    return coeff @ dtab
+    return coeff @ _deriv_table(k_max, 0.0, t)
 
 
 def trace_coefficient_sum(f, p: int, q: int, N: int, nodes: int = 40):
@@ -437,17 +486,11 @@ def trace_coefficient_sum(f, p: int, q: int, N: int, nodes: int = 40):
 
 
 def _boundary_rule(dim: int, m: int):
-    """Quadrature for the bottom edge (2D) or bottom face (3D): points on
-    the boundary piece in simplex coordinates plus weights."""
-    t, w = _gl_nodes(m)
-    if dim == 2:
-        pts = np.column_stack([t, np.full(m, -1.0)])
-        return pts, w
-    x1 = (1.0 + t[:, None]) * (1.0 - t[None, :]) / 2.0 - 1.0
-    x2 = np.broadcast_to(t[None, :], x1.shape)
-    pts = np.column_stack([x1.ravel(), x2.ravel(), np.full(m * m, -1.0)])
-    wts = ((w[:, None] * w[None, :]) * ((1.0 - t[None, :]) / 2.0)).ravel()
-    return pts, wts
+    """Quadrature for the bottom edge (2D) or bottom face (3D): the
+    (dim-1)-dimensional collapsed grid with x_dim = -1, and its weights."""
+    pts = _collapsed_grid(dim - 1, m)
+    wts = reduce(np.multiply.outer, _axis_weights(dim - 1, m)).ravel()
+    return np.column_stack([pts, np.full(len(pts), -1.0)]), wts
 
 
 def _boundary_norm_direct(f, dim: int, nodes: int = 40) -> float:
@@ -470,23 +513,17 @@ def boundary_trace_parseval(f, dim: int, gamma: str, N: int = 12) -> float:
         raise ParameterError(f"3D boundary piece must be 'face', got {gamma!r}")
     if dim not in (2, 3):
         raise ParameterError(f"dim must be 2 or 3, got {dim}")
-    basis = enumerate_basis(N, dim)
-    u = analyze(f, N, dim)
-    pos = {idx: i for i, idx in enumerate(basis.indices)}
+    # collapse the last component c with its factor's endpoint value
+    # (-1)^c (2c + alpha + 1)/2, alpha = 2s + dim - 1
+    sums = {}
+    for idx, coeff in zip(enumerate_basis(N, dim).indices, analyze(f, N, dim)):
+        *head, c = idx.components()
+        alpha = 2.0 * sum(head) + dim - 1.0
+        head = tuple(head)
+        sums[head] = sums.get(head, 0.0) + (-1.0) ** c * coeff * (2.0 * c + alpha + 1.0) / 2.0
     total = 0.0
-    if dim == 2:
-        for p in range(N + 1):
-            s = sum(
-                (-1.0) ** q * u[pos[SimplexIndex(p, q)]] * (p + q + 1.0) for q in range(N - p + 1)
-            )
-            total += (2.0 * p + 1.0) / 2.0 * s * s
-        return total
-    for p in range(N + 1):
-        for q in range(N - p + 1):
-            n = 2.0 * p + 2.0 * q + 2.0
-            s = sum(
-                (-1.0) ** r * u[pos[SimplexIndex(p, q, r)]] * (2.0 * r + n + 1.0) / 2.0
-                for r in range(N - p - q + 1)
-            )
-            total += (2.0 * p + 1.0) * (n / 2.0) / 2.0 * s * s
+    for head in sorted(sums):
+        # inverse squared norm of the boundary function, exact half-integers
+        inv_norm = math.prod((2.0 * sum(head[: k + 1]) + k + 1.0) / 2.0 for k in range(dim - 1))
+        total += inv_norm * sums[head] * sums[head]
     return total

@@ -209,6 +209,8 @@ def test_usage_errors_exit_two(capsys):
         ["verify", "--suite", "no-such-suite"],
         ["rates", "--family", "hs:0.3", "--n", "4..8"],
         ["rates", "--family", "weird", "--n", "4..8"],
+        ["rates", "--family", "poly", "--n", "4..4"],
+        ["rates", "--family", "poly", "--n", "7"],
         ["table", "3"],
         ["constants", "--dim", "1", "--n", "1", "--quad-safety", "-100"],
         ["verify", "--quad-safety", "-50"],

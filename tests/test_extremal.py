@@ -419,3 +419,6 @@ def test_trace_rate_validation():
         trace_error_rate(f, [4, 2])
     with pytest.raises(ParameterError):
         trace_error_rate(f, [0, 2])
+    # five nodes per direction cannot resolve degree 30
+    with pytest.raises(ParameterError):
+        trace_error_rate(lambda x: np.exp(x[:, 0] + x[:, 1]), [4, 30], nodes=5)

@@ -87,19 +87,20 @@ def _tensor_grid_grams(M, dim, nodes):
     weights = [w * ((1 - t) / 2) ** k for k in range(dim)]
     W = np.einsum(",".join(axes) + "->" + axes, *weights).ravel()
 
-    def grid(*names):
-        f = np.einsum(",".join("k" + a for a in axes) + "->k" + axes, *(T[n] for n in names))
+    def grid(kinds):
+        # kinds[k] is the kind of the axis-k factor
+        f = np.einsum(",".join("k" + a for a in axes) + "->k" + axes, *(T[c, k] for k, c in enumerate(kinds)))
         return s[:, None] * f.reshape(len(s), -1)
 
     value, grads = {
-        1: lambda: (grid("AV"), [grid("AD")]),
-        2: lambda: (grid("AV", "BV"), [grid("AD", "BU"), grid("AX", "BU") / 2 + grid("AV", "BQ")]),
+        1: lambda: (grid("V"), [grid("D")]),
+        2: lambda: (grid("VV"), [grid("DU"), grid("XU") / 2 + grid("VD")]),
         3: lambda: (
-            grid("AV", "BV", "CV"),
+            grid("VVV"),
             [
-                grid("AD", "BU", "CU"),
-                grid("AX", "BU", "CU") / 2 + grid("AV", "BQ", "CU"),
-                grid("AX", "BU", "CU") / 2 + grid("AV", "BY", "CU") / 2 + grid("AV", "BV", "CR"),
+                grid("DUU"),
+                grid("XUU") / 2 + grid("VDU"),
+                grid("XUU") / 2 + grid("VXU") / 2 + grid("VVD"),
             ],
         ),
     }[dim]()
@@ -108,7 +109,7 @@ def _tensor_grid_grams(M, dim, nodes):
 
 
 def test_volume_grams_match_tensor_grid():
-    for M, dim, nodes in ((12, 1, None), (7, 2, None), (5, 3, None), (6, 2, 23)):
+    for M, dim, nodes in ((12, 1, None), (7, 2, None), (5, 3, None), (6, 2, 23), (4, 3, 15)):
         mass, h1 = _tensor_grid_grams(M, dim, _rule_size(M) if nodes is None else nodes)
         for form, ref in ((mass_form(M, dim, nodes=nodes), mass), (h1_form(M, dim, nodes=nodes), h1)):
             err = np.max(np.abs(form.entries - ref)) / np.max(np.abs(ref))
@@ -236,5 +237,8 @@ def test_form_validation():
         )
     with pytest.raises(ParameterError):
         mass_form(-1, 2)
-    with pytest.raises(ParameterError):
-        mass_form(3, 2, nodes=2)
+    for nodes in (2, True, 10.5):
+        with pytest.raises(ParameterError):
+            mass_form(3, 2, nodes=nodes)
+        with pytest.raises(ParameterError):
+            h1_form(3, 1, nodes=nodes)

@@ -152,8 +152,9 @@ def test_dubiner_eval_polynomial_on_closed_simplex():
 
 def test_analyze_synthesize_round_trip():
     rng = np.random.default_rng(11)
-    for dim in (1, 2, 3):
-        basis = enumerate_basis(4, dim)
+    # 3-D N=9 has several (p, q) that share one prefix sum p + q
+    for dim, N in ((1, 4), (2, 4), (3, 4), (3, 9)):
+        basis = enumerate_basis(N, dim)
         coeffs = rng.standard_normal(basis.cardinality)
         norms = np.array([dubiner_norm_sq(i) for i in basis.indices])
 
@@ -162,10 +163,19 @@ def test_analyze_synthesize_round_trip():
 
             return (coeffs / norms) @ _dubiner_matrix(basis, x)
 
-        raw = analyze(u, 4, dim)
+        raw = analyze(u, N, dim)
         assert_allclose(raw, coeffs, rtol=0, atol=1e-12)
         xi = np.full(dim, -0.4)
         assert_allclose(synthesize(raw, basis, xi), u(xi.reshape(1, dim))[0], atol=1e-12)
+
+
+def test_analyze_node_count_validation():
+    # a bool, a fraction and a rule too small for the degree are all refused
+    f = lambda x: np.exp(x[:, 0] + x[:, 1])
+    for nodes in (True, 2.7, 10.5, 5):
+        with pytest.raises(ParameterError):
+            analyze(f, 4, 2, nodes=nodes)
+    assert analyze(f, 4, 2, nodes=6).shape == (15,)
 
 
 def test_synthesize_length_check():
