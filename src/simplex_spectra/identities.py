@@ -240,9 +240,9 @@ def verify_connection(pairs) -> VerificationReport:
     )
 
 
-def _segment_rule(x_lo: float, x_hi: float, m: int = 48):
-    """Gauss-Legendre nodes/weights transplanted to (x_lo, x_hi)."""
-    base = gauss_jacobi_rule(m, JacobiWeight(0.0, 0.0))
+def _segment_rule(base, x_lo: float, x_hi: float):
+    """Nodes/weights of the Gauss-Legendre rule ``base`` transplanted to
+    (x_lo, x_hi)."""
     half = 0.5 * (x_hi - x_lo)
     return x_lo + half * (base.nodes + 1.0), half * base.weights
 
@@ -255,6 +255,7 @@ def verify_weighted_antiderivative(q_max: int = 10, alpha_max: int = 6, n_points
     + h3 P_{q-1}](x), and jacobi_antideriv against the plain integral.
     """
     xs = np.linspace(-0.96, 0.98, n_points)
+    base = gauss_jacobi_rule(48, JacobiWeight(0.0, 0.0))
     worst = {"weighted-antiderivative": -1.0, "antiderivative": -1.0}
     worst_case, worst_val, n = "", -1.0, 0
     for alpha in range(alpha_max + 1):
@@ -263,7 +264,7 @@ def verify_weighted_antiderivative(q_max: int = 10, alpha_max: int = 6, n_points
         for q in range(1, q_max + 1):
             h1, h2, h3 = _h1(q, fa), _h2(q, fa), _h3(q, fa)
             for x in xs:
-                nodes, wts = _segment_rule(-1.0, float(x))
+                nodes, wts = _segment_rule(base, -1.0, float(x))
                 tab = _jacobi_table(q + 1, w, nodes)
                 lhs_w = float(wts @ ((1.0 - nodes) ** fa * tab[q]))
                 rhs_w = -((1.0 - x) ** fa) * float(

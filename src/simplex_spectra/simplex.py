@@ -110,12 +110,16 @@ class BasisSet:
         return self.indices.index(idx)
 
 
-def enumerate_basis(N: int, dim: int) -> BasisSet:
-    """All indices of total degree <= N, graded, lexicographic within a grade."""
+def _check_basis(N, dim) -> None:
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 0:
         raise ParameterError(f"N must be a nonnegative integer, got {N!r}")
     if dim not in (1, 2, 3):
         raise ParameterError(f"dim must be 1, 2, or 3, got {dim}")
+
+
+def enumerate_basis(N: int, dim: int) -> BasisSet:
+    """All indices of total degree <= N, graded, lexicographic within a grade."""
+    _check_basis(N, dim)
     indices = []
     for total in range(N + 1):
         if dim == 1:
@@ -128,6 +132,17 @@ def enumerate_basis(N: int, dim: int) -> BasisSet:
                 for q in range(total - p + 1):
                     indices.append(SimplexIndex(p, q, total - p - q))
     return BasisSet(dim=dim, N=int(N), indices=tuple(indices), cardinality=len(indices))
+
+
+def _graded_components(N: int, dim: int) -> np.ndarray:
+    """Components of every index of total degree <= N as rows of a
+    (cardinality, dim) integer array, in the order of ``enumerate_basis``,
+    without building the index objects."""
+    _check_basis(N, dim)
+    comps = np.indices((N + 1,) * dim).reshape(dim, -1).T
+    comps = comps[comps.sum(axis=1) <= N]
+    # the grid is lexicographic already; a stable sort grades it
+    return comps[np.argsort(comps.sum(axis=1), kind="stable")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +357,7 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     Integration runs on the cube with the map's volume factor explicit;
     per-direction node count follows the degree (override with ``nodes``).
     """
-    basis = enumerate_basis(N, dim)
+    comps = _graded_components(N, dim)
     m = _node_count(N, nodes)
     t, w = _gl_nodes(m)
     pts = _collapsed_grid(dim, m)
@@ -364,7 +379,7 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
                 for c, row in enumerate(np.tensordot(tab, parts.pop(prefix), axes=1)):
                     contracted[prefix + (c,)] = row
         parts = contracted
-    return np.array([parts[idx.components()] for idx in basis.indices])
+    return np.array([parts[c] for c in map(tuple, comps.tolist())])
 
 
 def synthesize(coeffs, basis: BasisSet, xi) -> float:
@@ -408,7 +423,7 @@ def line_functions(f, p: int, q: int, nodes: int = 40):
     """
     if p < 0 or q < 0:
         raise ParameterError("p and q must be nonnegative")
-    m = int(nodes)
+    m = _node_count(p + q, nodes)
     t, _ = _gl_nodes(m)
     section = _collapsed_grid(2, m)
     w1, w2 = _axis_weights(2, m)
@@ -455,7 +470,7 @@ def trace_coefficient_sum(f, p: int, q: int, N: int, nodes: int = 40):
     if p < 0 or q < 0:
         raise ParameterError("p and q must be nonnegative")
     n = 2.0 * p + 2.0 * q + 2.0
-    m = int(nodes)
+    m = _node_count(max(p + q, N), nodes)
     t, w = _gl_nodes(m)
     u_line, _ = line_functions(f, p, q, nodes=m)
     u_vals = u_line(t)
@@ -495,7 +510,7 @@ def _boundary_rule(dim: int, m: int):
 
 def _boundary_norm_direct(f, dim: int, nodes: int = 40) -> float:
     """Squared boundary norm by direct quadrature on the boundary piece."""
-    pts, wts = _boundary_rule(dim, nodes)
+    pts, wts = _boundary_rule(dim, _node_count(0, nodes))
     vals = f(pts)
     return float(wts @ vals**2)
 
@@ -516,8 +531,8 @@ def boundary_trace_parseval(f, dim: int, gamma: str, N: int = 12) -> float:
     # collapse the last component c with its factor's endpoint value
     # (-1)^c (2c + alpha + 1)/2, alpha = 2s + dim - 1
     sums = {}
-    for idx, coeff in zip(enumerate_basis(N, dim).indices, analyze(f, N, dim)):
-        *head, c = idx.components()
+    for comps, coeff in zip(_graded_components(N, dim).tolist(), analyze(f, N, dim)):
+        *head, c = comps
         alpha = 2.0 * sum(head) + dim - 1.0
         head = tuple(head)
         sums[head] = sums.get(head, 0.0) + (-1.0) ** c * coeff * (2.0 * c + alpha + 1.0) / 2.0

@@ -409,6 +409,28 @@ def test_trace_rate_analytic_decay():
     assert all(e <= f for (_, e), f in zip(rows[above:], floors[above:]))
 
 
+def test_trace_rate_edge_collapse_matches_per_index_loop():
+    # the array collapse onto the edge gives the bits of a per-index sum in
+    # basis order
+    from simplex_spectra.jacobi import JacobiWeight, _jacobi_table
+    from simplex_spectra.simplex import _gl_nodes, analyze, dubiner_norm_sq
+
+    u = lambda x: ((x[:, 0] - 1.0) ** 2 + (x[:, 1] + 1.0) ** 2) ** 0.65
+    Ns = list(range(4, 21))
+    t_edge, w_edge = _gl_nodes(400)
+    target = u(np.column_stack([t_edge, -np.ones_like(t_edge)]))
+    want = []
+    for N in Ns:
+        raw = analyze(u, N, 2, nodes=2 * N + 40)
+        ap = np.zeros(N + 1)
+        for k, idx in enumerate(enumerate_basis(N, 2).indices):
+            ap[idx.p] += (-1.0) ** idx.q * raw[k] / dubiner_norm_sq(idx)
+        vals = ap @ _jacobi_table(N, JacobiWeight(0.0, 0.0), t_edge)
+        want.append((N, float(np.sqrt(np.sum(w_edge * (target - vals) ** 2)))))
+    rows, _, _ = trace_error_rate(u, Ns)
+    assert rows == want
+
+
 def test_trace_rate_validation():
     f = lambda x: np.ones(len(x))
     with pytest.raises(ParameterError):

@@ -18,6 +18,17 @@ from simplex_spectra import (
     verify_hardy,
     verify_weighted_antiderivative,
 )
+from simplex_spectra import identities
+from simplex_spectra.jacobi import (
+    _h1,
+    _h2,
+    _h3,
+    _jacobi_table,
+    gauss_jacobi_rule,
+    jacobi_antideriv,
+    jacobi_eval,
+    JacobiWeight,
+)
 
 
 def test_factors_frozen_values():
@@ -130,6 +141,45 @@ def test_weighted_antiderivative_sweep():
     report = verify_weighted_antiderivative()
     assert report.passed
     assert report.max_residual <= 1e-10
+
+
+def _antiderivative_residuals(q_max, alpha_max, n_points):
+    # point-by-point oracle: a fresh 48-point rule on (-1, x) for every
+    # (alpha, q, x), the worst residual of each check
+    worst = {"weighted-antiderivative": -1.0, "antiderivative": -1.0}
+    for alpha in range(alpha_max + 1):
+        fa = float(alpha)
+        w = JacobiWeight(fa, 0.0)
+        for q in range(1, q_max + 1):
+            for x in np.linspace(-0.96, 0.98, n_points):
+                base = gauss_jacobi_rule(48, JacobiWeight(0.0, 0.0))
+                half = 0.5 * (float(x) + 1.0)
+                nodes, wts = -1.0 + half * (base.nodes + 1.0), half * base.weights
+                tab = _jacobi_table(q + 1, w, nodes)
+                rhs_w = -((1.0 - x) ** fa) * float(
+                    _h1(q, fa) * jacobi_eval(q + 1, w, x)
+                    + _h2(q, fa) * jacobi_eval(q, w, x)
+                    + _h3(q, fa) * jacobi_eval(q - 1, w, x)
+                )
+                r1 = abs(float(wts @ ((1.0 - nodes) ** fa * tab[q])) - rhs_w)
+                r2 = abs(float(wts @ tab[q]) - float(jacobi_antideriv(q + 1, fa, x)))
+                worst["weighted-antiderivative"] = max(worst["weighted-antiderivative"], r1)
+                worst["antiderivative"] = max(worst["antiderivative"], r2)
+    return worst
+
+
+def test_weighted_antiderivative_builds_one_rule(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gauss_jacobi_rule(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "gauss_jacobi_rule", counted)
+    report = verify_weighted_antiderivative(q_max=5, alpha_max=3, n_points=9)
+    assert len(calls) == 1
+    assert report.n_checks == 2 * 5 * 4 * 9
+    assert report.details == _antiderivative_residuals(5, 3, 9)
 
 
 def test_deriv_representation_sweep():

@@ -20,7 +20,19 @@ from simplex_spectra import (
     trace_coefficient_sum,
     transformed_gradient,
 )
-from simplex_spectra.simplex import _boundary_norm_direct, _boundary_rule, _check_simplex_point
+from functools import reduce
+
+from simplex_spectra import simplex
+from simplex_spectra.simplex import (
+    _axis_weights,
+    _boundary_norm_direct,
+    _boundary_rule,
+    _check_simplex_point,
+    _collapsed_grid,
+    _dubiner_matrix,
+    _graded_components,
+    _rule_size,
+)
 
 
 def test_index_validation():
@@ -176,6 +188,59 @@ def test_analyze_node_count_validation():
         with pytest.raises(ParameterError):
             analyze(f, 4, 2, nodes=nodes)
     assert analyze(f, 4, 2, nodes=6).shape == (15,)
+
+
+def test_graded_components_follow_enumerate_basis():
+    for dim in (1, 2, 3):
+        for N in (0, 1, 5):
+            comps = _graded_components(N, dim)
+            assert comps.shape == (enumerate_basis(N, dim).cardinality, dim)
+            assert [tuple(c) for c in comps.tolist()] == [
+                idx.components() for idx in enumerate_basis(N, dim).indices
+            ]
+
+
+def test_analyze_order_without_basis_objects(monkeypatch):
+    # rows follow enumerate_basis(N, dim).indices, checked against raw inner
+    # products from the basis matrix on the same collapsed grid; analyze
+    # itself builds no index objects
+    f = lambda x: np.exp(0.7 * x[:, 0] - 0.4 * x.sum(axis=1)) + x[:, -1] ** 2
+    oracles = {}
+    for dim, N in ((1, 9), (2, 9), (3, 6)):
+        m = _rule_size(N)
+        pts = _collapsed_grid(dim, m)
+        wts = reduce(np.multiply.outer, _axis_weights(dim, m)).ravel()
+        oracles[dim, N] = _dubiner_matrix(enumerate_basis(N, dim), pts) @ (wts * f(pts))
+
+    calls = []
+    real = simplex.enumerate_basis
+    monkeypatch.setattr(simplex, "enumerate_basis", lambda *a: calls.append(a) or real(*a))
+    for (dim, N), want in oracles.items():
+        got = analyze(f, N, dim)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (dim, N)
+    assert calls == []
+
+
+def test_analyze_argument_checks():
+    f = lambda x: np.ones(len(x))
+    for N in (-1, True, 2.5):
+        with pytest.raises(ParameterError, match="N must"):
+            analyze(f, N, 2)
+    for dim in (0, 4):
+        with pytest.raises(ParameterError, match="dim must"):
+            analyze(f, 3, dim)
+
+
+def test_node_overrides_are_checked():
+    # a bool, a fraction and an empty rule are refused before any sampling
+    f = lambda x: np.exp(x.sum(axis=1))
+    for nodes in (True, 2.7, 0):
+        with pytest.raises(ParameterError, match="nodes"):
+            line_functions(f, 1, 0, nodes=nodes)
+        with pytest.raises(ParameterError, match="nodes"):
+            trace_coefficient_sum(f, 0, 0, 1, nodes=nodes)
+        with pytest.raises(ParameterError, match="nodes"):
+            _boundary_norm_direct(f, 2, nodes=nodes)
 
 
 def test_synthesize_length_check():
