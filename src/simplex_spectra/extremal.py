@@ -44,7 +44,14 @@ from scipy.linalg.lapack import dormqr, dptsv, dsytrd, dsytrd_lwork
 from .errors import IterationError, NumericError, ParameterError
 from .forms import SymmetricForm, h1_form
 from .jacobi import JacobiWeight, _jacobi_table
-from .simplex import _gl_nodes, _graded_components, analyze, dubiner_norm_sq, enumerate_basis
+from .simplex import (
+    _gl_nodes,
+    _graded_components,
+    _norm_sq,
+    analyze,
+    dubiner_norm_sq,
+    enumerate_basis,
+)
 
 __all__ = [
     "EigenSolution",
@@ -398,12 +405,11 @@ def trace_error_rate(u, N_list, nodes: int | None = None):
     for N in Ns:
         m = nodes if nodes is not None else 2 * N + 40
         raw = analyze(u, int(N), 2, nodes=m)
-        # collapse onto the edge: the endpoint sign (-1)^q over the 2-D
-        # dubiner_norm_sq, summed per p in basis order
+        # collapse onto the edge: the endpoint sign (-1)^q over the norm,
+        # summed per p in basis order
         p, q = _graded_components(int(N), 2).T
-        norms = (2.0 / (2.0 * p + 1.0)) * (2.0 / (2.0 * p + 2.0 * q + 2.0))
         ap = np.zeros(N + 1)
-        np.add.at(ap, p, (-1.0) ** q * raw / norms)
+        np.add.at(ap, p, (-1.0) ** q * raw / _norm_sq(p, q))
         vals = ap @ _jacobi_table(int(N), JacobiWeight(0.0, 0.0), t_edge)
         err = float(np.sqrt(np.sum(w_edge * (target - vals) ** 2)))
         rows.append((int(N), err))

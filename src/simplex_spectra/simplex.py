@@ -110,39 +110,24 @@ class BasisSet:
         return self.indices.index(idx)
 
 
-def _check_basis(N, dim) -> None:
+def _graded_components(N: int, dim: int) -> np.ndarray:
+    """Components of every index of total degree <= N as rows of a
+    (cardinality, dim) integer array: graded, lexicographic within a grade."""
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 0:
         raise ParameterError(f"N must be a nonnegative integer, got {N!r}")
     if dim not in (1, 2, 3):
         raise ParameterError(f"dim must be 1, 2, or 3, got {dim}")
+    comps = np.indices((N + 1,) * dim).reshape(dim, -1).T
+    # the grid is lexicographic already; a stable sort grades it and puts
+    # the indices of degree <= N first
+    order = np.argsort(comps.sum(axis=1), kind="stable")
+    return comps[order[: math.comb(N + dim, dim)]]
 
 
 def enumerate_basis(N: int, dim: int) -> BasisSet:
     """All indices of total degree <= N, graded, lexicographic within a grade."""
-    _check_basis(N, dim)
-    indices = []
-    for total in range(N + 1):
-        if dim == 1:
-            indices.append(SimplexIndex(total))
-        elif dim == 2:
-            for p in range(total + 1):
-                indices.append(SimplexIndex(p, total - p))
-        else:
-            for p in range(total + 1):
-                for q in range(total - p + 1):
-                    indices.append(SimplexIndex(p, q, total - p - q))
-    return BasisSet(dim=dim, N=int(N), indices=tuple(indices), cardinality=len(indices))
-
-
-def _graded_components(N: int, dim: int) -> np.ndarray:
-    """Components of every index of total degree <= N as rows of a
-    (cardinality, dim) integer array, in the order of ``enumerate_basis``,
-    without building the index objects."""
-    _check_basis(N, dim)
-    comps = np.indices((N + 1,) * dim).reshape(dim, -1).T
-    comps = comps[comps.sum(axis=1) <= N]
-    # the grid is lexicographic already; a stable sort grades it
-    return comps[np.argsort(comps.sum(axis=1), kind="stable")]
+    indices = tuple(SimplexIndex(*c) for c in _graded_components(N, dim).tolist())
+    return BasisSet(dim=dim, N=int(N), indices=indices, cardinality=len(indices))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,23 +188,24 @@ def duffy_map(eta, dim: int) -> DuffyPoint:
     return DuffyPoint(eta=e, xi=xi, jac_det=float(det), _inv_jacobian=inv)
 
 
+def _norm_sq(p, q=None, r=None):
+    """Squared L2 norm of the basis function with components (p[, q[, r]]),
+    for integers or integer arrays alike, in one operation order."""
+    n = 2.0 / (2.0 * p + 1.0)
+    if q is None:
+        return n
+    n = n * (2.0 / (2.0 * p + 2.0 * q + 2.0))
+    if r is None:
+        return n
+    return n * (2.0 / (2.0 * p + 2.0 * q + 2.0 * r + 3.0))
+
+
 def dubiner_norm_sq(idx: SimplexIndex, dim: int | None = None) -> float:
     """Squared L2 norm of the basis function at idx."""
     d = idx.dim if dim is None else dim
     if d != idx.dim:
         raise ParameterError(f"index {idx!r} is {idx.dim}-dimensional, not {d}")
-    p = idx.p
-    if d == 1:
-        return 2.0 / (2.0 * p + 1.0)
-    q = idx.q
-    if d == 2:
-        return (2.0 / (2.0 * p + 1.0)) * (2.0 / (2.0 * p + 2.0 * q + 2.0))
-    r = idx.r
-    return (
-        (2.0 / (2.0 * p + 1.0))
-        * (2.0 / (2.0 * p + 2.0 * q + 2.0))
-        * (2.0 / (2.0 * p + 2.0 * q + 2.0 * r + 3.0))
-    )
+    return _norm_sq(idx.p, idx.q, idx.r)
 
 
 def _check_simplex_point(pts: np.ndarray, dim: int) -> None:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,7 @@ from simplex_spectra.simplex import (
     _collapsed_grid,
     _dubiner_matrix,
     _graded_components,
+    _norm_sq,
     _rule_size,
 )
 
@@ -190,14 +193,24 @@ def test_analyze_node_count_validation():
     assert analyze(f, 4, 2, nodes=6).shape == (15,)
 
 
-def test_graded_components_follow_enumerate_basis():
+def test_basis_order_is_graded_lex():
+    # total degree first, then the components lexicographically
     for dim in (1, 2, 3):
         for N in (0, 1, 5):
-            comps = _graded_components(N, dim)
-            assert comps.shape == (enumerate_basis(N, dim).cardinality, dim)
-            assert [tuple(c) for c in comps.tolist()] == [
-                idx.components() for idx in enumerate_basis(N, dim).indices
-            ]
+            want = sorted(
+                (c for c in itertools.product(range(N + 1), repeat=dim) if sum(c) <= N),
+                key=lambda c: (sum(c), c),
+            )
+            assert [tuple(c) for c in _graded_components(N, dim).tolist()] == want
+            assert [i.components() for i in enumerate_basis(N, dim).indices] == want
+
+
+def test_norm_sq_of_arrays_matches_per_index():
+    # the array form gives dubiner_norm_sq's bits for every index
+    for dim in (1, 2, 3):
+        basis = enumerate_basis(9, dim)
+        want = np.array([dubiner_norm_sq(i) for i in basis.indices])
+        assert np.array_equal(_norm_sq(*_graded_components(9, dim).T), want)
 
 
 def test_analyze_order_without_basis_objects(monkeypatch):
