@@ -44,14 +44,10 @@ from scipy.linalg.lapack import dormqr, dptsv, dsytrd, dsytrd_lwork
 from .errors import IterationError, NumericError, ParameterError
 from .forms import SymmetricForm, h1_form
 from .jacobi import JacobiWeight, _jacobi_table
-from .simplex import (
-    _gl_nodes,
-    _graded_components,
-    _norm_sq,
-    analyze,
-    dubiner_norm_sq,
-    enumerate_basis,
-)
+from .simplex import _check_int, _gl_nodes, _graded_components, _norm_sq, analyze
+
+# bound for perfbench/tracing.py, which wraps these names
+from .simplex import dubiner_norm_sq, enumerate_basis  # noqa: F401
 
 __all__ = [
     "EigenSolution",
@@ -160,18 +156,12 @@ def row_constants(
     """
     if dim not in (1, 2):
         raise ParameterError(f"dim must be 1 or 2, got {dim}")
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-        raise ParameterError(f"N must be a positive integer, got {N!r}")
+    N = _check_int("N", N, least=1)
     unknown = [k for k in kinds if k not in _KINDS]
     if unknown:
         raise ParameterError(f"kinds must be among {_KINDS}, got {unknown}")
-    if (
-        isinstance(max_iterations, bool)
-        or not isinstance(max_iterations, (int, np.integer))
-        or max_iterations < 1
-    ):
-        raise ParameterError(f"max_iterations must be a positive integer, got {max_iterations!r}")
-    return _row(int(N), dim, [k for k in _KINDS if k in kinds], nodes, int(max_iterations))
+    max_iterations = _check_int("max_iterations", max_iterations, least=1)
+    return _row(N, dim, [k for k in _KINDS if k in kinds], nodes, max_iterations)
 
 
 def _row(N: int, dim: int, wanted: list, nodes: int | None, max_iterations: int):
@@ -186,7 +176,7 @@ def _row(N: int, dim: int, wanted: list, nodes: int | None, max_iterations: int)
 
     # the graded basis puts the degree <= N block, where both additive
     # numerators live, first
-    n1 = enumerate_basis(N, dim).cardinality
+    n1 = math.comb(N + dim, dim)
     factors = _schur_factors(A, n1)
     _, _, LS = factors
     if "add_h1_denominator" in wanted:
@@ -229,16 +219,16 @@ def _numerator_factor(N: int, dim: int) -> np.ndarray:
     Legendre basis of that edge C[k, p] = s_k (-1)^q sqrt(2 / (2p + 1)),
     N+1 columns.
     """
-    basis = enumerate_basis(2 * N, dim)
-    C = np.zeros((basis.cardinality, 1 if dim == 1 else N + 1))
-    for k, idx in enumerate(basis.indices):
-        if idx.degree > N:
-            break
-        s = 1.0 / np.sqrt(dubiner_norm_sq(idx))
-        if dim == 1:
-            C[k, 0] = s
-        else:
-            C[k, idx.p] = (-1.0) ** idx.q * s * math.sqrt(2.0 / (2 * idx.p + 1))
+    # the degree <= N rows lead the graded degree-2N basis, in the order
+    # of the degree-N basis
+    comps = _graded_components(N, dim)
+    s = 1.0 / np.sqrt(_norm_sq(*comps.T))
+    C = np.zeros((math.comb(2 * N + dim, dim), 1 if dim == 1 else N + 1))
+    if dim == 1:
+        C[: s.size, 0] = s
+    else:
+        p, q = comps.T
+        C[np.arange(s.size), p] = (-1.0) ** q * s * np.sqrt(2.0 / (2 * p + 1))
     return C
 
 
@@ -388,11 +378,9 @@ def trace_error_rate(u, N_list, nodes: int | None = None):
     Returns ([(N, error), ...], slope, [floor_N, ...]), the floors aligned
     with the rows.
     """
-    Ns = list(N_list)
+    Ns = [_check_int("each degree", n, least=1) for n in N_list]
     if len(Ns) < 2:
         raise ParameterError("need at least two degrees to fit a rate")
-    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1 for n in Ns):
-        raise ParameterError("degrees must be positive integers")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ParameterError("degrees must be strictly increasing")
 
@@ -404,15 +392,15 @@ def trace_error_rate(u, N_list, nodes: int | None = None):
     rows = []
     for N in Ns:
         m = nodes if nodes is not None else 2 * N + 40
-        raw = analyze(u, int(N), 2, nodes=m)
+        raw = analyze(u, N, 2, nodes=m)
         # collapse onto the edge: the endpoint sign (-1)^q over the norm,
         # summed per p in basis order
-        p, q = _graded_components(int(N), 2).T
+        p, q = _graded_components(N, 2).T
         ap = np.zeros(N + 1)
         np.add.at(ap, p, (-1.0) ** q * raw / _norm_sq(p, q))
-        vals = ap @ _jacobi_table(int(N), JacobiWeight(0.0, 0.0), t_edge)
+        vals = ap @ _jacobi_table(N, JacobiWeight(0.0, 0.0), t_edge)
         err = float(np.sqrt(np.sum(w_edge * (target - vals) ** 2)))
-        rows.append((int(N), err))
+        rows.append((N, err))
 
     floors = [scale * (n + 1.0) ** 2 for n, _ in rows]
     above = [(n, e) for (n, e), f in zip(rows, floors) if e > f]

@@ -1,11 +1,13 @@
 """Dense symmetric bilinear forms (mass, H1, boundary trace, endpoint
 evaluation) over the orthonormalized bases, plus coefficient truncation.
 
-Assembly runs on the cube through the collapsed-coordinate map with the
-volume factor explicit in the integrand. Every volume integrand is a short
-sum of separable per-axis products, so each Gram is a sum of Hadamard
-products of one-dimensional Grams (sum factorization), built from the
-per-axis weights and factor tables of ``simplex`` in any dimension.
+The 1-D H1 form is the exact H1 Gram of the orthonormal Legendre basis, in
+closed form. Every other volume form is assembled on the cube through the
+collapsed-coordinate map with the volume factor explicit in the integrand.
+Each such integrand is a short sum of separable per-axis products, so each
+Gram is a sum of Hadamard products of one-dimensional Grams (sum
+factorization), built from the per-axis weights and factor tables of
+``simplex`` in any dimension.
 """
 
 from __future__ import annotations
@@ -22,12 +24,17 @@ from .simplex import (
     _axis_factors,
     _axis_weights,
     _boundary_rule,
+    _check_int,
     _dubiner_matrix,
     _gl_nodes,
+    _graded_components,
     _node_count,
-    dubiner_norm_sq,
+    _norm_sq,
     enumerate_basis,
 )
+
+# bound for perfbench/tracing.py, which wraps this name
+from .simplex import dubiner_norm_sq  # noqa: F401
 
 __all__ = [
     "SymmetricForm",
@@ -78,21 +85,15 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def _scaling_vector(basis: BasisSet) -> np.ndarray:
-    return np.array([1.0 / np.sqrt(dubiner_norm_sq(idx)) for idx in basis.indices])
-
-
-def _check_degree_arg(M: int) -> int:
-    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 0:
-        raise ParameterError(f"degree must be a nonnegative integer, got {M!r}")
-    return int(M)
+    return 1.0 / np.sqrt(_norm_sq(*_graded_components(basis.N, basis.dim).T))
 
 
 # Each integrand is a list of separable terms (coefficient, kinds): letter k
 # names the axis-k factor kind of simplex._axis_factors. The value first,
-# then each component of the pulled-back gradient.
+# then each component of the pulled-back gradient; the 1-D H1 form is in
+# closed form, so only the value has a 1-D entry.
 _VALUE = {1: [(1.0, "V")], 2: [(1.0, "VV")], 3: [(1.0, "VVV")]}
 _GRADIENT = {
-    1: [[(1.0, "D")]],
     2: [[(1.0, "DU")], [(0.5, "XU"), (1.0, "VD")]],
     3: [
         [(1.0, "DUU")],
@@ -102,19 +103,18 @@ _GRADIENT = {
 }
 
 
-def _axis_tables(basis: BasisSet, t: np.ndarray, grad: bool) -> dict:
+def _axis_tables(basis: BasisSet, t: np.ndarray, terms) -> dict:
     """Per-axis factor tables keyed (kind, axis), one row per basis index,
-    for the kinds the value (and with ``grad`` the gradient) integrands use.
+    for the separable terms named in ``terms`` (one kind letter per axis).
 
     Row i of (kind, k) is the axis-k factor of index i: the table for its
     prefix sum over the earlier axes, at its axis-k component.
     """
-    integrands = [_VALUE[basis.dim]] + (_GRADIENT[basis.dim] if grad else [])
-    comps = np.array([idx.components() for idx in basis.indices])
+    comps = _graded_components(basis.N, basis.dim)
     prefix = np.cumsum(comps, axis=1) - comps
     tabs = {}
     for k in range(basis.dim):
-        kinds = {term[k] for terms in integrands for _, term in terms}
+        kinds = {term[k] for term in terms}
         for kind in kinds:
             tabs[kind, k] = np.empty((basis.cardinality, t.size))
         for s in np.unique(prefix[:, k]):
@@ -125,8 +125,8 @@ def _axis_tables(basis: BasisSet, t: np.ndarray, grad: bool) -> dict:
     return tabs
 
 
-def _assemble_volume(basis: BasisSet, m: int, want_stiffness: bool):
-    """Mass (always) and stiffness (optional) Grams of the scaled basis.
+def _assemble_volume(basis: BasisSet, m: int, s: np.ndarray, want_stiffness: bool):
+    """Mass (always) and stiffness (optional) Grams of the basis scaled by s.
 
     The tensor Gauss rule integrates a separable product as the product of
     per-axis sums, so each pair of terms contributes the Hadamard product
@@ -135,8 +135,8 @@ def _assemble_volume(basis: BasisSet, m: int, want_stiffness: bool):
     """
     t, _ = _gl_nodes(m)
     weights = _axis_weights(basis.dim, m)
-    tabs = _axis_tables(basis, t, grad=want_stiffness)
-    s = _scaling_vector(basis)
+    integrands = [_VALUE[basis.dim]] + (_GRADIENT[basis.dim] if want_stiffness else [])
+    tabs = _axis_tables(basis, t, {term for terms in integrands for _, term in terms})
 
     def gram(integrands):
         out = np.zeros((basis.cardinality, basis.cardinality))
@@ -157,21 +157,39 @@ def _assemble_volume(basis: BasisSet, m: int, want_stiffness: bool):
 def mass_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
     """Quadrature-assembled L2 Gram of the scaled basis (identity up to
     quadrature roundoff; assembled, not assumed)."""
-    M = _check_degree_arg(M)
+    M = _check_int("degree", M)
     basis = enumerate_basis(M, dim)
-    mass, _ = _assemble_volume(basis, _node_count(M, nodes), want_stiffness=False)
-    return SymmetricForm(basis=basis, kind="mass", entries=mass, scaling=_scaling_vector(basis))
+    s = _scaling_vector(basis)
+    mass, _ = _assemble_volume(basis, _node_count(M, nodes), s, want_stiffness=False)
+    return SymmetricForm(basis=basis, kind="mass", entries=mass, scaling=s)
+
+
+def _interval_h1(s: np.ndarray) -> np.ndarray:
+    """Exact H1 Gram of the Legendre basis scaled by s: the identity plus
+    s_i s_j m(m + 1), m = min(i, j), where i + j is even, since
+    int L_i' L_j' = m(m + 1) there and 0 elsewhere."""
+    k = np.arange(s.size)
+    m = np.minimum.outer(k, k)
+    stiff = np.where((k[:, None] + k) % 2 == 0, m * (m + 1), 0)
+    return _symmetrize(s[:, None] * stiff * s[None, :]) + np.eye(s.size)
 
 
 def h1_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
     """L2 + gradient Gram of the scaled basis; gradients are pulled back
-    from cube coordinates with the collapsed powers cancelled exactly."""
-    M = _check_degree_arg(M)
+    from cube coordinates with the collapsed powers cancelled exactly.
+
+    In 1-D the Gram is exact, in closed form, and ``nodes`` is only checked.
+    """
+    M = _check_int("degree", M)
     basis = enumerate_basis(M, dim)
-    mass, stiff = _assemble_volume(basis, _node_count(M, nodes), want_stiffness=True)
-    return SymmetricForm(
-        basis=basis, kind="h1", entries=mass + stiff, scaling=_scaling_vector(basis)
-    )
+    m = _node_count(M, nodes)
+    s = _scaling_vector(basis)
+    if dim == 1:
+        entries = _interval_h1(s)
+    else:
+        mass, stiff = _assemble_volume(basis, m, s, want_stiffness=True)
+        entries = mass + stiff
+    return SymmetricForm(basis=basis, kind="h1", entries=entries, scaling=s)
 
 
 def _edge_chain(dim: int):
@@ -197,7 +215,7 @@ def _edge_chain(dim: int):
 def trace_form(M: int, dim: int, gamma: str, nodes: int | None = None) -> SymmetricForm:
     """Boundary Gram over the selected piece: the bottom edge (2D), the
     bottom face (3D), or the whole boundary via the affine face maps."""
-    M = _check_degree_arg(M)
+    M = _check_int("degree", M)
     if dim not in (2, 3):
         raise ParameterError(f"trace forms need dim 2 or 3, got {dim}")
     allowed = {"2edge": (2, "edge"), "3face": (3, "face")}
@@ -249,7 +267,7 @@ def trace_form(M: int, dim: int, gamma: str, nodes: int | None = None) -> Symmet
 
 def point_eval_form(M: int) -> SymmetricForm:
     """Rank-one endpoint evaluation form on the interval basis."""
-    M = _check_degree_arg(M)
+    M = _check_int("degree", M)
     basis = enumerate_basis(M, 1)
     s = _scaling_vector(basis)
     # each scaled basis function equals its scale at the right endpoint
@@ -265,7 +283,7 @@ def point_eval_form(M: int) -> SymmetricForm:
 def projection_form(B: SymmetricForm, N: int) -> SymmetricForm:
     """The form B composed with coefficient truncation to degree N on both
     arguments (same basis, rows and columns above degree N zeroed)."""
-    if _check_degree_arg(N) > B.basis.N:
+    if _check_int("N", N) > B.basis.N:
         raise ParameterError(f"N {N} outside the basis degree range 0..{B.basis.N}")
     d = np.array([idx.degree <= N for idx in B.basis.indices])
     factor = None if B.factor is None else d[:, None] * B.factor

@@ -110,11 +110,18 @@ class BasisSet:
         return self.indices.index(idx)
 
 
+def _check_int(name: str, value, least: int = 0) -> int:
+    """value as an int; ParameterError unless it is an integer (not a bool)
+    of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _graded_components(N: int, dim: int) -> np.ndarray:
     """Components of every index of total degree <= N as rows of a
     (cardinality, dim) integer array: graded, lexicographic within a grade."""
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 0:
-        raise ParameterError(f"N must be a nonnegative integer, got {N!r}")
+    N = _check_int("N", N)
     if dim not in (1, 2, 3):
         raise ParameterError(f"dim must be 1, 2, or 3, got {dim}")
     comps = np.indices((N + 1,) * dim).reshape(dim, -1).T
@@ -276,9 +283,7 @@ def _node_count(N: int, nodes) -> int:
     ``nodes`` when it is an integer of at least N + 2."""
     if nodes is None:
         return _rule_size(N)
-    if isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)) or nodes < N + 2:
-        raise ParameterError(f"nodes={nodes!r} cannot integrate a degree-{N} basis")
-    return int(nodes)
+    return _check_int(f"nodes for a degree-{N} basis", nodes, least=N + 2)
 
 
 def _lift(y: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -407,8 +412,7 @@ def line_functions(f, p: int, q: int, nodes: int = 40):
     factor pair; the second divides out (1 - eta3)^(p+q), which is singular
     at eta3 = 1 for (p, q) != (0, 0).
     """
-    if p < 0 or q < 0:
-        raise ParameterError("p and q must be nonnegative")
+    p, q = _check_int("p", p), _check_int("q", q)
     m = _node_count(p + q, nodes)
     t, _ = _gl_nodes(m)
     section = _collapsed_grid(2, m)
@@ -451,10 +455,8 @@ def trace_coefficient_sum(f, p: int, q: int, N: int, nodes: int = 40):
     drop below 1e-14, and its closed three-term counterpart built from the
     derivative of the scaled line function.
     """
-    if N < 1:
-        raise ParameterError(f"N must be at least 1, got {N}")
-    if p < 0 or q < 0:
-        raise ParameterError("p and q must be nonnegative")
+    N = _check_int("N", N, least=1)
+    p, q = _check_int("p", p), _check_int("q", q)
     n = 2.0 * p + 2.0 * q + 2.0
     m = _node_count(max(p + q, N), nodes)
     t, w = _gl_nodes(m)
@@ -496,6 +498,8 @@ def _boundary_rule(dim: int, m: int):
 
 def _boundary_norm_direct(f, dim: int, nodes: int = 40) -> float:
     """Squared boundary norm by direct quadrature on the boundary piece."""
+    if dim not in (2, 3):
+        raise ParameterError(f"dim must be 2 or 3, got {dim}")
     pts, wts = _boundary_rule(dim, _node_count(0, nodes))
     vals = f(pts)
     return float(wts @ vals**2)

@@ -237,12 +237,24 @@ def test_multiplicative_extended_precision_oracle():
     for N in (1, 2, 5, 10, 20):
         value, gram = _legendre_mult_oracle(N)
         A = h1_form(2 * N, 1).entries
-        # the assembled form is the oracle's Gram up to quadrature roundoff,
-        # which reaches 2.4e-13 of the largest entry at degree 40
-        gram_tol = 1e-13 if N <= 10 else 5e-13
-        assert np.max(np.abs(gram - A)) <= gram_tol * np.max(np.abs(gram)), N
+        # the closed-form Gram is the oracle's up to the rounding of its entries
+        assert np.max(np.abs(gram - A)) <= 1e-15 * np.max(np.abs(gram)), N
         rec = multiplicative_constant(N, 1)
-        assert abs(rec.value - float(value)) <= 1e-13 * float(value), N
+        assert abs(rec.value - float(value)) <= 1e-14 * float(value), N
+
+
+def test_interval_h1_form_is_the_exact_legendre_gram():
+    for M in (4, 40):
+        with mp.workdps(40):
+            exact, _ = _legendre_h1_gram(M)
+            A = h1_form(M, 1).entries
+            for i in range(M + 1):
+                for j in range(M + 1):
+                    if (i + j) % 2:
+                        assert A[i, j] == 0.0, (M, i, j)
+                    else:
+                        err = abs(mp.mpf(A[i, j]) - exact[i, j])
+                        assert err <= mp.mpf("1e-15") * abs(exact[i, j]), (M, i, j)
 
 
 def test_additive_point_extended_precision_oracle():
@@ -310,6 +322,25 @@ def test_multiplicative_avoids_full_size_decompositions(monkeypatch):
         monkeypatch.setattr(extremal, name, recorded)
     next(row_constants(N, dim, ("mult",)))
     assert sizes and max(sizes) <= N + 1
+
+
+def test_numerator_factor_and_scaling_match_per_index_loops():
+    # the array forms give the bits of the loops over basis indices
+    from simplex_spectra.forms import _scaling_vector
+    from simplex_spectra.simplex import dubiner_norm_sq
+
+    for dim in (1, 2):
+        for N in (1, 7, 24):
+            basis = enumerate_basis(2 * N, dim)
+            s = np.array([1.0 / np.sqrt(dubiner_norm_sq(idx)) for idx in basis.indices])
+            C = np.zeros((basis.cardinality, 1 if dim == 1 else N + 1))
+            for k, idx in enumerate(basis.indices):
+                if idx.degree <= N and dim == 1:
+                    C[k, 0] = s[k]
+                elif idx.degree <= N:
+                    C[k, idx.p] = (-1.0) ** idx.q * s[k] * math.sqrt(2.0 / (2 * idx.p + 1))
+            assert np.array_equal(_scaling_vector(basis), s), (dim, N)
+            assert np.array_equal(extremal._numerator_factor(N, dim), C), (dim, N)
 
 
 def test_numerator_factor_matches_quadrature_forms():

@@ -256,6 +256,30 @@ def test_node_overrides_are_checked():
             _boundary_norm_direct(f, 2, nodes=nodes)
 
 
+def test_degree_arguments_must_be_integers():
+    # a fraction or a bool is refused as p, q or N, like a negative value
+    f = lambda x: np.exp(x.sum(axis=1))
+    for bad in (1.5, True, -1):
+        with pytest.raises(ParameterError, match="p must"):
+            line_functions(f, bad, 0)
+        with pytest.raises(ParameterError, match="q must"):
+            line_functions(f, 0, bad)
+        with pytest.raises(ParameterError, match="p must"):
+            trace_coefficient_sum(f, bad, 0, 1)
+        with pytest.raises(ParameterError, match="q must"):
+            trace_coefficient_sum(f, 0, bad, 1)
+    for bad in (1.5, True, 0):
+        with pytest.raises(ParameterError, match="N must"):
+            trace_coefficient_sum(f, 0, 0, bad)
+
+
+def test_boundary_norm_direct_checks_dim():
+    f = lambda x: np.exp(x.sum(axis=1))
+    for dim in (1, 4):
+        with pytest.raises(ParameterError, match="dim must"):
+            _boundary_norm_direct(f, dim)
+
+
 def test_synthesize_length_check():
     basis = enumerate_basis(3, 2)
     with pytest.raises(ParameterError):
