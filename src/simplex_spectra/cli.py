@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationError, NumericError, ParameterError
+from .errors import IterationError, NumericError
 from .extremal import _KINDS, row_constants, trace_error_rate
-
-# bound for perfbench/tracing.py, which wraps these names; the row loop
-# below computes every kind through row_constants
-from .extremal import additive_constant, multiplicative_constant  # noqa: F401
 from .forms import h1_form, mass_form, trace_form
 from .identities import (
     VerificationReport,
@@ -36,7 +31,6 @@ from .simplex import (
     _boundary_norm_direct,
     _rule_size,
     boundary_trace_parseval,
-    dubiner_norm_sq,
     enumerate_basis,
     trace_coefficient_sum,
 )
@@ -53,21 +47,6 @@ _TABLE_ROWS = {
     1: list(range(1, 6)) + list(range(10, 125, 5)),
     2: list(range(1, 11)) + list(range(15, 60, 5)),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    dim: int = 1
-    n_min: int = 1
-    n_max: int = 1
-    kinds: tuple = ()
-    quad_safety: int = 0
-    out_path: str | None = None
-
-    def __post_init__(self):
-        if self.n_min < 1 or self.n_max < self.n_min:
-            raise ParameterError(f"bad degree range {self.n_min}..{self.n_max}")
 
 
 def _fmt(x: float) -> str:
@@ -108,14 +87,12 @@ def _nodes_for(N: int, safety: int) -> int | None:
     return None if safety == 0 else _rule_size(2 * N) + safety
 
 
-def _emit_constants(cfg: RunConfig, ns, stream) -> int:
+def _emit_constants(dim: int, kinds, quad_safety: int, ns, stream) -> int:
     print(_CSV_HEADER, file=stream)
     for N in ns:
-        pending = [kind for kind in _KINDS if kind in cfg.kinds]
+        pending = [kind for kind in _KINDS if kind in kinds]
         try:
-            for rec in row_constants(
-                N, cfg.dim, pending, nodes=_nodes_for(N, cfg.quad_safety)
-            ):
+            for rec in row_constants(N, dim, pending, nodes=_nodes_for(N, quad_safety)):
                 print(
                     f"{rec.dim},{rec.N},{rec.kind},{_fmt(rec.value)},"
                     f"{rec.iterations},{_fmt(rec.residual)}",
@@ -126,7 +103,7 @@ def _emit_constants(cfg: RunConfig, ns, stream) -> int:
             best = getattr(exc, "best", None)
             its = best.iterations if best is not None else 0
             res = _fmt(best.residual) if best is not None else "nan"
-            print(f"{cfg.dim},{N},{pending[0]},error,{its},{res}", file=stream)
+            print(f"{dim},{N},{pending[0]},error,{its},{res}", file=stream)
             print(f"solver failure at N={N} kind={pending[0]}: {exc}", file=sys.stderr)
             return 1
     return 0
@@ -373,35 +350,17 @@ def main(argv=None) -> int:
 
     if args.command == "constants":
         a, b = _parse_range(args.n, parser)
-        kinds = _parse_kinds(args.kinds, args.dim, parser)
-        cfg = RunConfig(
-            command="constants",
-            dim=args.dim,
-            n_min=a,
-            n_max=b,
-            kinds=kinds,
-            quad_safety=args.quad_safety,
-            out_path=args.out,
-        )
-        ns = range(a, b + 1)
+        dim, ns = args.dim, range(a, b + 1)
+        kinds = _parse_kinds(args.kinds, dim, parser)
     else:
         dim = args.which
-        cfg = RunConfig(
-            command="table",
-            dim=dim,
-            n_min=_TABLE_ROWS[dim][0],
-            n_max=_TABLE_ROWS[dim][-1],
-            kinds=_parse_kinds(None, dim, parser),
-            quad_safety=args.quad_safety,
-            out_path=args.out,
-        )
-        ns = _TABLE_ROWS[dim]
+        ns, kinds = _TABLE_ROWS[dim], _parse_kinds(None, dim, parser)
 
-    stream = open(cfg.out_path, "w") if cfg.out_path else sys.stdout
+    stream = open(args.out, "w") if args.out else sys.stdout
     try:
-        return _emit_constants(cfg, ns, stream)
+        return _emit_constants(dim, kinds, args.quad_safety, ns, stream)
     finally:
-        if cfg.out_path:
+        if args.out:
             stream.close()
 
 

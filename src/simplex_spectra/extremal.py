@@ -46,9 +46,6 @@ from .forms import SymmetricForm, h1_form
 from .jacobi import JacobiWeight, _jacobi_table
 from .simplex import _check_int, _gl_nodes, _graded_components, _norm_sq, analyze
 
-# bound for perfbench/tracing.py, which wraps these names
-from .simplex import dubiner_norm_sq, enumerate_basis  # noqa: F401
-
 __all__ = [
     "EigenSolution",
     "ConstantRecord",

@@ -13,28 +13,24 @@ factorization), built from the per-axis weights and factor tables of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import ParameterError
-from .jacobi import JacobiWeight, _jacobi_table
 from .simplex import (
     BasisSet,
-    SimplexIndex,
     _axis_factors,
     _axis_weights,
     _boundary_rule,
     _check_int,
+    _component_values,
     _dubiner_matrix,
     _gl_nodes,
-    _graded_components,
     _node_count,
     _norm_sq,
     enumerate_basis,
 )
-
-# bound for perfbench/tracing.py, which wraps this name
-from .simplex import dubiner_norm_sq  # noqa: F401
 
 __all__ = [
     "SymmetricForm",
@@ -46,7 +42,6 @@ __all__ = [
 ]
 
 _KINDS = ("mass", "h1", "trace", "point_eval")
-_LEG = JacobiWeight(0.0, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +80,7 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def _scaling_vector(basis: BasisSet) -> np.ndarray:
-    return 1.0 / np.sqrt(_norm_sq(*_graded_components(basis.N, basis.dim).T))
+    return 1.0 / np.sqrt(_norm_sq(*basis.components.T))
 
 
 # Each integrand is a list of separable terms (coefficient, kinds): letter k
@@ -110,7 +105,7 @@ def _axis_tables(basis: BasisSet, t: np.ndarray, terms) -> dict:
     Row i of (kind, k) is the axis-k factor of index i: the table for its
     prefix sum over the earlier axes, at its axis-k component.
     """
-    comps = _graded_components(basis.N, basis.dim)
+    comps = basis.components
     prefix = np.cumsum(comps, axis=1) - comps
     tabs = {}
     for k in range(basis.dim):
@@ -192,26 +187,6 @@ def h1_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
     return SymmetricForm(basis=basis, kind="h1", entries=entries, scaling=s)
 
 
-def _edge_chain(dim: int):
-    """Boundary pieces as (map from (npts, dim-1) parameters to simplex
-    coords, measure factor)."""
-    if dim == 2:
-        return [
-            (lambda a: np.column_stack([a, -np.ones_like(a)]), 1.0),
-            (lambda a: np.column_stack([-np.ones_like(a), a]), 1.0),
-            (lambda a: np.column_stack([a, -a]), np.sqrt(2.0)),
-        ]
-    return [
-        (lambda ab: np.column_stack([ab[:, 0], ab[:, 1], -np.ones(len(ab))]), 1.0),
-        (lambda ab: np.column_stack([ab[:, 0], -np.ones(len(ab)), ab[:, 1]]), 1.0),
-        (lambda ab: np.column_stack([-np.ones(len(ab)), ab[:, 0], ab[:, 1]]), 1.0),
-        (
-            lambda ab: np.column_stack([ab[:, 0], ab[:, 1], -1.0 - ab[:, 0] - ab[:, 1]]),
-            np.sqrt(3.0),
-        ),
-    ]
-
-
 def trace_form(M: int, dim: int, gamma: str, nodes: int | None = None) -> SymmetricForm:
     """Boundary Gram over the selected piece: the bottom edge (2D), the
     bottom face (3D), or the whole boundary via the affine face maps."""
@@ -225,37 +200,20 @@ def trace_form(M: int, dim: int, gamma: str, nodes: int | None = None) -> Symmet
         raise ParameterError(f"gamma {gamma!r} does not name a boundary piece of the {dim}D simplex")
     basis = enumerate_basis(M, dim)
     s = _scaling_vector(basis)
-    m = _node_count(M, nodes)
-
-    if gamma in ("edge", "face"):
-        pts, w = _boundary_rule(dim, m)
-        if dim == 2:
-            p_arr = np.array([i.p for i in basis.indices])
-            signs = np.array([(-1.0) ** i.q for i in basis.indices])
-            ev = signs[:, None] * _jacobi_table(M, _LEG, pts[:, 0])[p_arr]
-        else:
-            signs = np.array([(-1.0) ** i.r for i in basis.indices])
-            basis2 = enumerate_basis(M, 2)
-            pos2 = {idx: k for k, idx in enumerate(basis2.indices)}
-            rows = np.array([pos2[SimplexIndex(i.p, i.q)] for i in basis.indices])
-            ev = signs[:, None] * _dubiner_matrix(basis2, pts[:, :2])[rows]
-        factor = (s[:, None] * ev) * np.sqrt(w)[None, :]
-        return SymmetricForm(
-            basis=basis,
-            kind="trace",
-            entries=_symmetrize(factor @ factor.T),
-            scaling=s,
-            factor=factor,
-        )
-
-    # full boundary: evaluate the basis on every face through the affine maps
-    # of the bottom piece's parameters
-    bottom, base_w = _boundary_rule(dim, m)
-    blocks = []
-    for to_simplex, measure in _edge_chain(dim):
-        ev = s[:, None] * _dubiner_matrix(basis, to_simplex(bottom[:, :-1]))
-        blocks.append(ev * np.sqrt(measure * base_w)[None, :])
-    factor = np.hstack(blocks)
+    bottom, w = _boundary_rule(dim, _node_count(M, nodes))
+    a = bottom[:, :-1]
+    if gamma == "full_boundary":
+        # the faces x_j = -1 for j = dim-1, ..., 0 over the bottom piece's
+        # parameters a, then the slanted face x_{dim-1} = (2 - dim) - a_0 - ...
+        faces = [(np.insert(a, j, -1.0, axis=1), 1.0) for j in reversed(range(dim))]
+        faces.append((np.column_stack([a, reduce(np.subtract, a.T, 2.0 - dim)]), np.sqrt(dim)))
+        pieces = [(_dubiner_matrix(basis, x), measure) for x, measure in faces]
+    else:
+        # on the bottom piece the last axis factor is its endpoint value
+        # (-1)^c, and the head components index a (dim-1)-dimensional basis
+        comps = basis.components
+        pieces = [((-1.0) ** comps[:, -1:] * _component_values(comps[:, :-1], a), 1.0)]
+    factor = np.hstack([s[:, None] * ev * np.sqrt(measure * w) for ev, measure in pieces])
     return SymmetricForm(
         basis=basis,
         kind="trace",
@@ -285,7 +243,7 @@ def projection_form(B: SymmetricForm, N: int) -> SymmetricForm:
     arguments (same basis, rows and columns above degree N zeroed)."""
     if _check_int("N", N) > B.basis.N:
         raise ParameterError(f"N {N} outside the basis degree range 0..{B.basis.N}")
-    d = np.array([idx.degree <= N for idx in B.basis.indices])
+    d = B.basis.components.sum(axis=1) <= N
     factor = None if B.factor is None else d[:, None] * B.factor
     return SymmetricForm(
         basis=B.basis,

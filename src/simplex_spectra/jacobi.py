@@ -101,16 +101,7 @@ def jacobi_eval(n: int, weight: JacobiWeight, x) -> np.ndarray:
     n = _check_degree(n)
     if n < 0:
         raise ParameterError(f"degree must be nonnegative, got {n}")
-    xs = np.asarray(x, dtype=float)
-    a, b = weight.alpha, weight.beta
-    p_prev = np.ones_like(xs)
-    if n == 0:
-        return p_prev
-    p = _degree_one(a, b, xs)
-    for k in range(1, n):
-        c1, c2, c3, c4 = _recurrence_coeffs(k, a, b)
-        p, p_prev = ((c2 + c3 * xs) * p - c4 * p_prev) / c1, p
-    return p
+    return _jacobi_table(n, weight, x)[n]
 
 
 def _jacobi_table(n: int, weight: JacobiWeight, x) -> np.ndarray:

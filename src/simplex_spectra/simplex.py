@@ -7,7 +7,9 @@ The one home of the collapsed layout: on cube axis k the basis function
 with components c has the factor P_{c_k}^(2s+k, 0)(eta_k) ((1 - eta_k)/2)^s,
 s = c_0 + ... + c_{k-1}, and the volume factor ((1 - eta_k)/2)^k.
 ``_collapsed_grid``, ``_axis_weights`` and ``_axis_factors`` give the grid,
-its weights and the factor tables in any dimension.
+its weights and the factor tables in any dimension, and
+``_component_values`` evaluates the same factors at simplex points for any
+rows of components. A basis is the graded array of ``_graded_components``.
 
 Convention: function callbacks are vectorized over points, taking an
 (npts, dim) array of simplex coordinates and returning (npts,) values.
@@ -89,22 +91,28 @@ class SimplexIndex:
 
 @dataclass(frozen=True, eq=False)
 class BasisSet:
-    """Graded-lex ordered basis of total degree <= N in the given dimension."""
+    """Graded-lex ordered basis of total degree <= N in the given dimension,
+    held as the read-only (cardinality, dim) array of its components."""
 
     dim: int
     N: int
-    indices: tuple
-    cardinality: int
+    components: np.ndarray
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ParameterError(f"dim must be 1, 2, or 3, got {self.dim}")
         if self.N < 0:
             raise ParameterError(f"N must be nonnegative, got {self.N}")
-        n = self.N
-        expected = math.comb(n + self.dim, self.dim)
-        if self.cardinality != expected or len(self.indices) != expected:
-            raise ParameterError("cardinality does not match the degree and dimension")
+        if self.components.shape != (math.comb(self.N + self.dim, self.dim), self.dim):
+            raise ParameterError("components do not match the degree and dimension")
+
+    @property
+    def cardinality(self) -> int:
+        return len(self.components)
+
+    @property
+    def indices(self) -> tuple:
+        return tuple(SimplexIndex(*c) for c in self.components.tolist())
 
     def position(self, idx: SimplexIndex) -> int:
         return self.indices.index(idx)
@@ -133,8 +141,9 @@ def _graded_components(N: int, dim: int) -> np.ndarray:
 
 def enumerate_basis(N: int, dim: int) -> BasisSet:
     """All indices of total degree <= N, graded, lexicographic within a grade."""
-    indices = tuple(SimplexIndex(*c) for c in _graded_components(N, dim).tolist())
-    return BasisSet(dim=dim, N=int(N), indices=indices, cardinality=len(indices))
+    comps = _graded_components(N, dim)
+    comps.setflags(write=False)
+    return BasisSet(dim=dim, N=int(N), components=comps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,40 +231,37 @@ def _check_simplex_point(pts: np.ndarray, dim: int) -> None:
 
 
 def _dubiner_matrix(basis: BasisSet, pts) -> np.ndarray:
-    """Values of every basis function at the given points, shape (card, npts).
-
-    Works on the closed simplex: the collapsed coordinates are evaluated in
-    homogenized form, never through the inverse map.
-    """
+    """Values of every basis function at the given points, shape (card, npts)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != basis.dim:
         raise ParameterError(f"points must have shape (npts, {basis.dim})")
-    N = basis.N
-    out = np.empty((basis.cardinality, pts.shape[0]))
-    pos = {idx: i for i, idx in enumerate(basis.indices)}
-    if basis.dim == 1:
-        tab = _jacobi_table(N, _LEG, pts[:, 0])
-        for idx in basis.indices:
-            out[pos[idx]] = tab[idx.p]
-        return out
-    if basis.dim == 2:
-        x1, x2 = pts[:, 0], pts[:, 1]
-        s_leg = _scaled_jacobi_table(N, _LEG, (1.0 + 2.0 * x1 + x2) / 2.0, (1.0 - x2) / 2.0)
-        for p in range(N + 1):
-            qtab = _jacobi_table(N - p, JacobiWeight(2.0 * p + 1.0, 0.0), x2)
-            for q in range(N - p + 1):
-                out[pos[SimplexIndex(p, q)]] = s_leg[p] * qtab[q]
-        return out
-    x1, x2, x3 = pts[:, 0], pts[:, 1], pts[:, 2]
-    s_leg = _scaled_jacobi_table(N, _LEG, 1.0 + x1 + (x2 + x3) / 2.0, -(x2 + x3) / 2.0)
-    a2, b2 = (1.0 + 2.0 * x2 + x3) / 2.0, (1.0 - x3) / 2.0
-    for p in range(N + 1):
-        s_q = _scaled_jacobi_table(N - p, JacobiWeight(2.0 * p + 1.0, 0.0), a2, b2)
-        for q in range(N - p + 1):
-            rtab = _jacobi_table(N - p - q, JacobiWeight(2.0 * p + 2.0 * q + 2.0, 0.0), x3)
-            base = s_leg[p] * s_q[q]
-            for r in range(N - p - q + 1):
-                out[pos[SimplexIndex(p, q, r)]] = base * rtab[r]
+    return _component_values(basis.components, pts)
+
+
+def _component_values(comps: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Values of the basis functions with the given component rows (any
+    rows, in any order) at the (npts, dim) points, shape (rows, npts).
+
+    Works on the closed simplex: the axis-k factor is the homogenized table
+    den^c P_c^(2s+k, 0)(num/den) with T = x_{k+1} + ... + x_{dim-1},
+    num = ((dim-1-k) + 2 x_k + T)/2 and den = ((k+3-dim) - T)/2, so the
+    collapsed coordinates are never formed. On the last axis T = 0, so
+    num = x_{dim-1} and den = 1 exactly, and the table is the plain one.
+    """
+    dim = comps.shape[1]
+    prefix = np.cumsum(comps, axis=1) - comps
+    out = np.ones((len(comps), len(pts)))
+    factor = np.empty(out.shape)
+    for k in range(dim):
+        T = pts[:, k + 1 :].sum(axis=1)
+        num = ((dim - 1 - k) + 2.0 * pts[:, k] + T) / 2.0
+        den = ((k + 3 - dim) - T) / 2.0
+        for s in np.unique(prefix[:, k]):
+            rows = np.flatnonzero(prefix[:, k] == s)
+            c = comps[rows, k]
+            tab = _scaled_jacobi_table(int(c.max()), JacobiWeight(2.0 * s + k, 0.0), num, den)
+            factor[rows] = tab[c]
+        out *= factor
     return out
 
 
@@ -267,8 +273,7 @@ def dubiner_eval(idx: SimplexIndex, xi, dim: int) -> float:
         raise ParameterError(f"index {idx!r} is {idx.dim}-dimensional, not {dim}")
     pt = np.asarray(xi, dtype=float).reshape(1, dim)
     _check_simplex_point(pt, dim)
-    basis = enumerate_basis(idx.degree, dim)
-    return float(_dubiner_matrix(basis, pt)[basis.position(idx), 0])
+    return float(_component_values(np.array([idx.components()]), pt)[0, 0])
 
 
 def _rule_size(N: int) -> int:
@@ -381,7 +386,7 @@ def synthesize(coeffs, basis: BasisSet, xi) -> float:
             f"coefficient length {c.shape} does not match basis cardinality {basis.cardinality}"
         )
     pt = np.asarray(xi, dtype=float).reshape(1, basis.dim)
-    scaled = c / np.array([dubiner_norm_sq(idx) for idx in basis.indices])
+    scaled = c / _norm_sq(*basis.components.T)
     return float(scaled @ _dubiner_matrix(basis, pt)[:, 0])
 
 

@@ -4,8 +4,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from simplex_spectra import cli, extremal, forms
-from simplex_spectra.cli import RunConfig, _TABLE_ROWS, _fmt, main
-from simplex_spectra.errors import ParameterError
+from simplex_spectra.cli import _TABLE_ROWS, _fmt, main
 from simplex_spectra.forms import SymmetricForm
 
 
@@ -20,14 +19,6 @@ def test_fmt_round_trip_and_cap():
     assert _fmt(1.0) == "1.0"
     assert float(_fmt(1.181849168039031)) == pytest.approx(1.181849168039031, abs=1e-12)
     assert len(_fmt(np.pi).replace("-", "").replace(".", "").lstrip("0")) <= 13
-
-
-def test_run_config_validation():
-    RunConfig(command="constants", dim=1, n_min=1, n_max=3)
-    with pytest.raises(ParameterError):
-        RunConfig(command="constants", dim=1, n_min=0, n_max=3)
-    with pytest.raises(ParameterError):
-        RunConfig(command="constants", dim=1, n_min=4, n_max=3)
 
 
 def test_table_rows_match_published_ranges():

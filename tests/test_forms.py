@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,7 +17,7 @@ from simplex_spectra import (
     trace_form,
 )
 from simplex_spectra.forms import _axis_tables, _scaling_vector
-from simplex_spectra.simplex import _boundary_rule, _gl_nodes, _rule_size
+from simplex_spectra.simplex import _boundary_rule, _dubiner_matrix, _gl_nodes, _rule_size
 
 
 def orthonormal_coeffs(f, M, dim):
@@ -141,6 +143,18 @@ def test_trace_edge_closed_form():
     assert np.max(np.abs(T.entries - closed)) < 1e-13
 
 
+def test_bottom_trace_factor_matches_basis_values():
+    # the bottom piece's factor against the full basis matrix on the bottom
+    # rule's points (x_dim = -1): s * values * sqrt(w)
+    for dim, gamma, M in ((2, "edge", 6), (2, "edge", 12), (3, "face", 4), (3, "face", 9)):
+        T = trace_form(M, dim, gamma)
+        pts, w = _boundary_rule(dim, _rule_size(M))
+        want = T.scaling[:, None] * _dubiner_matrix(T.basis, pts) * np.sqrt(w)
+        assert T.factor.shape == want.shape
+        err = np.max(np.abs(T.factor - want)) / np.max(np.abs(want))
+        assert err < 1e-13, (dim, M, err)
+
+
 def test_trace_factor_reproduces_entries():
     for dim, gamma, M in ((2, "edge", 6), (3, "face", 4), (2, "full_boundary", 5)):
         T = trace_form(M, dim, gamma)
@@ -160,6 +174,25 @@ def test_trace_of_constant_is_boundary_measure():
         c = np.zeros(T.basis.cardinality)
         c[0] = c0  # orthonormal coefficient of f = 1
         assert_allclose(c @ T.entries @ c, measure, rtol=1e-12)
+
+
+def test_full_boundary_trace_matches_face_quadrature():
+    # u^2 integrated over every face, each mapped affinely from its vertices,
+    # against the full-boundary form on the coefficients of u
+    u = lambda x: (0.5 + x[:, 0] - 2.0 * x[:, -1]) ** 2 + x[:, 0] * x[:, -1]
+    for dim in (2, 3):
+        chat = orthonormal_coeffs(u, 4, dim)
+        T = trace_form(4, dim, "full_boundary")
+        y, w = _boundary_rule(dim, 12)
+        lam = (1.0 + y[:, :-1]) / 2.0
+        lam = np.column_stack([1.0 - lam.sum(axis=1), lam])
+        verts = np.vstack([-np.ones(dim), 2.0 * np.eye(dim) - 1.0])
+        direct = 0.0
+        for face in itertools.combinations(verts, dim):
+            V = np.array(face)
+            J = (V[1:] - V[0]).T / 2.0
+            direct += np.sqrt(np.linalg.det(J.T @ J)) * (w @ u(lam @ V) ** 2)
+        assert_allclose(chat @ T.entries @ chat, direct, rtol=1e-12)
 
 
 def test_trace_gamma_validation():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from simplex_spectra import (
+    BasisSet,
     ParameterError,
     SimplexIndex,
     SingularityError,
@@ -31,6 +32,7 @@ from simplex_spectra.simplex import (
     _boundary_rule,
     _check_simplex_point,
     _collapsed_grid,
+    _component_values,
     _dubiner_matrix,
     _graded_components,
     _norm_sq,
@@ -67,6 +69,9 @@ def test_enumerate_counts_and_order():
         (2, 0),
     ]
     assert b2.position(SimplexIndex(1, 1)) == 4
+    # a component array of the wrong size for (N, dim) is refused
+    with pytest.raises(ParameterError):
+        BasisSet(dim=2, N=3, components=_graded_components(2, 2))
 
 
 def test_duffy_round_trip():
@@ -137,9 +142,11 @@ def test_dubiner_gram_small():
                     E[:, 2],
                 ]
             )
-        from simplex_spectra.simplex import _dubiner_matrix
-
         tab = _dubiner_matrix(basis, pts)
+        # any component rows, repeated or out of order, evaluate to the
+        # matching rows of the basis matrix
+        rows = np.r_[np.arange(len(tab))[::-3], 0, 0, len(tab) - 1, 4]
+        assert np.array_equal(_component_values(basis.components[rows], pts), tab[rows])
         gram = (tab * w) @ tab.T
         diag = np.array([dubiner_norm_sq(i) for i in basis.indices])
         assert_allclose(np.diag(gram), diag, rtol=1e-12)
@@ -202,7 +209,13 @@ def test_basis_order_is_graded_lex():
                 key=lambda c: (sum(c), c),
             )
             assert [tuple(c) for c in _graded_components(N, dim).tolist()] == want
-            assert [i.components() for i in enumerate_basis(N, dim).indices] == want
+            basis = enumerate_basis(N, dim)
+            assert [i.components() for i in basis.indices] == want
+            # the basis holds the component array itself, read-only
+            assert np.array_equal(basis.components, _graded_components(N, dim))
+            assert not basis.components.flags.writeable
+            with pytest.raises(ValueError):
+                basis.components[0, 0] = 1
 
 
 def test_norm_sq_of_arrays_matches_per_index():
