@@ -148,7 +148,9 @@ def row_constants(
 
     The H1 form on degree 2N and the truncated numerator factor (endpoint
     evaluation in 1-D, the bottom edge in 2-D) are assembled once, when the
-    first record is asked for, and every kind shares them. A solver failure
+    first record is asked for, and every kind shares them. The additive
+    kinds are computed first, through Schur factors of the form; the
+    reduction for mult then overwrites the form in place. A solver failure
     raises when its kind is reached, after the records before it.
     """
     if dim not in (1, 2):
@@ -162,15 +164,28 @@ def row_constants(
 
 
 def _row(N: int, dim: int, wanted: list, nodes: int | None, max_iterations: int):
+    """The records of ``row_constants``. The Schur-based kinds run first and
+    drop their factors, so that the Householder reduction for mult may then
+    overwrite A; a failure to factor A is held until the mult record is out."""
     if not wanted:
         return
     A = h1_form(2 * N, dim, nodes=nodes).entries
     C = _numerator_factor(N, dim)
+    additive, failure = [], None
+    if wanted != ["mult"]:
+        try:
+            additive.extend(_additive(N, dim, A, C, wanted))
+        except NumericError as exc:
+            failure = exc
     if "mult" in wanted:
         yield _multiplicative(N, dim, A, C, max_iterations)
-    if wanted == ["mult"]:
-        return
+    yield from additive
+    if failure is not None:
+        raise failure
 
+
+def _additive(N: int, dim: int, A: np.ndarray, C: np.ndarray, wanted: list):
+    """The add_h1_denominator and h1_stability records among ``wanted``."""
     # the graded basis puts the degree <= N block, where both additive
     # numerators live, first
     n1 = math.comb(N + dim, dim)
@@ -296,10 +311,13 @@ def _tridiagonalize(A: np.ndarray, C: np.ndarray):
     """(d, e, U): the diagonal and off-diagonal of T = Q^T A Q, from one
     blocked Householder reduction of A, and U = Q^T C through the same
     reflectors. In lower storage Q = diag(1, Q1), with Q1 the product of
-    the n-1 reflectors below the first row, as LAPACK's dormtr applies it."""
+    the n-1 reflectors below the first row, as LAPACK's dormtr applies it.
+
+    The reduction overwrites A: it runs on A.T, the Fortran-ordered view of
+    the exactly symmetric A, which LAPACK takes without a copy."""
     n = A.shape[0]
     lwork, _ = dsytrd_lwork(n, lower=1)
-    c, d, e, tau, _ = dsytrd(A, lower=1, lwork=int(lwork))
+    c, d, e, tau, _ = dsytrd(A.T, lower=1, lwork=int(lwork), overwrite_a=1)
     reflectors = c[1:, : n - 1]
     _, work, _ = dormqr("L", "T", reflectors, tau, C[1:], -1)
     U = C.copy()

@@ -67,16 +67,39 @@ class SymmetricForm:
             raise ParameterError(f"entries must be {n}x{n}, got {self.entries.shape}")
         if self.scaling.shape != (n,):
             raise ParameterError(f"scaling must have length {n}")
-        scale = max(float(np.max(np.abs(self.entries))), 1e-300)
-        skew = float(np.max(np.abs(self.entries - self.entries.T)))
+        scale = max(float(self.entries.max()), -float(self.entries.min()), 1e-300)
+        skew = 0.0
+        # each row block against the matching column block, below and on
+        # the diagonal, so that no full-size temporary is made
+        for rows, lower in _row_blocks(n):
+            block = self.entries[rows, lower] - self.entries[lower, rows].T
+            skew = max(skew, float(np.max(np.abs(block))))
         if skew > 1e-13 * scale:
             raise ParameterError(f"entries are not symmetric: relative skew {skew / scale:.3e}")
         if self.factor is not None and self.factor.shape[0] != n:
             raise ParameterError("factor row count must match the basis cardinality")
 
 
+# rows per block of the volume Grams, their symmetrization and the
+# symmetry check; a block's temporaries are a few _ROW_BLOCK x card arrays
+_ROW_BLOCK = 128
+
+
+def _row_blocks(n: int):
+    """(rows, lower) slice pairs: each block of _ROW_BLOCK rows of an n x n
+    array and the columns up to its end, which hold its diagonal block."""
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        yield slice(r0, r1), slice(0, r1)
+
+
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    """a <- (a + a.T) / 2 in place, one row block at a time; returns a."""
+    for rows, lower in _row_blocks(len(a)):
+        sym = (a[rows, lower] + a[lower, rows].T) / 2.0
+        a[rows, lower] = sym
+        a[lower, rows] = sym.T
+    return a
 
 
 def _scaling_vector(basis: BasisSet) -> np.ndarray:
@@ -126,7 +149,9 @@ def _assemble_volume(basis: BasisSet, m: int, s: np.ndarray, want_stiffness: boo
     The tensor Gauss rule integrates a separable product as the product of
     per-axis sums, so each pair of terms contributes the Hadamard product
     of one card x card Gram per axis; axis k carries the collapsed volume
-    factor half**k in its weights.
+    factor half**k in its weights. The sums run over row blocks, each
+    block's per-axis Grams taken for its rows only, and are scaled and
+    symmetrized in place, so a Gram costs one card x card array.
     """
     t, _ = _gl_nodes(m)
     weights = _axis_weights(basis.dim, m)
@@ -135,14 +160,17 @@ def _assemble_volume(basis: BasisSet, m: int, s: np.ndarray, want_stiffness: boo
 
     def gram(integrands):
         out = np.zeros((basis.cardinality, basis.cardinality))
-        for terms in integrands:
-            for ca, a in terms:
-                for cb, b in terms:
-                    prod = ca * cb
-                    for k, wk in enumerate(weights):
-                        prod = prod * ((tabs[a[k], k] * wk) @ tabs[b[k], k].T)
-                    out += prod
-        return _symmetrize(s[:, None] * out * s[None, :])
+        for rows, _ in _row_blocks(basis.cardinality):
+            for terms in integrands:
+                for ca, a in terms:
+                    for cb, b in terms:
+                        prod = ca * cb
+                        for k, wk in enumerate(weights):
+                            prod = prod * ((tabs[a[k], k][rows] * wk) @ tabs[b[k], k].T)
+                        out[rows] += prod
+        out *= s[:, None]
+        out *= s
+        return _symmetrize(out)
 
     mass = gram([_VALUE[basis.dim]])
     stiff = gram(_GRADIENT[basis.dim]) if want_stiffness else None
@@ -182,8 +210,8 @@ def h1_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
     if dim == 1:
         entries = _interval_h1(s)
     else:
-        mass, stiff = _assemble_volume(basis, m, s, want_stiffness=True)
-        entries = mass + stiff
+        entries, stiff = _assemble_volume(basis, m, s, want_stiffness=True)
+        entries += stiff
     return SymmetricForm(basis=basis, kind="h1", entries=entries, scaling=s)
 
 

@@ -115,7 +115,12 @@ class BasisSet:
         return tuple(SimplexIndex(*c) for c in self.components.tolist())
 
     def position(self, idx: SimplexIndex) -> int:
-        return self.indices.index(idx)
+        """Row of idx in the components; ParameterError if it is not there."""
+        if idx.dim == self.dim:
+            hits = np.flatnonzero((self.components == idx.components()).all(axis=1))
+            if hits.size:
+                return int(hits[0])
+        raise ParameterError(f"index {idx!r} is not in the {self.dim}D degree-{self.N} basis")
 
 
 def _check_int(name: str, value, least: int = 0) -> int:
@@ -230,6 +235,17 @@ def _check_simplex_point(pts: np.ndarray, dim: int) -> None:
         raise ParameterError("point outside the closed reference simplex")
 
 
+def _simplex_point(xi, dim: int) -> np.ndarray:
+    """One point of the closed simplex as a (1, dim) array; ParameterError
+    unless xi has dim coordinates and lies in the simplex."""
+    pt = np.asarray(xi, dtype=float)
+    if pt.size != dim:
+        raise ParameterError(f"point must have {dim} coordinates, got shape {pt.shape}")
+    pt = pt.reshape(1, dim)
+    _check_simplex_point(pt, dim)
+    return pt
+
+
 def _dubiner_matrix(basis: BasisSet, pts) -> np.ndarray:
     """Values of every basis function at the given points, shape (card, npts)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -271,8 +287,7 @@ def dubiner_eval(idx: SimplexIndex, xi, dim: int) -> float:
         raise ParameterError(f"dim must be 2 or 3, got {dim}")
     if idx.dim != dim:
         raise ParameterError(f"index {idx!r} is {idx.dim}-dimensional, not {dim}")
-    pt = np.asarray(xi, dtype=float).reshape(1, dim)
-    _check_simplex_point(pt, dim)
+    pt = _simplex_point(xi, dim)
     return float(_component_values(np.array([idx.components()]), pt)[0, 0])
 
 
@@ -379,15 +394,16 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
 
 
 def synthesize(coeffs, basis: BasisSet, xi) -> float:
-    """Evaluate the expansion with raw inner-product coefficients at one point."""
+    """Evaluate the expansion with raw inner-product coefficients at one
+    point of the closed simplex."""
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (basis.cardinality,):
         raise ParameterError(
             f"coefficient length {c.shape} does not match basis cardinality {basis.cardinality}"
         )
-    pt = np.asarray(xi, dtype=float).reshape(1, basis.dim)
+    pt = _simplex_point(xi, basis.dim)
     scaled = c / _norm_sq(*basis.components.T)
-    return float(scaled @ _dubiner_matrix(basis, pt)[:, 0])
+    return float(scaled @ _component_values(basis.components, pt)[:, 0])
 
 
 def transformed_gradient(u_grad, eta) -> np.ndarray:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -372,6 +374,25 @@ def test_row_constants_share_one_row():
         row_constants(2, 2, ("mult", "slope"))
     with pytest.raises(ParameterError):
         row_constants(0, 2)
+
+
+def test_triangle_row_peak_memory():
+    # the blocked H1 assembly, in-place symmetrization and the reduction in
+    # place after the Schur kinds keep a row within three arrays of the
+    # basis size
+    unit = math.comb(2 * 24 + 2, 2) ** 2 * 8
+    tracemalloc.start()
+    try:
+        list(row_constants(24, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * unit, peak / unit
+    # the reduction takes the form in place rather than a copy of it
+    A = h1_form(8, 2).entries
+    before = A.copy()
+    extremal._tridiagonalize(A, extremal._numerator_factor(4, 2))
+    assert not np.array_equal(A, before)
 
 
 def test_iteration_budget_exhaustion():

@@ -16,7 +16,7 @@ from simplex_spectra import (
     projection_form,
     trace_form,
 )
-from simplex_spectra.forms import _axis_tables, _scaling_vector
+from simplex_spectra.forms import _ROW_BLOCK, _axis_tables, _scaling_vector
 from simplex_spectra.simplex import _boundary_rule, _dubiner_matrix, _gl_nodes, _rule_size
 
 
@@ -113,11 +113,15 @@ def _tensor_grid_grams(M, dim, nodes):
 
 def test_volume_grams_match_tensor_grid():
     # in 1-D this is the quadrature cross-check of the closed-form H1 Gram
-    for M, dim, nodes in ((12, 1, None), (7, 2, None), (5, 3, None), (6, 2, 23), (4, 3, 15)):
+    # (16, 2) and (8, 3) span more than one row block of the assembly
+    cases = ((12, 1, None), (7, 2, None), (5, 3, None), (6, 2, 23), (4, 3, 15), (16, 2, None), (8, 3, None))
+    for M, dim, nodes in cases:
         mass, h1 = _tensor_grid_grams(M, dim, _rule_size(M) if nodes is None else nodes)
         for form, ref in ((mass_form(M, dim, nodes=nodes), mass), (h1_form(M, dim, nodes=nodes), h1)):
             err = np.max(np.abs(form.entries - ref)) / np.max(np.abs(ref))
             assert err < 1e-13, (form.kind, M, dim, nodes, err)
+            # exactly symmetric, so that a reduction may read either triangle
+            assert np.array_equal(form.entries, form.entries.T), (form.kind, M, dim)
 
 
 def test_h1_dominates_mass():
@@ -277,3 +281,22 @@ def test_form_validation():
             mass_form(3, 2, nodes=nodes)
         with pytest.raises(ParameterError):
             h1_form(3, 1, nodes=nodes)
+
+
+def test_symmetry_check_covers_every_block():
+    # more rows than one block, so the last block is a partial one
+    basis = enumerate_basis(19, 2)
+    n = basis.cardinality
+    assert _ROW_BLOCK < n < 2 * _ROW_BLOCK
+    s = np.ones(n)
+    # the scale is the largest magnitude, here that of a negative entry
+    good = -1e3 * np.eye(n)
+    SymmetricForm(basis=basis, kind="mass", entries=good, scaling=s)
+    for i, j in ((n - 1, n - 2), (n - 3, 3), (3, n - 3), (5, 2), (0, _ROW_BLOCK)):
+        bad = good.copy()
+        bad[i, j] += 1e-9
+        with pytest.raises(ParameterError, match="not symmetric"):
+            SymmetricForm(basis=basis, kind="mass", entries=bad, scaling=s)
+        # a skew under 1e-13 of the scale is roundoff, and is accepted
+        bad[i, j] = good[i, j] + 1e-11
+        SymmetricForm(basis=basis, kind="mass", entries=bad, scaling=s)

@@ -69,6 +69,13 @@ def test_enumerate_counts_and_order():
         (2, 0),
     ]
     assert b2.position(SimplexIndex(1, 1)) == 4
+    # position is the row of the components; an index off the basis is refused
+    for dim, N in ((1, 4), (2, 3), (3, 2)):
+        basis = enumerate_basis(N, dim)
+        assert [basis.position(i) for i in basis.indices] == list(range(basis.cardinality))
+    for idx in (SimplexIndex(3, 0), SimplexIndex(1), SimplexIndex(0, 0, 0)):
+        with pytest.raises(ParameterError, match="not in"):
+            b2.position(idx)
     # a component array of the wrong size for (N, dim) is refused
     with pytest.raises(ParameterError):
         BasisSet(dim=2, N=3, components=_graded_components(2, 2))
@@ -297,6 +304,21 @@ def test_synthesize_length_check():
     basis = enumerate_basis(3, 2)
     with pytest.raises(ParameterError):
         synthesize(np.ones(5), basis, np.array([-0.5, -0.5]))
+
+
+def test_synthesize_checks_its_point():
+    basis = enumerate_basis(3, 2)
+    c = np.ones(basis.cardinality)
+    with pytest.raises(ParameterError, match="outside"):
+        synthesize(c, basis, [0.9, 0.9])
+    for xi in ([-0.5, -0.5, -0.5], [-0.5]):
+        with pytest.raises(ParameterError, match="coordinates"):
+            synthesize(c, basis, xi)
+        with pytest.raises(ParameterError, match="coordinates"):
+            dubiner_eval(SimplexIndex(1, 1), xi, 2)
+    # the closed simplex is accepted, its vertices included
+    for xi in ([1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]):
+        assert np.isfinite(synthesize(c, basis, xi))
 
 
 def test_transformed_gradient_chain_rule():
