@@ -3,12 +3,10 @@ Jacobi evaluation and quadrature, coupling-factor identities, collapsed
 coordinate bases, dense quadratic forms, and the extremal constants of the
 boundary projection estimates."""
 
-from .errors import IterationError, NumericError, ParameterError, SingularityError
+from .errors import NumericError, ParameterError, SingularityError
 from .extremal import (
     ConstantRecord,
     EigenSolution,
-    additive_constant,
-    multiplicative_constant,
     rayleigh_sup,
     row_constants,
     trace_error_rate,

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .errors import IterationError, NumericError
+from .errors import NumericError
 from .extremal import _KINDS, row_constants, trace_error_rate
 from .forms import h1_form, mass_form, trace_form
 from .identities import (
@@ -99,11 +99,8 @@ def _emit_constants(dim: int, kinds, quad_safety: int, ns, stream) -> int:
                     file=stream,
                 )
                 pending.pop(0)
-        except (IterationError, NumericError) as exc:
-            best = getattr(exc, "best", None)
-            its = best.iterations if best is not None else 0
-            res = _fmt(best.residual) if best is not None else "nan"
-            print(f"{dim},{N},{pending[0]},error,{its},{res}", file=stream)
+        except NumericError as exc:
+            print(f"{dim},{N},{pending[0]},error,0,nan", file=stream)
             print(f"solver failure at N={N} kind={pending[0]}: {exc}", file=sys.stderr)
             return 1
     return 0
@@ -291,8 +288,7 @@ def _run_rates(args, parser) -> int:
     if b == a:
         parser.error(f"rates needs at least two degrees to fit a rate, got {args.n!r}")
     fn = _rate_function(args.family, a, parser)
-    nodes = None if args.quad_safety == 0 else 2 * b + 40 + args.quad_safety
-    rows, slope, _ = trace_error_rate(fn, list(range(a, b + 1)), nodes=nodes)
+    rows, slope, _ = trace_error_rate(fn, list(range(a, b + 1)), quad_safety=args.quad_safety)
     stream = open(args.out, "w") if args.out else sys.stdout
     try:
         print("family,N,error", file=stream)

@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["ParameterError", "SingularityError", "NumericError", "IterationError"]
+__all__ = ["ParameterError", "SingularityError", "NumericError"]
 
 
 class ParameterError(ValueError):
@@ -14,14 +14,3 @@ class SingularityError(ValueError):
 class NumericError(RuntimeError):
     """A numerical precondition failed; the message carries diagnostics."""
 
-
-class IterationError(RuntimeError):
-    """An iteration hit its cap before reaching tolerance.
-
-    The best iterate seen so far is attached as ``best`` so callers can
-    inspect or accept it.
-    """
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best

@@ -27,6 +27,7 @@ the oracle these reductions are tested against, as the quadrature-assembled
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,23 +42,20 @@ from scipy.linalg import (
 )
 from scipy.linalg.lapack import dormqr, dptsv, dsytrd, dsytrd_lwork
 
-from .errors import IterationError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .forms import SymmetricForm, h1_form
-from .jacobi import JacobiWeight, _jacobi_table
-from .simplex import _check_int, _gl_nodes, _graded_components, _norm_sq, analyze
+from .jacobi import JacobiWeight, _check_int, _jacobi_table
+from .simplex import _gl_nodes, _graded_components, _norm_sq, analyze
 
 __all__ = [
     "EigenSolution",
     "ConstantRecord",
     "rayleigh_sup",
     "row_constants",
-    "additive_constant",
-    "multiplicative_constant",
     "trace_error_rate",
 ]
 
 _KINDS = ("mult", "add_h1_denominator", "h1_stability")
-_NUMERATORS = ("trace", "point", "h1_of_projection")
 _LOG_R_WIDTH = 1e-14
 
 
@@ -139,12 +137,16 @@ def rayleigh_sup(B: SymmetricForm, G: SymmetricForm) -> EigenSolution:
     return EigenSolution(lambda_max=lam, vector=v, ortho_residual=ortho)
 
 
-def row_constants(
-    N: int, dim: int, kinds=_KINDS, nodes: int | None = None, max_iterations: int = 1000
-):
+def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):
     """The constants of one (N, dim) row: an iterator of one ConstantRecord
     per requested kind, in the order of ("mult", "add_h1_denominator",
     "h1_stability").
+
+    A record's ``iterations`` counts its solver's eigenvalue evaluations
+    and its ``residual`` certifies the value. For mult, the bisection in
+    log r of ``_multiplicative``, the residual is |d lambda/ds| / lambda at
+    the result. The additive kinds take one eigensolve each, and the
+    residual is the A^-1 norm of the eigen-residual in the full pencil.
 
     The H1 form on degree 2N and the truncated numerator factor (endpoint
     evaluation in 1-D, the bottom edge in 2-D) are assembled once, when the
@@ -159,11 +161,10 @@ def row_constants(
     unknown = [k for k in kinds if k not in _KINDS]
     if unknown:
         raise ParameterError(f"kinds must be among {_KINDS}, got {unknown}")
-    max_iterations = _check_int("max_iterations", max_iterations, least=1)
-    return _row(N, dim, [k for k in _KINDS if k in kinds], nodes, max_iterations)
+    return _row(N, dim, [k for k in _KINDS if k in kinds], nodes)
 
 
-def _row(N: int, dim: int, wanted: list, nodes: int | None, max_iterations: int):
+def _row(N: int, dim: int, wanted: list, nodes: int | None):
     """The records of ``row_constants``. The Schur-based kinds run first and
     drop their factors, so that the Householder reduction for mult may then
     overwrite A; a failure to factor A is held until the mult record is out."""
@@ -178,7 +179,7 @@ def _row(N: int, dim: int, wanted: list, nodes: int | None, max_iterations: int)
         except NumericError as exc:
             failure = exc
     if "mult" in wanted:
-        yield _multiplicative(N, dim, A, C, max_iterations)
+        yield _multiplicative(N, dim, A, C)
     yield from additive
     if failure is not None:
         raise failure
@@ -272,41 +273,6 @@ def _pencil_residual(A: np.ndarray, factors, v1: np.ndarray, Bv1: np.ndarray, la
     return math.sqrt((y1 @ y1 + y2 @ y2) / (v @ Av))
 
 
-def additive_constant(N: int, dim: int, numerator: str, nodes: int | None = None) -> ConstantRecord:
-    """Sharp constant of the additive estimate: the top eigenvalue of the
-    degree-N-truncated numerator form against the full H1 form on degree 2N.
-
-    The h1_of_projection variant reports the stability ratio divided by N+1.
-    """
-    if numerator not in _NUMERATORS:
-        raise ParameterError(f"numerator must be one of {_NUMERATORS}, got {numerator!r}")
-    if numerator == "point" and dim != 1:
-        raise ParameterError("the point numerator is the interval case (dim 1)")
-    if numerator == "trace" and dim != 2:
-        raise ParameterError("the trace numerator is the triangle case (dim 2)")
-    kind = "h1_stability" if numerator == "h1_of_projection" else "add_h1_denominator"
-    return next(row_constants(N, dim, (kind,), nodes=nodes))
-
-
-def multiplicative_constant(
-    N: int, dim: int, nodes: int | None = None, max_iterations: int = 1000
-) -> ConstantRecord:
-    """Sharp constant of the multiplicative estimate, as the maximum over
-    the split parameter r of lambda(r) = lambda_max(2B, r I + A/r).
-
-    With A = Q T Q^T, T tridiagonal, and U = Q^T C for the numerator
-    factor C, each lambda(r) is the top eigenvalue of the k x k matrix
-    2 U^T Z, where Z = (r I + T/r)^-1 U comes from one tridiagonal solve
-    and k is C's column count (1 in 1-D, N+1 in 2-D). Its slope in
-    s = log r changes sign from nonnegative to nonpositive across
-    [log a_min, log a_max] / 2, with a_min and a_max the extreme
-    eigenvalues of T, and the root is bisected on that bracket;
-    ``iterations`` counts the lambda evaluations and ``residual`` is
-    |d lambda/ds| / lambda at the result.
-    """
-    return next(row_constants(N, dim, ("mult",), nodes=nodes, max_iterations=max_iterations))
-
-
 def _tridiagonalize(A: np.ndarray, C: np.ndarray):
     """(d, e, U): the diagonal and off-diagonal of T = Q^T A Q, from one
     blocked Householder reduction of A, and U = Q^T C through the same
@@ -325,9 +291,23 @@ def _tridiagonalize(A: np.ndarray, C: np.ndarray):
     return d, e, U
 
 
-def _multiplicative(
-    N: int, dim: int, A: np.ndarray, C: np.ndarray, max_iterations: int
-) -> ConstantRecord:
+def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantRecord:
+    """The mult record, as the maximum over the split parameter r of
+    lambda(r) = lambda_max(2B, r I + A/r).
+
+    With A = Q T Q^T, T tridiagonal, and U = Q^T C for the numerator
+    factor C, each lambda(r) is the top eigenvalue of the k x k matrix
+    2 U^T Z, where Z = (r I + T/r)^-1 U comes from one tridiagonal solve
+    and k is C's column count (1 in 1-D, N+1 in 2-D). Its slope in
+    s = log r changes sign from nonnegative to nonpositive across
+    [log a_min, log a_max] / 2, with a_min and a_max the extreme
+    eigenvalues of T, and the root is bisected on that bracket.
+
+    The bracket is finite, since T is finite and a_min > 0, so its width is
+    at most log(2^1024 / 2^-1074) / 2 < 728. Each evaluation halves it, so
+    it falls below the stopping width 1e-14 max(1, |s|) within 58
+    evaluations and the loop needs no cap.
+    """
     d, e, U = _tridiagonalize(A, C)
     n = d.size
     a_min, a_max = (
@@ -340,8 +320,7 @@ def _multiplicative(
         )
 
     lo, hi = 0.5 * math.log(a_min), 0.5 * math.log(a_max)
-    value, residual = np.nan, np.inf
-    for it in range(1, max_iterations + 1):
+    for it in itertools.count(1):
         s = (lo + hi) / 2.0
         r = math.exp(s)
         _, _, Z, info = dptsv(r + d / r, e / r, U)
@@ -355,8 +334,8 @@ def _multiplicative(
         Tz[:-1] += e * z[1:]
         Tz[1:] += e * z[:-1]
         slope = -2.0 * float(z @ (r * z - Tz / r))
-        residual = abs(slope) / value
         if hi - lo <= _LOG_R_WIDTH * max(1.0, abs(s)):
+            residual = abs(slope) / value
             return ConstantRecord(
                 dim=dim, N=N, kind="mult", value=value, iterations=it, residual=residual
             )
@@ -364,21 +343,14 @@ def _multiplicative(
             lo = s
         else:
             hi = s
-    best = ConstantRecord(
-        dim=dim, N=N, kind="mult", value=value, iterations=max_iterations, residual=residual
-    )
-    raise IterationError(
-        f"bisection in log r did not settle in {max_iterations} evaluations "
-        f"(bracket width {hi - lo:.3e})",
-        best=best,
-    )
 
 
-def trace_error_rate(u, N_list, nodes: int | None = None):
+def trace_error_rate(u, N_list, quad_safety: int = 0):
     """Boundary L2 errors of the volume projections of u on the triangle,
     with the log-log slope of error against N+1 fitted above a roundoff floor.
 
-    The error is measured on the edge y = -1. The analysis of u in floating
+    Degree N analyzes u on 2N + 40 + quad_safety points per direction. The
+    error is measured on the edge y = -1. The analysis of u in floating
     point leaves an error plateau that grows like (N+1)^2 and scales with
     the size of u on that edge, so each degree gets the floor
 
@@ -394,6 +366,7 @@ def trace_error_rate(u, N_list, nodes: int | None = None):
     with the rows.
     """
     Ns = [_check_int("each degree", n, least=1) for n in N_list]
+    quad_safety = _check_int("quad_safety", quad_safety)
     if len(Ns) < 2:
         raise ParameterError("need at least two degrees to fit a rate")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
@@ -406,8 +379,7 @@ def trace_error_rate(u, N_list, nodes: int | None = None):
 
     rows = []
     for N in Ns:
-        m = nodes if nodes is not None else 2 * N + 40
-        raw = analyze(u, N, 2, nodes=m)
+        raw = analyze(u, N, 2, nodes=2 * N + 40 + quad_safety)
         # collapse onto the edge: the endpoint sign (-1)^q over the norm,
         # summed per p in basis order
         p, q = _graded_components(N, 2).T

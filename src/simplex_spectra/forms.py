@@ -12,18 +12,20 @@ factorization), built from the per-axis weights and factor tables of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .errors import ParameterError
+from .jacobi import _check_int
 from .simplex import (
+    _BOTTOM,
     BasisSet,
     _axis_factors,
     _axis_weights,
     _boundary_rule,
-    _check_int,
     _component_values,
     _dubiner_matrix,
     _gl_nodes,
@@ -67,7 +69,10 @@ class SymmetricForm:
             raise ParameterError(f"entries must be {n}x{n}, got {self.entries.shape}")
         if self.scaling.shape != (n,):
             raise ParameterError(f"scaling must have length {n}")
-        scale = max(float(self.entries.max()), -float(self.entries.min()), 1e-300)
+        hi, lo = float(self.entries.max()), float(self.entries.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise ParameterError("entries must be finite")
+        scale = max(hi, -lo, 1e-300)
         skew = 0.0
         # each row block against the matching column block, below and on
         # the diagonal, so that no full-size temporary is made
@@ -219,13 +224,12 @@ def trace_form(M: int, dim: int, gamma: str, nodes: int | None = None) -> Symmet
     """Boundary Gram over the selected piece: the bottom edge (2D), the
     bottom face (3D), or the whole boundary via the affine face maps."""
     M = _check_int("degree", M)
-    if dim not in (2, 3):
+    if dim not in _BOTTOM:
         raise ParameterError(f"trace forms need dim 2 or 3, got {dim}")
-    allowed = {"2edge": (2, "edge"), "3face": (3, "face")}
-    if gamma not in ("edge", "face", "full_boundary"):
-        raise ParameterError(f"gamma must be edge, face, or full_boundary, got {gamma!r}")
-    if gamma in ("edge", "face") and allowed.get(f"{dim}{gamma}") != (dim, gamma):
-        raise ParameterError(f"gamma {gamma!r} does not name a boundary piece of the {dim}D simplex")
+    if gamma not in (_BOTTOM[dim], "full_boundary"):
+        raise ParameterError(
+            f"gamma must be {_BOTTOM[dim]!r} or 'full_boundary' in {dim}D, got {gamma!r}"
+        )
     basis = enumerate_basis(M, dim)
     s = _scaling_vector(basis)
     bottom, w = _boundary_rule(dim, _node_count(M, nodes))

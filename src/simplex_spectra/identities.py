@@ -11,6 +11,7 @@ import numpy as np
 from .errors import ParameterError
 from .jacobi import (
     JacobiWeight,
+    _check_int,
     _deriv_table,
     _g1,
     _g2,
@@ -108,21 +109,12 @@ class VerificationReport:
         return self.max_residual <= self.tolerance
 
 
-def _check_index(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 _FACTORS = {"h1": _h1, "h2": _h2, "h3": _h3, "g1": _g1, "g2": _g2, "g3": _g3}
 
 
 def factors(q: int, alpha: int) -> FactorTable:
     """All six factors at integer (q, alpha), both nonnegative."""
-    q = _check_index(q, "q")
-    alpha = _check_index(alpha, "alpha")
-    if q < 0 or alpha < 0:
-        raise ParameterError(f"factors need q >= 0 and alpha >= 0, got q={q}, alpha={alpha}")
+    q, alpha = _check_int("q", q), _check_int("alpha", alpha)
     values = {}
     for label, formula in _FACTORS.items():
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -144,9 +136,7 @@ def connect_coefficients(b, alpha: int) -> np.ndarray:
     bs = np.asarray(b, dtype=float)
     if bs.ndim != 1 or bs.size < 3:
         raise ParameterError("need at least 3 derivative coefficients")
-    alpha = _check_index(alpha, "alpha")
-    if alpha < 0:
-        raise ParameterError(f"alpha must be nonnegative, got {alpha}")
+    alpha = _check_int("alpha", alpha)
     fa = float(alpha)
     qs = np.arange(1, bs.size - 1, dtype=float)
     u = np.full(bs.size - 1, np.nan)
@@ -160,10 +150,8 @@ def expand_pair(fn, dfn, alpha: int, n_terms: int, degree: int = 30) -> Coeffici
     ``degree`` bounds the polynomial degree of fn so the rule can be chosen
     degree-exact.
     """
-    alpha = _check_index(alpha, "alpha")
-    n_terms = _check_index(n_terms, "n_terms")
-    if n_terms < 1:
-        raise ParameterError("n_terms must be positive")
+    alpha = _check_int("alpha", alpha)
+    n_terms = _check_int("n_terms", n_terms, least=1)
     w = JacobiWeight(float(alpha), 0.0)
     m = (degree + n_terms) // 2 + 4
     rule = gauss_jacobi_rule(m, w)
@@ -181,12 +169,8 @@ def verify_factor_identities(q_max: int, alpha_max: int, _h2_offset: float = 0.0
     ``_h2_offset`` is a fault-injection hook for the verification harness:
     it shifts the h2 value used in the cancellation sum only.
     """
-    q_max = _check_index(q_max, "q_max")
-    alpha_max = _check_index(alpha_max, "alpha_max")
-    if q_max < 2:
-        raise ParameterError(f"q_max must be at least 2, got {q_max}")
-    if alpha_max < 0:
-        raise ParameterError(f"alpha_max must be nonnegative, got {alpha_max}")
+    q_max = _check_int("q_max", q_max, least=2)
+    alpha_max = _check_int("alpha_max", alpha_max)
     q = np.arange(1.0, q_max + 1.0)[:, None]
     a = np.arange(0.0, alpha_max + 1.0)[None, :]
 
@@ -320,10 +304,8 @@ def verify_deriv_norm_bound(q_max: int, alpha_max: int) -> VerificationReport:
     """Weighted L2 norms of derivatives against the closed-form bound
     4 q (q+1+alpha)^2 gamma_q; values are reported as normalized violations
     (negative means the bound holds with margin)."""
-    q_max = _check_index(q_max, "q_max")
-    alpha_max = _check_index(alpha_max, "alpha_max")
-    if q_max < 1:
-        raise ParameterError(f"q_max must be at least 1, got {q_max}")
+    q_max = _check_int("q_max", q_max, least=1)
+    alpha_max = _check_int("alpha_max", alpha_max)
     worst, worst_case, n = -np.inf, "", 0
     for alpha in range(alpha_max + 1):
         fa = float(alpha)

@@ -72,10 +72,12 @@ class QuadratureRule:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
-def _check_degree(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ParameterError(f"degree must be an integer, got {n!r}")
-    return int(n)
+def _check_int(name: str, value, least: int = 0) -> int:
+    """value as an int; ParameterError unless it is an integer (not a bool)
+    of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _recurrence_coeffs(n: float, alpha: float, beta: float):
@@ -98,9 +100,7 @@ def _degree_one(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
 
 def jacobi_eval(n: int, weight: JacobiWeight, x) -> np.ndarray:
     """Value of the degree-n polynomial at x (scalar or array)."""
-    n = _check_degree(n)
-    if n < 0:
-        raise ParameterError(f"degree must be nonnegative, got {n}")
+    n = _check_int("degree", n)
     return _jacobi_table(n, weight, x)[n]
 
 
@@ -153,9 +153,7 @@ def _scaled_jacobi_table(n: int, weight: JacobiWeight, num, den) -> np.ndarray:
 
 def jacobi_deriv(n: int, weight: JacobiWeight, x) -> np.ndarray:
     """First derivative of the degree-n polynomial at x."""
-    n = _check_degree(n)
-    if n < 0:
-        raise ParameterError(f"degree must be nonnegative, got {n}")
+    n = _check_int("degree", n)
     xs = np.asarray(x, dtype=float)
     if n == 0:
         return np.zeros_like(xs)
@@ -165,9 +163,7 @@ def jacobi_deriv(n: int, weight: JacobiWeight, x) -> np.ndarray:
 
 def jacobi_norm_sq(n: int, weight: JacobiWeight) -> float:
     """Squared weighted L2 norm of the degree-n polynomial."""
-    n = _check_degree(n)
-    if n < 0:
-        raise ParameterError(f"degree must be nonnegative, got {n}")
+    n = _check_int("degree", n)
     a, b = weight.alpha, weight.beta
     # one-sided weights have an exact closed form; keep it free of gammaln
     # roundoff because downstream scalings divide by these values
@@ -217,9 +213,7 @@ def jacobi_antideriv(n: int, alpha: float, x) -> np.ndarray:
     Returns the degree-n polynomial that vanishes at x = -1 and whose
     derivative is the degree-(n-1) one. Requires n >= 1.
     """
-    n = _check_degree(n)
-    if n <= 0:
-        raise ParameterError(f"antiderivative needs degree n >= 1, got {n}")
+    n = _check_int("antiderivative degree", n, least=1)
     xs = np.asarray(x, dtype=float)
     if n == 1:
         return xs + 1.0
@@ -235,9 +229,7 @@ def gauss_jacobi_rule(m: int, weight: JacobiWeight) -> QuadratureRule:
     the recurrence coefficients; weights are the squared first eigenvector
     components scaled by the zeroth moment.
     """
-    m = _check_degree(m)
-    if m < 1:
-        raise ParameterError(f"rule needs at least one node, got m={m}")
+    m = _check_int("node count", m, least=1)
     a, b = weight.alpha, weight.beta
     ab = a + b
     diag = np.empty(m)

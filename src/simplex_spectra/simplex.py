@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ParameterError, SingularityError
 from .jacobi import (
     JacobiWeight,
+    _check_int,
     _deriv_table,
     _h2,
     _h3,
@@ -121,14 +122,6 @@ class BasisSet:
             if hits.size:
                 return int(hits[0])
         raise ParameterError(f"index {idx!r} is not in the {self.dim}D degree-{self.N} basis")
-
-
-def _check_int(name: str, value, least: int = 0) -> int:
-    """value as an int; ParameterError unless it is an integer (not a bool)
-    of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def _graded_components(N: int, dim: int) -> np.ndarray:
@@ -509,6 +502,10 @@ def trace_coefficient_sum(f, p: int, q: int, N: int, nodes: int = 40):
     return tail, short
 
 
+# the bottom boundary piece x_dim = -1 of each simplex that has one
+_BOTTOM = {2: "edge", 3: "face"}
+
+
 def _boundary_rule(dim: int, m: int):
     """Quadrature for the bottom edge (2D) or bottom face (3D): the
     (dim-1)-dimensional collapsed grid with x_dim = -1, and its weights."""
@@ -533,12 +530,10 @@ def boundary_trace_parseval(f, dim: int, gamma: str, N: int = 12) -> float:
     endpoint signs, and sums the squared collapsed coefficients against the
     boundary basis norms. Exact when f is a polynomial of degree <= N.
     """
-    if dim == 2 and gamma != "edge":
-        raise ParameterError(f"2D boundary piece must be 'edge', got {gamma!r}")
-    if dim == 3 and gamma != "face":
-        raise ParameterError(f"3D boundary piece must be 'face', got {gamma!r}")
-    if dim not in (2, 3):
+    if dim not in _BOTTOM:
         raise ParameterError(f"dim must be 2 or 3, got {dim}")
+    if gamma != _BOTTOM[dim]:
+        raise ParameterError(f"{dim}D boundary piece must be {_BOTTOM[dim]!r}, got {gamma!r}")
     # collapse the last component c with its factor's endpoint value
     # (-1)^c (2c + alpha + 1)/2, alpha = 2s + dim - 1
     sums = {}

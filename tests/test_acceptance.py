@@ -9,13 +9,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from simplex_spectra import (
-    additive_constant,
     analyze,
     dubiner_norm_sq,
     enumerate_basis,
     h1_form,
     mass_form,
-    multiplicative_constant,
     row_constants,
     trace_error_rate,
     trace_form,
@@ -99,10 +97,7 @@ TABLE_1_ROWS = {
 def interval_rows():
     t0 = time.perf_counter()
     rows = {
-        N: (
-            multiplicative_constant(N, 1).value,
-            additive_constant(N, 1, "point").value,
-        )
+        N: tuple(r.value for r in row_constants(N, 1, ("mult", "add_h1_denominator")))
         for N in INTERVAL_TABLE
     }
     return rows, time.perf_counter() - t0
@@ -113,11 +108,7 @@ def triangle_rows():
     rows, times = {}, {}
     for N in TRIANGLE_TABLE:
         t0 = time.perf_counter()
-        rows[N] = (
-            multiplicative_constant(N, 2).value,
-            additive_constant(N, 2, "trace").value,
-            additive_constant(N, 2, "h1_of_projection").value,
-        )
+        rows[N] = tuple(r.value for r in row_constants(N, 2))
         times[N] = time.perf_counter() - t0
     return rows, times
 
@@ -134,7 +125,7 @@ def test_interval_extended_precision_values(interval_rows):
     rows, _ = interval_rows
     assert abs(rows[1][0] - 1.181849168039031) <= 1e-11
     assert abs(rows[1][1] - 0.875) <= 1e-8
-    v120 = multiplicative_constant(120, 1).value
+    v120 = next(row_constants(120, 1, ("mult",))).value
     assert abs(v120 - 2.99018284042270) <= 1e-8
 
 

@@ -189,6 +189,22 @@ def test_rates_analytic_slope(capsys):
     assert slope <= -3.0
 
 
+def test_rates_quad_safety_adds_to_each_degree(capsys, monkeypatch):
+    # --quad-safety K analyzes degree N on 2N + 40 + K points, not on one
+    # rule sized for the largest degree
+    seen = []
+    real = extremal.analyze
+
+    def recorded(u, N, dim, nodes=None):
+        seen.append((N, nodes))
+        return real(u, N, dim, nodes=nodes)
+
+    monkeypatch.setattr(extremal, "analyze", recorded)
+    code, _, _ = run(capsys, "rates", "--family", "analytic", "--n", "4..6", "--quad-safety", "1")
+    assert code == 0
+    assert seen == [(4, 49), (5, 51), (6, 53)]
+
+
 def test_usage_errors_exit_two(capsys):
     bad_argvs = [
         ["constants", "--dim", "1", "--n", "5..2"],

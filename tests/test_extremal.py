@@ -8,14 +8,11 @@ from numpy.testing import assert_allclose
 
 from simplex_spectra import (
     ConstantRecord,
-    IterationError,
     NumericError,
     ParameterError,
-    additive_constant,
     enumerate_basis,
     h1_form,
     mass_form,
-    multiplicative_constant,
     point_eval_form,
     projection_form,
     rayleigh_sup,
@@ -28,6 +25,11 @@ from simplex_spectra.forms import SymmetricForm
 
 # (N, dim) rows checked against the assembled dense pencil
 _DENSE_ROWS = ((2, 1), (6, 1), (3, 2), (5, 2))
+
+
+def one_constant(N, dim, kind):
+    """The record of one kind, from a row that computes only that kind."""
+    return next(row_constants(N, dim, (kind,)))
 
 
 def small_form(entries):
@@ -77,23 +79,21 @@ def test_rayleigh_rejects_mismatched_bases():
 
 def test_additive_interval_closed_form():
     # N=1: numerator u(1)^2 over P_1 truncation, denominator full H1 on P_2
-    rec = additive_constant(1, 1, "point")
+    rec = one_constant(1, 1, "add_h1_denominator")
     assert_allclose(rec.value, 7.0 / 8.0, atol=1e-12)
     assert rec.kind == "add_h1_denominator"
     assert rec.dim == 1 and rec.N == 1
 
 
 def test_additive_validation():
-    with pytest.raises(ParameterError):
-        additive_constant(2, 2, "point")
-    with pytest.raises(ParameterError):
-        additive_constant(2, 1, "trace")
-    with pytest.raises(ParameterError):
-        additive_constant(2, 1, "mass")
-    with pytest.raises(ParameterError):
-        additive_constant(0, 1, "point")
-    with pytest.raises(ParameterError):
-        additive_constant(2, 3, "h1_of_projection")
+    for N, dim, kind in (
+        (2, 1, "mass"),
+        (0, 1, "add_h1_denominator"),
+        (2, 3, "add_h1_denominator"),
+        (2, 3, "h1_stability"),
+    ):
+        with pytest.raises(ParameterError):
+            row_constants(N, dim, (kind,))
 
 
 def test_constant_record_validation():
@@ -116,7 +116,7 @@ def test_constant_record_validation():
 
 def test_multiplicative_interval_closed_form():
     # N=1 admits a two-coefficient closed form; its maximum is known exactly
-    rec = multiplicative_constant(1, 1)
+    rec = one_constant(1, 1, "mult")
     assert_allclose(rec.value, 1.181849168039031, atol=1e-11)
     assert rec.kind == "mult"
     assert rec.residual <= 1e-12
@@ -146,7 +146,7 @@ def test_multiplicative_matches_exhaustive_sampling():
     N = 3
     rng = np.random.default_rng(5)
     for dim in (1, 2):
-        rec = multiplicative_constant(N, dim)
+        rec = one_constant(N, dim, "mult")
         B, mass, A = _mult_forms(N, dim)
         for _ in range(50):
             v = rng.standard_normal(mass.basis.cardinality)
@@ -157,7 +157,7 @@ def test_multiplicative_matches_exhaustive_sampling():
 
 
 def test_multiplicative_monotone_in_degree():
-    vals = [multiplicative_constant(N, 1).value for N in (1, 2, 3, 4)]
+    vals = [one_constant(N, 1, "mult").value for N in (1, 2, 3, 4)]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-6
 
@@ -166,7 +166,7 @@ def test_multiplicative_is_max_over_dense_pencil():
     # every split r bounds the constant from below through the assembled
     # (not assumed) mass form, so no grid point may exceed the returned value
     for N, dim in _DENSE_ROWS:
-        rec = multiplicative_constant(N, dim)
+        rec = one_constant(N, dim, "mult")
         B, mass, A = _mult_forms(N, dim)
         lams = [_dense_lambda(B, mass, A, np.exp(s)) for s in _log_r_grid(A)]
         assert max(lams) <= rec.value * (1 + 1e-12), (N, dim)
@@ -241,7 +241,7 @@ def test_multiplicative_extended_precision_oracle():
         A = h1_form(2 * N, 1).entries
         # the closed-form Gram is the oracle's up to the rounding of its entries
         assert np.max(np.abs(gram - A)) <= 1e-15 * np.max(np.abs(gram)), N
-        rec = multiplicative_constant(N, 1)
+        rec = one_constant(N, 1, "mult")
         assert abs(rec.value - float(value)) <= 1e-14 * float(value), N
 
 
@@ -266,7 +266,7 @@ def test_additive_point_extended_precision_oracle():
             A, s = _legendre_h1_gram(2 * N)
             c = mp.matrix([s[k] if k <= N else 0 for k in range(2 * N + 1)])
             value = float(mp.fsum(c[k] * x for k, x in enumerate(mp.lu_solve(A, c))))
-        rec = additive_constant(N, 1, "point")
+        rec = one_constant(N, 1, "add_h1_denominator")
         assert abs(rec.value - value) <= 1e-13 * value, N
         assert rec.residual <= 1e-12, N
 
@@ -275,15 +275,12 @@ def test_additive_kinds_match_dense_oracle():
     for N, dim in _DENSE_ROWS:
         A = h1_form(2 * N, dim)
         raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim, "edge")
-        cases = (
-            ("point" if dim == 1 else "trace", raw, 1),
-            ("h1_of_projection", A, N + 1),
-        )
-        for numerator, form, scale in cases:
-            rec = additive_constant(N, dim, numerator)
+        cases = (("add_h1_denominator", raw, 1), ("h1_stability", A, N + 1))
+        for kind, form, scale in cases:
+            rec = one_constant(N, dim, kind)
             want = rayleigh_sup(projection_form(form, N), A).lambda_max / scale
-            assert abs(rec.value - want) <= 1e-13 * want, (N, dim, numerator)
-            assert rec.residual <= 1e-12, (N, dim, numerator)
+            assert abs(rec.value - want) <= 1e-13 * want, (N, dim, kind)
+            assert rec.residual <= 1e-12, (N, dim, kind)
 
 
 def test_additive_kinds_avoid_full_size_solves(monkeypatch):
@@ -361,12 +358,7 @@ def test_row_constants_share_one_row():
     for N, dim in ((3, 1), (3, 2)):
         recs = list(row_constants(N, dim))
         assert [r.kind for r in recs] == ["mult", "add_h1_denominator", "h1_stability"]
-        singles = [
-            multiplicative_constant(N, dim),
-            additive_constant(N, dim, "point" if dim == 1 else "trace"),
-            additive_constant(N, dim, "h1_of_projection"),
-        ]
-        assert recs == singles
+        assert recs == [one_constant(N, dim, kind) for kind in extremal._KINDS]
     # kinds come out in the fixed order whatever order they are asked in
     recs = row_constants(2, 2, ("h1_stability", "mult"))
     assert [r.kind for r in recs] == ["mult", "h1_stability"]
@@ -395,13 +387,31 @@ def test_triangle_row_peak_memory():
     assert not np.array_equal(A, before)
 
 
-def test_iteration_budget_exhaustion():
-    with pytest.raises(IterationError) as info:
-        multiplicative_constant(10, 1, max_iterations=3)
-    best = info.value.best
-    assert isinstance(best, ConstantRecord)
-    assert best.iterations == 3
-    assert best.value > 0
+def test_multiplicative_bisection_bounded_by_bracket(monkeypatch):
+    # an H1 form whose eigenvalues span 300 decades gives a bracket in log r
+    # about 345 wide, which halving takes below the stopping width 1e-14
+    # within 56 evaluations; the loop has no cap, so this bound is its end
+    def wide(M, dim, nodes=None):
+        basis = enumerate_basis(M, dim)
+        n = basis.cardinality
+        entries = np.diag(np.geomspace(1.0, 1e300, n))
+        return SymmetricForm(basis=basis, kind="h1", entries=entries, scaling=np.ones(n))
+
+    calls = []
+    real_dptsv = extremal.dptsv
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        assert len(calls) <= 100, "the bisection did not stop"
+        return real_dptsv(*args, **kwargs)
+
+    monkeypatch.setattr(extremal, "h1_form", wide)
+    monkeypatch.setattr(extremal, "dptsv", counted)
+    for N, dim in ((3, 1), (10, 1), (3, 2), (6, 2)):
+        calls.clear()
+        rec = one_constant(N, dim, "mult")
+        assert rec.iterations == len(calls) <= 57, (N, dim, rec.iterations)
+        assert rec.value > 0
 
 
 def test_multiplicative_rejects_indefinite_denominator(monkeypatch):
@@ -413,31 +423,22 @@ def test_multiplicative_rejects_indefinite_denominator(monkeypatch):
 
     monkeypatch.setattr(extremal, "h1_form", negated)
     with pytest.raises(NumericError, match="eigenvalue range"):
-        multiplicative_constant(2, 1)
+        one_constant(2, 1, "mult")
     # the additive kinds share the row's H1 form and reject it the same way
-    for numerator in ("point", "h1_of_projection"):
+    for kind in ("add_h1_denominator", "h1_stability"):
         with pytest.raises(NumericError, match="eigenvalue range"):
-            additive_constant(2, 1, numerator)
+            one_constant(2, 1, kind)
 
 
 def test_multiplicative_validation(monkeypatch):
-    with pytest.raises(ParameterError):
-        multiplicative_constant(0, 1)
-    with pytest.raises(ParameterError):
-        multiplicative_constant(2, 3)
-    with pytest.raises(ParameterError):
-        multiplicative_constant(2.5, 1)
-
-    # a bad budget is rejected before the row assembles anything
+    # bad arguments are rejected before the row assembles anything
     def no_assembly(*args, **kwargs):
-        raise AssertionError("assembled a form for an invalid budget")
+        raise AssertionError("assembled a form for invalid arguments")
 
     monkeypatch.setattr(extremal, "h1_form", no_assembly)
-    for bad in (0, -1, 2.5, True, "10", None):
-        with pytest.raises(ParameterError, match="max_iterations"):
-            multiplicative_constant(3, 1, max_iterations=bad)
-        with pytest.raises(ParameterError, match="max_iterations"):
-            row_constants(3, 2, max_iterations=bad)
+    for N, dim in ((0, 1), (2, 3), (2.5, 1), (True, 1), ("3", 2)):
+        with pytest.raises(ParameterError):
+            row_constants(N, dim, ("mult",))
 
 
 def test_trace_rate_polynomial_exact():
@@ -493,6 +494,7 @@ def test_trace_rate_validation():
         trace_error_rate(f, [4, 2])
     with pytest.raises(ParameterError):
         trace_error_rate(f, [0, 2])
-    # five nodes per direction cannot resolve degree 30
-    with pytest.raises(ParameterError):
-        trace_error_rate(lambda x: np.exp(x[:, 0] + x[:, 1]), [4, 30], nodes=5)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ParameterError, match="quad_safety"):
+            trace_error_rate(f, [4, 6], quad_safety=bad)
+

@@ -300,3 +300,13 @@ def test_symmetry_check_covers_every_block():
         # a skew under 1e-13 of the scale is roundoff, and is accepted
         bad[i, j] = good[i, j] + 1e-11
         SymmetricForm(basis=basis, kind="mass", entries=bad, scaling=s)
+
+
+def test_symmetric_form_rejects_non_finite_entries():
+    # a NaN fails every comparison, so the symmetry check alone lets it by
+    basis = enumerate_basis(2, 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        entries = np.eye(3)
+        entries[1, 1] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            SymmetricForm(basis=basis, kind="mass", entries=entries, scaling=np.ones(3))

@@ -112,6 +112,22 @@ def test_connect_validation():
         connect_coefficients(np.ones(5), -1)
 
 
+def test_integer_arguments_validation():
+    f = np.exp
+    for call in (
+        lambda: expand_pair(f, f, 0, 0),
+        lambda: expand_pair(f, f, -1, 4),
+        lambda: expand_pair(f, f, 0, 4.0),
+        lambda: verify_factor_identities(1, 3),
+        lambda: verify_factor_identities(5, -1),
+        lambda: verify_deriv_norm_bound(0, 2),
+        lambda: verify_deriv_norm_bound(4, -1),
+        lambda: verify_deriv_norm_bound(4, True),
+    ):
+        with pytest.raises(ParameterError):
+            call()
+
+
 def test_coefficient_pair_validation():
     with pytest.raises(ParameterError):
         CoefficientPair(u=np.ones(3), b=np.ones(4), alpha=0)

@@ -40,6 +40,16 @@ def test_degree_rejection():
         jacobi_eval(True, w, 0.5)
     with pytest.raises(ParameterError):
         jacobi_eval(2.0, w, 0.5)
+    # every degree and node count goes through the one integer check
+    for call in (
+        lambda: jacobi_deriv(-1, w, 0.5),
+        lambda: jacobi_norm_sq(np.int64(-2), w),
+        lambda: jacobi_antideriv(1.0, 0.0, 0.5),
+        lambda: gauss_jacobi_rule(0, w),
+        lambda: gauss_jacobi_rule(False, w),
+    ):
+        with pytest.raises(ParameterError):
+            call()
 
 
 def test_eval_frozen_values():
