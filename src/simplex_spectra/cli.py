@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import NumericError
-from .extremal import _KINDS, row_constants, trace_error_rate
+from .extremal import _DIMS, _KINDS, row_constants, trace_error_rate
 from .forms import h1_form, mass_form, trace_form
 from .identities import (
     VerificationReport,
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_const = sub.add_parser("constants", help="compute constants over a degree range")
-    p_const.add_argument("--dim", type=int, choices=(1, 2), required=True)
+    p_const.add_argument("--dim", type=int, choices=_DIMS, required=True)
     p_const.add_argument("--n", required=True, help="degree range A..B")
     p_const.add_argument("--kinds", help="comma list: mult, add, h1 (default: all for dim)")
     p_const.add_argument("--out", help="write CSV here instead of stdout")

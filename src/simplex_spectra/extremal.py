@@ -3,8 +3,8 @@
 Each constant of an (N, dim) row is the supremum of a degree-N-truncated
 numerator against the H1 form A on degree 2N, and a row assembles A once
 for all of its kinds. The numerator factor C, with C C^T the truncated
-endpoint (1-D) or bottom-edge (2-D) form, is known in closed form: one
-column in 1-D and N+1 in 2-D, one per Legendre degree on the edge.
+endpoint (1-D) or bottom-piece form, is known in closed form: one column
+in 1-D and one per function of the bottom piece's degree-N basis above.
 
 The multiplicative constant mixes the mass, H1 and numerator forms; since
 sqrt(xy) = min_r (r x + y/r)/2 and the mass is the identity in the
@@ -44,8 +44,16 @@ from scipy.linalg.lapack import dormqr, dptsv, dsytrd, dsytrd_lwork
 
 from .errors import NumericError, ParameterError
 from .forms import SymmetricForm, h1_form
-from .jacobi import JacobiWeight, _check_int, _jacobi_table
-from .simplex import _gl_nodes, _graded_components, _norm_sq, analyze
+from .jacobi import _check_int
+from .simplex import (
+    _bottom_coefficients,
+    _bottom_restriction,
+    _boundary_rule,
+    _component_values,
+    _graded_components,
+    _norm_sq,
+    analyze,
+)
 
 __all__ = [
     "EigenSolution",
@@ -56,6 +64,8 @@ __all__ = [
 ]
 
 _KINDS = ("mult", "add_h1_denominator", "h1_stability")
+# the dimensions that rows, records and `constants --dim` accept
+_DIMS = (1, 2)
 _LOG_R_WIDTH = 1e-14
 
 
@@ -79,7 +89,7 @@ class ConstantRecord:
     residual: float
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
+        if self.dim not in _DIMS:
             raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
         if self.N < 1:
             raise ParameterError(f"N must be >= 1, got {self.N}")
@@ -155,7 +165,7 @@ def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):
     reduction for mult then overwrites the form in place. A solver failure
     raises when its kind is reached, after the records before it.
     """
-    if dim not in (1, 2):
+    if dim not in _DIMS:
         raise ParameterError(f"dim must be 1 or 2, got {dim}")
     N = _check_int("N", N, least=1)
     unknown = [k for k in kinds if k not in _KINDS]
@@ -223,25 +233,25 @@ def _additive(N: int, dim: int, A: np.ndarray, C: np.ndarray, wanted: list):
 
 def _numerator_factor(N: int, dim: int) -> np.ndarray:
     """The truncated numerator factor C on the degree-2N basis, in closed
-    form: C C^T is the endpoint (1-D) or bottom-edge (2-D) form with the
-    rows and columns above degree N zeroed.
+    form: C C^T is the endpoint (1-D) or bottom-piece (2-D and 3-D) form
+    with the rows and columns above degree N zeroed.
 
     With s_k the orthonormalizing scale of basis function k, the function
-    is s_k at the right endpoint in 1-D, so C[k] = s_k. In 2-D, function
-    (p, q) is s_k (-1)^q L_p on the edge y = -1, so against the orthonormal
-    Legendre basis of that edge C[k, p] = s_k (-1)^q sqrt(2 / (2p + 1)),
-    N+1 columns.
+    is s_k at the right endpoint in 1-D, so C[k] = s_k. In higher
+    dimensions, function k is s_k sign_k times the head function of the
+    bottom piece's basis (``_bottom_restriction``), so against that basis
+    orthonormalized C[k, head] = sign_k s_k sqrt(norm_sq(head)), one column
+    per head: N+1 in 2-D, comb(N+2, 2) in 3-D.
     """
     # the degree <= N rows lead the graded degree-2N basis, in the order
     # of the degree-N basis
-    comps = _graded_components(N, dim)
-    s = 1.0 / np.sqrt(_norm_sq(*comps.T))
-    C = np.zeros((math.comb(2 * N + dim, dim), 1 if dim == 1 else N + 1))
+    s = 1.0 / np.sqrt(_norm_sq(*_graded_components(N, dim).T))
+    C = np.zeros((math.comb(2 * N + dim, dim), math.comb(N + dim - 1, dim - 1)))
     if dim == 1:
         C[: s.size, 0] = s
     else:
-        p, q = comps.T
-        C[np.arange(s.size), p] = (-1.0) ** q * s * np.sqrt(2.0 / (2 * p + 1))
+        heads, col, sign = _bottom_restriction(N, dim)
+        C[np.arange(s.size), col] = sign * s * np.sqrt(_norm_sq(*heads.T))[col]
     return C
 
 
@@ -372,20 +382,15 @@ def trace_error_rate(u, N_list, quad_safety: int = 0):
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ParameterError("degrees must be strictly increasing")
 
-    t_edge, w_edge = _gl_nodes(400)
-    edge_pts = np.column_stack([t_edge, -np.ones_like(t_edge)])
-    target = np.asarray(u(edge_pts), dtype=float)
+    edge, w_edge = _boundary_rule(2, 400)
+    target = np.asarray(u(edge), dtype=float)
     scale = 2.0 * np.finfo(float).eps * float(np.max(np.abs(target)))
 
     rows = []
     for N in Ns:
         raw = analyze(u, N, 2, nodes=2 * N + 40 + quad_safety)
-        # collapse onto the edge: the endpoint sign (-1)^q over the norm,
-        # summed per p in basis order
-        p, q = _graded_components(N, 2).T
-        ap = np.zeros(N + 1)
-        np.add.at(ap, p, (-1.0) ** q * raw / _norm_sq(p, q))
-        vals = ap @ _jacobi_table(N, JacobiWeight(0.0, 0.0), t_edge)
+        heads, b = _bottom_coefficients(raw, N, 2)
+        vals = b @ _component_values(heads, edge[:, :-1])
         err = float(np.sqrt(np.sum(w_edge * (target - vals) ** 2)))
         rows.append((N, err))
 

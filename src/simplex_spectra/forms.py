@@ -25,6 +25,7 @@ from .simplex import (
     BasisSet,
     _axis_factors,
     _axis_weights,
+    _bottom_restriction,
     _boundary_rule,
     _component_values,
     _dubiner_matrix,
@@ -241,10 +242,8 @@ def trace_form(M: int, dim: int, gamma: str, nodes: int | None = None) -> Symmet
         faces.append((np.column_stack([a, reduce(np.subtract, a.T, 2.0 - dim)]), np.sqrt(dim)))
         pieces = [(_dubiner_matrix(basis, x), measure) for x, measure in faces]
     else:
-        # on the bottom piece the last axis factor is its endpoint value
-        # (-1)^c, and the head components index a (dim-1)-dimensional basis
-        comps = basis.components
-        pieces = [((-1.0) ** comps[:, -1:] * _component_values(comps[:, :-1], a), 1.0)]
+        heads, col, sign = _bottom_restriction(M, dim)
+        pieces = [(sign[:, None] * _component_values(heads, a)[col], 1.0)]
     factor = np.hstack([s[:, None] * ev * np.sqrt(measure * w) for ev, measure in pieces])
     return SymmetricForm(
         basis=basis,

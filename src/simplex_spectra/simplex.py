@@ -9,7 +9,9 @@ s = c_0 + ... + c_{k-1}, and the volume factor ((1 - eta_k)/2)^k.
 ``_collapsed_grid``, ``_axis_weights`` and ``_axis_factors`` give the grid,
 its weights and the factor tables in any dimension, and
 ``_component_values`` evaluates the same factors at simplex points for any
-rows of components. A basis is the graded array of ``_graded_components``.
+rows of components. A basis is the graded array of ``_graded_components``,
+and ``_bottom_restriction`` writes its restriction to the bottom piece
+x_{dim-1} = -1 through the basis one dimension down.
 
 Convention: function callbacks are vectorized over points, taking an
 (npts, dim) array of simplex coordinates and returning (npts,) values.
@@ -146,60 +148,43 @@ def enumerate_basis(N: int, dim: int) -> BasisSet:
 
 @dataclass(frozen=True, eq=False)
 class DuffyPoint:
-    """One cube point with its simplex image and transformation data."""
+    """One cube point with its simplex image, the map's Jacobian d xi / d eta
+    and its determinant."""
 
     eta: np.ndarray
     xi: np.ndarray
     jac_det: float
-    _inv_jacobian: np.ndarray | None = None
+    jacobian: np.ndarray
 
     @property
     def inv_jacobian(self) -> np.ndarray:
-        if self._inv_jacobian is None:
+        if self.jac_det == 0.0:
             raise SingularityError("inverse Jacobian is undefined at a collapsed point")
-        return self._inv_jacobian
+        return np.linalg.inv(self.jacobian)
 
 
 def duffy_map(eta, dim: int) -> DuffyPoint:
-    """Map one cube point to the simplex; collapsed faces (eta2 = 1 or
-    eta3 = 1) are allowed but leave the inverse Jacobian undefined."""
+    """Map one cube point to the simplex by the lifts of ``_collapsed_grid``;
+    collapsed faces (eta_k = 1 for k >= 1) are allowed but leave the
+    inverse Jacobian undefined."""
     if dim not in (2, 3):
         raise ParameterError(f"dim must be 2 or 3, got {dim}")
     e = np.asarray(eta, dtype=float)
     if e.shape != (dim,):
         raise ParameterError(f"eta must have shape ({dim},), got {e.shape}")
-    if np.any(np.abs(e) > 1.0 + 1e-14):
+    # written so that a nan coordinate fails the bound
+    if not np.all(np.abs(e) <= 1.0 + 1e-14):
         raise ParameterError("eta must lie in the closed cube [-1, 1]^d")
-    if dim == 2:
-        e1, e2 = e
-        xi = np.array([(1.0 + e1) * (1.0 - e2) / 2.0 - 1.0, e2])
-        det = (1.0 - e2) / 2.0
-        collapsed = e2 == 1.0
-        inv = None
-        if not collapsed:
-            inv = np.array([[2.0 / (1.0 - e2), (1.0 + e1) / (1.0 - e2)], [0.0, 1.0]])
-        return DuffyPoint(eta=e, xi=xi, jac_det=float(det), _inv_jacobian=inv)
-    e1, e2, e3 = e
-    xi = np.array(
-        [
-            (1.0 + e1) * (1.0 - e2) * (1.0 - e3) / 4.0 - 1.0,
-            (1.0 + e2) * (1.0 - e3) / 2.0 - 1.0,
-            e3,
-        ]
-    )
-    det = ((1.0 - e2) / 2.0) * ((1.0 - e3) / 2.0) ** 2
-    collapsed = e2 == 1.0 or e3 == 1.0
-    inv = None
-    if not collapsed:
-        s23 = (1.0 - e2) * (1.0 - e3)
-        inv = np.array(
-            [
-                [4.0 / s23, 2.0 * (1.0 + e1) / s23, 2.0 * (1.0 + e1) / s23],
-                [0.0, 2.0 / (1.0 - e3), (1.0 + e2) / (1.0 - e3)],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-    return DuffyPoint(eta=e, xi=xi, jac_det=float(det), _inv_jacobian=inv)
+    xi, jac, det = e[:1], np.eye(dim), 1.0
+    for k in range(1, dim):
+        # the lift by eta_k shrinks the earlier coordinates y by half and
+        # moves them by -(1 + y)/2 per unit of eta_k
+        half = (1.0 - e[k]) / 2.0
+        jac[:k, :k] *= half
+        jac[:k, k] = -(1.0 + xi) / 2.0
+        det *= half**k
+        xi = _lift(xi[None, :], e[k : k + 1])[0]
+    return DuffyPoint(eta=e, xi=xi, jac_det=float(det), jacobian=jac)
 
 
 def _norm_sq(p, q=None, r=None):
@@ -224,7 +209,9 @@ def dubiner_norm_sq(idx: SimplexIndex, dim: int | None = None) -> float:
 
 def _check_simplex_point(pts: np.ndarray, dim: int) -> None:
     tol = 1e-12
-    if np.any(pts < -1.0 - tol) or np.any(np.sum(pts, axis=1) > (2.0 - dim) + tol):
+    # written so that a nan coordinate fails the bounds
+    inside = np.all(pts >= -1.0 - tol) and np.all(np.sum(pts, axis=1) <= (2.0 - dim) + tol)
+    if not inside:
         raise ParameterError("point outside the closed reference simplex")
 
 
@@ -402,21 +389,11 @@ def synthesize(coeffs, basis: BasisSet, xi) -> float:
 def transformed_gradient(u_grad, eta) -> np.ndarray:
     """Cube-coordinate partial derivatives of u composed with the map,
     from a callback giving the simplex gradient of u at one 3D point."""
-    e = np.asarray(eta, dtype=float)
-    if e.shape != (3,):
-        raise ParameterError(f"eta must have shape (3,), got {e.shape}")
-    pt = duffy_map(e, 3)
+    pt = duffy_map(eta, 3)
     g = np.asarray(u_grad(pt.xi), dtype=float)
     if g.shape != (3,):
         raise ParameterError("gradient callback must return 3 components")
-    e1, e2, e3 = e
-    return np.array(
-        [
-            (1.0 - e2) * (1.0 - e3) / 4.0 * g[0],
-            -(1.0 + e1) * (1.0 - e3) / 4.0 * g[0] + (1.0 - e3) / 2.0 * g[1],
-            -(1.0 + e1) * (1.0 - e2) / 4.0 * g[0] - (1.0 + e2) / 2.0 * g[1] + g[2],
-        ]
-    )
+    return pt.jacobian.T @ g
 
 
 def line_functions(f, p: int, q: int, nodes: int = 40):
@@ -506,6 +483,33 @@ def trace_coefficient_sum(f, p: int, q: int, N: int, nodes: int = 40):
 _BOTTOM = {2: "edge", 3: "face"}
 
 
+def _bottom_restriction(N: int, dim: int):
+    """The degree-N basis restricted to the bottom piece, for dim >= 2.
+
+    There the last axis factor is its endpoint value (-1)^c, c the last
+    component, and the head components index the (dim-1)-dimensional basis,
+    so row k of ``_graded_components(N, dim)`` equals sign[k] times the
+    function in row col[k] of heads = ``_graded_components(N, dim - 1)``.
+    Returns (heads, col, sign).
+    """
+    comps = _graded_components(N, dim)
+    heads = _graded_components(N, dim - 1)
+    rank = np.zeros((N + 1,) * (dim - 1), dtype=int)
+    rank[tuple(heads.T)] = np.arange(len(heads))
+    return heads, rank[tuple(comps[:, :-1].T)], (-1.0) ** comps[:, -1]
+
+
+def _bottom_coefficients(raw: np.ndarray, N: int, dim: int):
+    """(heads, b): the expansion with raw inner products ``raw`` on the
+    degree-N basis, restricted to the bottom piece, has coefficient b[j]
+    on the function of heads row j; b sums sign * raw / norm_sq per head,
+    in basis order."""
+    heads, col, sign = _bottom_restriction(N, dim)
+    b = np.zeros(len(heads))
+    np.add.at(b, col, sign * raw / _norm_sq(*_graded_components(N, dim).T))
+    return heads, b
+
+
 def _boundary_rule(dim: int, m: int):
     """Quadrature for the bottom edge (2D) or bottom face (3D): the
     (dim-1)-dimensional collapsed grid with x_dim = -1, and its weights."""
@@ -516,7 +520,7 @@ def _boundary_rule(dim: int, m: int):
 
 def _boundary_norm_direct(f, dim: int, nodes: int = 40) -> float:
     """Squared boundary norm by direct quadrature on the boundary piece."""
-    if dim not in (2, 3):
+    if dim not in _BOTTOM:
         raise ParameterError(f"dim must be 2 or 3, got {dim}")
     pts, wts = _boundary_rule(dim, _node_count(0, nodes))
     vals = f(pts)
@@ -526,25 +530,13 @@ def _boundary_norm_direct(f, dim: int, nodes: int = 40) -> float:
 def boundary_trace_parseval(f, dim: int, gamma: str, N: int = 12) -> float:
     """Squared boundary norm from the coefficient side.
 
-    Expands f to degree N, collapses the boundary-normal direction with the
-    endpoint signs, and sums the squared collapsed coefficients against the
-    boundary basis norms. Exact when f is a polynomial of degree <= N.
+    Expands f to degree N, restricts the expansion to the bottom piece and
+    sums its squared coefficients against the norms of the bottom piece's
+    basis. Exact when f is a polynomial of degree <= N.
     """
     if dim not in _BOTTOM:
         raise ParameterError(f"dim must be 2 or 3, got {dim}")
     if gamma != _BOTTOM[dim]:
         raise ParameterError(f"{dim}D boundary piece must be {_BOTTOM[dim]!r}, got {gamma!r}")
-    # collapse the last component c with its factor's endpoint value
-    # (-1)^c (2c + alpha + 1)/2, alpha = 2s + dim - 1
-    sums = {}
-    for comps, coeff in zip(_graded_components(N, dim).tolist(), analyze(f, N, dim)):
-        *head, c = comps
-        alpha = 2.0 * sum(head) + dim - 1.0
-        head = tuple(head)
-        sums[head] = sums.get(head, 0.0) + (-1.0) ** c * coeff * (2.0 * c + alpha + 1.0) / 2.0
-    total = 0.0
-    for head in sorted(sums):
-        # inverse squared norm of the boundary function, exact half-integers
-        inv_norm = math.prod((2.0 * sum(head[: k + 1]) + k + 1.0) / 2.0 for k in range(dim - 1))
-        total += inv_norm * sums[head] * sums[head]
-    return total
+    heads, b = _bottom_coefficients(analyze(f, N, dim), N, dim)
+    return float(np.sum(_norm_sq(*heads.T) * b**2))

@@ -347,10 +347,12 @@ def test_numerator_factor_matches_quadrature_forms():
     cases = [(N, 1, point_eval_form(2 * N)) for N in (1, 5, 40)]
     cases += [(N, 2, trace_form(2 * N, 2, "edge")) for N in (1, 3, 8, 12)]
     cases.append((8, 2, trace_form(16, 2, "edge", nodes=18)))
+    cases += [(N, 3, trace_form(2 * N, 3, "face")) for N in (1, 2, 3, 4)]
     for N, dim, raw in cases:
         want = projection_form(raw, N).entries
         C = extremal._numerator_factor(N, dim)
-        assert C.shape == (raw.basis.cardinality, 1 if dim == 1 else N + 1)
+        # one column per function of the bottom piece's degree-N basis
+        assert C.shape == (raw.basis.cardinality, math.comb(N + dim - 1, dim - 1))
         assert np.max(np.abs(C @ C.T - want)) <= 1e-13 * np.max(np.abs(want)), (N, dim)
 
 

@@ -95,17 +95,28 @@ def test_duffy_round_trip():
 
 
 def test_duffy_inverse_jacobian_matches_fd():
-    eta = np.array([0.2, -0.3, 0.4])
-    pt = duffy_map(eta, 3)
-    h = 1e-6
-    jac = np.zeros((3, 3))
-    for k in range(3):
-        ep, em = eta.copy(), eta.copy()
-        ep[k] += h
-        em[k] -= h
-        jac[:, k] = (duffy_map(ep, 3).xi - duffy_map(em, 3).xi) / (2 * h)
-    assert_allclose(pt.inv_jacobian @ jac, np.eye(3), atol=5e-9)
-    assert_allclose(np.linalg.det(jac), pt.jac_det, rtol=1e-8)
+    for eta in (np.array([0.2, -0.3]), np.array([0.2, -0.3, 0.4])):
+        dim = eta.size
+        pt = duffy_map(eta, dim)
+        h = 1e-6
+        jac = np.zeros((dim, dim))
+        for k in range(dim):
+            ep, em = eta.copy(), eta.copy()
+            ep[k] += h
+            em[k] -= h
+            jac[:, k] = (duffy_map(ep, dim).xi - duffy_map(em, dim).xi) / (2 * h)
+        assert_allclose(pt.inv_jacobian @ jac, np.eye(dim), atol=5e-9)
+        assert_allclose(np.linalg.det(jac), pt.jac_det, rtol=1e-8)
+
+
+def test_duffy_map_matches_collapsed_grid():
+    # one point at a time, the map gives the bits of the grid's lifts
+    m = 7
+    t, _ = simplex._gl_nodes(m)
+    for dim in (2, 3):
+        etas = itertools.product(t, repeat=dim)
+        for eta, row in zip(etas, _collapsed_grid(dim, m), strict=True):
+            assert np.array_equal(duffy_map(np.array(eta), dim).xi, row), (dim, eta)
 
 
 def test_duffy_collapsed_point():
@@ -115,6 +126,12 @@ def test_duffy_collapsed_point():
         pt.inv_jacobian
     with pytest.raises(ParameterError):
         duffy_map(np.array([1.5, 0.0]), 2)
+    # a non-finite coordinate is outside the cube
+    for eta in ([np.nan, 0.2], [0.1, np.inf]):
+        with pytest.raises(ParameterError):
+            duffy_map(np.array(eta), 2)
+    with pytest.raises(ParameterError):
+        transformed_gradient(lambda xi: np.ones(3), np.array([np.nan, 0.0, 0.0]))
 
 
 def test_norm_frozen_values():
@@ -399,6 +416,14 @@ def test_point_checker_rejects_outside():
     with pytest.raises(ParameterError):
         _check_simplex_point(np.array([[-1.2, 0.0]]), 2)
     _check_simplex_point(np.array([[-0.5, -0.5]]), 2)
+    # a non-finite coordinate is outside the simplex
+    for bad in ([np.nan, 0.0], [-np.inf, 0.0], [0.0, np.inf]):
+        with pytest.raises(ParameterError):
+            _check_simplex_point(np.array([bad]), 2)
+    with pytest.raises(ParameterError):
+        synthesize(np.ones(10), enumerate_basis(3, 2), [np.nan, 0.0])
+    with pytest.raises(ParameterError):
+        dubiner_eval(SimplexIndex(1, 1), [np.nan, -0.5], 2)
 
 
 @settings(max_examples=30, deadline=None)
