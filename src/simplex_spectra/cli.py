@@ -9,6 +9,8 @@ codes: 0 success, 1 verification or solver failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
 
 import numpy as np
@@ -81,6 +83,21 @@ def _parse_kinds(text: str | None, dim: int, parser: argparse.ArgumentParser):
             parser.error(f"unknown kind {token!r} (choose from mult, add, h1)")
         out.append(_KIND_TOKENS[token])
     return tuple(dict.fromkeys(out))
+
+
+@contextlib.contextmanager
+def _output(path: str | None, parser: argparse.ArgumentParser):
+    """The CSV stream: stdout, or the file at ``path``, opened before any
+    work so that a path that cannot be written is a usage error."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        stream = open(path, "w")
+    except OSError as exc:
+        parser.error(f"cannot write --out: {exc}")
+    with stream:
+        yield stream
 
 
 def _nodes_for(N: int, safety: int) -> int | None:
@@ -277,8 +294,8 @@ def _rate_function(family: str, n_min: int, parser):
             s = float(family[3:])
         except ValueError:
             parser.error(f"bad family {family!r}")
-        if not s > 0.5:
-            parser.error(f"hs family needs s > 1/2, got {s}")
+        if not (math.isfinite(s) and s > 0.5):
+            parser.error(f"hs family needs a finite s > 1/2, got {s}")
         return lambda x: ((x[:, 0] - 1.0) ** 2 + (x[:, 1] + 1.0) ** 2) ** (s / 2.0)
     parser.error(f"unknown family {family!r} (choose poly, analytic, or hs:S)")
 
@@ -288,16 +305,12 @@ def _run_rates(args, parser) -> int:
     if b == a:
         parser.error(f"rates needs at least two degrees to fit a rate, got {args.n!r}")
     fn = _rate_function(args.family, a, parser)
-    rows, slope, _ = trace_error_rate(fn, list(range(a, b + 1)), quad_safety=args.quad_safety)
-    stream = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out, parser) as stream:
+        rows, slope, _ = trace_error_rate(fn, list(range(a, b + 1)), quad_safety=args.quad_safety)
         print("family,N,error", file=stream)
         for N, err in rows:
             print(f"{args.family},{N},{_fmt(err)}", file=stream)
         print(f"{args.family},slope,{_fmt(slope)}", file=stream)
-    finally:
-        if args.out:
-            stream.close()
     return 0
 
 
@@ -352,12 +365,8 @@ def main(argv=None) -> int:
         dim = args.which
         ns, kinds = _TABLE_ROWS[dim], _parse_kinds(None, dim, parser)
 
-    stream = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out, parser) as stream:
         return _emit_constants(dim, kinds, args.quad_safety, ns, stream)
-    finally:
-        if args.out:
-            stream.close()
 
 
 if __name__ == "__main__":

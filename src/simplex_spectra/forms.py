@@ -1,8 +1,10 @@
 """Dense symmetric bilinear forms (mass, H1, boundary trace, endpoint
 evaluation) over the orthonormalized bases, plus coefficient truncation.
 
-The 1-D H1 form is the exact H1 Gram of the orthonormal Legendre basis, in
-closed form. Every other volume form is assembled on the cube through the
+The basis is orthonormal, so the H1 form is the identity plus the stiffness
+Gram, and only the stiffness is assembled. The 1-D stiffness is exact, in
+closed form. The 2-D and 3-D stiffness, and the mass Gram kept as the
+oracle of orthogonality, are assembled on the cube through the
 collapsed-coordinate map with the volume factor explicit in the integrand.
 Each such integrand is a short sum of separable per-axis products, so each
 Gram is a sum of Hadamard products of one-dimensional Grams (sum
@@ -52,15 +54,13 @@ class SymmetricForm:
     """One assembled quadratic form over an orthonormalized basis.
 
     ``scaling`` holds 1/norm per basis function (the orthonormalization
-    data); ``factor`` is set for low-rank kinds and satisfies
-    entries = factor @ factor.T up to assembly roundoff.
+    data).
     """
 
     basis: BasisSet
     kind: str
     entries: np.ndarray
     scaling: np.ndarray
-    factor: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -82,8 +82,6 @@ class SymmetricForm:
             skew = max(skew, float(np.max(np.abs(block))))
         if skew > 1e-13 * scale:
             raise ParameterError(f"entries are not symmetric: relative skew {skew / scale:.3e}")
-        if self.factor is not None and self.factor.shape[0] != n:
-            raise ParameterError("factor row count must match the basis cardinality")
 
 
 # rows per block of the volume Grams, their symmetrization and the
@@ -113,10 +111,8 @@ def _scaling_vector(basis: BasisSet) -> np.ndarray:
 
 
 # Each integrand is a list of separable terms (coefficient, kinds): letter k
-# names the axis-k factor kind of simplex._axis_factors. The value first,
-# then each component of the pulled-back gradient; the 1-D H1 form is in
-# closed form, so only the value has a 1-D entry.
-_VALUE = {1: [(1.0, "V")], 2: [(1.0, "VV")], 3: [(1.0, "VVV")]}
+# names the axis-k factor kind of simplex._axis_factors. The components of
+# the pulled-back gradient in 2-D and 3-D; the value is "V" * dim.
 _GRADIENT = {
     2: [[(1.0, "DU")], [(0.5, "XU"), (1.0, "VD")]],
     3: [
@@ -149,75 +145,71 @@ def _axis_tables(basis: BasisSet, t: np.ndarray, terms) -> dict:
     return tabs
 
 
-def _assemble_volume(basis: BasisSet, m: int, s: np.ndarray, want_stiffness: bool):
-    """Mass (always) and stiffness (optional) Grams of the basis scaled by s.
+def _gram(basis: BasisSet, m: int, s: np.ndarray, integrands) -> np.ndarray:
+    """Gram of the basis scaled by s: entry (i, j) sums, over the
+    integrands (each a list of separable terms), the integral of the
+    integrand of function i times the same integrand of function j.
 
     The tensor Gauss rule integrates a separable product as the product of
     per-axis sums, so each pair of terms contributes the Hadamard product
     of one card x card Gram per axis; axis k carries the collapsed volume
-    factor half**k in its weights. The sums run over row blocks, each
-    block's per-axis Grams taken for its rows only, and are scaled and
+    factor half**k in its weights. The sum runs over row blocks, each
+    block's per-axis Grams taken for its rows only, and is scaled and
     symmetrized in place, so a Gram costs one card x card array.
     """
     t, _ = _gl_nodes(m)
     weights = _axis_weights(basis.dim, m)
-    integrands = [_VALUE[basis.dim]] + (_GRADIENT[basis.dim] if want_stiffness else [])
     tabs = _axis_tables(basis, t, {term for terms in integrands for _, term in terms})
-
-    def gram(integrands):
-        out = np.zeros((basis.cardinality, basis.cardinality))
-        for rows, _ in _row_blocks(basis.cardinality):
-            for terms in integrands:
-                for ca, a in terms:
-                    for cb, b in terms:
-                        prod = ca * cb
-                        for k, wk in enumerate(weights):
-                            prod = prod * ((tabs[a[k], k][rows] * wk) @ tabs[b[k], k].T)
-                        out[rows] += prod
-        out *= s[:, None]
-        out *= s
-        return _symmetrize(out)
-
-    mass = gram([_VALUE[basis.dim]])
-    stiff = gram(_GRADIENT[basis.dim]) if want_stiffness else None
-    return mass, stiff
+    out = np.zeros((basis.cardinality, basis.cardinality))
+    for rows, _ in _row_blocks(basis.cardinality):
+        for terms in integrands:
+            for ca, a in terms:
+                for cb, b in terms:
+                    prod = ca * cb
+                    for k, wk in enumerate(weights):
+                        prod = prod * ((tabs[a[k], k][rows] * wk) @ tabs[b[k], k].T)
+                    out[rows] += prod
+    out *= s[:, None]
+    out *= s
+    return _symmetrize(out)
 
 
 def mass_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
-    """Quadrature-assembled L2 Gram of the scaled basis (identity up to
-    quadrature roundoff; assembled, not assumed)."""
+    """Quadrature-assembled L2 Gram of the scaled basis: the identity up to
+    quadrature roundoff, assembled as the oracle of orthogonality and never
+    on the way to a constant."""
     M = _check_int("degree", M)
     basis = enumerate_basis(M, dim)
     s = _scaling_vector(basis)
-    mass, _ = _assemble_volume(basis, _node_count(M, nodes), s, want_stiffness=False)
-    return SymmetricForm(basis=basis, kind="mass", entries=mass, scaling=s)
+    entries = _gram(basis, _node_count(M, nodes), s, [[(1.0, "V" * dim)]])
+    return SymmetricForm(basis=basis, kind="mass", entries=entries, scaling=s)
 
 
-def _interval_h1(s: np.ndarray) -> np.ndarray:
-    """Exact H1 Gram of the Legendre basis scaled by s: the identity plus
+def _interval_stiffness(s: np.ndarray) -> np.ndarray:
+    """Exact stiffness Gram of the Legendre basis scaled by s:
     s_i s_j m(m + 1), m = min(i, j), where i + j is even, since
     int L_i' L_j' = m(m + 1) there and 0 elsewhere."""
     k = np.arange(s.size)
     m = np.minimum.outer(k, k)
     stiff = np.where((k[:, None] + k) % 2 == 0, m * (m + 1), 0)
-    return _symmetrize(s[:, None] * stiff * s[None, :]) + np.eye(s.size)
+    return _symmetrize(s[:, None] * stiff * s[None, :])
 
 
 def h1_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
-    """L2 + gradient Gram of the scaled basis; gradients are pulled back
-    from cube coordinates with the collapsed powers cancelled exactly.
+    """L2 + gradient Gram of the scaled basis: the identity, as the basis is
+    orthonormal, plus the stiffness Gram. Only the stiffness is assembled;
+    gradients are pulled back from cube coordinates with the collapsed
+    powers cancelled exactly.
 
-    In 1-D the Gram is exact, in closed form, and ``nodes`` is only checked.
+    In 1-D the stiffness is exact, in closed form, and ``nodes`` is only
+    checked.
     """
     M = _check_int("degree", M)
     basis = enumerate_basis(M, dim)
     m = _node_count(M, nodes)
     s = _scaling_vector(basis)
-    if dim == 1:
-        entries = _interval_h1(s)
-    else:
-        entries, stiff = _assemble_volume(basis, m, s, want_stiffness=True)
-        entries += stiff
+    entries = _interval_stiffness(s) if dim == 1 else _gram(basis, m, s, _GRADIENT[dim])
+    entries.flat[:: basis.cardinality + 1] += 1.0
     return SymmetricForm(basis=basis, kind="h1", entries=entries, scaling=s)
 
 
@@ -245,13 +237,8 @@ def trace_form(M: int, dim: int, gamma: str, nodes: int | None = None) -> Symmet
         heads, col, sign = _bottom_restriction(M, dim)
         pieces = [(sign[:, None] * _component_values(heads, a)[col], 1.0)]
     factor = np.hstack([s[:, None] * ev * np.sqrt(measure * w) for ev, measure in pieces])
-    return SymmetricForm(
-        basis=basis,
-        kind="trace",
-        entries=_symmetrize(factor @ factor.T),
-        scaling=s,
-        factor=factor,
-    )
+    entries = _symmetrize(factor @ factor.T)
+    return SymmetricForm(basis=basis, kind="trace", entries=entries, scaling=s)
 
 
 def point_eval_form(M: int) -> SymmetricForm:
@@ -260,13 +247,7 @@ def point_eval_form(M: int) -> SymmetricForm:
     basis = enumerate_basis(M, 1)
     s = _scaling_vector(basis)
     # each scaled basis function equals its scale at the right endpoint
-    return SymmetricForm(
-        basis=basis,
-        kind="point_eval",
-        entries=np.outer(s, s),
-        scaling=s,
-        factor=s[:, None],
-    )
+    return SymmetricForm(basis=basis, kind="point_eval", entries=np.outer(s, s), scaling=s)
 
 
 def projection_form(B: SymmetricForm, N: int) -> SymmetricForm:
@@ -275,11 +256,9 @@ def projection_form(B: SymmetricForm, N: int) -> SymmetricForm:
     if _check_int("N", N) > B.basis.N:
         raise ParameterError(f"N {N} outside the basis degree range 0..{B.basis.N}")
     d = B.basis.components.sum(axis=1) <= N
-    factor = None if B.factor is None else d[:, None] * B.factor
     return SymmetricForm(
         basis=B.basis,
         kind=B.kind,
         entries=d[:, None] * B.entries * d[None, :],
         scaling=B.scaling,
-        factor=factor,
     )

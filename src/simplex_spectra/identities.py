@@ -311,7 +311,7 @@ def verify_deriv_norm_bound(q_max: int, alpha_max: int) -> VerificationReport:
         fa = float(alpha)
         w = JacobiWeight(fa, 0.0)
         rule = gauss_jacobi_rule(q_max + 1, w)
-        dtab = _deriv_table(q_max, fa, rule.nodes)
+        dtab = _deriv_table(q_max, w, rule.nodes)
         for q in range(1, q_max + 1):
             i_sq = float(rule.weights @ (dtab[q] * dtab[q]))
             bound = 4.0 * q * (q + 1.0 + fa) ** 2 * _norms(float(q), fa)

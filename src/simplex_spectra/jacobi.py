@@ -91,74 +91,53 @@ def _recurrence_coeffs(n: float, alpha: float, beta: float):
     return c1, c2, c3, c4
 
 
-def _degree_one(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    # n = 0 instance of the recurrence with the common factor
-    # (alpha+beta)(alpha+beta+1) struck out; the raw instance degenerates to
-    # 0 = 0 at alpha + beta = 0.
-    return 0.5 * ((alpha - beta) + (alpha + beta + 2.0) * x)
-
-
 def jacobi_eval(n: int, weight: JacobiWeight, x) -> np.ndarray:
     """Value of the degree-n polynomial at x (scalar or array)."""
     n = _check_int("degree", n)
     return _jacobi_table(n, weight, x)[n]
 
 
-def _jacobi_table(n: int, weight: JacobiWeight, x) -> np.ndarray:
-    """All degrees 0..n at the points x; shape (n+1,) + x.shape."""
-    xs = np.asarray(x, dtype=float)
-    a, b = weight.alpha, weight.beta
-    out = np.empty((n + 1,) + xs.shape)
-    out[0] = 1.0
-    if n >= 1:
-        out[1] = _degree_one(a, b, xs)
-    for k in range(1, n):
-        c1, c2, c3, c4 = _recurrence_coeffs(k, a, b)
-        out[k + 1] = ((c2 + c3 * xs) * out[k] - c4 * out[k - 1]) / c1
-    return out
+def _jacobi_table(n: int, weight: JacobiWeight, x, den=1.0) -> np.ndarray:
+    """All degrees 0..n at the points x; shape (n+1,) + the shape of x and den.
 
-
-def _deriv_table(n: int, alpha: float, x) -> np.ndarray:
-    """First derivatives for the weight (alpha, 0), degrees 0..n at the points x;
-    row k is 0.5 (k + alpha + 1) P_{k-1}^{(alpha+1, 1)}."""
-    xs = np.asarray(x, dtype=float)
-    out = np.zeros((n + 1,) + xs.shape)
-    if n >= 1:
-        shifted = _jacobi_table(n - 1, JacobiWeight(alpha + 1.0, 1.0), xs)
-        for k in range(1, n + 1):
-            out[k] = 0.5 * (k + alpha + 1.0) * shifted[k - 1]
-    return out
-
-
-def _scaled_jacobi_table(n: int, weight: JacobiWeight, num, den) -> np.ndarray:
-    """Homogenized rows S_k = den^k P_k(num/den); finite for den >= 0.
-
-    The recurrence is cleared of denominators, so each row is a polynomial
-    in (num, den) and the den = 0 boundary needs no special casing.
+    Row k is the homogenized S_k = den^k P_k(x/den). The recurrence is
+    cleared of denominators, so each row is a polynomial in (x, den), finite
+    for den >= 0 with no special case at den = 0; at den = 1 every product
+    by den is exact and the rows are P_k(x).
     """
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    num, den = np.broadcast_arrays(num, den)
+    xs = np.asarray(x, dtype=float)
     a, b = weight.alpha, weight.beta
-    out = np.empty((n + 1,) + num.shape)
+    out = np.empty((n + 1,) + np.broadcast_shapes(xs.shape, np.shape(den)))
     out[0] = 1.0
     if n >= 1:
-        out[1] = 0.5 * ((a - b) * den + (a + b + 2.0) * num)
+        # the n = 0 instance of the recurrence with the common factor
+        # (alpha+beta)(alpha+beta+1) struck out; the raw instance
+        # degenerates to 0 = 0 at alpha + beta = 0
+        out[1] = 0.5 * ((a - b) * den + (a + b + 2.0) * xs)
     den2 = den * den
     for k in range(1, n):
         c1, c2, c3, c4 = _recurrence_coeffs(k, a, b)
-        out[k + 1] = ((c2 * den + c3 * num) * out[k] - c4 * den2 * out[k - 1]) / c1
+        out[k + 1] = ((c2 * den + c3 * xs) * out[k] - c4 * den2 * out[k - 1]) / c1
+    return out
+
+
+def _deriv_table(n: int, weight: JacobiWeight, x) -> np.ndarray:
+    """First derivatives, degrees 0..n at the points x; row k is
+    0.5 (k + alpha + beta + 1) P_{k-1}^{(alpha+1, beta+1)}."""
+    xs = np.asarray(x, dtype=float)
+    a, b = weight.alpha, weight.beta
+    out = np.zeros((n + 1,) + xs.shape)
+    if n >= 1:
+        shifted = _jacobi_table(n - 1, JacobiWeight(a + 1.0, b + 1.0), xs)
+        for k in range(1, n + 1):
+            out[k] = 0.5 * (k + a + b + 1.0) * shifted[k - 1]
     return out
 
 
 def jacobi_deriv(n: int, weight: JacobiWeight, x) -> np.ndarray:
     """First derivative of the degree-n polynomial at x."""
     n = _check_int("degree", n)
-    xs = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.zeros_like(xs)
-    shifted = JacobiWeight(weight.alpha + 1.0, weight.beta + 1.0)
-    return 0.5 * (n + weight.alpha + weight.beta + 1.0) * jacobi_eval(n - 1, shifted, xs)
+    return _deriv_table(n, weight, x)[n]
 
 
 def jacobi_norm_sq(n: int, weight: JacobiWeight) -> float:

@@ -33,7 +33,6 @@ from .jacobi import (
     _h2,
     _h3,
     _jacobi_table,
-    _scaled_jacobi_table,
     gauss_jacobi_rule,
 )
 
@@ -255,7 +254,7 @@ def _component_values(comps: np.ndarray, pts: np.ndarray) -> np.ndarray:
         for s in np.unique(prefix[:, k]):
             rows = np.flatnonzero(prefix[:, k] == s)
             c = comps[rows, k]
-            tab = _scaled_jacobi_table(int(c.max()), JacobiWeight(2.0 * s + k, 0.0), num, den)
+            tab = _jacobi_table(int(c.max()), JacobiWeight(2.0 * s + k, 0.0), num, den)
             factor[rows] = tab[c]
         out *= factor
     return out
@@ -320,14 +319,14 @@ def _axis_factors(k: int, s: int, N: int, t: np.ndarray, kinds: str = "V") -> di
     and the kinds named in ``kinds`` that the pulled-back gradient needs with
     its collapsed powers cancelled: U = P_c half**(s-1) (zero at s = 0),
     D = dV/dt and X = (1 + t) D."""
-    alpha = 2.0 * s + k
+    weight = JacobiWeight(2.0 * s + k, 0.0)
     half = (1.0 - t) / 2.0
-    tab = _jacobi_table(N - s, JacobiWeight(alpha, 0.0), t)
+    tab = _jacobi_table(N - s, weight, t)
     out = {}
     if "U" in kinds:
         out["U"] = tab * half ** (s - 1) if s >= 1 else np.zeros(tab.shape)
     if "D" in kinds or "X" in kinds:
-        d = _deriv_table(N - s, alpha, t)
+        d = _deriv_table(N - s, weight, t)
         if s >= 1:
             d *= half**s
             d -= (s / 2.0) * tab * half ** (s - 1)
@@ -435,7 +434,7 @@ def _legendre_derivative_values(values: np.ndarray, t: np.ndarray, w: np.ndarray
     k_max = t.size - 1
     tab = _jacobi_table(k_max, _LEG, t)
     coeff = (np.arange(k_max + 1) + 0.5) * (tab @ (w * values))
-    return coeff @ _deriv_table(k_max, 0.0, t)
+    return coeff @ _deriv_table(k_max, _LEG, t)
 
 
 def trace_coefficient_sum(f, p: int, q: int, N: int, nodes: int = 40):

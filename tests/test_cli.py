@@ -205,7 +205,8 @@ def test_rates_quad_safety_adds_to_each_degree(capsys, monkeypatch):
     assert seen == [(4, 49), (5, 51), (6, 53)]
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "out.csv")
     bad_argvs = [
         ["constants", "--dim", "1", "--n", "5..2"],
         ["constants", "--dim", "3", "--n", "1..2"],
@@ -215,6 +216,8 @@ def test_usage_errors_exit_two(capsys):
         ["verify", "--tol", "1e-3"],
         ["verify", "--suite", "no-such-suite"],
         ["rates", "--family", "hs:0.3", "--n", "4..8"],
+        ["rates", "--family", "hs:inf", "--n", "4..8"],
+        ["rates", "--family", "hs:1e400", "--n", "4..8"],
         ["rates", "--family", "weird", "--n", "4..8"],
         ["rates", "--family", "poly", "--n", "4..4"],
         ["rates", "--family", "poly", "--n", "7"],
@@ -223,6 +226,9 @@ def test_usage_errors_exit_two(capsys):
         ["verify", "--quad-safety", "-50"],
         ["rates", "--family", "poly", "--n", "4..8", "--quad-safety", "-60"],
         ["table", "1", "--quad-safety", "-1"],
+        ["constants", "--dim", "1", "--n", "1..2", "--out", missing],
+        ["table", "1", "--out", missing],
+        ["rates", "--family", "poly", "--n", "4..8", "--out", missing],
         [],
     ]
     for argv in bad_argvs:

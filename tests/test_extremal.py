@@ -371,17 +371,19 @@ def test_row_constants_share_one_row():
 
 
 def test_triangle_row_peak_memory():
-    # the blocked H1 assembly, in-place symmetrization and the reduction in
-    # place after the Schur kinds keep a row within three arrays of the
-    # basis size
+    # the H1 form is the identity plus one stiffness Gram, assembled by row
+    # blocks and symmetrized in place, and the reduction runs in place
+    # after the Schur kinds: the form stays within two arrays of the basis
+    # size and a row within two and a half
     unit = math.comb(2 * 24 + 2, 2) ** 2 * 8
-    tracemalloc.start()
-    try:
-        list(row_constants(24, 2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.25 * unit, peak / unit
+    for run, bound in ((lambda: h1_form(48, 2), 2.0), (lambda: list(row_constants(24, 2)), 2.5)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * unit, (bound, peak / unit)
     # the reduction takes the form in place rather than a copy of it
     A = h1_form(8, 2).entries
     before = A.copy()

@@ -35,6 +35,16 @@ def test_mass_is_identity():
         assert np.max(np.abs(G.entries - np.eye(n))) < 1e-12
 
 
+def test_h1_constant_row_is_exact():
+    # the constant has no gradient: row 0 is the identity's, with no
+    # quadrature roundoff from a mass Gram
+    for dim, M in ((1, 12), (2, 9), (3, 6)):
+        H = h1_form(M, dim)
+        e0 = np.zeros(H.basis.cardinality)
+        e0[0] = 1.0
+        assert np.array_equal(H.entries[0], e0), dim
+
+
 def test_h1_interval_diagonal():
     # orthonormal Legendre: |phi_1'|^2 = 3, |phi_2'|^2 = 15
     H = h1_form(4, 1)
@@ -148,22 +158,15 @@ def test_trace_edge_closed_form():
 
 
 def test_bottom_trace_factor_matches_basis_values():
-    # the bottom piece's factor against the full basis matrix on the bottom
-    # rule's points (x_dim = -1): s * values * sqrt(w)
+    # the bottom piece's Gram against the one from the full basis matrix on
+    # the bottom rule's points (x_dim = -1), factor s * values * sqrt(w)
     for dim, gamma, M in ((2, "edge", 6), (2, "edge", 12), (3, "face", 4), (3, "face", 9)):
         T = trace_form(M, dim, gamma)
         pts, w = _boundary_rule(dim, _rule_size(M))
         want = T.scaling[:, None] * _dubiner_matrix(T.basis, pts) * np.sqrt(w)
-        assert T.factor.shape == want.shape
-        err = np.max(np.abs(T.factor - want)) / np.max(np.abs(want))
+        gram = want @ want.T
+        err = np.max(np.abs(T.entries - gram)) / np.max(np.abs(gram))
         assert err < 1e-13, (dim, M, err)
-
-
-def test_trace_factor_reproduces_entries():
-    for dim, gamma, M in ((2, "edge", 6), (3, "face", 4), (2, "full_boundary", 5)):
-        T = trace_form(M, dim, gamma)
-        assert T.factor is not None
-        assert np.max(np.abs(T.factor @ T.factor.T - T.entries)) < 1e-12
 
 
 def test_trace_of_constant_is_boundary_measure():
@@ -215,7 +218,6 @@ def test_point_eval_squares_endpoint_value():
     P = point_eval_form(4)
     chat = orthonormal_coeffs(lambda x: x[:, 0] ** 2, 4, 1)
     assert_allclose(chat @ P.entries @ chat, 1.0, rtol=1e-12)
-    assert np.max(np.abs(P.factor @ P.factor.T - P.entries)) < 1e-13
 
 
 def test_projection_form_blocks():
@@ -230,8 +232,6 @@ def test_projection_form_blocks():
     assert np.array_equal(
         PB.entries[np.ix_(live, live)], T.entries[np.ix_(live, live)]
     )
-    assert PB.factor is not None
-    assert np.max(np.abs(PB.factor @ PB.factor.T - PB.entries)) < 1e-12
     assert PB.kind == T.kind and PB.basis is T.basis
     with pytest.raises(ParameterError):
         projection_form(T, 7)
@@ -270,10 +270,6 @@ def test_form_validation():
         SymmetricForm(basis=basis, kind="gram", entries=good, scaling=s)
     with pytest.raises(ParameterError):
         SymmetricForm(basis=basis, kind="mass", entries=np.eye(n + 1), scaling=s)
-    with pytest.raises(ParameterError):
-        SymmetricForm(
-            basis=basis, kind="mass", entries=good, scaling=s, factor=np.ones((n + 2, 1))
-        )
     with pytest.raises(ParameterError):
         mass_form(-1, 2)
     for nodes in (2, True, 10.5):

@@ -15,7 +15,7 @@ from simplex_spectra import (
     jacobi_eval,
     jacobi_norm_sq,
 )
-from simplex_spectra.jacobi import _jacobi_table, _scaled_jacobi_table
+from simplex_spectra.jacobi import _jacobi_table
 
 
 def test_weight_validation():
@@ -96,7 +96,7 @@ def test_eval_array_shape():
 def test_scaled_table_homogenizes(n, alpha, a, b):
     # S_n(a, b) = b^n P_n(a/b) whenever a/b stays in the recurrence's reach
     w = JacobiWeight(alpha, 0.0)
-    tab = _scaled_jacobi_table(n, w, np.array(a), np.array(b))
+    tab = _jacobi_table(n, w, np.array(a), np.array(b))
     plain = _jacobi_table(n, w, np.array(a / b))
     expect = plain * b ** np.arange(n + 1)[:, None].reshape(n + 1)
     assert_allclose(tab, expect, rtol=2e-12, atol=1e-12)
