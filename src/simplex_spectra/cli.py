@@ -32,9 +32,9 @@ from .identities import (
 from .simplex import (
     _boundary_norm_direct,
     _rule_size,
+    _trace_coefficient_sums,
     boundary_trace_parseval,
     enumerate_basis,
-    trace_coefficient_sum,
 )
 
 _CSV_HEADER = "dim,N,kind,value,iterations,residual"
@@ -210,8 +210,9 @@ def _suite_finite_sum(args) -> VerificationReport:
     n = 0
     for label, fn in fns:
         for p, q in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
-            for N in (1, 2, 3):
-                tail, short = trace_coefficient_sum(fn, p, q, N, nodes=40 + args.quad_safety)
+            # one line function serves every N
+            sums = _trace_coefficient_sums(fn, p, q, (1, 2, 3), nodes=40 + args.quad_safety)
+            for N, (tail, short) in zip((1, 2, 3), sums):
                 r = abs(tail - short) / max(1.0, abs(tail))
                 key = f"{label}-p{p}q{q}N{N}"
                 n += 1
@@ -283,6 +284,11 @@ def _run_verify(args, parser) -> int:
     return 0
 
 
+# hs:S is ((x-1)^2 + (y+1)^2)^(S/2), largest at the far vertex (-1, 1),
+# where it is 8^(S/2); its square stays finite for S ln 8 < ln(float max)
+_HS_MAX = math.log(sys.float_info.max) / math.log(8.0)
+
+
 def _rate_function(family: str, n_min: int, parser):
     if family == "poly":
         d = min(3, n_min)
@@ -294,8 +300,8 @@ def _rate_function(family: str, n_min: int, parser):
             s = float(family[3:])
         except ValueError:
             parser.error(f"bad family {family!r}")
-        if not (math.isfinite(s) and s > 0.5):
-            parser.error(f"hs family needs a finite s > 1/2, got {s}")
+        if not 0.5 < s < _HS_MAX:
+            parser.error(f"hs family needs 1/2 < s < {_HS_MAX:.1f}, got {s}")
         return lambda x: ((x[:, 0] - 1.0) ** 2 + (x[:, 1] + 1.0) ** 2) ** (s / 2.0)
     parser.error(f"unknown family {family!r} (choose poly, analytic, or hs:S)")
 

@@ -134,14 +134,10 @@ def _axis_tables(basis: BasisSet, t: np.ndarray, terms) -> dict:
     prefix = np.cumsum(comps, axis=1) - comps
     tabs = {}
     for k in range(basis.dim):
-        kinds = {term[k] for term in terms}
+        kinds = "".join({term[k] for term in terms})
+        factors = _axis_factors(k, basis.N, t, kinds)
         for kind in kinds:
-            tabs[kind, k] = np.empty((basis.cardinality, t.size))
-        for s in np.unique(prefix[:, k]):
-            rows = np.flatnonzero(prefix[:, k] == s)
-            factors = _axis_factors(k, int(s), basis.N, t, "".join(kinds))
-            for kind in kinds:
-                tabs[kind, k][rows] = factors.pop(kind)[comps[rows, k]]
+            tabs[kind, k] = factors.pop(kind)[prefix[:, k], comps[:, k]]
     return tabs
 
 

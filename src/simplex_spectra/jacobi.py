@@ -4,11 +4,11 @@ behind them, Gauss rules."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .errors import ParameterError
 
@@ -25,13 +25,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JacobiWeight:
-    """Weight (1-x)^alpha * (1+x)^beta; both exponents must exceed -1."""
+    """Weight (1-x)^alpha * (1+x)^beta; both exponents must exceed -1.
+
+    ``alpha`` may also be a 1-d array: a column of weights, whose tables
+    ``_jacobi_table`` and ``_deriv_table`` build in one sweep.
+    """
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > -1.0 and self.beta > -1.0):
+        if not ((np.asarray(self.alpha) > -1.0).all() and self.beta > -1.0):
             raise ParameterError(
                 f"weight exponents must exceed -1, got alpha={self.alpha}, beta={self.beta}"
             )
@@ -40,7 +44,9 @@ class JacobiWeight:
     def zeroth_moment(self) -> float:
         """Integral of the weight over [-1, 1]."""
         a, b = self.alpha, self.beta
-        log_m = (a + b + 1.0) * np.log(2.0) + gammaln(a + 1.0) + gammaln(b + 1.0) - gammaln(a + b + 2.0)
+        log_m = (
+            (a + b + 1.0) * np.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+        )
         return float(np.exp(log_m))
 
 
@@ -104,34 +110,54 @@ def _jacobi_table(n: int, weight: JacobiWeight, x, den=1.0) -> np.ndarray:
     cleared of denominators, so each row is a polynomial in (x, den), finite
     for den >= 0 with no special case at den = 0; at den = 1 every product
     by den is exact and the rows are P_k(x).
+
+    A column of L weights (``weight.alpha`` a 1-d array) gives the tables
+    of all of them in one degree-major sweep, shape (L, n+1) + the point
+    shape: table j holds degrees 0..n-j, the rest stays zero, as the prefix
+    sums of the collapsed basis need. The coefficients are formed
+    elementwise, so each table has the bits of its own single-weight one.
     """
     xs = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(xs.shape, np.shape(den))
     a, b = weight.alpha, weight.beta
-    out = np.empty((n + 1,) + np.broadcast_shapes(xs.shape, np.shape(den)))
-    out[0] = 1.0
+    stacked = np.ndim(a) == 1
+    if stacked:
+        # one weight per table, as a column against the points, and the
+        # coefficients of every step at once, [step, table]
+        a = np.reshape(a, (-1,) + (1,) * len(shape))
+        steps = _recurrence_coeffs(np.arange(1.0, n).reshape((-1,) + (1,) * a.ndim), a, b)
+    out = np.zeros((len(a) if stacked else 1, n + 1) + shape)
+    # degree d is live in the tables j <= n - d
+    out[: n + 1, 0] = 1.0
     if n >= 1:
         # the n = 0 instance of the recurrence with the common factor
         # (alpha+beta)(alpha+beta+1) struck out; the raw instance
         # degenerates to 0 = 0 at alpha + beta = 0
-        out[1] = 0.5 * ((a - b) * den + (a + b + 2.0) * xs)
+        a1 = a[:n] if stacked else a
+        out[:n, 1] = 0.5 * ((a1 - b) * den + (a1 + b + 2.0) * xs)
     den2 = den * den
     for k in range(1, n):
-        c1, c2, c3, c4 = _recurrence_coeffs(k, a, b)
-        out[k + 1] = ((c2 * den + c3 * xs) * out[k] - c4 * den2 * out[k - 1]) / c1
-    return out
+        live = slice(0, n - k)
+        c1, c2, c3, c4 = [c[k - 1, live] for c in steps] if stacked else _recurrence_coeffs(k, a, b)
+        out[live, k + 1] = ((c2 * den + c3 * xs) * out[live, k] - c4 * den2 * out[live, k - 1]) / c1
+    return out if stacked else out[0]
 
 
 def _deriv_table(n: int, weight: JacobiWeight, x) -> np.ndarray:
     """First derivatives, degrees 0..n at the points x; row k is
-    0.5 (k + alpha + beta + 1) P_{k-1}^{(alpha+1, beta+1)}."""
+    0.5 (k + alpha + beta + 1) P_{k-1}^{(alpha+1, beta+1)}. A column of
+    weights gives the triangular tables of ``_jacobi_table``."""
     xs = np.asarray(x, dtype=float)
     a, b = weight.alpha, weight.beta
-    out = np.zeros((n + 1,) + xs.shape)
+    stacked = np.ndim(a) == 1
+    if stacked:
+        a = np.reshape(a, (-1, 1) + (1,) * xs.ndim)
+    out = np.zeros((len(a) if stacked else 1, n + 1) + xs.shape)
     if n >= 1:
-        shifted = _jacobi_table(n - 1, JacobiWeight(a + 1.0, b + 1.0), xs)
-        for k in range(1, n + 1):
-            out[k] = 0.5 * (k + a + b + 1.0) * shifted[k - 1]
-    return out
+        shifted = _jacobi_table(n - 1, JacobiWeight(weight.alpha + 1.0, b + 1.0), xs)
+        k = np.arange(1, n + 1).reshape((-1,) + (1,) * xs.ndim)
+        np.multiply(0.5 * (k + a + b + 1.0), shifted.reshape(out[:, 1:].shape), out=out[:, 1:])
+    return out if stacked else out[0]
 
 
 def jacobi_deriv(n: int, weight: JacobiWeight, x) -> np.ndarray:
@@ -144,7 +170,7 @@ def jacobi_norm_sq(n: int, weight: JacobiWeight) -> float:
     """Squared weighted L2 norm of the degree-n polynomial."""
     n = _check_int("degree", n)
     a, b = weight.alpha, weight.beta
-    # one-sided weights have an exact closed form; keep it free of gammaln
+    # one-sided weights have an exact closed form; keep it free of lgamma
     # roundoff because downstream scalings divide by these values
     if b == 0.0:
         return 2.0 ** (a + 1.0) / (2.0 * n + a + 1.0)
@@ -152,10 +178,10 @@ def jacobi_norm_sq(n: int, weight: JacobiWeight) -> float:
         return 2.0 ** (b + 1.0) / (2.0 * n + b + 1.0)
     log_v = (
         (a + b + 1.0) * np.log(2.0)
-        + gammaln(n + a + 1.0)
-        + gammaln(n + b + 1.0)
-        - gammaln(n + 1.0)
-        - gammaln(n + a + b + 1.0)
+        + math.lgamma(n + a + 1.0)
+        + math.lgamma(n + b + 1.0)
+        - math.lgamma(n + 1.0)
+        - math.lgamma(n + a + b + 1.0)
     )
     return float(np.exp(log_v)) / (2.0 * n + a + b + 1.0)
 

@@ -7,7 +7,8 @@ The one home of the collapsed layout: on cube axis k the basis function
 with components c has the factor P_{c_k}^(2s+k, 0)(eta_k) ((1 - eta_k)/2)^s,
 s = c_0 + ... + c_{k-1}, and the volume factor ((1 - eta_k)/2)^k.
 ``_collapsed_grid``, ``_axis_weights`` and ``_axis_factors`` give the grid,
-its weights and the factor tables in any dimension, and
+its weights and the factor tables in any dimension, the tables of one axis
+for every prefix sum at once, indexed [s, c, node], and
 ``_component_values`` evaluates the same factors at simplex points for any
 rows of components. A basis is the graded array of ``_graded_components``,
 and ``_bottom_restriction`` writes its restriction to the bottom piece
@@ -244,19 +245,16 @@ def _component_values(comps: np.ndarray, pts: np.ndarray) -> np.ndarray:
     num = x_{dim-1} and den = 1 exactly, and the table is the plain one.
     """
     dim = comps.shape[1]
-    prefix = np.cumsum(comps, axis=1) - comps
+    through = np.cumsum(comps, axis=1)
+    prefix = through - comps
     out = np.ones((len(comps), len(pts)))
-    factor = np.empty(out.shape)
     for k in range(dim):
         T = pts[:, k + 1 :].sum(axis=1)
         num = ((dim - 1 - k) + 2.0 * pts[:, k] + T) / 2.0
         den = ((k + 3 - dim) - T) / 2.0
-        for s in np.unique(prefix[:, k]):
-            rows = np.flatnonzero(prefix[:, k] == s)
-            c = comps[rows, k]
-            tab = _jacobi_table(int(c.max()), JacobiWeight(2.0 * s + k, 0.0), num, den)
-            factor[rows] = tab[c]
-        out *= factor
+        weight = JacobiWeight(2.0 * np.arange(prefix[:, k].max() + 1) + k, 0.0)
+        tab = _jacobi_table(int(through[:, k].max()), weight, num, den)
+        out *= tab[prefix[:, k], comps[:, k]]
     return out
 
 
@@ -313,30 +311,36 @@ def _axis_weights(dim: int, m: int) -> list:
     return [w * half**k for k in range(dim)]
 
 
-def _axis_factors(k: int, s: int, N: int, t: np.ndarray, kinds: str = "V") -> dict:
-    """Axis-k factor tables for the prefix sum s, one row per component
-    c = 0..N-s at the nodes t: V = P_c^(2s+k, 0) half**s, half = (1 - t)/2,
-    and the kinds named in ``kinds`` that the pulled-back gradient needs with
-    its collapsed powers cancelled: U = P_c half**(s-1) (zero at s = 0),
+def _axis_factors(k: int, N: int, t: np.ndarray, kinds: str = "V") -> dict:
+    """Axis-k factor tables at the nodes t for every prefix sum s at once,
+    each kind one array indexed [s, c, node]: s = 0..N on axes k >= 1, only
+    s = 0 on axis 0, which has no earlier axes; c = 0..N-s, the entries
+    beyond stay zero. V = P_c^(2s+k, 0) half**s, half = (1 - t)/2, and the
+    kinds named in ``kinds`` that the pulled-back gradient needs with its
+    collapsed powers cancelled: U = P_c half**(s-1) (zero at s = 0),
     D = dV/dt and X = (1 + t) D."""
+    s = np.arange(N + 1 if k else 1)
     weight = JacobiWeight(2.0 * s + k, 0.0)
     half = (1.0 - t) / 2.0
-    tab = _jacobi_table(N - s, weight, t)
+    # half**s one power at a time, with the bits of each scalar power
+    powers = np.array([half**j for j in range(len(s))])[:, None, :]
+    tab = _jacobi_table(N, weight, t)
     out = {}
-    if "U" in kinds:
-        out["U"] = tab * half ** (s - 1) if s >= 1 else np.zeros(tab.shape)
+    # products in place or one prefix sum at a time, to hold no table
+    # beyond the kinds asked for
     if "D" in kinds or "X" in kinds:
-        d = _deriv_table(N - s, weight, t)
-        if s >= 1:
-            d *= half**s
-            d -= (s / 2.0) * tab * half ** (s - 1)
+        d = _deriv_table(N, weight, t)
+        d[1:] *= powers[1:]
+        for j in range(1, len(s)):
+            d[j] -= (j / 2.0) * tab[j] * powers[j - 1]
         out["D"] = d
         if "X" in kinds:
             out["X"] = (1.0 + t) * d
-    # V last, as U and D need the unscaled table; in place, to hold one
-    # table fewer
-    if s >= 1:
-        tab *= half**s
+    if "U" in kinds:
+        out["U"] = np.zeros(tab.shape)
+        np.multiply(tab[1:], powers[:-1], out=out["U"][1:])
+    # V last, as U and D need the unscaled table
+    tab[1:] *= powers[1:]
     out["V"] = tab
     return out
 
@@ -356,20 +360,17 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     # last bits of the 1-D and 2-D sums, which `rates` errors print
     volume = reduce(np.multiply.outer, [half**k for k in range(1, dim)], 1.0)
     weight = reduce(np.multiply.outer, [w] * dim) * volume
-    # contract one axis at a time over the index prefixes fixed so far
-    parts = {(): weight * f(pts).reshape((m,) * dim)}
+    # contract one axis at a time: after axis k, parts[c_0, ..., c_k] holds
+    # the integrand contracted against the factors of those components
+    parts = weight * f(pts).reshape((m,) * dim)
     for k in range(dim):
-        by_sum = {}
-        for prefix in parts:
-            by_sum.setdefault(sum(prefix), []).append(prefix)
-        contracted = {}
-        for s, prefixes in by_sum.items():
-            tab = _axis_factors(k, s, N, t)["V"]
-            for prefix in prefixes:
-                for c, row in enumerate(np.tensordot(tab, parts.pop(prefix), axes=1)):
-                    contracted[prefix + (c,)] = row
+        V = _axis_factors(k, N, t)["V"]
+        contracted = np.zeros((N + 1,) * (k + 1) + (m,) * (dim - k - 1))
+        for prefix in dict.fromkeys(map(tuple, comps[:, :k].tolist())):
+            s = sum(prefix)
+            contracted[prefix][: N - s + 1] = np.tensordot(V[s, : N - s + 1], parts[prefix], axes=1)
         parts = contracted
-    return np.array([parts[c] for c in map(tuple, comps.tolist())])
+    return parts[tuple(comps.T)]
 
 
 def synthesize(coeffs, basis: BasisSet, xi) -> float:
@@ -407,8 +408,8 @@ def line_functions(f, p: int, q: int, nodes: int = 40):
     t, _ = _gl_nodes(m)
     section = _collapsed_grid(2, m)
     w1, w2 = _axis_weights(2, m)
-    phi1 = w1 * _axis_factors(0, 0, p, t)["V"][p]
-    phi2 = w2 * _axis_factors(1, p, p + q, t)["V"][q]
+    phi1 = w1 * _axis_factors(0, p, t)["V"][0, p]
+    phi2 = w2 * _axis_factors(1, p + q, t)["V"][p, q]
 
     def u_line(eta3):
         e3s = np.atleast_1d(np.asarray(eta3, dtype=float))
@@ -445,10 +446,17 @@ def trace_coefficient_sum(f, p: int, q: int, N: int, nodes: int = 40):
     drop below 1e-14, and its closed three-term counterpart built from the
     derivative of the scaled line function.
     """
-    N = _check_int("N", N, least=1)
+    return _trace_coefficient_sums(f, p, q, [N], nodes)[0]
+
+
+def _trace_coefficient_sums(f, p: int, q: int, Ns, nodes: int) -> list:
+    """``trace_coefficient_sum`` at every degree in Ns, one (tail_sum,
+    short_form) pair each, from one line function and its coefficients,
+    which do not depend on N."""
+    Ns = [_check_int("N", N, least=1) for N in Ns]
     p, q = _check_int("p", p), _check_int("q", q)
     n = 2.0 * p + 2.0 * q + 2.0
-    m = _node_count(max(p + q, N), nodes)
+    m = _node_count(max(p + q, *Ns), nodes)
     t, w = _gl_nodes(m)
     u_line, _ = line_functions(f, p, q, nodes=m)
     u_vals = u_line(t)
@@ -461,21 +469,24 @@ def trace_coefficient_sum(f, p: int, q: int, N: int, nodes: int = 40):
     u_tilde = rtab @ (w_u * u_vals)
     du_tilde = rtab @ (w_u * du_vals + w_u_extra * u_vals)
 
-    # tail of the alternating series; 2^n / gamma_r reduces to (2r+n+1)/2
-    scale = 2.0 ** -(p + q + 2)
-    tail, below = 0.0, 0
-    for r in range(N, r_cap + 1):
-        term = (-1.0) ** r * (2.0 * r + n + 1.0) / 2.0 * scale * u_tilde[r]
-        tail += term
-        below = below + 1 if abs(term) < 1e-14 else 0
-        if below >= 3:
-            break
+    # 2^n / gamma_r in the tail reduces to (2r+n+1)/2
+    scale, short_scale = 2.0 ** -(p + q + 2), 2.0 ** -(p + q + 3)
+    sums = []
+    for N in Ns:
+        # tail of the alternating series
+        tail, below = 0.0, 0
+        for r in range(N, r_cap + 1):
+            term = (-1.0) ** r * (2.0 * r + n + 1.0) / 2.0 * scale * u_tilde[r]
+            tail += term
+            below = below + 1 if abs(term) < 1e-14 else 0
+            if below >= 3:
+                break
 
-    short_scale = 2.0 ** -(p + q + 3)
-    short = (-1.0) ** N * _h2(float(N), n) * (2.0 * N + n + 1.0) * short_scale * du_tilde[N]
-    for r in (N - 1, N):
-        short += (-1.0) ** (r + 1) * _h3(r + 1.0, n) * (2.0 * (r + 1.0) + n + 1.0) * short_scale * du_tilde[r]
-    return tail, short
+        short = (-1.0) ** N * _h2(float(N), n) * (2.0 * N + n + 1.0) * short_scale * du_tilde[N]
+        for r in (N - 1, N):
+            short += (-1.0) ** (r + 1) * _h3(r + 1.0, n) * (2.0 * (r + 1.0) + n + 1.0) * short_scale * du_tilde[r]
+        sums.append((tail, short))
+    return sums
 
 
 # the bottom boundary piece x_dim = -1 of each simplex that has one

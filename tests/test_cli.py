@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -205,6 +208,19 @@ def test_rates_quad_safety_adds_to_each_degree(capsys, monkeypatch):
     assert seen == [(4, 49), (5, 51), (6, 53)]
 
 
+def test_largest_accepted_smoothness_runs_clean(capsys):
+    # hs:360 and up are usage errors (test_usage_errors_exit_two): their
+    # far-vertex value 8^(S/2) squares past the float range; the largest S
+    # accepted runs with no overflow warning
+    s = math.nextafter(cli._HS_MAX, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, "rates", "--family", f"hs:{s!r}", "--n", "4..60")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 58 and all(math.isfinite(float(row[2])) for row in rows)
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     missing = str(tmp_path / "missing" / "out.csv")
     bad_argvs = [
@@ -218,6 +234,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ["rates", "--family", "hs:0.3", "--n", "4..8"],
         ["rates", "--family", "hs:inf", "--n", "4..8"],
         ["rates", "--family", "hs:1e400", "--n", "4..8"],
+        ["rates", "--family", "hs:360", "--n", "4..6"],
+        ["rates", "--family", "hs:700", "--n", "4..6"],
         ["rates", "--family", "weird", "--n", "4..8"],
         ["rates", "--family", "poly", "--n", "4..4"],
         ["rates", "--family", "poly", "--n", "7"],

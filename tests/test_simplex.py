@@ -26,7 +26,9 @@ from simplex_spectra import (
 from functools import reduce
 
 from simplex_spectra import simplex
+from simplex_spectra.jacobi import _deriv_table, _jacobi_table
 from simplex_spectra.simplex import (
+    _axis_factors,
     _axis_weights,
     _boundary_norm_direct,
     _boundary_rule,
@@ -35,8 +37,10 @@ from simplex_spectra.simplex import (
     _component_values,
     _dubiner_matrix,
     _graded_components,
+    _gl_nodes,
     _norm_sq,
     _rule_size,
+    _trace_coefficient_sums,
 )
 
 
@@ -383,6 +387,42 @@ def test_trace_coefficient_sum_identity():
             for N in (1, 2, 3):
                 tail, short = trace_coefficient_sum(fn, p, q, N)
                 assert_allclose(tail, short, rtol=0, atol=1e-10 * max(1.0, abs(tail)))
+
+
+def test_trace_coefficient_sums_match_single_degree():
+    # one line function for several N gives the bits of one call per N
+    f = lambda x: (0.3 + x[:, 0] + 0.7 * x[:, 1] - 0.4 * x[:, 2]) ** 5
+    for p, q in ((0, 0), (2, 1)):
+        want = [trace_coefficient_sum(f, p, q, N, nodes=40) for N in (1, 2, 3)]
+        assert _trace_coefficient_sums(f, p, q, (1, 2, 3), nodes=40) == want
+
+
+def test_axis_factors_match_per_weight_tables():
+    # every [s, :N-s+1] slab of the all-prefix tables has the bits of the
+    # tables built for the one weight (2s+k, 0); the rest of the row is zero
+    t, _ = _gl_nodes(11)
+    half = (1.0 - t) / 2.0
+    for k in range(3):
+        for N in (0, 1, 7):
+            got = _axis_factors(k, N, t, "UDX")
+            sums = range(N + 1) if k else range(1)
+            for kind in "VUDX":
+                assert got[kind].shape == (len(sums), N + 1, t.size), (k, N, kind)
+            for s in sums:
+                weight = JacobiWeight(2.0 * s + k, 0.0)
+                tab = _jacobi_table(N - s, weight, t)
+                d = _deriv_table(N - s, weight, t)
+                if s >= 1:
+                    d = d * half**s - (s / 2.0) * tab * half ** (s - 1)
+                want = {
+                    "V": tab * half**s,
+                    "U": tab * half ** (s - 1) if s >= 1 else np.zeros(tab.shape),
+                    "D": d,
+                    "X": (1.0 + t) * d,
+                }
+                for kind, ref in want.items():
+                    assert np.array_equal(got[kind][s, : N - s + 1], ref), (k, N, s, kind)
+                    assert not np.any(got[kind][s, N - s + 1 :]), (k, N, s, kind)
 
 
 def test_boundary_parseval_constant():
