@@ -90,7 +90,7 @@ class ConstantRecord:
 
     def __post_init__(self):
         if self.dim not in _DIMS:
-            raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
+            raise ParameterError(f"dim must be one of {_DIMS}, got {self.dim}")
         if self.N < 1:
             raise ParameterError(f"N must be >= 1, got {self.N}")
         if self.kind not in _KINDS:
@@ -166,7 +166,7 @@ def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):
     raises when its kind is reached, after the records before it.
     """
     if dim not in _DIMS:
-        raise ParameterError(f"dim must be 1 or 2, got {dim}")
+        raise ParameterError(f"dim must be one of {_DIMS}, got {dim}")
     N = _check_int("N", N, least=1)
     unknown = [k for k in kinds if k not in _KINDS]
     if unknown:

@@ -21,9 +21,6 @@ from .jacobi import (
     _h3,
     _jacobi_table,
     gauss_jacobi_rule,
-    jacobi_antideriv,
-    jacobi_deriv,
-    jacobi_eval,
     jacobi_norm_sq,
 )
 
@@ -224,39 +221,36 @@ def verify_connection(pairs) -> VerificationReport:
     )
 
 
-def _segment_rule(base, x_lo: float, x_hi: float):
-    """Nodes/weights of the Gauss-Legendre rule ``base`` transplanted to
-    (x_lo, x_hi)."""
-    half = 0.5 * (x_hi - x_lo)
-    return x_lo + half * (base.nodes + 1.0), half * base.weights
-
-
 def verify_weighted_antiderivative(q_max: int = 10, alpha_max: int = 6, n_points: int = 20) -> VerificationReport:
     """Check the closed three-term forms of the weighted antiderivative.
 
     Two checks per (q, alpha, x): the weighted integral of the degree-q
     polynomial from -1 to x against -(1-x)^alpha [h1 P_{q+1} + h2 P_q
-    + h3 P_{q-1}](x), and jacobi_antideriv against the plain integral.
+    + h3 P_{q-1}](x), and the jacobi_antideriv form (g1, g2, g3 at q+1)
+    against the plain integral. Per alpha, one table spans the rules on
+    (-1, x) for every x, and one the points x.
     """
     xs = np.linspace(-0.96, 0.98, n_points)
     base = gauss_jacobi_rule(48, JacobiWeight(0.0, 0.0))
+    # row i is the rule transplanted to (-1, xs[i])
+    half = 0.5 * (xs + 1.0)[:, None]
+    nodes, wts = -1.0 + half * (base.nodes + 1.0), half * base.weights
     worst = {"weighted-antiderivative": -1.0, "antiderivative": -1.0}
     worst_case, worst_val, n = "", -1.0, 0
     for alpha in range(alpha_max + 1):
         fa = float(alpha)
         w = JacobiWeight(fa, 0.0)
+        tab = _jacobi_table(q_max + 1, w, nodes)
+        at_x = _jacobi_table(q_max + 1, w, xs)
         for q in range(1, q_max + 1):
             h1, h2, h3 = _h1(q, fa), _h2(q, fa), _h3(q, fa)
-            for x in xs:
-                nodes, wts = _segment_rule(base, -1.0, float(x))
-                tab = _jacobi_table(q + 1, w, nodes)
-                lhs_w = float(wts @ ((1.0 - nodes) ** fa * tab[q]))
-                rhs_w = -((1.0 - x) ** fa) * float(
-                    h1 * jacobi_eval(q + 1, w, x) + h2 * jacobi_eval(q, w, x) + h3 * jacobi_eval(q - 1, w, x)
-                )
+            g1, g2, g3 = _g1(q + 1.0, fa), _g2(q + 1.0, fa), _g3(q + 1.0, fa)
+            for i, x in enumerate(xs):
+                lhs_w = float(wts[i] @ ((1.0 - nodes[i]) ** fa * tab[q, i]))
+                rhs_w = -((1.0 - x) ** fa) * float(h1 * at_x[q + 1, i] + h2 * at_x[q, i] + h3 * at_x[q - 1, i])
                 r1 = abs(lhs_w - rhs_w)
-                lhs_p = float(wts @ tab[q])
-                r2 = abs(lhs_p - float(jacobi_antideriv(q + 1, fa, x)))
+                lhs_p = float(wts[i] @ tab[q, i])
+                r2 = abs(lhs_p - float(g1 * at_x[q + 1, i] + g2 * at_x[q, i] + g3 * at_x[q - 1, i]))
                 n += 2
                 worst["weighted-antiderivative"] = max(worst["weighted-antiderivative"], r1)
                 worst["antiderivative"] = max(worst["antiderivative"], r2)
@@ -279,12 +273,14 @@ def verify_deriv_representation(q_max: int = 10, alpha_max: int = 6, n_points: i
     for alpha in range(alpha_max + 1):
         fa = float(alpha)
         w = JacobiWeight(fa, 0.0)
+        tab = _jacobi_table(q_max, w, xs)
+        dtab = _deriv_table(q_max + 1, w, xs)
         for q in range(1, q_max + 1):
-            lhs = jacobi_eval(q, w, xs) / _norms(q, fa)
+            lhs = tab[q] / _norms(q, fa)
             rhs = (
-                _h1(q - 1.0, fa) / _norms(q - 1.0, fa) * jacobi_deriv(q - 1, w, xs)
-                + _h2(q, fa) / _norms(q, fa) * jacobi_deriv(q, w, xs)
-                + _h3(q + 1.0, fa) / _norms(q + 1.0, fa) * jacobi_deriv(q + 1, w, xs)
+                _h1(q - 1.0, fa) / _norms(q - 1.0, fa) * dtab[q - 1]
+                + _h2(q, fa) / _norms(q, fa) * dtab[q]
+                + _h3(q + 1.0, fa) / _norms(q + 1.0, fa) * dtab[q + 1]
             )
             r = np.abs(lhs - rhs)
             n += r.size

@@ -111,53 +111,50 @@ def _jacobi_table(n: int, weight: JacobiWeight, x, den=1.0) -> np.ndarray:
     for den >= 0 with no special case at den = 0; at den = 1 every product
     by den is exact and the rows are P_k(x).
 
-    A column of L weights (``weight.alpha`` a 1-d array) gives the tables
-    of all of them in one degree-major sweep, shape (L, n+1) + the point
-    shape: table j holds degrees 0..n-j, the rest stays zero, as the prefix
-    sums of the collapsed basis need. The coefficients are formed
+    One degree-major sweep runs over a column of L weights (``weight.alpha``
+    a 1-d array) and gives shape (L, n+1) + the point shape: table j holds
+    degrees 0..n-j, the rest stays zero, as the prefix sums of the collapsed
+    basis need. A scalar alpha is a column of one, and its table is returned
+    without the leading axis. The coefficients of every step are formed
     elementwise, so each table has the bits of its own single-weight one.
     """
     xs = np.asarray(x, dtype=float)
     shape = np.broadcast_shapes(xs.shape, np.shape(den))
-    a, b = weight.alpha, weight.beta
-    stacked = np.ndim(a) == 1
-    if stacked:
-        # one weight per table, as a column against the points, and the
-        # coefficients of every step at once, [step, table]
-        a = np.reshape(a, (-1,) + (1,) * len(shape))
-        steps = _recurrence_coeffs(np.arange(1.0, n).reshape((-1,) + (1,) * a.ndim), a, b)
-    out = np.zeros((len(a) if stacked else 1, n + 1) + shape)
+    b = weight.beta
+    # one weight per table, as a column against the points, and the
+    # coefficients of every step at once, [step, table]
+    a = np.reshape(weight.alpha, (-1,) + (1,) * len(shape))
+    steps = _recurrence_coeffs(np.arange(1.0, n).reshape((-1,) + (1,) * a.ndim), a, b)
+    out = np.zeros((len(a), n + 1) + shape)
     # degree d is live in the tables j <= n - d
     out[: n + 1, 0] = 1.0
     if n >= 1:
         # the n = 0 instance of the recurrence with the common factor
         # (alpha+beta)(alpha+beta+1) struck out; the raw instance
         # degenerates to 0 = 0 at alpha + beta = 0
-        a1 = a[:n] if stacked else a
-        out[:n, 1] = 0.5 * ((a1 - b) * den + (a1 + b + 2.0) * xs)
+        out[:n, 1] = 0.5 * ((a[:n] - b) * den + (a[:n] + b + 2.0) * xs)
     den2 = den * den
     for k in range(1, n):
         live = slice(0, n - k)
-        c1, c2, c3, c4 = [c[k - 1, live] for c in steps] if stacked else _recurrence_coeffs(k, a, b)
+        c1, c2, c3, c4 = [c[k - 1, live] for c in steps]
         out[live, k + 1] = ((c2 * den + c3 * xs) * out[live, k] - c4 * den2 * out[live, k - 1]) / c1
-    return out if stacked else out[0]
+    return out if np.ndim(weight.alpha) else out[0]
 
 
 def _deriv_table(n: int, weight: JacobiWeight, x) -> np.ndarray:
     """First derivatives, degrees 0..n at the points x; row k is
-    0.5 (k + alpha + beta + 1) P_{k-1}^{(alpha+1, beta+1)}. A column of
-    weights gives the triangular tables of ``_jacobi_table``."""
+    0.5 (k + alpha + beta + 1) P_{k-1}^{(alpha+1, beta+1)}. Built like
+    ``_jacobi_table``: one sweep over a column of weights, and a scalar
+    weight is a column of one."""
     xs = np.asarray(x, dtype=float)
-    a, b = weight.alpha, weight.beta
-    stacked = np.ndim(a) == 1
-    if stacked:
-        a = np.reshape(a, (-1, 1) + (1,) * xs.ndim)
-    out = np.zeros((len(a) if stacked else 1, n + 1) + xs.shape)
+    b = weight.beta
+    a = np.reshape(weight.alpha, (-1, 1) + (1,) * xs.ndim)
+    out = np.zeros((len(a), n + 1) + xs.shape)
     if n >= 1:
-        shifted = _jacobi_table(n - 1, JacobiWeight(weight.alpha + 1.0, b + 1.0), xs)
+        shifted = _jacobi_table(n - 1, JacobiWeight(a.ravel() + 1.0, b + 1.0), xs)
         k = np.arange(1, n + 1).reshape((-1,) + (1,) * xs.ndim)
-        np.multiply(0.5 * (k + a + b + 1.0), shifted.reshape(out[:, 1:].shape), out=out[:, 1:])
-    return out if stacked else out[0]
+        np.multiply(0.5 * (k + a + b + 1.0), shifted, out=out[:, 1:])
+    return out if np.ndim(weight.alpha) else out[0]
 
 
 def jacobi_deriv(n: int, weight: JacobiWeight, x) -> np.ndarray:

@@ -368,7 +368,7 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
         contracted = np.zeros((N + 1,) * (k + 1) + (m,) * (dim - k - 1))
         for prefix in dict.fromkeys(map(tuple, comps[:, :k].tolist())):
             s = sum(prefix)
-            contracted[prefix][: N - s + 1] = np.tensordot(V[s, : N - s + 1], parts[prefix], axes=1)
+            contracted[prefix][: N - s + 1] = np.einsum("cn,n...->c...", V[s, : N - s + 1], parts[prefix])
         parts = contracted
     return parts[tuple(comps.T)]
 

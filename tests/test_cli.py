@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scipy.linalg import LinAlgError
 
+import simplex_spectra
 from simplex_spectra import cli, extremal, forms
 from simplex_spectra.cli import _TABLE_ROWS, _fmt, main
 from simplex_spectra.forms import SymmetricForm
@@ -190,6 +195,19 @@ def test_rates_analytic_slope(capsys):
     assert code == 0
     slope = float(out.strip().splitlines()[-1].split(",")[2])
     assert slope <= -3.0
+
+
+def test_rates_independent_of_blas_threads():
+    # OpenBLAS reads its thread count once, at load, so each count needs
+    # its own process
+    path = os.pathsep.join([str(Path(simplex_spectra.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "simplex_spectra.cli", "rates", "--family", "hs:1.3", "--n", "50..55"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        outs.append(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+    assert outs[0].startswith("family,N,error\n")
+    assert outs[0] == outs[1]
 
 
 def test_rates_quad_safety_adds_to_each_degree(capsys, monkeypatch):

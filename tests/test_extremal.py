@@ -96,6 +96,18 @@ def test_additive_validation():
             row_constants(N, dim, (kind,))
 
 
+def test_dim_messages_name_the_accepted_dims(monkeypatch):
+    # widening the one tuple widens what records and rows accept and say
+    monkeypatch.setattr(extremal, "_DIMS", (1, 2, 3))
+    ConstantRecord(dim=3, N=2, kind="mult", value=1.5, iterations=3, residual=1e-14)
+    for call in (
+        lambda: ConstantRecord(dim=4, N=2, kind="mult", value=1.5, iterations=3, residual=1e-14),
+        lambda: row_constants(2, 4),
+    ):
+        with pytest.raises(ParameterError, match=r"dim must be one of \(1, 2, 3\), got 4"):
+            call()
+
+
 def test_constant_record_validation():
     good = dict(dim=1, N=2, kind="mult", value=1.5, iterations=3, residual=1e-14)
     ConstantRecord(**good)

@@ -23,9 +23,11 @@ from simplex_spectra.jacobi import (
     _h1,
     _h2,
     _h3,
+    _deriv_table,
     _jacobi_table,
     gauss_jacobi_rule,
     jacobi_antideriv,
+    jacobi_deriv,
     jacobi_eval,
     JacobiWeight,
 )
@@ -202,6 +204,59 @@ def test_deriv_representation_sweep():
     report = verify_deriv_representation()
     assert report.passed
     assert report.max_residual <= 1e-10
+
+
+def _counting(monkeypatch, name):
+    # route identities' binding of a jacobi table builder through a counter
+    calls = []
+    real = getattr(identities, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(identities, name, counted)
+    return calls
+
+
+def test_weighted_antiderivative_reads_whole_tables(monkeypatch):
+    calls = _counting(monkeypatch, "_jacobi_table")
+    report = verify_weighted_antiderivative(q_max=5, alpha_max=3, n_points=9)
+    assert report.n_checks == 2 * 5 * 4 * 9
+    assert len(calls) <= 2 * 4
+
+
+def _deriv_representation_residuals(q_max, alpha_max, n_points):
+    # point-by-point oracle: one jacobi_eval and three jacobi_deriv calls per
+    # (alpha, q), and the worst residual with the point where it sits
+    xs = np.linspace(-1.0, 1.0, n_points)
+    worst, worst_case = -1.0, ""
+    for alpha in range(alpha_max + 1):
+        fa = float(alpha)
+        w = JacobiWeight(fa, 0.0)
+        for q in range(1, q_max + 1):
+            lhs = jacobi_eval(q, w, xs) / identities._norms(q, fa)
+            rhs = (
+                _h1(q - 1.0, fa) / identities._norms(q - 1.0, fa) * jacobi_deriv(q - 1, w, xs)
+                + _h2(q, fa) / identities._norms(q, fa) * jacobi_deriv(q, w, xs)
+                + _h3(q + 1.0, fa) / identities._norms(q + 1.0, fa) * jacobi_deriv(q + 1, w, xs)
+            )
+            r = np.abs(lhs - rhs)
+            if float(r.max()) > worst:
+                worst = float(r.max())
+                worst_case = f"q={q}, alpha={alpha}, x={xs[int(np.argmax(r))]:.3f}"
+    return {"deriv-representation": worst}, worst_case
+
+
+def test_deriv_representation_reads_whole_tables(monkeypatch):
+    tables = _counting(monkeypatch, "_jacobi_table")
+    derivs = _counting(monkeypatch, "_deriv_table")
+    for q_max, alpha_max, n_points in ((10, 6, 20), (4, 2, 7), (12, 8, 31)):
+        tables.clear()
+        derivs.clear()
+        report = verify_deriv_representation(q_max, alpha_max, n_points)
+        assert len(tables) == len(derivs) == alpha_max + 1
+        assert (report.details, report.worst_case) == _deriv_representation_residuals(q_max, alpha_max, n_points)
 
 
 def test_deriv_norm_bound_wide_sweep():

@@ -15,7 +15,7 @@ from simplex_spectra import (
     jacobi_eval,
     jacobi_norm_sq,
 )
-from simplex_spectra.jacobi import _jacobi_table
+from simplex_spectra.jacobi import _deriv_table, _jacobi_table, _recurrence_coeffs
 
 
 def test_weight_validation():
@@ -100,6 +100,42 @@ def test_scaled_table_homogenizes(n, alpha, a, b):
     plain = _jacobi_table(n, w, np.array(a / b))
     expect = plain * b ** np.arange(n + 1)[:, None].reshape(n + 1)
     assert_allclose(tab, expect, rtol=2e-12, atol=1e-12)
+
+
+def _scalar_table(n, a, b, x, den=1.0):
+    # the three-term recurrence one step at a time, with the scalar
+    # coefficients of each step: the oracle of the column sweep
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros((n + 1,) + np.broadcast_shapes(xs.shape, np.shape(den)))
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = 0.5 * ((a - b) * den + (a + b + 2.0) * xs)
+    for k in range(1, n):
+        c1, c2, c3, c4 = _recurrence_coeffs(k, a, b)
+        out[k + 1] = ((c2 * den + c3 * xs) * out[k] - c4 * (den * den) * out[k - 1]) / c1
+    return out
+
+
+def _scalar_deriv_table(n, a, b, x):
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros((n + 1,) + xs.shape)
+    if n >= 1:
+        shifted = _scalar_table(n - 1, a + 1.0, b + 1.0, xs)
+        for k in range(1, n + 1):
+            out[k] = 0.5 * (k + a + b + 1.0) * shifted[k - 1]
+    return out
+
+
+def test_tables_match_scalar_recurrence():
+    x = np.linspace(-1.0, 1.0, 9)
+    den = np.array([0.0, 0.25, 1.0, 1.5])[:, None]
+    for a, b in ((0.0, 0.0), (0.5, -0.5), (2.0, 0.3), (1.5, 2.75), (-0.5, 0.5)):
+        w = JacobiWeight(a, b)
+        for n in (0, 1, 2, 3, 11):
+            for pts in (x, 0.3):
+                assert np.array_equal(_jacobi_table(n, w, pts), _scalar_table(n, a, b, pts)), (a, b, n)
+                assert np.array_equal(_deriv_table(n, w, pts), _scalar_deriv_table(n, a, b, pts)), (a, b, n)
+            assert np.array_equal(_jacobi_table(n, w, x, den), _scalar_table(n, a, b, x, den)), (a, b, n)
 
 
 def test_deriv_matches_finite_difference():
