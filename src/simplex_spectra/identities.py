@@ -221,6 +221,15 @@ def verify_connection(pairs) -> VerificationReport:
     )
 
 
+def _check_arguments(q_max, alpha_max, n_points):
+    """The sweep arguments of the point-wise identity checks as ints."""
+    return (
+        _check_int("q_max", q_max, least=1),
+        _check_int("alpha_max", alpha_max),
+        _check_int("n_points", n_points, least=1),
+    )
+
+
 def verify_weighted_antiderivative(q_max: int = 10, alpha_max: int = 6, n_points: int = 20) -> VerificationReport:
     """Check the closed three-term forms of the weighted antiderivative.
 
@@ -230,6 +239,7 @@ def verify_weighted_antiderivative(q_max: int = 10, alpha_max: int = 6, n_points
     against the plain integral. Per alpha, one table spans the rules on
     (-1, x) for every x, and one the points x.
     """
+    q_max, alpha_max, n_points = _check_arguments(q_max, alpha_max, n_points)
     xs = np.linspace(-0.96, 0.98, n_points)
     base = gauss_jacobi_rule(48, JacobiWeight(0.0, 0.0))
     # row i is the rule transplanted to (-1, xs[i])
@@ -268,6 +278,7 @@ def verify_weighted_antiderivative(q_max: int = 10, alpha_max: int = 6, n_points
 
 def verify_deriv_representation(q_max: int = 10, alpha_max: int = 6, n_points: int = 20) -> VerificationReport:
     """Check the three-term derivative representation of P_q/gamma_q."""
+    q_max, alpha_max, n_points = _check_arguments(q_max, alpha_max, n_points)
     xs = np.linspace(-1.0, 1.0, n_points)
     worst, worst_case, n = -1.0, "", 0
     for alpha in range(alpha_max + 1):

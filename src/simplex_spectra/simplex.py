@@ -366,7 +366,8 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     for k in range(dim):
         V = _axis_factors(k, N, t)["V"]
         contracted = np.zeros((N + 1,) * (k + 1) + (m,) * (dim - k - 1))
-        for prefix in dict.fromkeys(map(tuple, comps[:, :k].tolist())):
+        prefixes = map(tuple, _graded_components(N, k).tolist()) if k else [()]
+        for prefix in prefixes:
             s = sum(prefix)
             contracted[prefix][: N - s + 1] = np.einsum("cn,n...->c...", V[s, : N - s + 1], parts[prefix])
         parts = contracted

@@ -60,36 +60,39 @@ TABLE_TOL = 5e-4
 
 # every `table 1` row at full precision, recorded when the interval H1 form
 # was still assembled by Gauss quadrature: N -> (mult, its iterations, add);
-# add takes one iteration
+# add takes one iteration. The mult iterations are those of the interpolation
+# search at one BLAS thread; an adaptive search sees the last bits of the
+# reduction, which move with the thread count, and at N = 80 it takes 12 at
+# two threads
 TABLE_1_ROWS = {
-    1: (1.1818491680390308, 48, 0.875),
-    2: (1.829821129796034, 49, 1.143612831677179),
-    3: (2.1527076837258896, 49, 1.150720482618526),
-    4: (2.341062597186098, 49, 1.1353860086456757),
-    5: (2.4594899125641034, 49, 1.1199278838831652),
-    10: (2.7219766887903236, 49, 1.08267283507986),
-    15: (2.8221038805363596, 49, 1.0685338160547813),
-    20: (2.8740641622395517, 49, 1.0611106476488639),
-    25: (2.9051245564511423, 49, 1.0565383438049565),
-    30: (2.925403102563975, 49, 1.053439542900186),
-    35: (2.9394815034674497, 49, 1.0512009237149382),
-    40: (2.9497112929622715, 49, 1.0495080255019171),
-    45: (2.957411396702178, 49, 1.0481829997612753),
-    50: (2.963372797891442, 49, 1.047117698796473),
-    55: (2.9680954780116195, 49, 1.0462425796382586),
-    60: (2.971909204711488, 49, 1.04551089085116),
-    65: (2.9750392613174843, 49, 1.044890043190268),
-    70: (2.9776441721145415, 49, 1.0443566247746838),
-    75: (2.9798383378140687, 49, 1.0438933831821453),
-    80: (2.981706138001646, 49, 1.0434873249076602),
-    85: (2.983311006218589, 49, 1.0431284776059895),
-    90: (2.984701436451424, 49, 1.0428090602800826),
-    95: (2.98591505801317, 49, 1.0425229127259754),
-    100: (2.9869814610793637, 49, 1.0422650944146332),
-    105: (2.9879241944864994, 49, 1.0420315968768554),
-    110: (2.9887622032210506, 49, 1.0418191338090215),
-    115: (2.9895108791907594, 49, 1.0416249854535826),
-    120: (2.990182840423456, 49, 1.041446881557605),
+    1: (1.1818491680390308, 8, 0.875),
+    2: (1.829821129796034, 8, 1.143612831677179),
+    3: (2.1527076837258896, 8, 1.150720482618526),
+    4: (2.341062597186098, 9, 1.1353860086456757),
+    5: (2.4594899125641034, 9, 1.1199278838831652),
+    10: (2.7219766887903236, 9, 1.08267283507986),
+    15: (2.8221038805363596, 10, 1.0685338160547813),
+    20: (2.8740641622395517, 9, 1.0611106476488639),
+    25: (2.9051245564511423, 9, 1.0565383438049565),
+    30: (2.925403102563975, 10, 1.053439542900186),
+    35: (2.9394815034674497, 10, 1.0512009237149382),
+    40: (2.9497112929622715, 10, 1.0495080255019171),
+    45: (2.957411396702178, 10, 1.0481829997612753),
+    50: (2.963372797891442, 10, 1.047117698796473),
+    55: (2.9680954780116195, 11, 1.0462425796382586),
+    60: (2.971909204711488, 11, 1.04551089085116),
+    65: (2.9750392613174843, 11, 1.044890043190268),
+    70: (2.9776441721145415, 11, 1.0443566247746838),
+    75: (2.9798383378140687, 11, 1.0438933831821453),
+    80: (2.981706138001646, 11, 1.0434873249076602),
+    85: (2.983311006218589, 12, 1.0431284776059895),
+    90: (2.984701436451424, 12, 1.0428090602800826),
+    95: (2.98591505801317, 12, 1.0425229127259754),
+    100: (2.9869814610793637, 12, 1.0422650944146332),
+    105: (2.9879241944864994, 12, 1.0420315968768554),
+    110: (2.9887622032210506, 11, 1.0418191338090215),
+    115: (2.9895108791907594, 11, 1.0416249854535826),
+    120: (2.990182840423456, 11, 1.041446881557605),
 }
 
 
@@ -136,7 +139,7 @@ def test_table_1_rows_match_recorded_values():
         assert [r.kind for r in got] == ["mult", "add_h1_denominator"]
         assert abs(got[0].value - mult) <= 1e-11 * mult, N
         assert abs(got[1].value - add) <= 1e-11 * add, N
-        assert (got[0].iterations, got[1].iterations) == (its, 1), N
+        assert abs(got[0].iterations - its) <= 1 and got[1].iterations == 1, N
 
 
 def test_triangle_constants_match_published_values(triangle_rows):

@@ -5,6 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dptsv
 
 from simplex_spectra import (
     ConstantRecord,
@@ -21,6 +23,7 @@ from simplex_spectra import (
     trace_form,
 )
 from simplex_spectra import extremal
+from simplex_spectra.cli import _TABLE_ROWS
 from simplex_spectra.forms import SymmetricForm
 
 # (N, dim) rows checked against the assembled dense pencil
@@ -428,6 +431,92 @@ def test_multiplicative_bisection_bounded_by_bracket(monkeypatch):
         rec = one_constant(N, dim, "mult")
         assert rec.iterations == len(calls) <= 57, (N, dim, rec.iterations)
         assert rec.value > 0
+
+
+def _bisected_mult(d, e, U):
+    """The mult value from the reduction (d, e, U) of ``_tridiagonalize`` by
+    bisecting the slope in s = log r down to the stopping width, on the
+    bracket of T's extreme eigenvalues: the search the interpolation
+    replaced, kept as its oracle."""
+    n = d.size
+    a_min, a_max = (
+        float(eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))[0]) for i in (0, n - 1)
+    )
+    lo, hi = 0.5 * math.log(a_min), 0.5 * math.log(a_max)
+    while True:
+        s = (lo + hi) / 2.0
+        r = math.exp(s)
+        _, _, Z, info = dptsv(r + d / r, e / r, U)
+        assert info == 0
+        G = U.T @ Z
+        mu, Y = eigh(G + G.T)
+        z = Z @ Y[:, -1]
+        Tz = d * z
+        Tz[:-1] += e * z[1:]
+        Tz[1:] += e * z[:-1]
+        slope = -2.0 * float(z @ (r * z - Tz / r))
+        if hi - lo <= extremal._LOG_R_WIDTH * max(1.0, abs(s)):
+            return float(mu[-1])
+        if slope > 0.0:
+            lo = s
+        else:
+            hi = s
+
+
+def test_multiplicative_search_matches_bisection(monkeypatch):
+    # both searches run on one reduction, so they differ only in where they
+    # sample lambda(r) near its maximum
+    for N, dim in ((1, 1), (10, 1), (60, 1), (3, 2), (12, 2)):
+        A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
+        reduced = extremal._tridiagonalize(A, C)
+        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, C: reduced)
+        rec = extremal._multiplicative(N, dim, A, C)
+        want = _bisected_mult(*reduced)
+        assert abs(rec.value - want) <= 1e-14 * want, (N, dim)
+        assert rec.residual <= 1e-14, (N, dim)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The list of the mult search's tridiagonal solves, one entry each;
+    past 200 the search is taken not to stop."""
+    calls = []
+    real_dptsv = extremal.dptsv
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        assert len(calls) <= 200, "the search did not stop"
+        return real_dptsv(*args, **kwargs)
+
+    monkeypatch.setattr(extremal, "dptsv", counted)
+    return calls
+
+
+def test_multiplicative_search_takes_few_evaluations(solves):
+    # bisection took 48 to 50 evaluations on these rows; the interpolation
+    # search takes 8 to 12
+    rows = [(N, 1) for N in _TABLE_ROWS[1]] + [(N, 2) for N in range(1, 13)]
+    for N, dim in rows:
+        solves.clear()
+        rec = one_constant(N, dim, "mult")
+        assert rec.iterations == len(solves) <= 15, (N, dim, rec.iterations)
+
+
+def test_multiplicative_search_bounded_when_interpolation_creeps(monkeypatch, solves):
+    # interpolation steps that move the least the clamp allows barely shrink
+    # the bracket; the bisection after every two steps that did not halve
+    # it still ends the search within the 3 * 57 evaluations of its argument
+    want = {(N, dim): one_constant(N, dim, "mult").value for N, dim in ((10, 1), (3, 2))}
+
+    def creeping(a, f_a, b, f_b, c, f_c, width):
+        return a + math.copysign(0.5 * width, b - a)
+
+    monkeypatch.setattr(extremal, "_interpolate", creeping)
+    for (N, dim), value in want.items():
+        solves.clear()
+        rec = one_constant(N, dim, "mult")
+        assert rec.iterations == len(solves) <= 171, (N, dim, rec.iterations)
+        assert abs(rec.value - value) <= 1e-14 * value, (N, dim)
 
 
 def test_multiplicative_rejects_indefinite_denominator(monkeypatch):

@@ -125,6 +125,16 @@ def test_integer_arguments_validation():
         lambda: verify_deriv_norm_bound(0, 2),
         lambda: verify_deriv_norm_bound(4, -1),
         lambda: verify_deriv_norm_bound(4, True),
+        # the point-wise sweeps reject what would give an empty or broken sweep
+        lambda: verify_weighted_antiderivative(0, 6, 20),
+        lambda: verify_weighted_antiderivative(10, -1, 20),
+        lambda: verify_weighted_antiderivative(10, 6, 0),
+        lambda: verify_weighted_antiderivative(10.0, 6, 20),
+        lambda: verify_deriv_representation(0, 6, 20),
+        lambda: verify_deriv_representation(10, -1, 20),
+        lambda: verify_deriv_representation(10, 6, 0),
+        lambda: verify_deriv_representation(10.0, 6, 20),
+        lambda: verify_deriv_representation(10, True, 20),
     ):
         with pytest.raises(ParameterError):
             call()
