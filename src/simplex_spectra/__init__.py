@@ -45,18 +45,12 @@ from .jacobi import (
 )
 from .simplex import (
     BasisSet,
-    DuffyPoint,
-    SimplexIndex,
     analyze,
     boundary_trace_parseval,
-    dubiner_eval,
-    dubiner_norm_sq,
-    duffy_map,
     enumerate_basis,
     line_functions,
     synthesize,
     trace_coefficient_sum,
-    transformed_gradient,
 )
 
 __version__ = "0.1.0"

@@ -181,7 +181,8 @@ def _suite_orthogonality(args) -> VerificationReport:
         if details[f"gram-dim{dim}"] > worst:
             worst = details[f"gram-dim{dim}"]
             i, j = np.unravel_index(np.argmax(dev), dev.shape)
-            worst_case = f"gram-dim{dim} at {form.basis.indices[i]} x {form.basis.indices[j]}"
+            comps = form.basis.components
+            worst_case = f"gram-dim{dim} at {tuple(comps[i].tolist())} x {tuple(comps[j].tolist())}"
     # doubling exactness, relative to the largest entry of each form
     for label, build in (
         ("mass-3d", lambda nn: mass_form(5, 3, nodes=nn(16))),

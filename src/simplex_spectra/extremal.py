@@ -53,6 +53,7 @@ from .simplex import (
     _component_values,
     _graded_components,
     _norm_sq,
+    _sample,
     analyze,
 )
 
@@ -125,23 +126,20 @@ def _chol_lower(Gm: np.ndarray, whole: np.ndarray | None = None) -> np.ndarray:
         ) from exc
 
 
-def _congruent_eigh(Bm: np.ndarray, Gm: np.ndarray):
-    """Eigenpairs of the pencil (Bm, Gm), Gm SPD, via L^-1 Bm L^-T."""
-    L = _chol_lower(Gm)
+def _congruent_top(Bm: np.ndarray, L: np.ndarray):
+    """Top eigenpair (lambda, v) of the pencil (Bm, L L^T), L lower
+    triangular, via L^-1 Bm L^-T; v has unit L L^T-norm."""
     X = solve_triangular(L, Bm, lower=True)
     C = solve_triangular(L, X.T, lower=True)
-    C = (C + C.T) / 2.0
-    w, Y = eigh(C)
-    V = solve_triangular(L, Y, lower=True, trans="T")
-    return w, V, L
+    w, Y = eigh((C + C.T) / 2.0)
+    return float(w[-1]), solve_triangular(L, Y[:, -1], lower=True, trans="T")
 
 
 def rayleigh_sup(B: SymmetricForm, G: SymmetricForm) -> EigenSolution:
     """Largest generalized eigenvalue of (B, G) with its maximizer."""
     _check_compatible(B, G)
-    w, V, L = _congruent_eigh(B.entries, G.entries)
-    lam = float(w[-1])
-    v = V[:, -1]
+    L = _chol_lower(G.entries)
+    lam, v = _congruent_top(B.entries, L)
     v = v / np.sqrt(v @ G.entries @ v)
     res = B.entries @ v - lam * (G.entries @ v)
     ortho = float(np.linalg.norm(solve_triangular(L, res, lower=True)))
@@ -217,18 +215,15 @@ def _additive(N: int, dim: int, A: np.ndarray, C: np.ndarray, wanted: list):
             residual=_pencil_residual(A, factors, v1, Bv1, mu[-1]),
         )
     if "h1_stability" in wanted:
-        X = solve_triangular(LS, A[:n1, :n1], lower=True)
-        K = solve_triangular(LS, X.T, lower=True)
-        mu, Z = eigh((K + K.T) / 2.0)
-        v1 = solve_triangular(LS, Z[:, -1], lower=True, trans="T")
+        lam, v1 = _congruent_top(A[:n1, :n1], LS)
         Bv1 = A[:n1, :n1] @ v1
         yield ConstantRecord(
             dim=dim,
             N=N,
             kind="h1_stability",
-            value=float(mu[-1]) / (N + 1),
+            value=lam / (N + 1),
             iterations=1,
-            residual=_pencil_residual(A, factors, v1, Bv1, mu[-1]),
+            residual=_pencil_residual(A, factors, v1, Bv1, lam),
         )
 
 
@@ -431,7 +426,7 @@ def trace_error_rate(u, N_list, quad_safety: int = 0):
         raise ParameterError("degrees must be strictly increasing")
 
     edge, w_edge = _boundary_rule(2, 400)
-    target = np.asarray(u(edge), dtype=float)
+    target = _sample(u, edge)
     scale = 2.0 * np.finfo(float).eps * float(np.max(np.abs(target)))
     # the edge's heads are the 1-D basis, graded 0..N, so the table of the
     # largest degree holds every degree's in its leading rows

@@ -38,16 +38,10 @@ from .jacobi import (
 )
 
 __all__ = [
-    "SimplexIndex",
     "BasisSet",
-    "DuffyPoint",
-    "duffy_map",
     "enumerate_basis",
-    "dubiner_eval",
-    "dubiner_norm_sq",
     "analyze",
     "synthesize",
-    "transformed_gradient",
     "line_functions",
     "trace_coefficient_sum",
     "boundary_trace_parseval",
@@ -61,35 +55,6 @@ def _gl_nodes(m: int):
     """Gauss-Legendre nodes/weights, cached; treat the arrays as read-only."""
     rule = gauss_jacobi_rule(m, _LEG)
     return rule.nodes, rule.weights
-
-
-@dataclass(frozen=True)
-class SimplexIndex:
-    """Multi-index (p[, q[, r]]) of one basis function; trailing components
-    are absent below the matching dimension."""
-
-    p: int
-    q: int | None = None
-    r: int | None = None
-
-    def __post_init__(self):
-        parts = [c for c in (self.p, self.q, self.r) if c is not None]
-        if self.r is not None and self.q is None:
-            raise ParameterError("index cannot carry r without q")
-        for c in parts:
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
-                raise ParameterError(f"index components must be nonnegative integers, got {self!r}")
-
-    @property
-    def dim(self) -> int:
-        return 1 + (self.q is not None) + (self.r is not None)
-
-    @property
-    def degree(self) -> int:
-        return self.p + (self.q or 0) + (self.r or 0)
-
-    def components(self) -> tuple:
-        return (self.p, self.q, self.r)[: self.dim]
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,18 +78,6 @@ class BasisSet:
     def cardinality(self) -> int:
         return len(self.components)
 
-    @property
-    def indices(self) -> tuple:
-        return tuple(SimplexIndex(*c) for c in self.components.tolist())
-
-    def position(self, idx: SimplexIndex) -> int:
-        """Row of idx in the components; ParameterError if it is not there."""
-        if idx.dim == self.dim:
-            hits = np.flatnonzero((self.components == idx.components()).all(axis=1))
-            if hits.size:
-                return int(hits[0])
-        raise ParameterError(f"index {idx!r} is not in the {self.dim}D degree-{self.N} basis")
-
 
 def _graded_components(N: int, dim: int) -> np.ndarray:
     """Components of every index of total degree <= N as rows of a
@@ -146,47 +99,6 @@ def enumerate_basis(N: int, dim: int) -> BasisSet:
     return BasisSet(dim=dim, N=int(N), components=comps)
 
 
-@dataclass(frozen=True, eq=False)
-class DuffyPoint:
-    """One cube point with its simplex image, the map's Jacobian d xi / d eta
-    and its determinant."""
-
-    eta: np.ndarray
-    xi: np.ndarray
-    jac_det: float
-    jacobian: np.ndarray
-
-    @property
-    def inv_jacobian(self) -> np.ndarray:
-        if self.jac_det == 0.0:
-            raise SingularityError("inverse Jacobian is undefined at a collapsed point")
-        return np.linalg.inv(self.jacobian)
-
-
-def duffy_map(eta, dim: int) -> DuffyPoint:
-    """Map one cube point to the simplex by the lifts of ``_collapsed_grid``;
-    collapsed faces (eta_k = 1 for k >= 1) are allowed but leave the
-    inverse Jacobian undefined."""
-    if dim not in (2, 3):
-        raise ParameterError(f"dim must be 2 or 3, got {dim}")
-    e = np.asarray(eta, dtype=float)
-    if e.shape != (dim,):
-        raise ParameterError(f"eta must have shape ({dim},), got {e.shape}")
-    # written so that a nan coordinate fails the bound
-    if not np.all(np.abs(e) <= 1.0 + 1e-14):
-        raise ParameterError("eta must lie in the closed cube [-1, 1]^d")
-    xi, jac, det = e[:1], np.eye(dim), 1.0
-    for k in range(1, dim):
-        # the lift by eta_k shrinks the earlier coordinates y by half and
-        # moves them by -(1 + y)/2 per unit of eta_k
-        half = (1.0 - e[k]) / 2.0
-        jac[:k, :k] *= half
-        jac[:k, k] = -(1.0 + xi) / 2.0
-        det *= half**k
-        xi = _lift(xi[None, :], e[k : k + 1])[0]
-    return DuffyPoint(eta=e, xi=xi, jac_det=float(det), jacobian=jac)
-
-
 def _norm_sq(p, q=None, r=None):
     """Squared L2 norm of the basis function with components (p[, q[, r]]),
     for integers or integer arrays alike, in one operation order."""
@@ -199,31 +111,12 @@ def _norm_sq(p, q=None, r=None):
     return n * (2.0 / (2.0 * p + 2.0 * q + 2.0 * r + 3.0))
 
 
-def dubiner_norm_sq(idx: SimplexIndex, dim: int | None = None) -> float:
-    """Squared L2 norm of the basis function at idx."""
-    d = idx.dim if dim is None else dim
-    if d != idx.dim:
-        raise ParameterError(f"index {idx!r} is {idx.dim}-dimensional, not {d}")
-    return _norm_sq(idx.p, idx.q, idx.r)
-
-
 def _check_simplex_point(pts: np.ndarray, dim: int) -> None:
     tol = 1e-12
     # written so that a nan coordinate fails the bounds
     inside = np.all(pts >= -1.0 - tol) and np.all(np.sum(pts, axis=1) <= (2.0 - dim) + tol)
     if not inside:
         raise ParameterError("point outside the closed reference simplex")
-
-
-def _simplex_point(xi, dim: int) -> np.ndarray:
-    """One point of the closed simplex as a (1, dim) array; ParameterError
-    unless xi has dim coordinates and lies in the simplex."""
-    pt = np.asarray(xi, dtype=float)
-    if pt.size != dim:
-        raise ParameterError(f"point must have {dim} coordinates, got shape {pt.shape}")
-    pt = pt.reshape(1, dim)
-    _check_simplex_point(pt, dim)
-    return pt
 
 
 def _dubiner_matrix(basis: BasisSet, pts) -> np.ndarray:
@@ -256,16 +149,6 @@ def _component_values(comps: np.ndarray, pts: np.ndarray) -> np.ndarray:
         tab = _jacobi_table(int(through[:, k].max()), weight, num, den)
         out *= tab[prefix[:, k], comps[:, k]]
     return out
-
-
-def dubiner_eval(idx: SimplexIndex, xi, dim: int) -> float:
-    """Value of the basis function at one point of the closed simplex."""
-    if dim not in (2, 3):
-        raise ParameterError(f"dim must be 2 or 3, got {dim}")
-    if idx.dim != dim:
-        raise ParameterError(f"index {idx!r} is {idx.dim}-dimensional, not {dim}")
-    pt = _simplex_point(xi, dim)
-    return float(_component_values(np.array([idx.components()]), pt)[0, 0])
 
 
 def _rule_size(N: int) -> int:
@@ -345,6 +228,17 @@ def _axis_factors(k: int, N: int, t: np.ndarray, kinds: str = "V") -> dict:
     return out
 
 
+def _sample(f, pts: np.ndarray) -> np.ndarray:
+    """The callback f at the (npts, dim) points, as a float array of shape
+    (npts,); ParameterError if f returns any other shape."""
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (len(pts),):
+        raise ParameterError(
+            f"function must return shape ({len(pts)},) at {len(pts)} points, got shape {vals.shape}"
+        )
+    return vals
+
+
 def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     """Raw inner products of f against every basis function of degree <= N.
 
@@ -362,7 +256,7 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     weight = reduce(np.multiply.outer, [w] * dim) * volume
     # contract one axis at a time: after axis k, parts[c_0, ..., c_k] holds
     # the integrand contracted against the factors of those components
-    parts = weight * f(pts).reshape((m,) * dim)
+    parts = weight * _sample(f, pts).reshape((m,) * dim)
     for k in range(dim):
         V = _axis_factors(k, N, t)["V"]
         contracted = np.zeros((N + 1,) * (k + 1) + (m,) * (dim - k - 1))
@@ -374,27 +268,19 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     return parts[tuple(comps.T)]
 
 
-def synthesize(coeffs, basis: BasisSet, xi) -> float:
-    """Evaluate the expansion with raw inner-product coefficients at one
-    point of the closed simplex."""
+def synthesize(coeffs, basis: BasisSet, pts) -> np.ndarray:
+    """Values of the expansion with raw inner-product coefficients at the
+    (npts, dim) points of the closed simplex, shape (npts,)."""
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (basis.cardinality,):
         raise ParameterError(
             f"coefficient length {c.shape} does not match basis cardinality {basis.cardinality}"
         )
-    pt = _simplex_point(xi, basis.dim)
-    scaled = c / _norm_sq(*basis.components.T)
-    return float(scaled @ _component_values(basis.components, pt)[:, 0])
-
-
-def transformed_gradient(u_grad, eta) -> np.ndarray:
-    """Cube-coordinate partial derivatives of u composed with the map,
-    from a callback giving the simplex gradient of u at one 3D point."""
-    pt = duffy_map(eta, 3)
-    g = np.asarray(u_grad(pt.xi), dtype=float)
-    if g.shape != (3,):
-        raise ParameterError("gradient callback must return 3 components")
-    return pt.jacobian.T @ g
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != basis.dim:
+        raise ParameterError(f"points must have shape (npts, {basis.dim}), got {pts.shape}")
+    _check_simplex_point(pts, basis.dim)
+    return (c / _norm_sq(*basis.components.T)) @ _component_values(basis.components, pts)
 
 
 def line_functions(f, p: int, q: int, nodes: int = 40):
@@ -417,7 +303,7 @@ def line_functions(f, p: int, q: int, nodes: int = 40):
         vals = np.empty(e3s.shape)
         for i, e3 in enumerate(e3s):
             pts = _lift(section, np.array([e3]))
-            vals[i] = phi1 @ f(pts).reshape(m, m) @ phi2
+            vals[i] = phi1 @ _sample(f, pts).reshape(m, m) @ phi2
         return vals if np.ndim(eta3) else float(vals[0])
 
     def u_line_scaled(eta3):
@@ -534,8 +420,7 @@ def _boundary_norm_direct(f, dim: int, nodes: int = 40) -> float:
     if dim not in _BOTTOM:
         raise ParameterError(f"dim must be 2 or 3, got {dim}")
     pts, wts = _boundary_rule(dim, _node_count(0, nodes))
-    vals = f(pts)
-    return float(wts @ vals**2)
+    return float(wts @ _sample(f, pts) ** 2)
 
 
 def boundary_trace_parseval(f, dim: int, gamma: str, N: int = 12) -> float:

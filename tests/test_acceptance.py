@@ -10,17 +10,17 @@ from numpy.testing import assert_allclose
 
 from simplex_spectra import (
     analyze,
-    dubiner_norm_sq,
     enumerate_basis,
     h1_form,
     mass_form,
     row_constants,
+    synthesize,
     trace_error_rate,
     trace_form,
 )
 from simplex_spectra.cli import _SUITES, _TABLE_ROWS
 from simplex_spectra.identities import verify_deriv_norm_bound
-from simplex_spectra.simplex import _dubiner_matrix, _gl_nodes
+from simplex_spectra.simplex import _dubiner_matrix, _gl_nodes, _norm_sq
 
 # published 4-decimal interval constants: N -> (mult, add)
 INTERVAL_TABLE = {
@@ -189,7 +189,7 @@ def test_tetrahedron_gram_is_diagonal():
     )
     tab = _dubiner_matrix(basis, pts)
     gram = (tab * w) @ tab.T
-    expect = np.array([dubiner_norm_sq(i) for i in basis.indices])
+    expect = _norm_sq(*basis.components.T)
     assert np.max(np.abs(np.diag(gram) - expect)) <= 1e-11
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) <= 1e-11
@@ -225,13 +225,11 @@ def test_projection_reproduces_polynomials():
     for dim in (1, 2, 3):
         for N in range(1, 7):
             basis = enumerate_basis(N, dim)
-            scale = np.sqrt(np.array([dubiner_norm_sq(i) for i in basis.indices]))
+            scale = np.sqrt(_norm_sq(*basis.components.T))
             for _ in range(17):
                 c = rng.standard_normal(basis.cardinality)
-
-                def v(x, c=c, basis=basis, scale=scale):
-                    return (c / scale) @ _dubiner_matrix(basis, x)
-
+                # c holds orthonormal coefficients; c * scale the raw ones
+                v = lambda x: synthesize(c * scale, basis, x)
                 chat = analyze(v, N, dim) / scale
                 assert np.max(np.abs(chat - c)) <= 1e-11
 
@@ -253,8 +251,7 @@ def test_projection_matches_normal_equations():
     coef = np.linalg.solve(A, b)
 
     basis = enumerate_basis(N, dim)
-    scale = np.sqrt(np.array([dubiner_norm_sq(i) for i in basis.indices]))
-    chat = analyze(f, N, dim) / scale
+    raw = analyze(f, N, dim)
 
     rng = np.random.default_rng(4)
     eta = rng.uniform(-1, 0.9, size=(30, 2))
@@ -264,7 +261,7 @@ def test_projection_matches_normal_equations():
     oracle_vals = coef @ np.array(
         [test_pts[:, 0] ** a * test_pts[:, 1] ** b for a, b in powers]
     )
-    proj_vals = (chat / scale) @ _dubiner_matrix(basis, test_pts)
+    proj_vals = synthesize(raw, basis, test_pts)
     assert np.max(np.abs(proj_vals - oracle_vals)) <= 1e-10
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -176,6 +177,14 @@ def test_verify_detects_seeded_defect(capsys):
     assert "FAIL" in out
     assert "cancellation" in out
     assert "failed suites: factor-identities" in err
+
+
+def test_verify_failure_names_worst_components(capsys):
+    # the worst Gram entry is labelled by the component tuples of its row
+    # and column
+    code, out, _ = run(capsys, "verify", "--suite", "orthogonality", "--tol", "1e-30")
+    assert code == 1
+    assert re.search(r"worst: gram-dim[23] at \([0-9, ]+\) x \([0-9, ]+\)$", out, re.M)
 
 
 def test_rates_polynomial(capsys):

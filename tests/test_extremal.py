@@ -341,18 +341,19 @@ def test_multiplicative_avoids_full_size_decompositions(monkeypatch):
 def test_numerator_factor_and_scaling_match_per_index_loops():
     # the array forms give the bits of the loops over basis indices
     from simplex_spectra.forms import _scaling_vector
-    from simplex_spectra.simplex import dubiner_norm_sq
+    from simplex_spectra.simplex import _norm_sq
 
     for dim in (1, 2):
         for N in (1, 7, 24):
             basis = enumerate_basis(2 * N, dim)
-            s = np.array([1.0 / np.sqrt(dubiner_norm_sq(idx)) for idx in basis.indices])
+            comps = basis.components.tolist()
+            s = np.array([1.0 / np.sqrt(_norm_sq(*c)) for c in comps])
             C = np.zeros((basis.cardinality, 1 if dim == 1 else N + 1))
-            for k, idx in enumerate(basis.indices):
-                if idx.degree <= N and dim == 1:
+            for k, c in enumerate(comps):
+                if sum(c) <= N and dim == 1:
                     C[k, 0] = s[k]
-                elif idx.degree <= N:
-                    C[k, idx.p] = (-1.0) ** idx.q * s[k] * math.sqrt(2.0 / (2 * idx.p + 1))
+                elif sum(c) <= N:
+                    C[k, c[0]] = (-1.0) ** c[1] * s[k] * math.sqrt(2.0 / (2 * c[0] + 1))
             assert np.array_equal(_scaling_vector(basis), s), (dim, N)
             assert np.array_equal(extremal._numerator_factor(N, dim), C), (dim, N)
 
@@ -571,7 +572,7 @@ def test_trace_rate_edge_collapse_matches_per_index_loop():
     # the array collapse onto the edge gives the bits of a per-index sum in
     # basis order
     from simplex_spectra.jacobi import JacobiWeight, _jacobi_table
-    from simplex_spectra.simplex import _gl_nodes, analyze, dubiner_norm_sq
+    from simplex_spectra.simplex import _gl_nodes, _norm_sq, analyze
 
     u = lambda x: ((x[:, 0] - 1.0) ** 2 + (x[:, 1] + 1.0) ** 2) ** 0.65
     Ns = list(range(4, 21))
@@ -581,8 +582,8 @@ def test_trace_rate_edge_collapse_matches_per_index_loop():
     for N in Ns:
         raw = analyze(u, N, 2, nodes=2 * N + 40)
         ap = np.zeros(N + 1)
-        for k, idx in enumerate(enumerate_basis(N, 2).indices):
-            ap[idx.p] += (-1.0) ** idx.q * raw[k] / dubiner_norm_sq(idx)
+        for k, (p, q) in enumerate(enumerate_basis(N, 2).components.tolist()):
+            ap[p] += (-1.0) ** q * raw[k] / _norm_sq(p, q)
         vals = ap @ _jacobi_table(N, JacobiWeight(0.0, 0.0), t_edge)
         want.append((N, float(np.sqrt(np.sum(w_edge * (target - vals) ** 2)))))
     rows, _, _ = trace_error_rate(u, Ns)
@@ -602,4 +603,7 @@ def test_trace_rate_validation():
     for bad in (-1, 1.5, True):
         with pytest.raises(ParameterError, match="quad_safety"):
             trace_error_rate(f, [4, 6], quad_safety=bad)
+    for bad in (lambda x: 1.0, lambda x: np.ones(3), lambda x: x):
+        with pytest.raises(ParameterError, match="shape"):
+            trace_error_rate(bad, [4, 6])
 

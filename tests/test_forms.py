@@ -8,7 +8,6 @@ from simplex_spectra import (
     ParameterError,
     SymmetricForm,
     analyze,
-    dubiner_norm_sq,
     enumerate_basis,
     h1_form,
     mass_form,
@@ -17,14 +16,13 @@ from simplex_spectra import (
     trace_form,
 )
 from simplex_spectra.forms import _ROW_BLOCK, _axis_tables, _scaling_vector
-from simplex_spectra.simplex import _boundary_rule, _dubiner_matrix, _gl_nodes, _rule_size
+from simplex_spectra.simplex import _boundary_rule, _dubiner_matrix, _gl_nodes, _norm_sq, _rule_size
 
 
 def orthonormal_coeffs(f, M, dim):
     basis = enumerate_basis(M, dim)
     raw = analyze(f, M, dim)
-    norms = np.array([dubiner_norm_sq(i) for i in basis.indices])
-    return raw / np.sqrt(norms)
+    return raw / np.sqrt(_norm_sq(*basis.components.T))
 
 
 def test_mass_is_identity():
@@ -150,9 +148,9 @@ def test_trace_edge_closed_form():
     closed = np.zeros((b.cardinality, b.cardinality))
     for p in range(7):
         v = np.zeros(b.cardinality)
-        for k, idx in enumerate(b.indices):
-            if idx.p == p:
-                v[k] = (-1.0) ** idx.q * T.scaling[k]
+        for k, (pk, qk) in enumerate(b.components.tolist()):
+            if pk == p:
+                v[k] = (-1.0) ** qk * T.scaling[k]
         closed += (2.0 / (2 * p + 1)) * np.outer(v, v)
     assert np.max(np.abs(T.entries - closed)) < 1e-13
 
@@ -223,7 +221,7 @@ def test_point_eval_squares_endpoint_value():
 def test_projection_form_blocks():
     T = trace_form(6, 2, "edge")
     PB = projection_form(T, 3)
-    degrees = np.array([idx.degree for idx in T.basis.indices])
+    degrees = T.basis.components.sum(axis=1)
     live = np.flatnonzero(degrees <= 3)
     dead = np.flatnonzero(degrees > 3)
     assert live.size == 10  # dim P_3(T^2)

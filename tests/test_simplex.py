@@ -8,20 +8,15 @@ from numpy.testing import assert_allclose
 from simplex_spectra import (
     BasisSet,
     ParameterError,
-    SimplexIndex,
     SingularityError,
     analyze,
     boundary_trace_parseval,
-    dubiner_eval,
-    dubiner_norm_sq,
-    duffy_map,
     enumerate_basis,
     jacobi_eval,
     JacobiWeight,
     line_functions,
     synthesize,
     trace_coefficient_sum,
-    transformed_gradient,
 )
 from functools import reduce
 
@@ -44,104 +39,26 @@ from simplex_spectra.simplex import (
 )
 
 
-def test_index_validation():
-    idx = SimplexIndex(2, 1)
-    assert idx.dim == 2 and idx.degree == 3 and idx.components() == (2, 1)
-    assert SimplexIndex(1, 2, 3).degree == 6
-    with pytest.raises(ParameterError):
-        SimplexIndex(-1)
-    with pytest.raises(ParameterError):
-        SimplexIndex(1, None, 2)  # r without q
-    with pytest.raises(ParameterError):
-        SimplexIndex(True)
-
-
 def test_enumerate_counts_and_order():
     for dim, N, count in ((1, 6, 7), (2, 5, 21), (3, 4, 35)):
         basis = enumerate_basis(N, dim)
         assert basis.cardinality == count
-        degrees = [idx.degree for idx in basis.indices]
+        degrees = basis.components.sum(axis=1).tolist()
         # graded order: degrees never decrease, truncation is a prefix
         assert degrees == sorted(degrees)
     b2 = enumerate_basis(2, 2)
-    assert [i.components() for i in b2.indices] == [
-        (0, 0),
-        (0, 1),
-        (1, 0),
-        (0, 2),
-        (1, 1),
-        (2, 0),
-    ]
-    assert b2.position(SimplexIndex(1, 1)) == 4
-    # position is the row of the components; an index off the basis is refused
-    for dim, N in ((1, 4), (2, 3), (3, 2)):
-        basis = enumerate_basis(N, dim)
-        assert [basis.position(i) for i in basis.indices] == list(range(basis.cardinality))
-    for idx in (SimplexIndex(3, 0), SimplexIndex(1), SimplexIndex(0, 0, 0)):
-        with pytest.raises(ParameterError, match="not in"):
-            b2.position(idx)
+    assert b2.components.tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
     # a component array of the wrong size for (N, dim) is refused
     with pytest.raises(ParameterError):
         BasisSet(dim=2, N=3, components=_graded_components(2, 2))
 
 
-def test_duffy_round_trip():
-    rng = np.random.default_rng(3)
-    for dim in (2, 3):
-        for _ in range(25):
-            eta = rng.uniform(-1, 0.95, size=dim)
-            pt = duffy_map(eta, dim)
-            # image lies in the simplex: coordinates >= -1, sum <= 2 - dim
-            assert np.all(pt.xi >= -1 - 1e-12)
-            assert pt.xi.sum() <= (2.0 - dim) + 1e-12
-            _check_simplex_point(pt.xi.reshape(1, dim), dim)
-            assert pt.jac_det > 0
-
-
-def test_duffy_inverse_jacobian_matches_fd():
-    for eta in (np.array([0.2, -0.3]), np.array([0.2, -0.3, 0.4])):
-        dim = eta.size
-        pt = duffy_map(eta, dim)
-        h = 1e-6
-        jac = np.zeros((dim, dim))
-        for k in range(dim):
-            ep, em = eta.copy(), eta.copy()
-            ep[k] += h
-            em[k] -= h
-            jac[:, k] = (duffy_map(ep, dim).xi - duffy_map(em, dim).xi) / (2 * h)
-        assert_allclose(pt.inv_jacobian @ jac, np.eye(dim), atol=5e-9)
-        assert_allclose(np.linalg.det(jac), pt.jac_det, rtol=1e-8)
-
-
-def test_duffy_map_matches_collapsed_grid():
-    # one point at a time, the map gives the bits of the grid's lifts
-    m = 7
-    t, _ = simplex._gl_nodes(m)
-    for dim in (2, 3):
-        etas = itertools.product(t, repeat=dim)
-        for eta, row in zip(etas, _collapsed_grid(dim, m), strict=True):
-            assert np.array_equal(duffy_map(np.array(eta), dim).xi, row), (dim, eta)
-
-
-def test_duffy_collapsed_point():
-    pt = duffy_map(np.array([0.1, 1.0]), 2)
-    assert_allclose(pt.xi, [-1.0, 1.0])
-    with pytest.raises(SingularityError):
-        pt.inv_jacobian
-    with pytest.raises(ParameterError):
-        duffy_map(np.array([1.5, 0.0]), 2)
-    # a non-finite coordinate is outside the cube
-    for eta in ([np.nan, 0.2], [0.1, np.inf]):
-        with pytest.raises(ParameterError):
-            duffy_map(np.array(eta), 2)
-    with pytest.raises(ParameterError):
-        transformed_gradient(lambda xi: np.ones(3), np.array([np.nan, 0.0, 0.0]))
-
-
 def test_norm_frozen_values():
-    assert_allclose(dubiner_norm_sq(SimplexIndex(2, 1)), 1 / 10, rtol=1e-15)
-    assert_allclose(dubiner_norm_sq(SimplexIndex(1, 1, 1)), 4 / 81, rtol=1e-15)
-    assert_allclose(dubiner_norm_sq(SimplexIndex(3)), 2 / 7, rtol=1e-15)
+    assert_allclose(_norm_sq(2, 1), 1 / 10, rtol=1e-15)
+    assert_allclose(_norm_sq(1, 1, 1), 4 / 81, rtol=1e-15)
+    assert_allclose(_norm_sq(3), 2 / 7, rtol=1e-15)
+    # component arrays give the values row by row
+    assert_allclose(_norm_sq(*np.array([[2, 1], [0, 0]]).T), [1 / 10, 2.0], rtol=1e-15)
 
 
 def test_dubiner_gram_small():
@@ -176,7 +93,7 @@ def test_dubiner_gram_small():
         rows = np.r_[np.arange(len(tab))[::-3], 0, 0, len(tab) - 1, 4]
         assert np.array_equal(_component_values(basis.components[rows], pts), tab[rows])
         gram = (tab * w) @ tab.T
-        diag = np.array([dubiner_norm_sq(i) for i in basis.indices])
+        diag = _norm_sq(*basis.components.T)
         assert_allclose(np.diag(gram), diag, rtol=1e-12)
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-13
@@ -186,17 +103,17 @@ def test_dubiner_eval_base_cases():
     # psi_{p,0} on the bottom edge reduces to Legendre in xi1
     for p in range(4):
         for t in (-0.8, 0.1, 0.9):
-            val = dubiner_eval(SimplexIndex(p, 0), np.array([t, -1.0]), 2)
+            val = _component_values(np.array([[p, 0]]), np.array([[t, -1.0]]))[0, 0]
             assert_allclose(val, jacobi_eval(p, JacobiWeight(0.0, 0.0), t), rtol=1e-13)
     # psi_{0,0,r} depends only on xi3
     for r in range(3):
-        val = dubiner_eval(SimplexIndex(0, 0, r), np.array([-0.7, -0.5, -0.1]), 3)
+        val = _component_values(np.array([[0, 0, r]]), np.array([[-0.7, -0.5, -0.1]]))[0, 0]
         assert_allclose(val, jacobi_eval(r, JacobiWeight(2.0, 0.0), -0.1), rtol=1e-13)
 
 
 def test_dubiner_eval_polynomial_on_closed_simplex():
     # singularity-free form: finite values on the collapsed vertex itself
-    val = dubiner_eval(SimplexIndex(3, 2), np.array([-1.0, 1.0]), 2)
+    val = _component_values(np.array([[3, 2]]), np.array([[-1.0, 1.0]]))[0, 0]
     assert np.isfinite(val)
 
 
@@ -206,17 +123,21 @@ def test_analyze_synthesize_round_trip():
     for dim, N in ((1, 4), (2, 4), (3, 4), (3, 9)):
         basis = enumerate_basis(N, dim)
         coeffs = rng.standard_normal(basis.cardinality)
-        norms = np.array([dubiner_norm_sq(i) for i in basis.indices])
+        raw = analyze(lambda x: synthesize(coeffs, basis, x), N, dim)
+        assert_allclose(raw, coeffs, rtol=0, atol=1e-12)
+        # a polynomial of degree N given by monomials, analyzed on the
+        # collapsed grid, is reproduced at points off the grid
+        powers = rng.integers(0, N // dim + 1, size=(5, dim))
+        weights = rng.standard_normal(len(powers))
 
         def u(x):
-            from simplex_spectra.simplex import _dubiner_matrix
+            return (x[:, None, :] ** powers).prod(axis=2) @ weights
 
-            return (coeffs / norms) @ _dubiner_matrix(basis, x)
-
-        raw = analyze(u, N, dim)
-        assert_allclose(raw, coeffs, rtol=0, atol=1e-12)
-        xi = np.full(dim, -0.4)
-        assert_allclose(synthesize(raw, basis, xi), u(xi.reshape(1, dim))[0], atol=1e-12)
+        # random points of the closed simplex: x = -1 + 2 (barycentric)
+        pts = -1.0 + 2.0 * rng.dirichlet(np.ones(dim + 1), size=20)[:, :dim]
+        got = synthesize(analyze(u, N, dim), basis, pts)
+        assert got.shape == (20,)
+        assert_allclose(got, u(pts), rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(u(pts)))))
 
 
 def test_analyze_node_count_validation():
@@ -238,7 +159,7 @@ def test_basis_order_is_graded_lex():
             )
             assert [tuple(c) for c in _graded_components(N, dim).tolist()] == want
             basis = enumerate_basis(N, dim)
-            assert [i.components() for i in basis.indices] == want
+            assert [tuple(c) for c in basis.components.tolist()] == want
             # the basis holds the component array itself, read-only
             assert np.array_equal(basis.components, _graded_components(N, dim))
             assert not basis.components.flags.writeable
@@ -246,18 +167,10 @@ def test_basis_order_is_graded_lex():
                 basis.components[0, 0] = 1
 
 
-def test_norm_sq_of_arrays_matches_per_index():
-    # the array form gives dubiner_norm_sq's bits for every index
-    for dim in (1, 2, 3):
-        basis = enumerate_basis(9, dim)
-        want = np.array([dubiner_norm_sq(i) for i in basis.indices])
-        assert np.array_equal(_norm_sq(*_graded_components(9, dim).T), want)
-
-
 def test_analyze_order_without_basis_objects(monkeypatch):
-    # rows follow enumerate_basis(N, dim).indices, checked against raw inner
+    # rows follow enumerate_basis(N, dim).components, checked against raw inner
     # products from the basis matrix on the same collapsed grid; analyze
-    # itself builds no index objects
+    # itself builds no BasisSet
     f = lambda x: np.exp(0.7 * x[:, 0] - 0.4 * x.sum(axis=1)) + x[:, -1] ** 2
     oracles = {}
     for dim, N in ((1, 9), (2, 9), (3, 6)):
@@ -283,6 +196,17 @@ def test_analyze_argument_checks():
     for dim in (0, 4):
         with pytest.raises(ParameterError, match="dim must"):
             analyze(f, 3, dim)
+    # a callback that does not return one value per point is refused by
+    # every entry point that samples it
+    for bad in (lambda x: 1.0, lambda x: np.ones(3), lambda x: x):
+        with pytest.raises(ParameterError, match="shape"):
+            analyze(bad, 4, 2)
+        with pytest.raises(ParameterError, match="shape"):
+            boundary_trace_parseval(bad, 2, "edge")
+        with pytest.raises(ParameterError, match="shape"):
+            _boundary_norm_direct(bad, 3)
+        with pytest.raises(ParameterError, match="shape"):
+            line_functions(bad, 1, 0)[0](0.3)
 
 
 def test_node_overrides_are_checked():
@@ -331,35 +255,14 @@ def test_synthesize_checks_its_point():
     basis = enumerate_basis(3, 2)
     c = np.ones(basis.cardinality)
     with pytest.raises(ParameterError, match="outside"):
-        synthesize(c, basis, [0.9, 0.9])
-    for xi in ([-0.5, -0.5, -0.5], [-0.5]):
-        with pytest.raises(ParameterError, match="coordinates"):
-            synthesize(c, basis, xi)
-        with pytest.raises(ParameterError, match="coordinates"):
-            dubiner_eval(SimplexIndex(1, 1), xi, 2)
+        synthesize(c, basis, [[-0.5, -0.5], [0.9, 0.9]])
+    # points come as an (npts, 2) array, one point included
+    for pts in ([[-0.5, -0.5, -0.5]], [[-0.5]], [-0.5, -0.5]):
+        with pytest.raises(ParameterError, match="shape"):
+            synthesize(c, basis, pts)
     # the closed simplex is accepted, its vertices included
-    for xi in ([1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]):
-        assert np.isfinite(synthesize(c, basis, xi))
-
-
-def test_transformed_gradient_chain_rule():
-    # u = xi1^2 xi3 + xi2: compose with the map and differentiate numerically
-    def u(xi):
-        return xi[0] ** 2 * xi[2] + xi[1]
-
-    def grad(xi):
-        return np.array([2 * xi[0] * xi[2], 1.0, xi[0] ** 2])
-
-    eta = np.array([0.3, -0.2, 0.5])
-    got = transformed_gradient(grad, eta)
-    h = 1e-6
-    fd = np.zeros(3)
-    for k in range(3):
-        ep, em = eta.copy(), eta.copy()
-        ep[k] += h
-        em[k] -= h
-        fd[k] = (u(duffy_map(ep, 3).xi) - u(duffy_map(em, 3).xi)) / (2 * h)
-    assert_allclose(got, fd, rtol=1e-7, atol=1e-9)
+    vals = synthesize(c, basis, [[1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    assert vals.shape == (3,) and np.all(np.isfinite(vals))
 
 
 def test_line_functions_constant():
@@ -461,9 +364,7 @@ def test_point_checker_rejects_outside():
         with pytest.raises(ParameterError):
             _check_simplex_point(np.array([bad]), 2)
     with pytest.raises(ParameterError):
-        synthesize(np.ones(10), enumerate_basis(3, 2), [np.nan, 0.0])
-    with pytest.raises(ParameterError):
-        dubiner_eval(SimplexIndex(1, 1), [np.nan, -0.5], 2)
+        synthesize(np.ones(10), enumerate_basis(3, 2), [[-0.5, -0.5], [np.nan, 0.0]])
 
 
 @settings(max_examples=30, deadline=None)
@@ -475,8 +376,8 @@ def test_point_checker_rejects_outside():
 )
 def test_dubiner_matches_collapsed_product(p, q, e1, e2):
     # away from the collapse, the basis equals the classical product form
-    pt = duffy_map(np.array([e1, e2]), 2)
-    got = dubiner_eval(SimplexIndex(p, q), pt.xi, 2)
+    xi = np.array([[(1 + e1) * (1 - e2) / 2 - 1, e2]])
+    got = _component_values(np.array([[p, q]]), xi)[0, 0]
     expect = (
         jacobi_eval(p, JacobiWeight(0.0, 0.0), e1)
         * ((1 - e2) / 2) ** p
