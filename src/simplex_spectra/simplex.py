@@ -120,10 +120,11 @@ def _check_simplex_point(pts: np.ndarray, dim: int) -> None:
 
 
 def _dubiner_matrix(basis: BasisSet, pts) -> np.ndarray:
-    """Values of every basis function at the given points, shape (card, npts)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pts.shape[1] != basis.dim:
-        raise ParameterError(f"points must have shape (npts, {basis.dim})")
+    """Values of every basis function at the (npts, dim) points, shape
+    (card, npts)."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != basis.dim:
+        raise ParameterError(f"points must have shape (npts, {basis.dim}), got {pts.shape}")
     return _component_values(basis.components, pts)
 
 
@@ -276,11 +277,9 @@ def synthesize(coeffs, basis: BasisSet, pts) -> np.ndarray:
         raise ParameterError(
             f"coefficient length {c.shape} does not match basis cardinality {basis.cardinality}"
         )
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != basis.dim:
-        raise ParameterError(f"points must have shape (npts, {basis.dim}), got {pts.shape}")
-    _check_simplex_point(pts, basis.dim)
-    return (c / _norm_sq(*basis.components.T)) @ _component_values(basis.components, pts)
+    values = _dubiner_matrix(basis, pts)
+    _check_simplex_point(np.asarray(pts, dtype=float), basis.dim)
+    return (c / _norm_sq(*basis.components.T)) @ values
 
 
 def line_functions(f, p: int, q: int, nodes: int = 40):
