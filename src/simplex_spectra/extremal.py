@@ -9,11 +9,13 @@ in 1-D and one per function of the bottom piece's degree-N basis above.
 The multiplicative constant mixes the mass, H1 and numerator forms; since
 sqrt(xy) = min_r (r x + y/r)/2 and the mass is the identity in the
 orthonormal basis, it is the maximum over r of the top eigenvalue of
-(2B, r I + A/r). One Householder reduction A = Q T Q^T to tridiagonal T,
-carried through C, turns every such eigenvalue into a tridiagonal solve
-and a problem of C's column count, and the maximizer is found in log r by
-a safeguarded interpolation search on the slope, in a bracket fixed by the
-extreme eigenvalues of T.
+(2B, r I + A/r). A reduction A = Q T Q^T to tridiagonal T, one Householder
+reduction per uncoupled parity block of A (the even- and odd-degree
+blocks of the interval's form, the whole form in 2-D), carried through C,
+turns every such eigenvalue into a tridiagonal solve and a problem of C's
+column count, and the maximizer is found in log r by a safeguarded
+interpolation search on the slope, in a bracket fixed by the extreme
+eigenvalues of T.
 
 Both additive numerators vanish off the degree-<=N block, which the graded
 basis puts first, so each additive constant is an eigenproblem of that
@@ -38,10 +40,17 @@ from scipy.linalg import (
     cholesky,
     eigh,
     eigvalsh,
-    eigvalsh_tridiagonal,
     solve_triangular,
 )
-from scipy.linalg.lapack import dormqr, dptsv, dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import (
+    dormqr,
+    dptsv,
+    dstebz,
+    dsyevr,
+    dsyevr_lwork,
+    dsytrd,
+    dsytrd_lwork,
+)
 
 from .errors import NumericError, ParameterError
 from .forms import SymmetricForm, h1_form
@@ -281,19 +290,45 @@ def _pencil_residual(A: np.ndarray, factors, v1: np.ndarray, Bv1: np.ndarray, la
 
 def _tridiagonalize(A: np.ndarray, C: np.ndarray):
     """(d, e, U): the diagonal and off-diagonal of T = Q^T A Q, from one
-    blocked Householder reduction of A, and U = Q^T C through the same
-    reflectors. In lower storage Q = diag(1, Q1), with Q1 the product of
-    the n-1 reflectors below the first row, as LAPACK's dormtr applies it.
+    blocked Householder reduction per uncoupled parity block of A, and
+    U = Q^T C through the same reflectors.
 
-    The reduction overwrites A: it runs on A.T, the Fortran-ordered view of
-    the exactly symmetric A, which LAPACK takes without a copy."""
-    n = A.shape[0]
-    lwork, _ = dsytrd_lwork(n, lower=1)
-    c, d, e, tau, _ = dsytrd(A.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    When the coupling A[::2, 1::2] of the even- and odd-indexed basis
+    functions is exactly zero, as for the interval's H1 form, where
+    int L_i' L_j' vanishes for i + j odd, the even block A[::2, ::2] and
+    the odd block A[1::2, 1::2] are reduced separately, each with its rows
+    of C. Q then maps the even block's reduced coordinates first and the
+    odd block's after them: d and U are the two blocks' stacked, and e
+    holds an exact 0 at the seam. Otherwise, as for every 2-D form, A is
+    the one block, and its reduction overwrites A in place: it runs on
+    A.T, the Fortran-ordered view of the exactly symmetric A, which LAPACK
+    takes without a copy."""
+    if np.any(A[::2, 1::2]):
+        return _reduce_block(A.T, C)
+    (d0, e0, U0), (d1, e1, U1) = (
+        _reduce_block(np.asfortranarray(A[p::2, p::2]), C[p::2]) for p in (0, 1)
+    )
+    return np.concatenate([d0, d1]), np.concatenate([e0, [0.0], e1]), np.vstack([U0, U1])
+
+
+def _reduce_block(F: np.ndarray, C: np.ndarray):
+    """(d, e, Q^T C) for the Householder reduction Q^T F Q of the
+    Fortran-ordered symmetric block F, which it overwrites. In lower storage
+    Q = diag(1, Q1), with Q1 the product of the n-1 reflectors below the
+    first row, as LAPACK's dormtr applies it; a block of size 1 has none."""
+    n = F.shape[0]
+    if n == 1:
+        return F[0].copy(), np.zeros(0), C.copy()
+    lwork, info = dsytrd_lwork(n, lower=1)
+    _check_info("dsytrd_lwork", info)
+    c, d, e, tau, info = dsytrd(F, lower=1, lwork=int(lwork), overwrite_a=1)
+    _check_info("dsytrd", info)
     reflectors = c[1:, : n - 1]
-    _, work, _ = dormqr("L", "T", reflectors, tau, C[1:], -1)
+    _, work, info = dormqr("L", "T", reflectors, tau, C[1:], -1)
+    _check_info("dormqr", info)
     U = C.copy()
-    U[1:], _, _ = dormqr("L", "T", reflectors, tau, C[1:], int(work[0]))
+    U[1:], _, info = dormqr("L", "T", reflectors, tau, C[1:], int(work[0]))
+    _check_info("dormqr", info)
     return d, e, U
 
 
@@ -301,21 +336,25 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantR
     """The mult record, as the maximum over the split parameter r of
     lambda(r) = lambda_max(2B, r I + A/r).
 
-    With A = Q T Q^T, T tridiagonal, and U = Q^T C for the numerator
-    factor C, each lambda(r) is the top eigenvalue of the k x k matrix
-    2 U^T Z, where Z = (r I + T/r)^-1 U comes from one tridiagonal solve
-    and k is C's column count (1 in 1-D, N+1 in 2-D). Its slope in
-    s = log r changes sign from nonnegative to nonpositive across
-    [log a_min, log a_max] / 2, with a_min and a_max the extreme
-    eigenvalues of T, and the root is searched for on that bracket (Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 4). The
-    search bisects until it has sampled one positive and one nonpositive
-    slope, and from then on takes Chandrupatla's inverse quadratic
-    interpolation step (``_interpolate``; Adv. Eng. Softw. 28 (1997) 145),
-    kept at least half the stopping width 1e-14 max(1, |s|) inside both
-    ends, so that the bracket collapses onto a converged root. It stops
-    when the bracket is no wider than the stopping width at the newest
-    point, and returns that point's record.
+    With A = Q T Q^T, T tridiagonal from one reduction per uncoupled
+    parity block of A (``_tridiagonalize``), and U = Q^T C for the
+    numerator factor C, each lambda(r) is the top eigenvalue of the k x k
+    matrix 2 U^T Z, where Z = (r I + T/r)^-1 U comes from one tridiagonal
+    solve and k is C's column count (1 in 1-D, N+1 in 2-D). These go to
+    LAPACK directly (dptsv, and dsyevr as scipy's eigh calls it), with
+    the eigensolvers' inputs checked finite and a nonzero info raised as
+    NumericError. The slope of lambda in s = log r changes sign from
+    nonnegative to nonpositive across [log a_min, log a_max] / 2, with
+    a_min and a_max the extreme eigenvalues of T (from dstebz, as
+    ``_tridiagonal_eigenvalue``), and the root is searched for on that
+    bracket (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4). The search bisects until it has sampled one positive and one
+    nonpositive slope, and from then on takes Chandrupatla's inverse
+    quadratic interpolation step (``_interpolate``; Adv. Eng. Softw. 28
+    (1997) 145), kept at least half the stopping width 1e-14 max(1, |s|)
+    inside both ends, so that the bracket collapses onto a converged root.
+    It stops when the bracket is no wider than the stopping width at the
+    newest point, and returns that point's record.
 
     The bracket is finite, since T is finite and a_min > 0, so its width is
     at most log(2^1024 / 2^-1074) / 2 < 728, and 57 halvings take it below
@@ -327,10 +366,7 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantR
     it takes 8 to 12.
     """
     d, e, U = _tridiagonalize(A, C)
-    n = d.size
-    a_min, a_max = (
-        float(eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))[0]) for i in (0, n - 1)
-    )
+    a_min, a_max = (_tridiagonal_eigenvalue(d, e, i) for i in (1, d.size))
     if a_min <= 0.0:
         raise NumericError(
             "denominator form is not positive definite: "
@@ -343,6 +379,11 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantR
     # after each evaluation
     f_lo = f_hi = c = f_c = None
     widths = [hi - lo]
+    # the k x k problems take scipy's eigh driver, with its workspace sizes
+    # queried once, since k is fixed
+    k = U.shape[1]
+    work, iwork, info = dsyevr_lwork(k, lower=1)
+    _check_info("dsyevr_lwork", info)
     for it in itertools.count(1):
         if f_lo is None or f_hi is None or (len(widths) > 2 and widths[-1] > widths[-3] / 2.0):
             s = (lo + hi) / 2.0
@@ -350,11 +391,14 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantR
             a, f_a, b, f_b = (lo, f_lo, hi, f_hi) if s == lo else (hi, f_hi, lo, f_lo)
             s = _interpolate(a, f_a, b, f_b, c, f_c, _LOG_R_WIDTH * max(1.0, abs(a)))
         r = math.exp(s)
-        _, _, Z, info = dptsv(r + d / r, e / r, U)
+        _, _, Z, info = dptsv(r + d / r, e / r, U, overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise NumericError(f"r I + A/r is not positive definite at r = {r:.6g}")
         G = U.T @ Z  # 2 U^T Z, symmetrized, is G + G^T
-        mu, Y = eigh(G + G.T)
+        mu, Y, _, _, info = dsyevr(
+            _finite(G + G.T, "2 U^T Z"), lower=1, lwork=int(work), liwork=int(iwork)
+        )
+        _check_info("dsyevr", info)
         value = float(mu[-1])
         z = Z @ Y[:, -1]
         Tz = d * z
@@ -371,6 +415,27 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantR
             return ConstantRecord(
                 dim=dim, N=N, kind="mult", value=value, iterations=it, residual=residual
             )
+
+
+def _tridiagonal_eigenvalue(d: np.ndarray, e: np.ndarray, i: int) -> float:
+    """The i-th smallest (from 1) eigenvalue of the tridiagonal T with
+    diagonal d and off-diagonal e, by LAPACK's bisection dstebz, called as
+    scipy's eigvalsh_tridiagonal(select="i") calls it."""
+    _, w, _, _, info = dstebz(_finite(d, "d"), _finite(e, "e"), 2, 0.0, 1.0, i, i, 0.0, "E")
+    _check_info("dstebz", info)
+    return float(w[0])
+
+
+def _finite(x: np.ndarray, name: str) -> np.ndarray:
+    """x, checked to hold only finite numbers before LAPACK reads it."""
+    if not np.isfinite(x).all():
+        raise NumericError(f"{name} must be finite")
+    return x
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise NumericError(f"LAPACK {routine} failed with info = {info}")
 
 
 def _interpolate(

@@ -184,11 +184,17 @@ def mass_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
 def _interval_stiffness(s: np.ndarray) -> np.ndarray:
     """Exact stiffness Gram of the Legendre basis scaled by s:
     s_i s_j m(m + 1), m = min(i, j), where i + j is even, since
-    int L_i' L_j' = m(m + 1) there and 0 elsewhere."""
-    k = np.arange(s.size)
-    m = np.minimum.outer(k, k)
-    stiff = np.where((k[:, None] + k) % 2 == 0, m * (m + 1), 0)
-    return _symmetrize(s[:, None] * stiff * s[None, :])
+    int L_i' L_j' = m(m + 1) there and 0 elsewhere. The entries m(m + 1)
+    are integers, exact as floats, taken as min(i(i + 1), j(j + 1)); the
+    odd-parity entries are zeroed by slicing."""
+    k = np.arange(s.size, dtype=float)
+    kk = k * (k + 1.0)
+    stiff = np.minimum.outer(kk, kk)
+    stiff[::2, 1::2] = 0.0
+    stiff[1::2, ::2] = 0.0
+    stiff *= s[:, None]
+    stiff *= s
+    return _symmetrize(stiff)
 
 
 def h1_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:

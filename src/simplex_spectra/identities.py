@@ -23,6 +23,7 @@ from .jacobi import (
     gauss_jacobi_rule,
     jacobi_norm_sq,
 )
+from .simplex import _sample
 
 __all__ = [
     "FactorTable",
@@ -145,7 +146,8 @@ def expand_pair(fn, dfn, alpha: int, n_terms: int, degree: int = 30) -> Coeffici
     """Quadrature coefficients of fn and dfn against weight (alpha, 0).
 
     ``degree`` bounds the polynomial degree of fn so the rule can be chosen
-    degree-exact.
+    degree-exact. Each callback takes the rule's nodes and must return one
+    value per node; any other shape is a ParameterError.
     """
     alpha = _check_int("alpha", alpha)
     n_terms = _check_int("n_terms", n_terms, least=1)
@@ -153,8 +155,8 @@ def expand_pair(fn, dfn, alpha: int, n_terms: int, degree: int = 30) -> Coeffici
     m = (degree + n_terms) // 2 + 4
     rule = gauss_jacobi_rule(m, w)
     table = _jacobi_table(n_terms - 1, w, rule.nodes)
-    u = table @ (rule.weights * fn(rule.nodes))
-    b = table @ (rule.weights * dfn(rule.nodes))
+    u = table @ (rule.weights * _sample(fn, rule.nodes))
+    b = table @ (rule.weights * _sample(dfn, rule.nodes))
     return CoefficientPair(u=u, b=b, alpha=alpha)
 
 

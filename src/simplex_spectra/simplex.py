@@ -230,8 +230,9 @@ def _axis_factors(k: int, N: int, t: np.ndarray, kinds: str = "V") -> dict:
 
 
 def _sample(f, pts: np.ndarray) -> np.ndarray:
-    """The callback f at the (npts, dim) points, as a float array of shape
-    (npts,); ParameterError if f returns any other shape."""
+    """The callback f at the (npts, dim) points, or at npts nodes of a 1-d
+    rule, as a float array of shape (npts,); ParameterError if f returns
+    any other shape."""
     vals = np.asarray(f(pts), dtype=float)
     if vals.shape != (len(pts),):
         raise ParameterError(

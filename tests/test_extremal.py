@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigvalsh, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dptsv
 
 from simplex_spectra import (
@@ -326,7 +326,7 @@ def test_multiplicative_avoids_full_size_decompositions(monkeypatch):
     # eigensolve or factorization it takes is of the numerator's column count
     N, dim = 4, 2
     sizes = []
-    for name in ("eigh", "eigvalsh", "cholesky"):
+    for name in ("eigh", "eigvalsh", "cholesky", "dsyevr"):
         real = getattr(extremal, name)
 
         def recorded(a, *args, _real=real, **kwargs):
@@ -405,6 +405,30 @@ def test_triangle_row_peak_memory():
     before = A.copy()
     extremal._tridiagonalize(A, extremal._numerator_factor(4, 2))
     assert not np.array_equal(A, before)
+
+
+def test_tridiagonalize_reduces_each_parity_block():
+    # the interval's H1 form couples no even- to odd-indexed function, so
+    # its parity blocks are reduced apart and T has an exact 0 at the seam;
+    # a triangle form is one block. Either way (d, e, U) is A and C in the
+    # reduced coordinates: U^T (mu I + T)^-1 U is C^T (mu I + A)^-1 C, and
+    # T has the extreme eigenvalues of A. The reduction is backward stable,
+    # so the first agrees only to roundoff times the condition of mu I + A,
+    # about 1e7 at N = 60: there it is 2.8e-13 off a 30-digit solve at mu = 1
+    for N, dim in ((1, 1), (2, 1), (10, 1), (60, 1), (3, 2)):
+        A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
+        if dim == 1:
+            assert not np.any(A[::2, 1::2]), N
+        d, e, U = extremal._tridiagonalize(A.copy(), C)
+        if dim == 1:
+            assert e[N] == 0.0, N
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        for mu in (1e-2, 1.0, 1e3):
+            got = U.T @ np.linalg.solve(mu * np.eye(d.size) + T, U)
+            want = C.T @ np.linalg.solve(mu * np.eye(d.size) + A, C)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (N, dim, mu)
+        ev, ev_T = eigvalsh(A), eigvalsh(T)
+        assert_allclose(ev_T[[0, -1]], ev[[0, -1]], rtol=1e-13, atol=0, err_msg=str((N, dim)))
 
 
 def test_multiplicative_bisection_bounded_by_bracket(monkeypatch):
@@ -534,6 +558,20 @@ def test_multiplicative_rejects_indefinite_denominator(monkeypatch):
     for kind in ("add_h1_denominator", "h1_stability"):
         with pytest.raises(NumericError, match="eigenvalue range"):
             one_constant(2, 1, kind)
+
+
+def test_multiplicative_rejects_nonfinite_reduction(monkeypatch):
+    # the search calls LAPACK without scipy's wrappers, so it checks what
+    # they checked: a non-finite T or k x k matrix is a NumericError, also
+    # where the arithmetic that made it is let pass without a warning
+    A, C = h1_form(6, 1).entries, extremal._numerator_factor(3, 1)
+    d, e, U = extremal._tridiagonalize(A, C)
+    U_inf = U.copy()
+    U_inf[0] = np.inf
+    for bad, name in (((np.full_like(d, np.nan), e, U), "d"), ((d, e, U_inf), "2 U")):
+        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, C, bad=bad: bad)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=f"{name}.* must be finite"):
+            extremal._multiplicative(3, 1, A, C)
 
 
 def test_multiplicative_validation(monkeypatch):

@@ -114,6 +114,15 @@ def test_connect_validation():
         connect_coefficients(np.ones(5), -1)
 
 
+def test_expand_pair_checks_callback_shapes():
+    # each callback must return one value per node of the rule; a wrong
+    # length, an extra axis or a scalar is named, not broadcast
+    for bad in (lambda x: np.ones(3), lambda x: x[:, None], lambda x: 1.0):
+        for fn, dfn in ((bad, np.cos), (np.sin, bad)):
+            with pytest.raises(ParameterError, match=r"must return shape \(\d+,\)"):
+                expand_pair(fn, dfn, 1, 5)
+
+
 def test_integer_arguments_validation():
     f = np.exp
     for call in (
