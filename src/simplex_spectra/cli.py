@@ -20,6 +20,7 @@ from .extremal import _DIMS, _KINDS, row_constants, trace_error_rate
 from .forms import h1_form, mass_form, trace_form
 from .identities import (
     VerificationReport,
+    _report,
     expand_pair,
     verify_coefficient_bound,
     verify_connection,
@@ -34,7 +35,6 @@ from .simplex import (
     _rule_size,
     _trace_coefficient_sums,
     boundary_trace_parseval,
-    enumerate_basis,
 )
 
 _CSV_HEADER = "dim,N,kind,value,iterations,residual"
@@ -173,32 +173,30 @@ def _suite_coefficient_bound(args) -> VerificationReport:
 
 
 def _suite_orthogonality(args) -> VerificationReport:
-    details, worst_case, worst = {}, "", -1.0
-    for dim, M in ((2, 8), (3, 6)):
-        form = mass_form(M, dim, nodes=_rule_size(M) + args.quad_safety)
-        dev = np.abs(form.entries - np.eye(form.basis.cardinality))
-        details[f"gram-dim{dim}"] = float(np.max(dev))
-        if details[f"gram-dim{dim}"] > worst:
-            worst = details[f"gram-dim{dim}"]
-            i, j = np.unravel_index(np.argmax(dev), dev.shape)
-            comps = form.basis.components
-            worst_case = f"gram-dim{dim} at {tuple(comps[i].tolist())} x {tuple(comps[j].tolist())}"
-    # doubling exactness, relative to the largest entry of each form
-    for label, build in (
-        ("mass-3d", lambda nn: mass_form(5, 3, nodes=nn(16))),
-        ("h1-2d", lambda nn: h1_form(7, 2, nodes=nn(20))),
-        ("trace-2d", lambda nn: trace_form(6, 2, "edge", nodes=nn(18))),
-    ):
-        base = build(lambda m: m + args.quad_safety)
-        dbl = build(lambda m: 2 * m + args.quad_safety)
-        scale = max(float(np.max(np.abs(base.entries))), 1.0)
-        details[f"doubling-{label}"] = float(np.max(np.abs(base.entries - dbl.entries))) / scale
-    n = sum(
-        (enumerate_basis(M, dim).cardinality ** 2 for dim, M in ((2, 8), (3, 6))), 3
-    )
-    return VerificationReport(
-        name="orthogonality", n_checks=n, tolerance=1e-11, details=details, worst_case=worst_case
-    )
+    def checks():
+        for dim, M in ((2, 8), (3, 6)):
+            form = mass_form(M, dim, nodes=_rule_size(M) + args.quad_safety)
+            comps, card = form.basis.components, form.basis.cardinality
+            dev = np.abs(form.entries - np.eye(card))
+
+            def case(i):
+                row, col = divmod(i, card)
+                return f"gram-dim{dim} at {tuple(comps[row].tolist())} x {tuple(comps[col].tolist())}"
+
+            yield f"gram-dim{dim}", dev, case
+        # doubling exactness, relative to the largest entry of each form
+        for label, build in (
+            ("mass-3d", lambda nn: mass_form(5, 3, nodes=nn(16))),
+            ("h1-2d", lambda nn: h1_form(7, 2, nodes=nn(20))),
+            ("trace-2d", lambda nn: trace_form(6, 2, "edge", nodes=nn(18))),
+        ):
+            base = build(lambda m: m + args.quad_safety)
+            dbl = build(lambda m: 2 * m + args.quad_safety)
+            scale = max(float(np.max(np.abs(base.entries))), 1.0)
+            key = f"doubling-{label}"
+            yield key, float(np.max(np.abs(base.entries - dbl.entries))) / scale, lambda _: key
+
+    return _report("orthogonality", 1e-11, checks())
 
 
 def _suite_finite_sum(args) -> VerificationReport:
@@ -207,22 +205,17 @@ def _suite_finite_sum(args) -> VerificationReport:
         ("mixed", lambda x: x[:, 0] * x[:, 1] + 0.5 * x[:, 1] * x[:, 2] ** 2),
         ("quintic", lambda x: (0.3 + x[:, 0] + 0.7 * x[:, 1] - 0.4 * x[:, 2]) ** 5),
     ]
-    details, worst_case, worst = {}, "", -1.0
-    n = 0
-    for label, fn in fns:
-        for p, q in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
-            # one line function serves every N
-            sums = _trace_coefficient_sums(fn, p, q, (1, 2, 3), nodes=40 + args.quad_safety)
-            for N, (tail, short) in zip((1, 2, 3), sums):
-                r = abs(tail - short) / max(1.0, abs(tail))
-                key = f"{label}-p{p}q{q}N{N}"
-                n += 1
-                if r > worst:
-                    worst, worst_case = r, key
-                details[key] = r
-    return VerificationReport(
-        name="finite-sum", n_checks=n, tolerance=1e-10, details=details, worst_case=worst_case
-    )
+
+    def checks():
+        for label, fn in fns:
+            for p, q in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
+                # one line function serves every N
+                sums = _trace_coefficient_sums(fn, p, q, (1, 2, 3), nodes=40 + args.quad_safety)
+                for N, (tail, short) in zip((1, 2, 3), sums):
+                    key = f"{label}-p{p}q{q}N{N}"
+                    yield key, abs(tail - short) / max(1.0, abs(tail)), lambda _: key
+
+    return _report("finite-sum", 1e-10, checks())
 
 
 def _suite_trace_parseval(args) -> VerificationReport:
@@ -232,21 +225,15 @@ def _suite_trace_parseval(args) -> VerificationReport:
         (3, "face", "affine", lambda x: 1.0 - x[:, 0] + 0.5 * x[:, 1] + 0.25 * x[:, 2]),
         (3, "face", "cubic", lambda x: x[:, 0] * x[:, 2] + x[:, 1] ** 3),
     ]
-    details, worst_case, worst = {}, "", -1.0
-    for dim, gamma, label, fn in corpus:
-        via_sum = boundary_trace_parseval(fn, dim, gamma, N=12)
-        direct = _boundary_norm_direct(fn, dim, nodes=40 + args.quad_safety)
-        key = f"dim{dim}-{label}"
-        details[key] = abs(via_sum - direct) / max(1.0, abs(direct))
-        if details[key] > worst:
-            worst, worst_case = details[key], key
-    return VerificationReport(
-        name="trace-parseval",
-        n_checks=len(corpus),
-        tolerance=1e-10,
-        details=details,
-        worst_case=worst_case,
-    )
+
+    def checks():
+        for dim, gamma, label, fn in corpus:
+            via_sum = boundary_trace_parseval(fn, dim, gamma, N=12)
+            direct = _boundary_norm_direct(fn, dim, nodes=40 + args.quad_safety)
+            key = f"dim{dim}-{label}"
+            yield key, abs(via_sum - direct) / max(1.0, abs(direct)), lambda _: key
+
+    return _report("trace-parseval", 1e-10, checks())
 
 
 _SUITES = (

@@ -140,7 +140,8 @@ def _congruent_top(Bm: np.ndarray, L: np.ndarray):
     triangular, via L^-1 Bm L^-T; v has unit L L^T-norm."""
     X = solve_triangular(L, Bm, lower=True)
     C = solve_triangular(L, X.T, lower=True)
-    w, Y = eigh((C + C.T) / 2.0)
+    n = len(C)
+    w, Y = eigh((C + C.T) / 2.0, subset_by_index=[n - 1, n - 1])
     return float(w[-1]), solve_triangular(L, Y[:, -1], lower=True, trans="T")
 
 

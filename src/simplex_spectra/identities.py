@@ -20,8 +20,8 @@ from .jacobi import (
     _h2,
     _h3,
     _jacobi_table,
+    _one_sided_norm_sq,
     gauss_jacobi_rule,
-    jacobi_norm_sq,
 )
 from .simplex import _sample
 
@@ -40,11 +40,6 @@ __all__ = [
     "verify_hardy",
     "verify_coefficient_bound",
 ]
-
-
-def _norms(q, a):
-    """gamma_q for the weight (a, 0); array-capable closed form."""
-    return 2.0 ** (a + 1.0) / (2.0 * q + a + 1.0)
 
 
 @dataclass(frozen=True)
@@ -90,6 +85,9 @@ class VerificationReport:
     ``details`` maps a check name to its worst residual: an absolute
     residual for identity checks, a normalized violation (LHS-RHS)/scale
     for inequality checks (negative values mean satisfied with margin).
+    ``n_checks`` counts the residuals, and ``worst_case`` labels the first
+    largest residual of the sweep, the one ``max_residual`` reports ("" for
+    a sweep with no residuals).
     """
 
     name: str
@@ -105,6 +103,28 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
+
+
+def _report(name: str, tolerance: float, checks) -> VerificationReport:
+    """The report of a sweep given as ``(key, residuals, case)`` triples in
+    sweep order: ``residuals`` is a number or an array, and ``case(i)``
+    labels its i-th flat entry, called before the sweep resumes and only
+    when that entry becomes the worst so far. ``details[key]`` is the
+    largest residual under ``key``, ``worst_case`` the label of the first
+    largest residual of the sweep, ``n_checks`` the number of residuals."""
+    details, worst, worst_case, n = {}, -np.inf, "", 0
+    for key, residuals, case in checks:
+        r = np.asarray(residuals)
+        if r.size == 0:
+            continue
+        i = int(r.argmax())
+        top = r.item(i)
+        n += r.size
+        if key not in details or top > details[key]:
+            details[key] = top
+        if top > worst:
+            worst, worst_case = top, case(i)
+    return VerificationReport(name=name, n_checks=n, tolerance=tolerance, details=details, worst_case=worst_case)
 
 
 _FACTORS = {"h1": _h1, "h2": _h2, "h3": _h3, "g1": _g1, "g2": _g2, "g3": _g3}
@@ -174,53 +194,37 @@ def verify_factor_identities(q_max: int, alpha_max: int, _h2_offset: float = 0.0
     a = np.arange(0.0, alpha_max + 1.0)[None, :]
 
     res = {
-        "ratio-g1-h3": np.abs(_g1(q + 1, a) / _norms(q, a) - _h3(q + 1, a) / _norms(q + 1, a)),
+        "ratio-g1-h3": np.abs(
+            _g1(q + 1, a) / _one_sided_norm_sq(q, a) - _h3(q + 1, a) / _one_sided_norm_sq(q + 1, a)
+        ),
         "ratio-g2-h2": np.abs(_g2(q + 1, a) - _h2(q, a)),
-        "ratio-g3-h1": np.abs(_g3(q + 1, a) / _norms(q, a) - _h1(q - 1, a) / _norms(q - 1, a)),
+        "ratio-g3-h1": np.abs(
+            _g3(q + 1, a) / _one_sided_norm_sq(q, a) - _h1(q - 1, a) / _one_sided_norm_sq(q - 1, a)
+        ),
         "difference": np.abs((_h2(q, a) - _h1(q, a)) - _h3(q, a)),
     }
     # the alternating (-1)^q prefactor is common to all three terms and
     # drops out of the absolute residual
     res["cancellation"] = np.abs(
-        _h1(q, a) / _norms(q, a)
-        - (_h2(q + 1, a) + _h2_offset) / _norms(q + 1, a)
-        + _h3(q + 2, a) / _norms(q + 2, a)
+        _h1(q, a) / _one_sided_norm_sq(q, a)
+        - (_h2(q + 1, a) + _h2_offset) / _one_sided_norm_sq(q + 1, a)
+        + _h3(q + 2, a) / _one_sided_norm_sq(q + 2, a)
     )
 
-    details, worst_name, worst_val, worst_at = {}, "", -1.0, (0, 0)
-    for name, grid in res.items():
-        flat = int(np.argmax(grid))
-        qi, ai = np.unravel_index(flat, grid.shape)
-        val = float(grid[qi, ai])
-        details[name] = val
-        if val > worst_val:
-            worst_name, worst_val, worst_at = name, val, (int(qi) + 1, int(ai))
-    return VerificationReport(
-        name="factor-identities",
-        n_checks=sum(g.size for g in res.values()),
-        tolerance=1e-12,
-        details=details,
-        worst_case=f"{worst_name} at q={worst_at[0]}, alpha={worst_at[1]}",
-    )
+    cols = alpha_max + 1
+    checks = ((key, grid, lambda i: f"{key} at q={i // cols + 1}, alpha={i % cols}") for key, grid in res.items())
+    return _report("factor-identities", 1e-12, checks)
 
 
 def verify_connection(pairs) -> VerificationReport:
     """Check each quadrature-computed pair against connect_coefficients."""
-    worst, worst_case, n = -1.0, "", 0
-    for i, pair in enumerate(pairs):
-        u = connect_coefficients(pair.b, pair.alpha)
-        r = np.abs(u[1:] - pair.u[1 : u.size])
-        n += r.size
-        if r.size and float(r.max()) > worst:
-            worst = float(r.max())
-            worst_case = f"pair {i} (alpha={pair.alpha}) at q={1 + int(np.argmax(r))}"
-    return VerificationReport(
-        name="connection",
-        n_checks=n,
-        tolerance=1e-12,
-        details={"connection": max(worst, 0.0)},
-        worst_case=worst_case,
-    )
+    def checks():
+        for i, pair in enumerate(pairs):
+            u = connect_coefficients(pair.b, pair.alpha)
+            r = np.abs(u[1:] - pair.u[1 : u.size])
+            yield "connection", r, lambda j: f"pair {i} (alpha={pair.alpha}) at q={1 + j}"
+
+    return _report("connection", 1e-12, checks())
 
 
 def _check_arguments(q_max, alpha_max, n_points):
@@ -247,66 +251,48 @@ def verify_weighted_antiderivative(q_max: int = 10, alpha_max: int = 6, n_points
     # row i is the rule transplanted to (-1, xs[i])
     half = 0.5 * (xs + 1.0)[:, None]
     nodes, wts = -1.0 + half * (base.nodes + 1.0), half * base.weights
-    worst = {"weighted-antiderivative": -1.0, "antiderivative": -1.0}
-    worst_case, worst_val, n = "", -1.0, 0
-    for alpha in range(alpha_max + 1):
-        fa = float(alpha)
-        w = JacobiWeight(fa, 0.0)
-        tab = _jacobi_table(q_max + 1, w, nodes)
-        at_x = _jacobi_table(q_max + 1, w, xs)
-        for q in range(1, q_max + 1):
-            h1, h2, h3 = _h1(q, fa), _h2(q, fa), _h3(q, fa)
-            g1, g2, g3 = _g1(q + 1.0, fa), _g2(q + 1.0, fa), _g3(q + 1.0, fa)
-            for i, x in enumerate(xs):
-                lhs_w = float(wts[i] @ ((1.0 - nodes[i]) ** fa * tab[q, i]))
-                rhs_w = -((1.0 - x) ** fa) * float(h1 * at_x[q + 1, i] + h2 * at_x[q, i] + h3 * at_x[q - 1, i])
-                r1 = abs(lhs_w - rhs_w)
-                lhs_p = float(wts[i] @ tab[q, i])
-                r2 = abs(lhs_p - float(g1 * at_x[q + 1, i] + g2 * at_x[q, i] + g3 * at_x[q - 1, i]))
-                n += 2
-                worst["weighted-antiderivative"] = max(worst["weighted-antiderivative"], r1)
-                worst["antiderivative"] = max(worst["antiderivative"], r2)
-                if max(r1, r2) > worst_val:
-                    worst_val = max(r1, r2)
-                    worst_case = f"q={q}, alpha={alpha}, x={x:.3f}"
-    return VerificationReport(
-        name="weighted-antiderivative",
-        n_checks=n,
-        tolerance=1e-10,
-        details=worst,
-        worst_case=worst_case,
-    )
+
+    def checks():
+        for alpha in range(alpha_max + 1):
+            fa = float(alpha)
+            w = JacobiWeight(fa, 0.0)
+            tab = _jacobi_table(q_max + 1, w, nodes)
+            at_x = _jacobi_table(q_max + 1, w, xs)
+            weighted = (1.0 - nodes) ** fa * tab
+            factor = [-((1.0 - x) ** fa) for x in xs]
+            for q in range(1, q_max + 1):
+                h = _h1(q, fa) * at_x[q + 1] + _h2(q, fa) * at_x[q] + _h3(q, fa) * at_x[q - 1]
+                g = _g1(q + 1.0, fa) * at_x[q + 1] + _g2(q + 1.0, fa) * at_x[q] + _g3(q + 1.0, fa) * at_x[q - 1]
+                for i, x in enumerate(xs):
+                    case = lambda _: f"q={q}, alpha={alpha}, x={x:.3f}"
+                    lhs_w, lhs_p = float(wts[i] @ weighted[q, i]), float(wts[i] @ tab[q, i])
+                    yield "weighted-antiderivative", abs(lhs_w - factor[i] * float(h[i])), case
+                    yield "antiderivative", abs(lhs_p - float(g[i])), case
+
+    return _report("weighted-antiderivative", 1e-10, checks())
 
 
 def verify_deriv_representation(q_max: int = 10, alpha_max: int = 6, n_points: int = 20) -> VerificationReport:
     """Check the three-term derivative representation of P_q/gamma_q."""
     q_max, alpha_max, n_points = _check_arguments(q_max, alpha_max, n_points)
     xs = np.linspace(-1.0, 1.0, n_points)
-    worst, worst_case, n = -1.0, "", 0
-    for alpha in range(alpha_max + 1):
-        fa = float(alpha)
-        w = JacobiWeight(fa, 0.0)
-        tab = _jacobi_table(q_max, w, xs)
-        dtab = _deriv_table(q_max + 1, w, xs)
-        for q in range(1, q_max + 1):
-            lhs = tab[q] / _norms(q, fa)
-            rhs = (
-                _h1(q - 1.0, fa) / _norms(q - 1.0, fa) * dtab[q - 1]
-                + _h2(q, fa) / _norms(q, fa) * dtab[q]
-                + _h3(q + 1.0, fa) / _norms(q + 1.0, fa) * dtab[q + 1]
-            )
-            r = np.abs(lhs - rhs)
-            n += r.size
-            if float(r.max()) > worst:
-                worst = float(r.max())
-                worst_case = f"q={q}, alpha={alpha}, x={xs[int(np.argmax(r))]:.3f}"
-    return VerificationReport(
-        name="deriv-representation",
-        n_checks=n,
-        tolerance=1e-10,
-        details={"deriv-representation": worst},
-        worst_case=worst_case,
-    )
+
+    def checks():
+        for alpha in range(alpha_max + 1):
+            fa = float(alpha)
+            w = JacobiWeight(fa, 0.0)
+            tab = _jacobi_table(q_max, w, xs)
+            dtab = _deriv_table(q_max + 1, w, xs)
+            for q in range(1, q_max + 1):
+                lhs = tab[q] / _one_sided_norm_sq(q, fa)
+                rhs = (
+                    _h1(q - 1.0, fa) / _one_sided_norm_sq(q - 1.0, fa) * dtab[q - 1]
+                    + _h2(q, fa) / _one_sided_norm_sq(q, fa) * dtab[q]
+                    + _h3(q + 1.0, fa) / _one_sided_norm_sq(q + 1.0, fa) * dtab[q + 1]
+                )
+                yield "deriv-representation", np.abs(lhs - rhs), lambda i: f"q={q}, alpha={alpha}, x={xs[i]:.3f}"
+
+    return _report("deriv-representation", 1e-10, checks())
 
 
 def verify_deriv_norm_bound(q_max: int, alpha_max: int) -> VerificationReport:
@@ -315,26 +301,20 @@ def verify_deriv_norm_bound(q_max: int, alpha_max: int) -> VerificationReport:
     (negative means the bound holds with margin)."""
     q_max = _check_int("q_max", q_max, least=1)
     alpha_max = _check_int("alpha_max", alpha_max)
-    worst, worst_case, n = -np.inf, "", 0
-    for alpha in range(alpha_max + 1):
-        fa = float(alpha)
-        w = JacobiWeight(fa, 0.0)
-        rule = gauss_jacobi_rule(q_max + 1, w)
-        dtab = _deriv_table(q_max, w, rule.nodes)
-        for q in range(1, q_max + 1):
-            i_sq = float(rule.weights @ (dtab[q] * dtab[q]))
-            bound = 4.0 * q * (q + 1.0 + fa) ** 2 * _norms(float(q), fa)
-            violation = (i_sq - bound) / bound
-            n += 1
-            if violation > worst:
-                worst, worst_case = violation, f"q={q}, alpha={alpha}"
-    return VerificationReport(
-        name="deriv-norm-bound",
-        n_checks=n,
-        tolerance=1e-10,
-        details={"deriv-norm-bound": worst},
-        worst_case=worst_case,
-    )
+
+    def checks():
+        for alpha in range(alpha_max + 1):
+            fa = float(alpha)
+            w = JacobiWeight(fa, 0.0)
+            rule = gauss_jacobi_rule(q_max + 1, w)
+            dtab = _deriv_table(q_max, w, rule.nodes)
+            dsq = dtab * dtab
+            for q in range(1, q_max + 1):
+                i_sq = float(rule.weights @ dsq[q])
+                bound = 4.0 * q * (q + 1.0 + fa) ** 2 * _one_sided_norm_sq(float(q), fa)
+                yield "deriv-norm-bound", (i_sq - bound) / bound, lambda _: f"q={q}, alpha={alpha}"
+
+    return _report("deriv-norm-bound", 1e-10, checks())
 
 
 def _unit_interval_rule(beta: float, m: int = 48):
@@ -350,28 +330,21 @@ def verify_hardy(beta_list, test_functions) -> VerificationReport:
     ``test_functions`` holds (label, u, u_prime) triples or (u, u_prime)
     pairs; violations are normalized by the right-hand side.
     """
-    worst, worst_case, n = -np.inf, "", 0
-    for beta in beta_list:
-        if beta <= -1.0:
-            raise ParameterError(f"beta must exceed -1, got {beta}")
-        fb = float(beta)
-        x_l, w_l = _unit_interval_rule(fb)
-        x_r, w_r = _unit_interval_rule(fb + 2.0)
-        for i, item in enumerate(test_functions):
-            label, u, du = item if len(item) == 3 else (f"fn{i}", item[0], item[1])
-            lhs = float(w_l @ u(x_l) ** 2)
-            rhs = (2.0 / (fb + 1.0)) ** 2 * float(w_r @ du(x_r) ** 2) + float(u(np.asarray(1.0))) ** 2 / (fb + 1.0)
-            violation = (lhs - rhs) / rhs
-            n += 1
-            if violation > worst:
-                worst, worst_case = violation, f"{label} at beta={beta}"
-    return VerificationReport(
-        name="hardy",
-        n_checks=n,
-        tolerance=1e-10,
-        details={"hardy": worst},
-        worst_case=worst_case,
-    )
+    def checks():
+        for beta in beta_list:
+            if beta <= -1.0:
+                raise ParameterError(f"beta must exceed -1, got {beta}")
+            fb = float(beta)
+            x_l, w_l = _unit_interval_rule(fb)
+            x_r, w_r = _unit_interval_rule(fb + 2.0)
+            for i, item in enumerate(test_functions):
+                label, u, du = item if len(item) == 3 else (f"fn{i}", item[0], item[1])
+                lhs = float(w_l @ u(x_l) ** 2)
+                rhs = (2.0 / (fb + 1.0)) ** 2 * float(w_r @ du(x_r) ** 2)
+                rhs += float(u(np.asarray(1.0))) ** 2 / (fb + 1.0)
+                yield "hardy", (lhs - rhs) / rhs, lambda _: f"{label} at beta={beta}"
+
+    return _report("hardy", 1e-10, checks())
 
 
 def verify_coefficient_bound(pairs) -> VerificationReport:
@@ -379,25 +352,17 @@ def verify_coefficient_bound(pairs) -> VerificationReport:
 
     Not a tight-constant claim; truncated tails only shrink the right-hand
     side, so passing is meaningful."""
-    worst, worst_case, n = -np.inf, "", 0
-    for i, pair in enumerate(pairs):
-        fa = float(pair.alpha)
-        j = np.arange(pair.u.size, dtype=float)
-        inv_norm = 1.0 / _norms(j, fa)
-        u_tail = np.cumsum((pair.u**2 * inv_norm)[::-1])[::-1]
-        b_tail = np.cumsum((pair.b**2 * inv_norm)[::-1])[::-1]
-        for q in range(1, pair.u.size - 1):
-            lhs = pair.b[q - 1] ** 2 + pair.b[q] ** 2
-            rhs = 10.0 * 2.0 ** (fa + 1.0) * np.sqrt(u_tail[q]) * np.sqrt(b_tail[q - 1])
-            scale = max(rhs, 1e-300)
-            violation = (lhs - rhs) / scale
-            n += 1
-            if violation > worst:
-                worst, worst_case = violation, f"pair {i} (alpha={pair.alpha}) at q={q}"
-    return VerificationReport(
-        name="coefficient-bound",
-        n_checks=n,
-        tolerance=1e-10,
-        details={"coefficient-bound": worst},
-        worst_case=worst_case,
-    )
+    def checks():
+        for i, pair in enumerate(pairs):
+            fa = float(pair.alpha)
+            j = np.arange(pair.u.size, dtype=float)
+            inv_norm = 1.0 / _one_sided_norm_sq(j, fa)
+            u_tail = np.cumsum((pair.u**2 * inv_norm)[::-1])[::-1]
+            b_tail = np.cumsum((pair.b**2 * inv_norm)[::-1])[::-1]
+            for q in range(1, pair.u.size - 1):
+                lhs = pair.b[q - 1] ** 2 + pair.b[q] ** 2
+                rhs = 10.0 * 2.0 ** (fa + 1.0) * np.sqrt(u_tail[q]) * np.sqrt(b_tail[q - 1])
+                scale = max(rhs, 1e-300)
+                yield "coefficient-bound", (lhs - rhs) / scale, lambda _: f"pair {i} (alpha={pair.alpha}) at q={q}"
+
+    return _report("coefficient-bound", 1e-10, checks())

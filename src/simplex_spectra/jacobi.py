@@ -163,6 +163,11 @@ def jacobi_deriv(n: int, weight: JacobiWeight, x) -> np.ndarray:
     return _deriv_table(n, weight, x)[n]
 
 
+def _one_sided_norm_sq(n, a):
+    """Squared norm of degree n for the weight (a, 0) or (0, a); array-capable."""
+    return 2.0 ** (a + 1.0) / (2.0 * n + a + 1.0)
+
+
 def jacobi_norm_sq(n: int, weight: JacobiWeight) -> float:
     """Squared weighted L2 norm of the degree-n polynomial."""
     n = _check_int("degree", n)
@@ -170,9 +175,9 @@ def jacobi_norm_sq(n: int, weight: JacobiWeight) -> float:
     # one-sided weights have an exact closed form; keep it free of lgamma
     # roundoff because downstream scalings divide by these values
     if b == 0.0:
-        return 2.0 ** (a + 1.0) / (2.0 * n + a + 1.0)
+        return _one_sided_norm_sq(n, a)
     if a == 0.0:
-        return 2.0 ** (b + 1.0) / (2.0 * n + b + 1.0)
+        return _one_sided_norm_sq(n, b)
     log_v = (
         (a + b + 1.0) * np.log(2.0)
         + math.lgamma(n + a + 1.0)

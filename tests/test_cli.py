@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import re
@@ -185,6 +186,14 @@ def test_verify_failure_names_worst_components(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "orthogonality", "--tol", "1e-30")
     assert code == 1
     assert re.search(r"worst: gram-dim[23] at \([0-9, ]+\) x \([0-9, ]+\)$", out, re.M)
+
+
+def test_orthogonality_worst_case_is_its_largest_residual():
+    # the doubling checks are the largest at some quadrature safeties
+    for quad_safety in (0, 1, 3):
+        report = cli._suite_orthogonality(argparse.Namespace(quad_safety=quad_safety))
+        key = max(report.details, key=report.details.get)
+        assert report.worst_case.startswith(key), quad_safety
 
 
 def test_rates_polynomial(capsys):

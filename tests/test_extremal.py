@@ -321,6 +321,24 @@ def test_additive_kinds_avoid_full_size_solves(monkeypatch):
     assert sizes and max(sizes) < card
 
 
+def test_h1_stability_asks_for_its_top_eigenpair_only(monkeypatch):
+    # the h1 kind uses the top eigenpair of the degree <= N block, so the
+    # eigensolver computes that one and no other
+    calls = []
+    real_eigh = extremal.eigh
+
+    def eigh(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("subset_by_index")))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(extremal, "eigh", eigh)
+    for N, dim in _DENSE_ROWS:
+        calls.clear()
+        one_constant(N, dim, "h1_stability")
+        n1 = math.comb(N + dim, dim)
+        assert calls == [((n1, n1), [n1 - 1, n1 - 1])], (N, dim)
+
+
 def test_multiplicative_avoids_full_size_decompositions(monkeypatch):
     # the mult solver reduces the full form only to tridiagonal form: every
     # eigensolve or factorization it takes is of the numerator's column count

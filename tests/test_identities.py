@@ -25,6 +25,7 @@ from simplex_spectra.jacobi import (
     _h3,
     _deriv_table,
     _jacobi_table,
+    _one_sided_norm_sq,
     gauss_jacobi_rule,
     jacobi_antideriv,
     jacobi_deriv,
@@ -254,11 +255,11 @@ def _deriv_representation_residuals(q_max, alpha_max, n_points):
         fa = float(alpha)
         w = JacobiWeight(fa, 0.0)
         for q in range(1, q_max + 1):
-            lhs = jacobi_eval(q, w, xs) / identities._norms(q, fa)
+            lhs = jacobi_eval(q, w, xs) / _one_sided_norm_sq(q, fa)
             rhs = (
-                _h1(q - 1.0, fa) / identities._norms(q - 1.0, fa) * jacobi_deriv(q - 1, w, xs)
-                + _h2(q, fa) / identities._norms(q, fa) * jacobi_deriv(q, w, xs)
-                + _h3(q + 1.0, fa) / identities._norms(q + 1.0, fa) * jacobi_deriv(q + 1, w, xs)
+                _h1(q - 1.0, fa) / _one_sided_norm_sq(q - 1.0, fa) * jacobi_deriv(q - 1, w, xs)
+                + _h2(q, fa) / _one_sided_norm_sq(q, fa) * jacobi_deriv(q, w, xs)
+                + _h3(q + 1.0, fa) / _one_sided_norm_sq(q + 1.0, fa) * jacobi_deriv(q + 1, w, xs)
             )
             r = np.abs(lhs - rhs)
             if float(r.max()) > worst:
@@ -313,3 +314,33 @@ def test_report_properties():
         name="toy", n_checks=1, tolerance=1e-12, details={"a": 1e-3}, worst_case="a"
     )
     assert not bad.passed
+
+
+def test_report_rule():
+    # details hold the largest residual per key, the worst case is the first
+    # largest residual of the sweep, and every array entry is one check
+    labelled = []
+
+    def case(label):
+        return lambda i: labelled.append((label, i)) or f"{label}[{i}]"
+
+    report = identities._report(
+        "toy",
+        1e-10,
+        [
+            ("a", np.array([1.0, 3.0, 3.0]), case("a0")),
+            ("b", 3.0, case("b0")),
+            ("a", np.array([[2.0], [0.5]]), case("a1")),
+            ("c", np.array([]), case("c0")),
+            ("b", np.array([-1.0, 4.0]), case("b1")),
+        ],
+    )
+    assert report.details == {"a": 3.0, "b": 4.0}
+    assert report.n_checks == 3 + 1 + 2 + 0 + 2
+    assert report.worst_case == "b1[1]"
+    # a label is formatted only for an entry that becomes the worst so far
+    assert labelled == [("a0", 1), ("b1", 1)]
+    assert report.max_residual == 4.0
+    assert (report.name, report.tolerance) == ("toy", 1e-10)
+    empty = verify_connection([])
+    assert (empty.details, empty.n_checks, empty.worst_case, empty.max_residual) == ({}, 0, "", 0.0)
