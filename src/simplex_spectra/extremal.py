@@ -9,11 +9,12 @@ in 1-D and one per function of the bottom piece's degree-N basis above.
 The multiplicative constant mixes the mass, H1 and numerator forms; since
 sqrt(xy) = min_r (r x + y/r)/2 and the mass is the identity in the
 orthonormal basis, it is the maximum over r of the top eigenvalue of
-(2B, r I + A/r). A reduction A = Q T Q^T to tridiagonal T, one Householder
-reduction per uncoupled parity block of A (the even- and odd-degree
-blocks of the interval's form, the whole form in 2-D), carried through C,
-turns every such eigenvalue into a tridiagonal solve and a problem of C's
-column count, and the maximizer is found in log r by a safeguarded
+(2B, r I + A/r). A reduction A = Q T Q^T to tridiagonal T, carried
+through C, turns every such eigenvalue into a tridiagonal solve and a
+problem of C's column count. The mirror of the domain (x -> -x on the
+interval, x <-> y on the triangle) commutes with A, so in the mirror basis
+of ``simplex._mirror_basis`` A is an even and an odd block, and each is
+reduced on its own. The maximizer is found in log r by a safeguarded
 interpolation search on the slope, in a bracket fixed by the extreme
 eigenvalues of T.
 
@@ -61,6 +62,7 @@ from .simplex import (
     _boundary_rule,
     _component_values,
     _graded_components,
+    _mirror_basis,
     _norm_sq,
     _sample,
     analyze,
@@ -170,9 +172,9 @@ def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):
     The H1 form on degree 2N and the truncated numerator factor (endpoint
     evaluation in 1-D, the bottom edge in 2-D) are assembled once, when the
     first record is asked for, and every kind shares them. The additive
-    kinds are computed first, through Schur factors of the form; the
-    reduction for mult then overwrites the form in place. A solver failure
-    raises when its kind is reached, after the records before it.
+    kinds are computed first, through Schur factors of the form; mult's
+    change to the mirror basis then overwrites the form in place. A solver
+    failure raises when its kind is reached, after the records before it.
     """
     if dim not in _DIMS:
         raise ParameterError(f"dim must be one of {_DIMS}, got {dim}")
@@ -185,7 +187,7 @@ def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):
 
 def _row(N: int, dim: int, wanted: list, nodes: int | None):
     """The records of ``row_constants``. The Schur-based kinds run first and
-    drop their factors, so that the Householder reduction for mult may then
+    drop their factors, so that mult's change to the mirror basis may then
     overwrite A; a failure to factor A is held until the mult record is out."""
     if not wanted:
         return
@@ -289,26 +291,37 @@ def _pencil_residual(A: np.ndarray, factors, v1: np.ndarray, Bv1: np.ndarray, la
     return math.sqrt((y1 @ y1 + y2 @ y2) / (v @ Av))
 
 
-def _tridiagonalize(A: np.ndarray, C: np.ndarray):
-    """(d, e, U): the diagonal and off-diagonal of T = Q^T A Q, from one
-    blocked Householder reduction per uncoupled parity block of A, and
-    U = Q^T C through the same reflectors.
+def _tridiagonalize(A: np.ndarray, C: np.ndarray, M: int, dim: int):
+    """(d, e, U): the diagonal and off-diagonal of T = Q^T A Q for the H1
+    form A on the degree-M basis, from one blocked Householder reduction
+    per mirror block of A, and U = Q^T C through the same reflectors.
 
-    When the coupling A[::2, 1::2] of the even- and odd-indexed basis
-    functions is exactly zero, as for the interval's H1 form, where
-    int L_i' L_j' vanishes for i + j odd, the even block A[::2, ::2] and
-    the odd block A[1::2, 1::2] are reduced separately, each with its rows
-    of C. Q then maps the even block's reduced coordinates first and the
-    odd block's after them: d and U are the two blocks' stacked, and e
-    holds an exact 0 at the seam. Otherwise, as for every 2-D form, A is
-    the one block, and its reduction overwrites A in place: it runs on
-    A.T, the Fortran-ordered view of the exactly symmetric A, which LAPACK
-    takes without a copy."""
-    if np.any(A[::2, 1::2]):
-        return _reduce_block(A.T, C)
-    (d0, e0, U0), (d1, e1, U1) = (
-        _reduce_block(np.asfortranarray(A[p::2, p::2]), C[p::2]) for p in (0, 1)
-    )
+    The mirror x -> -x of the interval, or x <-> y of the triangle, is an
+    isometry of the domain, so it commutes with A, and in the coordinates
+    of ``_mirror_basis`` A splits into an even and an odd block with no
+    coupling between them. The change of basis W, orthogonal and block
+    diagonal by degree, is applied to A in place and to a copy of C, slab
+    by slab; in 1-D W = I and the blocks are the even- and odd-degree
+    Legendre functions. Only the two diagonal blocks of W A W^T are
+    gathered, so the coupling, zero up to roundoff, is dropped by
+    construction, and each block is reduced with its rows of W C. Q then
+    maps the even block's reduced coordinates first and the odd block's
+    after them: d and U are the two blocks' stacked, and e holds an exact
+    0 at the seam."""
+    slabs, even = _mirror_basis(M, dim)
+    U, start = C.copy(), 0
+    for W in slabs:
+        stop = start + len(W)
+        # a slab of one function, every slab in 1-D, has W = [[1]]
+        if len(W) > 1:
+            A[start:stop] = W @ A[start:stop]
+            A[:, start:stop] = A[:, start:stop] @ W.T
+            U[start:stop] = W @ U[start:stop]
+        start = stop
+    # one block at a time; the transpose of a block's C-ordered copy is the
+    # Fortran-ordered array LAPACK takes, and it reads one triangle of it
+    blocks = (np.flatnonzero(even), np.flatnonzero(~even))
+    (d0, e0, U0), (d1, e1, U1) = (_reduce_block(A[np.ix_(i, i)].T, U[i]) for i in blocks)
     return np.concatenate([d0, d1]), np.concatenate([e0, [0.0], e1]), np.vstack([U0, U1])
 
 
@@ -337,14 +350,14 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantR
     """The mult record, as the maximum over the split parameter r of
     lambda(r) = lambda_max(2B, r I + A/r).
 
-    With A = Q T Q^T, T tridiagonal from one reduction per uncoupled
-    parity block of A (``_tridiagonalize``), and U = Q^T C for the
-    numerator factor C, each lambda(r) is the top eigenvalue of the k x k
-    matrix 2 U^T Z, where Z = (r I + T/r)^-1 U comes from one tridiagonal
-    solve and k is C's column count (1 in 1-D, N+1 in 2-D). These go to
-    LAPACK directly (dptsv, and dsyevr as scipy's eigh calls it), with
-    the eigensolvers' inputs checked finite and a nonzero info raised as
-    NumericError. The slope of lambda in s = log r changes sign from
+    With A = Q T Q^T, T tridiagonal from one reduction per mirror block of
+    A (``_tridiagonalize``; Q includes the change to the mirror basis),
+    and U = Q^T C for the numerator factor C, each lambda(r) is the top
+    eigenvalue of the k x k matrix 2 U^T Z, where Z = (r I + T/r)^-1 U
+    comes from one tridiagonal solve and k is C's column count (1 in 1-D,
+    N+1 in 2-D). These go to LAPACK directly (dptsv, and dsyevr as scipy's
+    eigh calls it), with the eigensolvers' inputs checked finite and a
+    nonzero info raised as NumericError. The slope of lambda in s = log r changes sign from
     nonnegative to nonpositive across [log a_min, log a_max] / 2, with
     a_min and a_max the extreme eigenvalues of T (from dstebz, as
     ``_tridiagonal_eigenvalue``), and the root is searched for on that
@@ -366,7 +379,7 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantR
     3 * 57 = 171 evaluations and needs no cap; on the rows of ``table 1``
     it takes 8 to 12.
     """
-    d, e, U = _tridiagonalize(A, C)
+    d, e, U = _tridiagonalize(A, C, 2 * N, dim)
     a_min, a_max = (_tridiagonal_eigenvalue(d, e, i) for i in (1, d.size))
     if a_min <= 0.0:
         raise NumericError(

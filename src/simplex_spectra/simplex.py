@@ -12,7 +12,9 @@ for every prefix sum at once, indexed [s, c, node], and
 ``_component_values`` evaluates the same factors at simplex points for any
 rows of components. A basis is the graded array of ``_graded_components``,
 and ``_bottom_restriction`` writes its restriction to the bottom piece
-x_{dim-1} = -1 through the basis one dimension down.
+x_{dim-1} = -1 through the basis one dimension down. ``_mirror_basis``
+writes each degree slab of the interval or triangle basis in coordinates
+that are even or odd under the domain's mirror.
 
 Convention: function callbacks are vectorized over points, taking an
 (npts, dim) array of simplex coordinates and returning (npts,) values.
@@ -150,6 +152,46 @@ def _component_values(comps: np.ndarray, pts: np.ndarray) -> np.ndarray:
         tab = _jacobi_table(int(through[:, k].max()), weight, num, den)
         out *= tab[prefix[:, k], comps[:, k]]
     return out
+
+
+def _mirror_basis(M: int, dim: int):
+    """The degree-M basis in coordinates that the mirror x -> -x (1-D) or
+    x <-> y (2-D) maps to plus or minus themselves: (slabs, even), with
+    slabs[d] the orthogonal matrix whose row p writes the p-th new
+    coordinate of degree d in the orthonormalized degree-d functions, in
+    basis order, and even[i] whether the i-th new coordinate, counted slab
+    by slab, is even under the mirror.
+
+    In 1-D the mirror takes P_k to (-1)^k P_k, so every slab is [[1]] and
+    the label is the parity of k. In 2-D the right-angle vertex (-1, -1) is
+    fixed by the swap, and the basis collapsed toward it is even or odd by
+    the parity of its first index p (Dubiner, J. Sci. Comput. 6 (1991) 345).
+    Its degree-d functions restrict to the hypotenuse (t, -t), which the
+    swap takes to t -> -t, as multiples of P_p(t), and the restriction is
+    one to one on the slab. So the p-th of them has coefficients
+    proportional to int phi_i(t, -t) P_p(t) dt on the orthonormalized
+    functions phi_i of the slab, and row p of slabs[d] is that vector
+    scaled to unit length. The (M+1)-point Gauss-Legendre rule is exact
+    for the integrals.
+    """
+    if dim not in (1, 2):
+        raise ParameterError(f"the mirror basis is built for dim 1 and 2, got {dim}")
+    comps = _graded_components(M, dim)
+    # new coordinate p of degree d sits where the function with first
+    # component p does: in 1-D p = d
+    even = comps[:, 0] % 2 == 0
+    if dim == 1:
+        return [np.ones((1, 1))] * (M + 1), even
+    t, w = _gl_nodes(M + 1)
+    values = _component_values(comps, np.column_stack([t, -t]))
+    values /= np.sqrt(_norm_sq(*comps.T))[:, None]
+    legendre = _jacobi_table(M, _LEG, t) * w
+    slabs, start = [], 0
+    for d in range(M + 1):
+        W = legendre[: d + 1] @ values[start : start + d + 1].T
+        slabs.append(W / np.linalg.norm(W, axis=1, keepdims=True))
+        start += d + 1
+    return slabs, even
 
 
 def _rule_size(N: int) -> int:

@@ -25,6 +25,7 @@ from simplex_spectra import (
 from simplex_spectra import extremal
 from simplex_spectra.cli import _TABLE_ROWS
 from simplex_spectra.forms import SymmetricForm
+from simplex_spectra.simplex import _mirror_basis
 
 # (N, dim) rows checked against the assembled dense pencil
 _DENSE_ROWS = ((2, 1), (6, 1), (3, 2), (5, 2))
@@ -406,9 +407,9 @@ def test_row_constants_share_one_row():
 
 def test_triangle_row_peak_memory():
     # the H1 form is the identity plus one stiffness Gram, assembled by row
-    # blocks and symmetrized in place, and the reduction runs in place
-    # after the Schur kinds: the form stays within two arrays of the basis
-    # size and a row within two and a half
+    # blocks and symmetrized in place, and the reduction runs after the
+    # Schur kinds: the form stays within two arrays of the basis size and a
+    # row within two and a half
     unit = math.comb(2 * 24 + 2, 2) ** 2 * 8
     for run, bound in ((lambda: h1_form(48, 2), 2.0), (lambda: list(row_constants(24, 2)), 2.5)):
         tracemalloc.start()
@@ -418,28 +419,41 @@ def test_triangle_row_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= bound * unit, (bound, peak / unit)
-    # the reduction takes the form in place rather than a copy of it
+    # the mult kind changes the basis of the form in place and reduces its
+    # two mirror blocks one at a time, each a quarter of the form: with the
+    # form it stays within 1.8 arrays
+    A, C = h1_form(48, 2).entries, extremal._numerator_factor(24, 2)
+    tracemalloc.start()
+    try:
+        extremal._multiplicative(24, 2, A, C)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.nbytes + peak <= 1.8 * unit, (A.nbytes + peak) / unit
+    # the change of basis takes the form in place rather than a copy of it
     A = h1_form(8, 2).entries
     before = A.copy()
-    extremal._tridiagonalize(A, extremal._numerator_factor(4, 2))
+    extremal._tridiagonalize(A, extremal._numerator_factor(4, 2), 8, 2)
     assert not np.array_equal(A, before)
 
 
 def test_tridiagonalize_reduces_each_parity_block():
-    # the interval's H1 form couples no even- to odd-indexed function, so
-    # its parity blocks are reduced apart and T has an exact 0 at the seam;
-    # a triangle form is one block. Either way (d, e, U) is A and C in the
-    # reduced coordinates: U^T (mu I + T)^-1 U is C^T (mu I + A)^-1 C, and
-    # T has the extreme eigenvalues of A. The reduction is backward stable,
-    # so the first agrees only to roundoff times the condition of mu I + A,
-    # about 1e7 at N = 60: there it is 2.8e-13 off a 30-digit solve at mu = 1
-    for N, dim in ((1, 1), (2, 1), (10, 1), (60, 1), (3, 2)):
+    # the mirror of the interval (x -> -x) and of the triangle (x <-> y) is
+    # an isometry, so in the coordinates of the mirror basis A couples no
+    # even to odd function; the two blocks are reduced apart and T has an
+    # exact 0 at the seam, the even block's size. In the interval's basis
+    # the coupling A[::2, 1::2] is zero as assembled. Either way (d, e, U)
+    # is A and C in the reduced coordinates: U^T (mu I + T)^-1 U is
+    # C^T (mu I + A)^-1 C, and T has the extreme eigenvalues of A. The
+    # reduction is backward stable, so the first agrees only to roundoff
+    # times the condition of mu I + A, about 1e7 at N = 60: there it is
+    # 2.8e-13 off a 30-digit solve at mu = 1
+    for N, dim in ((1, 1), (2, 1), (10, 1), (60, 1), (3, 2), (8, 2), (12, 2)):
         A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
         if dim == 1:
             assert not np.any(A[::2, 1::2]), N
-        d, e, U = extremal._tridiagonalize(A.copy(), C)
-        if dim == 1:
-            assert e[N] == 0.0, N
+        d, e, U = extremal._tridiagonalize(A.copy(), C, 2 * N, dim)
+        assert e[np.count_nonzero(_mirror_basis(2 * N, dim)[1]) - 1] == 0.0, (N, dim)
         T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         for mu in (1e-2, 1.0, 1e3):
             got = U.T @ np.linalg.solve(mu * np.eye(d.size) + T, U)
@@ -449,14 +463,48 @@ def test_tridiagonalize_reduces_each_parity_block():
         assert_allclose(ev_T[[0, -1]], ev[[0, -1]], rtol=1e-13, atol=0, err_msg=str((N, dim)))
 
 
+def test_mirror_blocks_of_the_triangle_form_are_uncoupled():
+    # W A W^T, with W the mirror basis, block diagonal by degree, has a
+    # coupling between its even and odd coordinates at the roundoff level
+    for N in (1, 2, 3, 8, 12):
+        A = h1_form(2 * N, 2).entries
+        slabs, even = _mirror_basis(2 * N, 2)
+        W = np.zeros(A.shape)
+        start = 0
+        for block in slabs:
+            W[start : start + len(block), start : start + len(block)] = block
+            start += len(block)
+        coupling = (W @ A @ W.T)[np.ix_(even, ~even)]
+        assert np.max(np.abs(coupling)) <= 1e-12 * np.max(np.abs(A)), N
+
+
+def test_mirror_split_matches_the_whole_form_reduction(monkeypatch):
+    # the reduction of the whole triangle form, the one 2-D reduction
+    # before the mirror split, kept as its oracle: the search on either
+    # reduction gives one mult value
+    for N in (1, 2, 3, 8, 12, 20):
+        A, C = h1_form(2 * N, 2).entries, extremal._numerator_factor(N, 2)
+        rec = extremal._multiplicative(N, 2, A.copy(), C)
+        whole = extremal._reduce_block(A.T, C)
+        with monkeypatch.context() as patch:
+            patch.setattr(extremal, "_tridiagonalize", lambda *args: whole)
+            want = extremal._multiplicative(N, 2, A, C)
+        assert abs(rec.value - want.value) <= 1e-13 * want.value, N
+
+
 def test_multiplicative_bisection_bounded_by_bracket(monkeypatch):
     # an H1 form whose eigenvalues span 300 decades gives a bracket in log r
     # about 345 wide, which halving takes below the stopping width 1e-14
-    # within 56 evaluations; the loop has no cap, so this bound is its end
+    # within 56 evaluations; the loop has no cap, so this bound is its end.
+    # Like every H1 form it commutes with the mirror, as it is constant on
+    # each degree slab. In 2-D the change to the mirror basis leaves
+    # roundoff of about 1e-15 of the largest entry off the diagonal, and
+    # dstebz squares the off-diagonal, so there the span is 150 decades
     def wide(M, dim, nodes=None):
         basis = enumerate_basis(M, dim)
         n = basis.cardinality
-        entries = np.diag(np.geomspace(1.0, 1e300, n))
+        spread = np.geomspace(1.0, 1e300 if dim == 1 else 1e150, M + 1)
+        entries = np.diag(spread[basis.components.sum(axis=1)])
         return SymmetricForm(basis=basis, kind="h1", entries=entries, scaling=np.ones(n))
 
     calls = []
@@ -511,8 +559,8 @@ def test_multiplicative_search_matches_bisection(monkeypatch):
     # sample lambda(r) near its maximum
     for N, dim in ((1, 1), (10, 1), (60, 1), (3, 2), (12, 2)):
         A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
-        reduced = extremal._tridiagonalize(A, C)
-        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, C: reduced)
+        reduced = extremal._tridiagonalize(A, C, 2 * N, dim)
+        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, C, M, dim: reduced)
         rec = extremal._multiplicative(N, dim, A, C)
         want = _bisected_mult(*reduced)
         assert abs(rec.value - want) <= 1e-14 * want, (N, dim)
@@ -583,11 +631,11 @@ def test_multiplicative_rejects_nonfinite_reduction(monkeypatch):
     # they checked: a non-finite T or k x k matrix is a NumericError, also
     # where the arithmetic that made it is let pass without a warning
     A, C = h1_form(6, 1).entries, extremal._numerator_factor(3, 1)
-    d, e, U = extremal._tridiagonalize(A, C)
+    d, e, U = extremal._tridiagonalize(A, C, 6, 1)
     U_inf = U.copy()
     U_inf[0] = np.inf
     for bad, name in (((np.full_like(d, np.nan), e, U), "d"), ((d, e, U_inf), "2 U")):
-        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, C, bad=bad: bad)
+        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, C, M, dim, bad=bad: bad)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match=f"{name}.* must be finite"):
             extremal._multiplicative(3, 1, A, C)
 

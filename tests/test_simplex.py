@@ -33,6 +33,7 @@ from simplex_spectra.simplex import (
     _dubiner_matrix,
     _graded_components,
     _gl_nodes,
+    _mirror_basis,
     _norm_sq,
     _rule_size,
     _trace_coefficient_sums,
@@ -326,6 +327,42 @@ def test_axis_factors_match_per_weight_tables():
                 for kind, ref in want.items():
                     assert np.array_equal(got[kind][s, : N - s + 1], ref), (k, N, s, kind)
                     assert not np.any(got[kind][s, N - s + 1 :]), (k, N, s, kind)
+
+
+def test_mirror_basis_is_orthogonal_per_degree_slab():
+    # one square slab per degree, orthogonal, labelled even and odd in turn
+    for dim in (1, 2):
+        for M in (0, 1, 6, 24, 48, 80, 110):
+            slabs, even = _mirror_basis(M, dim)
+            assert [len(W) for W in slabs] == [1 if dim == 1 else d + 1 for d in range(M + 1)]
+            assert even.shape == (len(_graded_components(M, dim)),)
+            for W in slabs:
+                assert np.max(np.abs(W @ W.T - np.eye(len(W)))) <= 1e-12, (dim, M)
+    assert np.array_equal(_mirror_basis(5, 1)[1], [True, False] * 3)
+    with pytest.raises(ParameterError):
+        _mirror_basis(4, 3)
+
+
+def test_mirror_basis_is_even_or_odd_under_the_swap():
+    # the new coordinate (d, p) of the triangle's basis takes (x, y) and
+    # (y, x) to one value up to the sign (-1)^p; the interval's P_k takes
+    # x and -x to one value up to (-1)^k
+    rng = np.random.default_rng(7)
+    for dim, M in ((1, 9), (2, 3), (2, 12), (2, 24)):
+        comps = _graded_components(M, dim)
+        pts = rng.uniform(-1.0, 1.0, (400, dim))
+        pts = pts[pts.sum(axis=1) < 2.0 - dim]
+        mirrored = -pts if dim == 1 else pts[:, ::-1]
+        scale = 1.0 / np.sqrt(_norm_sq(*comps.T))[:, None]
+        values, swapped = (scale * _component_values(comps, x) for x in (pts, mirrored))
+        slabs, even = _mirror_basis(M, dim)
+        start = 0
+        for W in slabs:
+            stop = start + len(W)
+            sign = np.where(even[start:stop], 1.0, -1.0)[:, None]
+            got, want = W @ swapped[start:stop], sign * (W @ values[start:stop])
+            assert np.max(np.abs(got - want)) <= 1e-12, (dim, M, stop)
+            start = stop
 
 
 def test_boundary_parseval_constant():
