@@ -434,10 +434,16 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantR
 def _tridiagonal_eigenvalue(d: np.ndarray, e: np.ndarray, i: int) -> float:
     """The i-th smallest (from 1) eigenvalue of the tridiagonal T with
     diagonal d and off-diagonal e, by LAPACK's bisection dstebz, called as
-    scipy's eigvalsh_tridiagonal(select="i") calls it."""
-    _, w, _, _, info = dstebz(_finite(d, "d"), _finite(e, "e"), 2, 0.0, 1.0, i, i, 0.0, "E")
+    scipy's eigvalsh_tridiagonal(select="i") calls it.
+
+    dstebz squares e and multiplies neighbouring entries of d, so T is
+    scaled by the power of two that brings its largest diagonal entry into
+    [1/2, 1), which is exact, and the eigenvalue is scaled back."""
+    _, shift = math.frexp(float(np.max(np.abs(_finite(d, "d")))))
+    d, e = np.ldexp(d, -shift), np.ldexp(_finite(e, "e"), -shift)
+    _, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, i, i, 0.0, "E")
     _check_info("dstebz", info)
-    return float(w[0])
+    return math.ldexp(float(w[0]), shift)
 
 
 def _finite(x: np.ndarray, name: str) -> np.ndarray:

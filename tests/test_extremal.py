@@ -463,17 +463,48 @@ def test_tridiagonalize_reduces_each_parity_block():
         assert_allclose(ev_T[[0, -1]], ev[[0, -1]], rtol=1e-13, atol=0, err_msg=str((N, dim)))
 
 
+def _dense_mirror(M, dim):
+    """The change of basis of ``_mirror_basis`` as one orthogonal matrix,
+    block diagonal by degree, with its even/odd labels."""
+    slabs, even = _mirror_basis(M, dim)
+    W = np.zeros((even.size, even.size))
+    start = 0
+    for block in slabs:
+        W[start : start + len(block), start : start + len(block)] = block
+        start += len(block)
+    return W, even
+
+
+def test_tridiagonalize_takes_any_mirror_symmetric_form():
+    # a form that commutes with the mirror and couples every pair of
+    # coordinates of one parity, the constant function too, which the H1
+    # form does not: the reduction still has the form's solves and extreme
+    # eigenvalues
+    rng = np.random.default_rng(5)
+    for M in (2, 6):
+        W, even = _dense_mirror(M, 2)
+        n = even.size
+        X = rng.standard_normal((n, n))
+        X = X @ X.T / n + np.eye(n)
+        X[np.ix_(even, ~even)] = X[np.ix_(~even, even)] = 0.0
+        A = W.T @ X @ W
+        A = (A + A.T) / 2.0
+        C = rng.standard_normal((n, 3))
+        d, e, U = extremal._tridiagonalize(A.copy(), C, M, 2)
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        for mu in (0.1, 10.0):
+            got = U.T @ np.linalg.solve(mu * np.eye(n) + T, U)
+            want = C.T @ np.linalg.solve(mu * np.eye(n) + A, C)
+            assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=str((M, mu)))
+        assert_allclose(eigvalsh(T)[[0, -1]], eigvalsh(A)[[0, -1]], rtol=1e-12, err_msg=str(M))
+
+
 def test_mirror_blocks_of_the_triangle_form_are_uncoupled():
     # W A W^T, with W the mirror basis, block diagonal by degree, has a
     # coupling between its even and odd coordinates at the roundoff level
     for N in (1, 2, 3, 8, 12):
         A = h1_form(2 * N, 2).entries
-        slabs, even = _mirror_basis(2 * N, 2)
-        W = np.zeros(A.shape)
-        start = 0
-        for block in slabs:
-            W[start : start + len(block), start : start + len(block)] = block
-            start += len(block)
+        W, even = _dense_mirror(2 * N, 2)
         coupling = (W @ A @ W.T)[np.ix_(even, ~even)]
         assert np.max(np.abs(coupling)) <= 1e-12 * np.max(np.abs(A)), N
 
@@ -493,17 +524,19 @@ def test_mirror_split_matches_the_whole_form_reduction(monkeypatch):
 
 
 def test_multiplicative_bisection_bounded_by_bracket(monkeypatch):
-    # an H1 form whose eigenvalues span 300 decades gives a bracket in log r
-    # about 345 wide, which halving takes below the stopping width 1e-14
-    # within 56 evaluations; the loop has no cap, so this bound is its end.
-    # Like every H1 form it commutes with the mirror, as it is constant on
-    # each degree slab. In 2-D the change to the mirror basis leaves
-    # roundoff of about 1e-15 of the largest entry off the diagonal, and
-    # dstebz squares the off-diagonal, so there the span is 150 decades
+    # an H1 form whose eigenvalues span 300 decades. dstebz knows a_min
+    # only to about eps a_max, so the bracket in log r is at most about 58
+    # wide, not the 345 of the true span; halving either takes it below
+    # the stopping width 1e-14 within 56 evaluations, and the loop has no
+    # cap, so this bound is its end. Like every H1 form it commutes with
+    # the mirror, as it is constant on each degree slab. In 2-D the change
+    # to the mirror basis leaves roundoff of about 1e-15 of the largest
+    # entry, 1e285 here, off the diagonal of T, which dstebz would square
+    # past the overflow threshold if T were not scaled first
     def wide(M, dim, nodes=None):
         basis = enumerate_basis(M, dim)
         n = basis.cardinality
-        spread = np.geomspace(1.0, 1e300 if dim == 1 else 1e150, M + 1)
+        spread = np.geomspace(1.0, 1e300, M + 1)
         entries = np.diag(spread[basis.components.sum(axis=1)])
         return SymmetricForm(basis=basis, kind="h1", entries=entries, scaling=np.ones(n))
 
@@ -522,6 +555,21 @@ def test_multiplicative_bisection_bounded_by_bracket(monkeypatch):
         rec = one_constant(N, dim, "mult")
         assert rec.iterations == len(calls) <= 57, (N, dim, rec.iterations)
         assert rec.value > 0
+
+
+def test_tridiagonal_eigenvalue_is_scale_free():
+    # T is scaled by a power of two before dstebz, which squares e and
+    # multiplies neighbouring entries of d: scaling T by 2^k scales each
+    # eigenvalue by exactly 2^k, also where e^2 or d_j d_j+1 overflows
+    rng = np.random.default_rng(3)
+    d, e = rng.uniform(1.0, 4.0, 40), rng.uniform(-0.5, 0.5, 39)
+    ev = eigvalsh_tridiagonal(d, e)
+    for i in (1, 17, 40):
+        got = extremal._tridiagonal_eigenvalue(d, e, i)
+        assert abs(got - ev[i - 1]) <= 1e-14 * ev[-1], i
+        for k in (-1000, -300, 300, 1000):
+            scaled = extremal._tridiagonal_eigenvalue(np.ldexp(d, k), np.ldexp(e, k), i)
+            assert scaled == math.ldexp(got, k), (i, k)
 
 
 def _bisected_mult(d, e, U):
