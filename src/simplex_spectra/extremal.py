@@ -15,8 +15,8 @@ problem of C's column count. The mirror of the domain (x -> -x on the
 interval, x <-> y on the triangle) commutes with A, so in the mirror basis
 of ``simplex._mirror_basis`` A is an even and an odd block, and each is
 reduced on its own. The maximizer is found in log r by a safeguarded
-interpolation search on the slope, in a bracket fixed by the extreme
-eigenvalues of T.
+interpolation search on the slope, in a bracket fixed by A = I + K, with
+K positive semidefinite, and a Gershgorin bound on T.
 
 Both additive numerators vanish off the degree-<=N block, which the graded
 basis puts first, so each additive constant is an eigenproblem of that
@@ -46,7 +46,6 @@ from scipy.linalg import (
 from scipy.linalg.lapack import (
     dormqr,
     dptsv,
-    dstebz,
     dsyevr,
     dsyevr_lwork,
     dsytrd,
@@ -357,37 +356,42 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantR
     comes from one tridiagonal solve and k is C's column count (1 in 1-D,
     N+1 in 2-D). These go to LAPACK directly (dptsv, and dsyevr as scipy's
     eigh calls it), with the eigensolvers' inputs checked finite and a
-    nonzero info raised as NumericError. The slope of lambda in s = log r changes sign from
-    nonnegative to nonpositive across [log a_min, log a_max] / 2, with
-    a_min and a_max the extreme eigenvalues of T (from dstebz, as
-    ``_tridiagonal_eigenvalue``), and the root is searched for on that
-    bracket (Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 4). The search bisects until it has sampled one positive and one
-    nonpositive slope, and from then on takes Chandrupatla's inverse
+    nonzero info raised as NumericError. The slope of lambda in s = log r
+    changes sign from nonnegative to nonpositive across
+    [log a_min, log a_max] / 2, with a_min and a_max the extreme eigenvalues
+    of T, and the root is searched for on a bracket that encloses it (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4). No
+    eigensolve sets that bracket, [0, log g / 2]: a_min = 1 exactly, since
+    every H1 form is I + K with K positive semidefinite and K 1 = 0, and
+    g = max_i (d_i + |e_i-1| + |e_i|), the Gershgorin bound of T, is at
+    least a_max. The search bisects until it has sampled one positive and
+    one nonpositive slope, and from then on takes Chandrupatla's inverse
     quadratic interpolation step (``_interpolate``; Adv. Eng. Softw. 28
     (1997) 145), kept at least half the stopping width 1e-14 max(1, |s|)
     inside both ends, so that the bracket collapses onto a converged root.
     It stops when the bracket is no wider than the stopping width at the
     newest point, and returns that point's record.
 
-    The bracket is finite, since T is finite and a_min > 0, so its width is
-    at most log(2^1024 / 2^-1074) / 2 < 728, and 57 halvings take it below
-    the stopping width, which is at least 1e-14. A step bisects whenever
+    The bracket is finite, since g is a finite double, below 2^1024, so its
+    width is at most 512 log 2 < 355, and 55 halvings take it below
+    355 / 2^55 < 1e-14, the least stopping width. A step bisects whenever
     the two evaluations before it did not together halve the bracket, so
     every three consecutive evaluations halve it: either the first two
     did, or the third bisects. The search therefore ends within
-    3 * 57 = 171 evaluations and needs no cap; on the rows of ``table 1``
+    3 * 55 = 165 evaluations and needs no cap; on the rows of ``table 1``
     it takes 8 to 12.
     """
     d, e, U = _tridiagonalize(A, C, 2 * N, dim)
-    a_min, a_max = (_tridiagonal_eigenvalue(d, e, i) for i in (1, d.size))
-    if a_min <= 0.0:
-        raise NumericError(
-            "denominator form is not positive definite: "
-            f"eigenvalue range [{a_min:.6g}, {a_max:.6g}]"
-        )
+    # the Gershgorin interval of T: row i has radius |e_i-1| + |e_i|
+    ae = np.abs(_finite(e, "e"))
+    with np.errstate(over="ignore"):
+        radius = np.concatenate([ae, [0.0]]) + np.concatenate([[0.0], ae])
+        g_lo, g = float(np.min(_finite(d, "d") - radius)), float(np.max(d + radius))
+    gershgorin = f"Gershgorin eigenvalue range [{g_lo:.6g}, {g:.6g}]"
+    if not (math.isfinite(g) and g >= 1.0):
+        raise NumericError(f"H1 form must be finite and at least I: {gershgorin}")
 
-    lo, hi = 0.5 * math.log(a_min), 0.5 * math.log(a_max)
+    lo, hi = 0.0, 0.5 * math.log(g)
     # the slopes sampled at the bracket ends (None until sampled), the end
     # the last evaluation replaced with its slope, and the bracket width
     # after each evaluation
@@ -407,7 +411,7 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantR
         r = math.exp(s)
         _, _, Z, info = dptsv(r + d / r, e / r, U, overwrite_d=1, overwrite_e=1)
         if info != 0:
-            raise NumericError(f"r I + A/r is not positive definite at r = {r:.6g}")
+            raise NumericError(f"r I + A/r is not positive definite at r = {r:.6g}: {gershgorin}")
         G = U.T @ Z  # 2 U^T Z, symmetrized, is G + G^T
         mu, Y, _, _, info = dsyevr(
             _finite(G + G.T, "2 U^T Z"), lower=1, lwork=int(work), liwork=int(iwork)
@@ -429,21 +433,6 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantR
             return ConstantRecord(
                 dim=dim, N=N, kind="mult", value=value, iterations=it, residual=residual
             )
-
-
-def _tridiagonal_eigenvalue(d: np.ndarray, e: np.ndarray, i: int) -> float:
-    """The i-th smallest (from 1) eigenvalue of the tridiagonal T with
-    diagonal d and off-diagonal e, by LAPACK's bisection dstebz, called as
-    scipy's eigvalsh_tridiagonal(select="i") calls it.
-
-    dstebz squares e and multiplies neighbouring entries of d, so T is
-    scaled by the power of two that brings its largest diagonal entry into
-    [1/2, 1), which is exact, and the eigenvalue is scaled back."""
-    _, shift = math.frexp(float(np.max(np.abs(_finite(d, "d")))))
-    d, e = np.ldexp(d, -shift), np.ldexp(_finite(e, "e"), -shift)
-    _, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, i, i, 0.0, "E")
-    _check_info("dstebz", info)
-    return math.ldexp(float(w[0]), shift)
 
 
 def _finite(x: np.ndarray, name: str) -> np.ndarray:

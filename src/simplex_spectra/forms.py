@@ -27,9 +27,7 @@ from .simplex import (
     BasisSet,
     _axis_factors,
     _axis_weights,
-    _bottom_restriction,
     _boundary_rule,
-    _component_values,
     _dubiner_matrix,
     _gl_nodes,
     _node_count,
@@ -229,15 +227,14 @@ def trace_form(M: int, dim: int, gamma: str, nodes: int | None = None) -> Symmet
     s = _scaling_vector(basis)
     bottom, w = _boundary_rule(dim, _node_count(M, nodes))
     a = bottom[:, :-1]
-    if gamma == "full_boundary":
-        # the faces x_j = -1 for j = dim-1, ..., 0 over the bottom piece's
-        # parameters a, then the slanted face x_{dim-1} = (2 - dim) - a_0 - ...
-        faces = [(np.insert(a, j, -1.0, axis=1), 1.0) for j in reversed(range(dim))]
-        faces.append((np.column_stack([a, reduce(np.subtract, a.T, 2.0 - dim)]), np.sqrt(dim)))
-        pieces = [(_dubiner_matrix(basis, x), measure) for x, measure in faces]
-    else:
-        heads, col, sign = _bottom_restriction(M, dim)
-        pieces = [(sign[:, None] * _component_values(heads, a)[col], 1.0)]
+    # the faces x_j = -1 for j = dim-1, ..., 0 over the bottom piece's
+    # parameters a, then the slanted face x_{dim-1} = (2 - dim) - a_0 - ...;
+    # the first is the bottom piece
+    faces = [(np.insert(a, j, -1.0, axis=1), 1.0) for j in reversed(range(dim))]
+    faces.append((np.column_stack([a, reduce(np.subtract, a.T, 2.0 - dim)]), np.sqrt(dim)))
+    if gamma != "full_boundary":
+        faces = faces[:1]
+    pieces = [(_dubiner_matrix(basis, x), measure) for x, measure in faces]
     factor = np.hstack([s[:, None] * ev * np.sqrt(measure * w) for ev, measure in pieces])
     entries = _symmetrize(factor @ factor.T)
     return SymmetricForm(basis=basis, kind="trace", entries=entries, scaling=s)

@@ -28,22 +28,25 @@ class JacobiWeight:
     """Weight (1-x)^alpha * (1+x)^beta; both exponents must exceed -1.
 
     ``alpha`` may also be a 1-d array: a column of weights, whose tables
-    ``_jacobi_table`` and ``_deriv_table`` build in one sweep.
+    ``_jacobi_table`` and ``_deriv_table`` build in one sweep. The public
+    functions take one weight and reject a column.
     """
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not ((np.asarray(self.alpha) > -1.0).all() and self.beta > -1.0):
+        a = np.asarray(self.alpha, dtype=float)
+        if not (np.isfinite(a).all() and (a > -1.0).all() and -1.0 < self.beta < math.inf):
             raise ParameterError(
-                f"weight exponents must exceed -1, got alpha={self.alpha}, beta={self.beta}"
+                "weight exponents must be finite and exceed -1, "
+                f"got alpha={self.alpha}, beta={self.beta}"
             )
 
     @property
     def zeroth_moment(self) -> float:
         """Integral of the weight over [-1, 1]."""
-        a, b = self.alpha, self.beta
+        a, b = _one_weight(self).alpha, self.beta
         log_m = (
             (a + b + 1.0) * np.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
         )
@@ -86,6 +89,13 @@ def _check_int(name: str, value, least: int = 0) -> int:
     return int(value)
 
 
+def _one_weight(weight: JacobiWeight) -> JacobiWeight:
+    """weight, checked to be one weight and not a column of them."""
+    if np.ndim(weight.alpha) != 0:
+        raise ParameterError(f"expected one weight, got a column of {np.size(weight.alpha)}")
+    return weight
+
+
 def _recurrence_coeffs(n: float, alpha: float, beta: float):
     """Coefficients (c1, c2, c3, c4) with c1 P_{n+1} = (c2 + c3 x) P_n - c4 P_{n-1}."""
     ab = alpha + beta
@@ -100,7 +110,7 @@ def _recurrence_coeffs(n: float, alpha: float, beta: float):
 def jacobi_eval(n: int, weight: JacobiWeight, x) -> np.ndarray:
     """Value of the degree-n polynomial at x (scalar or array)."""
     n = _check_int("degree", n)
-    return _jacobi_table(n, weight, x)[n]
+    return _jacobi_table(n, _one_weight(weight), x)[n]
 
 
 def _jacobi_table(n: int, weight: JacobiWeight, x, den=1.0) -> np.ndarray:
@@ -160,7 +170,7 @@ def _deriv_table(n: int, weight: JacobiWeight, x) -> np.ndarray:
 def jacobi_deriv(n: int, weight: JacobiWeight, x) -> np.ndarray:
     """First derivative of the degree-n polynomial at x."""
     n = _check_int("degree", n)
-    return _deriv_table(n, weight, x)[n]
+    return _deriv_table(n, _one_weight(weight), x)[n]
 
 
 def _one_sided_norm_sq(n, a):
@@ -171,7 +181,7 @@ def _one_sided_norm_sq(n, a):
 def jacobi_norm_sq(n: int, weight: JacobiWeight) -> float:
     """Squared weighted L2 norm of the degree-n polynomial."""
     n = _check_int("degree", n)
-    a, b = weight.alpha, weight.beta
+    a, b = _one_weight(weight).alpha, weight.beta
     # one-sided weights have an exact closed form; keep it free of lgamma
     # roundoff because downstream scalings divide by these values
     if b == 0.0:
@@ -237,7 +247,7 @@ def gauss_jacobi_rule(m: int, weight: JacobiWeight) -> QuadratureRule:
     components scaled by the zeroth moment.
     """
     m = _check_int("node count", m, least=1)
-    a, b = weight.alpha, weight.beta
+    a, b = _one_weight(weight).alpha, weight.beta
     ab = a + b
     diag = np.empty(m)
     diag[0] = (b - a) / (ab + 2.0)

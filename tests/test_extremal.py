@@ -524,15 +524,15 @@ def test_mirror_split_matches_the_whole_form_reduction(monkeypatch):
 
 
 def test_multiplicative_bisection_bounded_by_bracket(monkeypatch):
-    # an H1 form whose eigenvalues span 300 decades. dstebz knows a_min
-    # only to about eps a_max, so the bracket in log r is at most about 58
-    # wide, not the 345 of the true span; halving either takes it below
-    # the stopping width 1e-14 within 56 evaluations, and the loop has no
-    # cap, so this bound is its end. Like every H1 form it commutes with
-    # the mirror, as it is constant on each degree slab. In 2-D the change
-    # to the mirror basis leaves roundoff of about 1e-15 of the largest
-    # entry, 1e285 here, off the diagonal of T, which dstebz would square
-    # past the overflow threshold if T were not scaled first
+    # an H1 form whose eigenvalues span 300 decades, so the bracket in
+    # log r is about 345 wide; halving it takes it below the stopping width
+    # 1e-14 within 55 evaluations, and the loop has no cap, so the bound
+    # below checks that it ends. Like every H1 form it commutes with the
+    # mirror, as it is constant on each degree slab. Its maximizer is the
+    # constant function at r = 1, the bracket's lower end, where lambda is
+    # c0^2 for c0 the constant function's row of the numerator factor: 1/2
+    # in 1-D, 1 in 2-D; every other coordinate has a diagonal entry of at
+    # least 1e15
     def wide(M, dim, nodes=None):
         basis = enumerate_basis(M, dim)
         n = basis.cardinality
@@ -554,22 +554,9 @@ def test_multiplicative_bisection_bounded_by_bracket(monkeypatch):
         calls.clear()
         rec = one_constant(N, dim, "mult")
         assert rec.iterations == len(calls) <= 57, (N, dim, rec.iterations)
-        assert rec.value > 0
-
-
-def test_tridiagonal_eigenvalue_is_scale_free():
-    # T is scaled by a power of two before dstebz, which squares e and
-    # multiplies neighbouring entries of d: scaling T by 2^k scales each
-    # eigenvalue by exactly 2^k, also where e^2 or d_j d_j+1 overflows
-    rng = np.random.default_rng(3)
-    d, e = rng.uniform(1.0, 4.0, 40), rng.uniform(-0.5, 0.5, 39)
-    ev = eigvalsh_tridiagonal(d, e)
-    for i in (1, 17, 40):
-        got = extremal._tridiagonal_eigenvalue(d, e, i)
-        assert abs(got - ev[i - 1]) <= 1e-14 * ev[-1], i
-        for k in (-1000, -300, 300, 1000):
-            scaled = extremal._tridiagonal_eigenvalue(np.ldexp(d, k), np.ldexp(e, k), i)
-            assert scaled == math.ldexp(got, k), (i, k)
+        c0_sq = {1: 0.5, 2: 1.0}[dim]
+        assert abs(rec.value - c0_sq) <= 1e-13 * c0_sq, (N, dim, rec.value)
+        assert rec.residual <= 1e-13, (N, dim, rec.residual)
 
 
 def _bisected_mult(d, e, U):
@@ -644,7 +631,7 @@ def test_multiplicative_search_takes_few_evaluations(solves):
 def test_multiplicative_search_bounded_when_interpolation_creeps(monkeypatch, solves):
     # interpolation steps that move the least the clamp allows barely shrink
     # the bracket; the bisection after every two steps that did not halve
-    # it still ends the search within the 3 * 57 evaluations of its argument
+    # it still ends the search within the 3 * 55 evaluations of its argument
     want = {(N, dim): one_constant(N, dim, "mult").value for N, dim in ((10, 1), (3, 2))}
 
     def creeping(a, f_a, b, f_b, c, f_c, width):
@@ -654,7 +641,7 @@ def test_multiplicative_search_bounded_when_interpolation_creeps(monkeypatch, so
     for (N, dim), value in want.items():
         solves.clear()
         rec = one_constant(N, dim, "mult")
-        assert rec.iterations == len(solves) <= 171, (N, dim, rec.iterations)
+        assert rec.iterations == len(solves) <= 165, (N, dim, rec.iterations)
         assert abs(rec.value - value) <= 1e-14 * value, (N, dim)
 
 
@@ -685,6 +672,20 @@ def test_multiplicative_rejects_nonfinite_reduction(monkeypatch):
     for bad, name in (((np.full_like(d, np.nan), e, U), "d"), ((d, e, U_inf), "2 U")):
         monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, C, M, dim, bad=bad: bad)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match=f"{name}.* must be finite"):
+            extremal._multiplicative(3, 1, A, C)
+
+
+def test_multiplicative_rejects_a_bracket_it_cannot_take(monkeypatch):
+    # the bracket's upper end is half the log of T's Gershgorin bound g,
+    # which an H1 form, at least I, keeps finite and at least 1; a T below
+    # I or one whose bound overflows is a NumericError that names the
+    # Gershgorin interval, not a math domain error or an overflow warning
+    A, C = h1_form(6, 1).entries, extremal._numerator_factor(3, 1)
+    _, _, U = extremal._tridiagonalize(A, C, 6, 1)
+    n = U.shape[0]
+    for d, e in ((np.full(n, 0.5), np.zeros(n - 1)), (np.full(n, 1e308), np.full(n - 1, 1e308))):
+        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, C, M, dim, T=(d, e, U): T)
+        with pytest.raises(NumericError, match="Gershgorin eigenvalue range"):
             extremal._multiplicative(3, 1, A, C)
 
 

@@ -24,6 +24,26 @@ def test_weight_validation():
         JacobiWeight(-1.0, 0.0)
     with pytest.raises(ParameterError):
         JacobiWeight(0.0, -1.5)
+    # exponents must be finite, a column of them included
+    for alpha, beta in ((np.inf, 0.0), (0.0, np.inf), (np.nan, 0.0), (np.array([0.0, np.inf]), 0.0)):
+        with pytest.raises(ParameterError):
+            JacobiWeight(alpha, beta)
+
+
+def test_public_functions_take_one_weight():
+    # a column of weights is for the private tables; the public functions
+    # reject it rather than index its weight axis or fail untyped
+    for beta in (0.0, 0.5):
+        w = JacobiWeight(np.arange(6.0), beta)
+        for call in (
+            lambda: jacobi_eval(2, w, 0.3),
+            lambda: jacobi_deriv(2, w, 0.3),
+            lambda: jacobi_norm_sq(2, w),
+            lambda: gauss_jacobi_rule(3, w),
+            lambda: w.zeroth_moment,
+        ):
+            with pytest.raises(ParameterError, match="one weight"):
+                call()
 
 
 def test_zeroth_moment():
