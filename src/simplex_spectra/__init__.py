@@ -6,8 +6,6 @@ boundary projection estimates."""
 from .errors import NumericError, ParameterError, SingularityError
 from .extremal import (
     ConstantRecord,
-    EigenSolution,
-    rayleigh_sup,
     row_constants,
     trace_error_rate,
 )
@@ -15,17 +13,13 @@ from .forms import (
     SymmetricForm,
     h1_form,
     mass_form,
-    point_eval_form,
-    projection_form,
     trace_form,
 )
 from .identities import (
     CoefficientPair,
-    FactorTable,
     VerificationReport,
     connect_coefficients,
     expand_pair,
-    factors,
     verify_coefficient_bound,
     verify_connection,
     verify_deriv_norm_bound,
@@ -38,10 +32,6 @@ from .jacobi import (
     JacobiWeight,
     QuadratureRule,
     gauss_jacobi_rule,
-    jacobi_antideriv,
-    jacobi_deriv,
-    jacobi_eval,
-    jacobi_norm_sq,
 )
 from .simplex import (
     BasisSet,
@@ -49,8 +39,6 @@ from .simplex import (
     boundary_trace_parseval,
     enumerate_basis,
     line_functions,
-    synthesize,
-    trace_coefficient_sum,
 )
 
 __version__ = "0.1.0"

@@ -188,7 +188,7 @@ def _suite_orthogonality(args) -> VerificationReport:
         for label, build in (
             ("mass-3d", lambda nn: mass_form(5, 3, nodes=nn(16))),
             ("h1-2d", lambda nn: h1_form(7, 2, nodes=nn(20))),
-            ("trace-2d", lambda nn: trace_form(6, 2, "edge", nodes=nn(18))),
+            ("trace-2d", lambda nn: trace_form(6, 2, nodes=nn(18))),
         ):
             base = build(lambda m: m + args.quad_safety)
             dbl = build(lambda m: 2 * m + args.quad_safety)
@@ -220,15 +220,15 @@ def _suite_finite_sum(args) -> VerificationReport:
 
 def _suite_trace_parseval(args) -> VerificationReport:
     corpus = [
-        (2, "edge", "affine", lambda x: 1.0 + x[:, 0] - 0.5 * x[:, 1]),
-        (2, "edge", "quartic", lambda x: (x[:, 0] + x[:, 1] ** 3) ** 1 + x[:, 0] ** 4),
-        (3, "face", "affine", lambda x: 1.0 - x[:, 0] + 0.5 * x[:, 1] + 0.25 * x[:, 2]),
-        (3, "face", "cubic", lambda x: x[:, 0] * x[:, 2] + x[:, 1] ** 3),
+        (2, "affine", lambda x: 1.0 + x[:, 0] - 0.5 * x[:, 1]),
+        (2, "quartic", lambda x: (x[:, 0] + x[:, 1] ** 3) ** 1 + x[:, 0] ** 4),
+        (3, "affine", lambda x: 1.0 - x[:, 0] + 0.5 * x[:, 1] + 0.25 * x[:, 2]),
+        (3, "cubic", lambda x: x[:, 0] * x[:, 2] + x[:, 1] ** 3),
     ]
 
     def checks():
-        for dim, gamma, label, fn in corpus:
-            via_sum = boundary_trace_parseval(fn, dim, gamma, N=12)
+        for dim, label, fn in corpus:
+            via_sum = boundary_trace_parseval(fn, dim, N=12)
             direct = _boundary_norm_direct(fn, dim, nodes=40 + args.quad_safety)
             key = f"dim{dim}-{label}"
             yield key, abs(via_sum - direct) / max(1.0, abs(direct)), lambda _: key

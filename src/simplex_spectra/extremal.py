@@ -24,9 +24,7 @@ block's size against the Schur complement S = A11 - A12 A22^-1 A21, taken
 through Cholesky factors of A22 and S: the trace (2-D) or endpoint (1-D)
 constant is the top eigenvalue of the Gram of L_S^-1 C1, square in the
 numerator factor's column count, and the H1-stability constant that of
-L_S^-1 A11 L_S^-T. ``rayleigh_sup`` solves a full pencil densely; it is
-the oracle these reductions are tested against, as the quadrature-assembled
-``trace_form`` and ``point_eval_form`` are for C.
+L_S^-1 A11 L_S^-T.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from scipy.linalg.lapack import (
 )
 
 from .errors import NumericError, ParameterError
-from .forms import SymmetricForm, h1_form
+from .forms import h1_form
 from .jacobi import _check_int
 from .simplex import (
     _bottom_coefficients,
@@ -68,9 +66,7 @@ from .simplex import (
 )
 
 __all__ = [
-    "EigenSolution",
     "ConstantRecord",
-    "rayleigh_sup",
     "row_constants",
     "trace_error_rate",
 ]
@@ -79,16 +75,6 @@ _KINDS = ("mult", "add_h1_denominator", "h1_stability")
 # the dimensions that rows, records and `constants --dim` accept
 _DIMS = (1, 2)
 _LOG_R_WIDTH = 1e-14
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSolution:
-    """Top eigenpair of B v = lambda G v with v normalized to unit G-norm;
-    ortho_residual is the G-inverse norm of B v - lambda G v."""
-
-    lambda_max: float
-    vector: np.ndarray
-    ortho_residual: float
 
 
 @dataclass(frozen=True)
@@ -115,21 +101,13 @@ class ConstantRecord:
             raise ParameterError(f"residual must be finite and nonnegative, got {self.residual}")
 
 
-def _check_compatible(B: SymmetricForm, G: SymmetricForm) -> None:
-    if (B.basis.dim, B.basis.N) != (G.basis.dim, G.basis.N):
-        raise ParameterError(
-            "forms live on different bases: "
-            f"dim/N {B.basis.dim}/{B.basis.N} vs {G.basis.dim}/{G.basis.N}"
-        )
-
-
-def _chol_lower(Gm: np.ndarray, whole: np.ndarray | None = None) -> np.ndarray:
+def _chol_lower(Gm: np.ndarray, whole: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of Gm. A failure raises NumericError with the
-    eigenvalue range of ``whole``, the form Gm is a block of, or of Gm."""
+    eigenvalue range of ``whole``, the form Gm is a block of."""
     try:
         return cholesky(Gm, lower=True)
     except LinAlgError as exc:
-        ev = eigvalsh(Gm if whole is None else whole)
+        ev = eigvalsh(whole)
         raise NumericError(
             "denominator form is not positive definite: "
             f"eigenvalue range [{ev[0]:.6g}, {ev[-1]:.6g}]"
@@ -144,17 +122,6 @@ def _congruent_top(Bm: np.ndarray, L: np.ndarray):
     n = len(C)
     w, Y = eigh((C + C.T) / 2.0, subset_by_index=[n - 1, n - 1])
     return float(w[-1]), solve_triangular(L, Y[:, -1], lower=True, trans="T")
-
-
-def rayleigh_sup(B: SymmetricForm, G: SymmetricForm) -> EigenSolution:
-    """Largest generalized eigenvalue of (B, G) with its maximizer."""
-    _check_compatible(B, G)
-    L = _chol_lower(G.entries)
-    lam, v = _congruent_top(B.entries, L)
-    v = v / np.sqrt(v @ G.entries @ v)
-    res = B.entries @ v - lam * (G.entries @ v)
-    ortho = float(np.linalg.norm(solve_triangular(L, res, lower=True)))
-    return EigenSolution(lambda_max=lam, vector=v, ortho_residual=ortho)
 
 
 def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):

@@ -1,5 +1,5 @@
-"""Dense symmetric bilinear forms (mass, H1, boundary trace, endpoint
-evaluation) over the orthonormalized bases, plus coefficient truncation.
+"""Dense symmetric bilinear forms (mass, H1, bottom-piece trace) over the
+orthonormalized bases.
 
 The basis is orthonormal, so the H1 form is the identity plus the stiffness
 Gram, and only the stiffness is assembled. The 1-D stiffness is exact, in
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -40,25 +39,18 @@ __all__ = [
     "mass_form",
     "h1_form",
     "trace_form",
-    "point_eval_form",
-    "projection_form",
 ]
 
-_KINDS = ("mass", "h1", "trace", "point_eval")
+_KINDS = ("mass", "h1", "trace")
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetricForm:
-    """One assembled quadratic form over an orthonormalized basis.
-
-    ``scaling`` holds 1/norm per basis function (the orthonormalization
-    data).
-    """
+    """One assembled quadratic form over an orthonormalized basis."""
 
     basis: BasisSet
     kind: str
     entries: np.ndarray
-    scaling: np.ndarray
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -66,8 +58,6 @@ class SymmetricForm:
         n = self.basis.cardinality
         if self.entries.shape != (n, n):
             raise ParameterError(f"entries must be {n}x{n}, got {self.entries.shape}")
-        if self.scaling.shape != (n,):
-            raise ParameterError(f"scaling must have length {n}")
         hi, lo = float(self.entries.max()), float(self.entries.min())
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise ParameterError("entries must be finite")
@@ -176,7 +166,7 @@ def mass_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
     basis = enumerate_basis(M, dim)
     s = _scaling_vector(basis)
     entries = _gram(basis, _node_count(M, nodes), s, [[(1.0, "V" * dim)]])
-    return SymmetricForm(basis=basis, kind="mass", entries=entries, scaling=s)
+    return SymmetricForm(basis=basis, kind="mass", entries=entries)
 
 
 def _interval_stiffness(s: np.ndarray) -> np.ndarray:
@@ -210,54 +200,18 @@ def h1_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
     s = _scaling_vector(basis)
     entries = _interval_stiffness(s) if dim == 1 else _gram(basis, m, s, _GRADIENT[dim])
     entries.flat[:: basis.cardinality + 1] += 1.0
-    return SymmetricForm(basis=basis, kind="h1", entries=entries, scaling=s)
+    return SymmetricForm(basis=basis, kind="h1", entries=entries)
 
 
-def trace_form(M: int, dim: int, gamma: str, nodes: int | None = None) -> SymmetricForm:
-    """Boundary Gram over the selected piece: the bottom edge (2D), the
-    bottom face (3D), or the whole boundary via the affine face maps."""
+def trace_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
+    """Boundary Gram over the bottom piece x_{dim-1} = -1: the bottom edge
+    (2D) or the bottom face (3D)."""
     M = _check_int("degree", M)
     if dim not in _BOTTOM:
         raise ParameterError(f"trace forms need dim 2 or 3, got {dim}")
-    if gamma not in (_BOTTOM[dim], "full_boundary"):
-        raise ParameterError(
-            f"gamma must be {_BOTTOM[dim]!r} or 'full_boundary' in {dim}D, got {gamma!r}"
-        )
     basis = enumerate_basis(M, dim)
     s = _scaling_vector(basis)
     bottom, w = _boundary_rule(dim, _node_count(M, nodes))
-    a = bottom[:, :-1]
-    # the faces x_j = -1 for j = dim-1, ..., 0 over the bottom piece's
-    # parameters a, then the slanted face x_{dim-1} = (2 - dim) - a_0 - ...;
-    # the first is the bottom piece
-    faces = [(np.insert(a, j, -1.0, axis=1), 1.0) for j in reversed(range(dim))]
-    faces.append((np.column_stack([a, reduce(np.subtract, a.T, 2.0 - dim)]), np.sqrt(dim)))
-    if gamma != "full_boundary":
-        faces = faces[:1]
-    pieces = [(_dubiner_matrix(basis, x), measure) for x, measure in faces]
-    factor = np.hstack([s[:, None] * ev * np.sqrt(measure * w) for ev, measure in pieces])
+    factor = s[:, None] * _dubiner_matrix(basis, bottom) * np.sqrt(w)
     entries = _symmetrize(factor @ factor.T)
-    return SymmetricForm(basis=basis, kind="trace", entries=entries, scaling=s)
-
-
-def point_eval_form(M: int) -> SymmetricForm:
-    """Rank-one endpoint evaluation form on the interval basis."""
-    M = _check_int("degree", M)
-    basis = enumerate_basis(M, 1)
-    s = _scaling_vector(basis)
-    # each scaled basis function equals its scale at the right endpoint
-    return SymmetricForm(basis=basis, kind="point_eval", entries=np.outer(s, s), scaling=s)
-
-
-def projection_form(B: SymmetricForm, N: int) -> SymmetricForm:
-    """The form B composed with coefficient truncation to degree N on both
-    arguments (same basis, rows and columns above degree N zeroed)."""
-    if _check_int("N", N) > B.basis.N:
-        raise ParameterError(f"N {N} outside the basis degree range 0..{B.basis.N}")
-    d = B.basis.components.sum(axis=1) <= N
-    return SymmetricForm(
-        basis=B.basis,
-        kind=B.kind,
-        entries=d[:, None] * B.entries * d[None, :],
-        scaling=B.scaling,
-    )
+    return SymmetricForm(basis=basis, kind="trace", entries=entries)

@@ -1,9 +1,11 @@
-"""Scalar factors that relate weighted Jacobi polynomials to integrals and
-derivatives of their neighbors, the coefficient connection formula built
-from them, and quadrature-backed verification sweeps."""
+"""The coefficient connection formula built from the scalar factors that
+relate weighted Jacobi polynomials to integrals and derivatives of their
+neighbors, and quadrature-backed verification sweeps of those factors and
+of the inequalities the analysis rests on."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +28,8 @@ from .jacobi import (
 from .simplex import _sample
 
 __all__ = [
-    "FactorTable",
     "CoefficientPair",
     "VerificationReport",
-    "factors",
     "connect_coefficients",
     "expand_pair",
     "verify_factor_identities",
@@ -40,20 +40,6 @@ __all__ = [
     "verify_hardy",
     "verify_coefficient_bound",
 ]
-
-
-@dataclass(frozen=True)
-class FactorTable:
-    """The six integration/differentiation factors at one (q, alpha)."""
-
-    q: int
-    alpha: int
-    h1: float
-    h2: float
-    h3: float
-    g1: float
-    g2: float
-    g3: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +71,10 @@ class VerificationReport:
     ``details`` maps a check name to its worst residual: an absolute
     residual for identity checks, a normalized violation (LHS-RHS)/scale
     for inequality checks (negative values mean satisfied with margin).
-    ``n_checks`` counts the residuals, and ``worst_case`` labels the first
-    largest residual of the sweep, the one ``max_residual`` reports ("" for
-    a sweep with no residuals).
+    A NaN residual is worse than any number. ``n_checks`` counts the
+    residuals, and ``worst_case`` labels the first largest residual of the
+    sweep, the one ``max_residual`` reports ("" for a sweep with no
+    residuals).
     """
 
     name: str
@@ -98,11 +85,18 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.details.values()) if self.details else 0.0
+        # np.max, unlike max, returns a NaN wherever it stands
+        return float(np.max(list(self.details.values()))) if self.details else 0.0
 
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
+
+
+def _worse(a: float, b: float) -> bool:
+    """Whether residual a ranks above b: it is larger, or a NaN where b is
+    not."""
+    return a > b or (math.isnan(a) and not math.isnan(b))
 
 
 def _report(name: str, tolerance: float, checks) -> VerificationReport:
@@ -111,7 +105,9 @@ def _report(name: str, tolerance: float, checks) -> VerificationReport:
     labels its i-th flat entry, called before the sweep resumes and only
     when that entry becomes the worst so far. ``details[key]`` is the
     largest residual under ``key``, ``worst_case`` the label of the first
-    largest residual of the sweep, ``n_checks`` the number of residuals."""
+    largest residual of the sweep, ``n_checks`` the number of residuals.
+    A NaN is the largest residual: argmax finds an array's first NaN, and
+    a NaN replaces any number but no earlier NaN."""
     details, worst, worst_case, n = {}, -np.inf, "", 0
     for key, residuals, case in checks:
         r = np.asarray(residuals)
@@ -120,29 +116,11 @@ def _report(name: str, tolerance: float, checks) -> VerificationReport:
         i = int(r.argmax())
         top = r.item(i)
         n += r.size
-        if key not in details or top > details[key]:
+        if key not in details or _worse(top, details[key]):
             details[key] = top
-        if top > worst:
+        if _worse(top, worst):
             worst, worst_case = top, case(i)
     return VerificationReport(name=name, n_checks=n, tolerance=tolerance, details=details, worst_case=worst_case)
-
-
-_FACTORS = {"h1": _h1, "h2": _h2, "h3": _h3, "g1": _g1, "g2": _g2, "g3": _g3}
-
-
-def factors(q: int, alpha: int) -> FactorTable:
-    """All six factors at integer (q, alpha), both nonnegative."""
-    q, alpha = _check_int("q", q), _check_int("alpha", alpha)
-    values = {}
-    for label, formula in _FACTORS.items():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = float(formula(np.float64(q), np.float64(alpha)))
-        # 0/0 is an identically vanishing numerator, so the factor is zero no
-        # matter the denominator; a nonzero numerator over zero is a true pole
-        if np.isinf(v):
-            raise ParameterError(f"factor {label} has a vanishing denominator at q={q}, alpha={alpha}")
-        values[label] = 0.0 if np.isnan(v) or v == 0.0 else v
-    return FactorTable(q=q, alpha=alpha, **values)
 
 
 def connect_coefficients(b, alpha: int) -> np.ndarray:
@@ -241,8 +219,8 @@ def verify_weighted_antiderivative(q_max: int = 10, alpha_max: int = 6, n_points
 
     Two checks per (q, alpha, x): the weighted integral of the degree-q
     polynomial from -1 to x against -(1-x)^alpha [h1 P_{q+1} + h2 P_q
-    + h3 P_{q-1}](x), and the jacobi_antideriv form (g1, g2, g3 at q+1)
-    against the plain integral. Per alpha, one table spans the rules on
+    + h3 P_{q-1}](x), and the antiderivative's three-term form (g1, g2,
+    g3 at q+1) against the plain integral. Per alpha, one table spans the rules on
     (-1, x) for every x, and one the points x.
     """
     q_max, alpha_max, n_points = _check_arguments(q_max, alpha_max, n_points)

@@ -1,6 +1,6 @@
 """Jacobi polynomials on [-1, 1] for the weight (1-x)^alpha (1+x)^beta:
-evaluation, derivatives, squared norms, antiderivatives and the factors
-behind them, Gauss rules."""
+value and derivative tables, one-sided squared norms, the factors relating
+a polynomial to integrals and derivatives of its neighbours, Gauss rules."""
 
 from __future__ import annotations
 
@@ -15,10 +15,6 @@ from .errors import ParameterError
 __all__ = [
     "JacobiWeight",
     "QuadratureRule",
-    "jacobi_eval",
-    "jacobi_deriv",
-    "jacobi_norm_sq",
-    "jacobi_antideriv",
     "gauss_jacobi_rule",
 ]
 
@@ -28,8 +24,8 @@ class JacobiWeight:
     """Weight (1-x)^alpha * (1+x)^beta; both exponents must exceed -1.
 
     ``alpha`` may also be a 1-d array: a column of weights, whose tables
-    ``_jacobi_table`` and ``_deriv_table`` build in one sweep. The public
-    functions take one weight and reject a column.
+    ``_jacobi_table`` and ``_deriv_table`` build in one sweep. The Gauss
+    rule and the zeroth moment take one weight and reject a column.
     """
 
     alpha: float
@@ -107,12 +103,6 @@ def _recurrence_coeffs(n: float, alpha: float, beta: float):
     return c1, c2, c3, c4
 
 
-def jacobi_eval(n: int, weight: JacobiWeight, x) -> np.ndarray:
-    """Value of the degree-n polynomial at x (scalar or array)."""
-    n = _check_int("degree", n)
-    return _jacobi_table(n, _one_weight(weight), x)[n]
-
-
 def _jacobi_table(n: int, weight: JacobiWeight, x, den=1.0) -> np.ndarray:
     """All degrees 0..n at the points x; shape (n+1,) + the shape of x and den.
 
@@ -167,35 +157,9 @@ def _deriv_table(n: int, weight: JacobiWeight, x) -> np.ndarray:
     return out if np.ndim(weight.alpha) else out[0]
 
 
-def jacobi_deriv(n: int, weight: JacobiWeight, x) -> np.ndarray:
-    """First derivative of the degree-n polynomial at x."""
-    n = _check_int("degree", n)
-    return _deriv_table(n, _one_weight(weight), x)[n]
-
-
 def _one_sided_norm_sq(n, a):
     """Squared norm of degree n for the weight (a, 0) or (0, a); array-capable."""
     return 2.0 ** (a + 1.0) / (2.0 * n + a + 1.0)
-
-
-def jacobi_norm_sq(n: int, weight: JacobiWeight) -> float:
-    """Squared weighted L2 norm of the degree-n polynomial."""
-    n = _check_int("degree", n)
-    a, b = _one_weight(weight).alpha, weight.beta
-    # one-sided weights have an exact closed form; keep it free of lgamma
-    # roundoff because downstream scalings divide by these values
-    if b == 0.0:
-        return _one_sided_norm_sq(n, a)
-    if a == 0.0:
-        return _one_sided_norm_sq(n, b)
-    log_v = (
-        (a + b + 1.0) * np.log(2.0)
-        + math.lgamma(n + a + 1.0)
-        + math.lgamma(n + b + 1.0)
-        - math.lgamma(n + 1.0)
-        - math.lgamma(n + a + b + 1.0)
-    )
-    return float(np.exp(log_v)) / (2.0 * n + a + b + 1.0)
 
 
 # The factors relating P_q, weight (a, 0), to integrals (h) and derivatives
@@ -222,21 +186,6 @@ def _g2(q, a):
 
 def _g3(q, a):
     return -(2.0 * q - 2.0) / ((2.0 * q + a - 1.0) * (2.0 * q + a - 2.0))
-
-
-def jacobi_antideriv(n: int, alpha: float, x) -> np.ndarray:
-    """Antiderivative from -1 of the degree-(n-1) polynomial, weight (alpha, 0).
-
-    Returns the degree-n polynomial that vanishes at x = -1 and whose
-    derivative is the degree-(n-1) one. Requires n >= 1.
-    """
-    n = _check_int("antiderivative degree", n, least=1)
-    xs = np.asarray(x, dtype=float)
-    if n == 1:
-        return xs + 1.0
-    q, a = float(n), float(alpha)
-    table = _jacobi_table(n, JacobiWeight(a, 0.0), xs)
-    return _g1(q, a) * table[n] + _g2(q, a) * table[n - 1] + _g3(q, a) * table[n - 2]
 
 
 def gauss_jacobi_rule(m: int, weight: JacobiWeight) -> QuadratureRule:

