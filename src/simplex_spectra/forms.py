@@ -8,8 +8,8 @@ oracle of orthogonality, are assembled on the cube through the
 collapsed-coordinate map with the volume factor explicit in the integrand.
 Each such integrand is a short sum of separable per-axis products, so each
 Gram is a sum of Hadamard products of one-dimensional Grams (sum
-factorization), built from the per-axis weights and factor tables of
-``simplex`` in any dimension.
+factorization). Those of the leading axes live on the distinct leading
+components, and one basis-wide product per pair of last-axis kinds is left.
 """
 
 from __future__ import annotations
@@ -111,50 +111,58 @@ _GRADIENT = {
 }
 
 
-def _axis_tables(basis: BasisSet, t: np.ndarray, terms) -> dict:
-    """Per-axis factor tables keyed (kind, axis), one row per basis index,
-    for the separable terms named in ``terms`` (one kind letter per axis).
-
-    Row i of (kind, k) is the axis-k factor of index i: the table for its
-    prefix sum over the earlier axes, at its axis-k component.
-    """
-    comps = basis.components
-    prefix = np.cumsum(comps, axis=1) - comps
-    tabs = {}
-    for k in range(basis.dim):
-        kinds = "".join({term[k] for term in terms})
-        factors = _axis_factors(k, basis.N, t, kinds)
-        for kind in kinds:
-            tabs[kind, k] = factors.pop(kind)[prefix[:, k], comps[:, k]]
-    return tabs
-
-
 def _gram(basis: BasisSet, m: int, s: np.ndarray, integrands) -> np.ndarray:
     """Gram of the basis scaled by s: entry (i, j) sums, over the
     integrands (each a list of separable terms), the integral of the
     integrand of function i times the same integrand of function j.
 
     The tensor Gauss rule integrates a separable product as the product of
-    per-axis sums, so each pair of terms contributes the Hadamard product
-    of one card x card Gram per axis; axis k carries the collapsed volume
-    factor half**k in its weights. The sum runs over row blocks, each
-    block's per-axis Grams taken for its rows only, and is scaled and
-    symmetrized in place, so a Gram costs one card x card array.
+    per-axis sums; axis k carries the volume factor half**k in its weights.
+    An axis-k factor reads only the first k + 1 components, so the Grams of
+    all axes but the last live on the distinct prefixes comps[:, :-1] (one,
+    empty, in 1-D). Pairs of terms are grouped by their last-axis kinds
+    (x, y), each group's leading products summed on the prefixes; group
+    (y, x) joins (x, y) transposed, which adds only an antisymmetric part
+    to a symmetric Gram, removed exactly by the final symmetrization. Each
+    row block takes one basis-wide last-axis product per group (DD, DU and
+    UU for the stiffness) times the group's prefix Gram gathered at its
+    rows and columns, so a Gram costs one card x card array.
     """
     t, _ = _gl_nodes(m)
     weights = _axis_weights(basis.dim, m)
-    tabs = _axis_tables(basis, t, {term for terms in integrands for _, term in terms})
+    comps, last = basis.components, basis.dim - 1
+    # tables keyed (kind, axis): a row per prefix on the leading axes, found
+    # by np.unique on one integer each (slow on rows), a row per function on
+    # the last, scaled by s
+    code = comps[:, :last] @ (basis.N + 1) ** np.arange(last)
+    _, first, at = np.unique(code, return_index=True, return_inverse=True)
+    prefix = np.cumsum(comps, axis=1) - comps
+    named = {term for terms in integrands for _, term in terms}
+    tabs = {}
+    for k in range(basis.dim):
+        rows, scale = (first, 1.0) if k < last else (slice(None), s[:, None])
+        kinds = "".join({term[k] for term in named})
+        factors = _axis_factors(k, basis.N, t, kinds)
+        for kind in kinds:
+            tabs[kind, k] = scale * factors.pop(kind)[prefix[rows, k], comps[rows, k]]
+    del factors  # the whole-axis tables, before the Gram is allocated
+    groups = {}
+    for terms in integrands:
+        for ca, a in terms:
+            for cb, b in terms:
+                prod = np.full((first.size, first.size), ca * cb)
+                for k in range(last):
+                    prod *= (tabs[a[k], k] * weights[k]) @ tabs[b[k], k].T
+                key = a[last] + b[last]
+                if key[0] > key[1]:
+                    key, prod = key[::-1], prod.T
+                groups[key] = groups.get(key, 0.0) + prod
     out = np.zeros((basis.cardinality, basis.cardinality))
     for rows, _ in _row_blocks(basis.cardinality):
-        for terms in integrands:
-            for ca, a in terms:
-                for cb, b in terms:
-                    prod = ca * cb
-                    for k, wk in enumerate(weights):
-                        prod = prod * ((tabs[a[k], k][rows] * wk) @ tabs[b[k], k].T)
-                    out[rows] += prod
-    out *= s[:, None]
-    out *= s
+        for (x, y), lead in groups.items():
+            prod = (tabs[x, last][rows] * weights[last]) @ tabs[y, last].T
+            prod *= np.take(np.take(lead, at[rows], axis=0), at, axis=1)
+            out[rows] += prod
     return _symmetrize(out)
 
 

@@ -55,8 +55,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    weight_spec: JacobiWeight
-    exact_degree: int
 
     def __post_init__(self):
         nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
@@ -69,12 +67,6 @@ class QuadratureRule:
             raise ParameterError("nodes must be strictly increasing and interior to (-1, 1)")
         if np.any(weights <= 0.0):
             raise ParameterError("weights must be positive")
-        if self.exact_degree < 0:
-            raise ParameterError("exact_degree must be nonnegative")
-
-    def integrate(self, values) -> float:
-        """Weighted sum of integrand values sampled at the nodes."""
-        return float(self.weights @ np.asarray(values, dtype=float))
 
 
 def _check_int(name: str, value, least: int = 0) -> int:
@@ -214,4 +206,4 @@ def gauss_jacobi_rule(m: int, weight: JacobiWeight) -> QuadratureRule:
         off[1:] = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + ab) / (s * s * (s * s - 1.0)))
     nodes, vecs = eigh_tridiagonal(diag, off)
     weights = weight.zeroth_moment * vecs[0, :] ** 2
-    return QuadratureRule(nodes=nodes, weights=weights, weight_spec=weight, exact_degree=2 * m - 1)
+    return QuadratureRule(nodes=nodes, weights=weights)

@@ -427,6 +427,19 @@ def test_triangle_row_peak_memory():
     assert not np.array_equal(A, before)
 
 
+def test_tetrahedron_h1_peak_memory():
+    # the 3-D stiffness is assembled by row blocks from prefix Grams of its
+    # two leading axes, so it too stays near one array of the basis size
+    unit = math.comb(24 + 3, 3) ** 2 * 8
+    tracemalloc.start()
+    try:
+        h1_form(24, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * unit, peak / unit
+
+
 def test_tridiagonalize_reduces_each_parity_block():
     # the mirror of the interval (x -> -x) and of the triangle (x <-> y) is
     # an isometry, so in the coordinates of the mirror basis A couples no

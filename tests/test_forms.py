@@ -12,8 +12,8 @@ from simplex_spectra import (
     mass_form,
     trace_form,
 )
-from simplex_spectra.forms import _ROW_BLOCK, _axis_tables, _scaling_vector
-from simplex_spectra.simplex import _boundary_rule, _dubiner_matrix, _gl_nodes, _norm_sq, _rule_size
+from simplex_spectra.forms import _ROW_BLOCK, _scaling_vector
+from simplex_spectra.simplex import _axis_factors, _boundary_rule, _dubiner_matrix, _gl_nodes, _norm_sq, _rule_size
 
 
 def orthonormal_coeffs(f, M, dim):
@@ -88,8 +88,14 @@ def _tensor_grid_grams(M, dim, nodes):
     # every node from the per-axis tables, then summed with tensor weights
     basis = enumerate_basis(M, dim)
     t, w = _gl_nodes(nodes)
-    terms = {1: "V D", 2: "VV DU XU VD", 3: "VVV DUU XUU VDU VXU VVD"}[dim].split()
-    T = _axis_tables(basis, t, terms)
+    # every factor kind on every axis, one row per basis function: the
+    # table of its prefix sum at its own component on that axis
+    comps = basis.components
+    prefix = np.cumsum(comps, axis=1) - comps
+    T = {}
+    for k in range(dim):
+        for kind, table in _axis_factors(k, M, t, "DUX").items():
+            T[kind, k] = table[prefix[:, k], comps[:, k]]
     s = _scaling_vector(basis)
     axes = "ijl"[:dim]
     weights = [w * ((1 - t) / 2) ** k for k in range(dim)]
@@ -118,8 +124,18 @@ def _tensor_grid_grams(M, dim, nodes):
 
 def test_volume_grams_match_tensor_grid():
     # in 1-D this is the quadrature cross-check of the closed-form H1 Gram
-    # (16, 2) and (8, 3) span more than one row block of the assembly
-    cases = ((12, 1, None), (7, 2, None), (5, 3, None), (6, 2, 23), (4, 3, 15), (16, 2, None), (8, 3, None))
+    # (16, 2) and (8, 3) span more than one row block of the assembly, and
+    # (10, 3) spans three, whose rows repeat (p, q) prefixes across blocks
+    cases = (
+        (12, 1, None),
+        (7, 2, None),
+        (5, 3, None),
+        (6, 2, 23),
+        (4, 3, 15),
+        (16, 2, None),
+        (8, 3, None),
+        (10, 3, None),
+    )
     for M, dim, nodes in cases:
         mass, h1 = _tensor_grid_grams(M, dim, _rule_size(M) if nodes is None else nodes)
         for form, ref in ((mass_form(M, dim, nodes=nodes), mass), (h1_form(M, dim, nodes=nodes), h1)):

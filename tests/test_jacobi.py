@@ -168,7 +168,7 @@ def test_norm_sq_vs_quadrature():
         rule = gauss_jacobi_rule(20, w)
         for n in (0, 3, 7):
             vals = jacobi_eval(n, w, rule.nodes)
-            assert_allclose(jacobi_norm_sq(n, w), rule.integrate(vals**2), rtol=1e-13)
+            assert_allclose(jacobi_norm_sq(n, w), rule.weights @ vals**2, rtol=1e-13)
 
 
 def test_gauss_rule_matches_scipy():
@@ -177,24 +177,23 @@ def test_gauss_rule_matches_scipy():
         ref_x, ref_w = scipy.special.roots_jacobi(m, alpha, beta)
         assert_allclose(rule.nodes, ref_x, rtol=1e-12, atol=1e-13)
         assert_allclose(rule.weights, ref_w, rtol=1e-12, atol=1e-14)
-        assert rule.exact_degree == 2 * m - 1
 
 
 def test_gauss_rule_frozen_moments():
     # (1,0)-weighted monomial moments: 2, -2/3, 2/3, -2/5
     rule = gauss_jacobi_rule(2, JacobiWeight(1.0, 0.0))
     for k, expect in enumerate([2.0, -2 / 3, 2 / 3, -2 / 5]):
-        assert_allclose(rule.integrate(rule.nodes**k), expect, rtol=1e-14, atol=1e-15)
+        assert_allclose(rule.weights @ rule.nodes**k, expect, rtol=1e-14, atol=1e-15)
 
 
 def test_gauss_rule_exactness_boundary():
-    # degree 2m-1 integrates exactly, degree 2m does not
+    # an m-node rule is exact through degree 2m - 1, and not at degree 2m:
+    # int x^k over [-1, 1] is 2/(k + 1) for even k, 0 for odd k
     m = 4
     rule = gauss_jacobi_rule(m, JacobiWeight(0.0, 0.0))
-    exact = 2.0 / (2 * m)  # int x^(2m-1+1)? no: int x^(2m) = 2/(2m+1)
-    assert_allclose(rule.integrate(rule.nodes ** (2 * m - 2)), 2.0 / (2 * m - 1), rtol=1e-13)
-    assert abs(rule.integrate(rule.nodes ** (2 * m)) - 2.0 / (2 * m + 1)) > 1e-6
-    del exact
+    for k in range(2 * m):
+        assert_allclose(rule.weights @ rule.nodes**k, 2.0 / (k + 1) * (k % 2 == 0), rtol=1e-13, atol=1e-15)
+    assert abs(rule.weights @ rule.nodes ** (2 * m) - 2.0 / (2 * m + 1)) > 1e-6
 
 
 def test_gauss_rule_singular_weight_pair():
@@ -206,16 +205,11 @@ def test_gauss_rule_singular_weight_pair():
 
 
 def test_quadrature_rule_validation():
-    w = JacobiWeight(0.0, 0.0)
     ones = np.array([1.0, 1.0])
     with pytest.raises(ParameterError):
-        QuadratureRule(nodes=np.array([0.3, 0.1]), weights=ones, weight_spec=w, exact_degree=1)
+        QuadratureRule(nodes=np.array([0.3, 0.1]), weights=ones)
     with pytest.raises(ParameterError):
-        QuadratureRule(
-            nodes=np.array([0.1, 0.3]), weights=np.array([1.0, -1.0]), weight_spec=w, exact_degree=1
-        )
-    with pytest.raises(ParameterError):
-        QuadratureRule(nodes=np.array([0.1, 0.3]), weights=ones, weight_spec=w, exact_degree=-2)
+        QuadratureRule(nodes=np.array([0.1, 0.3]), weights=np.array([1.0, -1.0]))
 
 
 def test_antideriv_frozen_value():
