@@ -6,25 +6,31 @@ for all of its kinds. The numerator factor C, with C C^T the truncated
 endpoint (1-D) or bottom-piece form, is known in closed form: one column
 in 1-D and one per function of the bottom piece's degree-N basis above.
 
+The mirror of the domain (x -> -x on the interval, x <-> y on the
+triangle) commutes with A, so in the mirror basis of
+``simplex._mirror_basis`` A is an even and an odd block. A row changes A
+and C to that basis once (``_mirror_blocks``), and every kind works on the
+two blocks apart.
+
 The multiplicative constant mixes the mass, H1 and numerator forms; since
 sqrt(xy) = min_r (r x + y/r)/2 and the mass is the identity in the
 orthonormal basis, it is the maximum over r of the top eigenvalue of
-(2B, r I + A/r). A reduction A = Q T Q^T to tridiagonal T, carried
-through C, turns every such eigenvalue into a tridiagonal solve and a
-problem of C's column count. The mirror of the domain (x -> -x on the
-interval, x <-> y on the triangle) commutes with A, so in the mirror basis
-of ``simplex._mirror_basis`` A is an even and an odd block, and each is
-reduced on its own. The maximizer is found in log r by a safeguarded
-interpolation search on the slope, in a bracket fixed by A = I + K, with
-K positive semidefinite, and a Gershgorin bound on T.
+(2B, r I + A/r). A reduction A = Q T Q^T to tridiagonal T, one per block,
+carried through C, turns every such eigenvalue into a tridiagonal solve
+and a problem of C's column count. The maximizer is found in log r by a
+safeguarded interpolation search on the slope, in a bracket fixed by
+A = I + K, with K positive semidefinite, and a Gershgorin bound on T.
 
-Both additive numerators vanish off the degree-<=N block, which the graded
-basis puts first, so each additive constant is an eigenproblem of that
-block's size against the Schur complement S = A11 - A12 A22^-1 A21, taken
-through Cholesky factors of A22 and S: the trace (2-D) or endpoint (1-D)
-constant is the top eigenvalue of the Gram of L_S^-1 C1, square in the
-numerator factor's column count, and the H1-stability constant that of
-L_S^-1 A11 L_S^-T.
+Both additive numerators vanish off the degree-<=N functions, which the
+graded basis, and so each block, puts first, so each additive constant
+is an eigenproblem of that part's size against the block's Schur
+complement S = A11 - A12 A22^-1 A21, taken through one Cholesky factor
+of the block with that part ordered last, which ends in the factor L_S
+of S: the trace (2-D) or endpoint (1-D) constant is the top
+eigenvalue of the Gram of the two blocks' L_S^-1 C1 stacked, square in
+the numerator factor's column count, and the H1-stability constant the
+larger of the blocks' tops of L_S^-1 A11 L_S^-T. Their residuals are
+taken against the whole form, the coupling the split drops included.
 """
 
 from __future__ import annotations
@@ -102,10 +108,11 @@ class ConstantRecord:
 
 
 def _chol_lower(Gm: np.ndarray, whole: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of Gm. A failure raises NumericError with the
-    eigenvalue range of ``whole``, the form Gm is a block of."""
+    """Lower Cholesky factor of Gm, which it overwrites. A failure raises
+    NumericError with the eigenvalue range of ``whole``, the form Gm is a
+    block of."""
     try:
-        return cholesky(Gm, lower=True)
+        return cholesky(Gm, lower=True, overwrite_a=True)
     except LinAlgError as exc:
         ev = eigvalsh(whole)
         raise NumericError(
@@ -115,13 +122,13 @@ def _chol_lower(Gm: np.ndarray, whole: np.ndarray) -> np.ndarray:
 
 
 def _congruent_top(Bm: np.ndarray, L: np.ndarray):
-    """Top eigenpair (lambda, v) of the pencil (Bm, L L^T), L lower
-    triangular, via L^-1 Bm L^-T; v has unit L L^T-norm."""
+    """Top eigenpair (lambda, y) of L^-1 Bm L^-T, L lower triangular, so
+    that lambda and L^-T y are the top eigenpair of the pencil (Bm, L L^T)."""
     X = solve_triangular(L, Bm, lower=True)
     C = solve_triangular(L, X.T, lower=True)
     n = len(C)
     w, Y = eigh((C + C.T) / 2.0, subset_by_index=[n - 1, n - 1])
-    return float(w[-1]), solve_triangular(L, Y[:, -1], lower=True, trans="T")
+    return float(w[-1]), Y[:, -1]
 
 
 def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):
@@ -137,10 +144,10 @@ def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):
 
     The H1 form on degree 2N and the truncated numerator factor (endpoint
     evaluation in 1-D, the bottom edge in 2-D) are assembled once, when the
-    first record is asked for, and every kind shares them. The additive
-    kinds are computed first, through Schur factors of the form; mult's
-    change to the mirror basis then overwrites the form in place. A solver
-    failure raises when its kind is reached, after the records before it.
+    first record is asked for, and changed once to the mirror basis, where
+    every kind takes the form's two blocks apart (``_mirror_blocks``). A
+    solver failure raises when its kind is reached, after the records
+    before it.
     """
     if dim not in _DIMS:
         raise ParameterError(f"dim must be one of {_DIMS}, got {dim}")
@@ -152,56 +159,80 @@ def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):
 
 
 def _row(N: int, dim: int, wanted: list, nodes: int | None):
-    """The records of ``row_constants``. The Schur-based kinds run first and
-    drop their factors, so that mult's change to the mirror basis may then
-    overwrite A; a failure to factor A is held until the mult record is out."""
+    """The records of ``row_constants``. The form is changed to the mirror
+    basis in place; the additive kinds factor its two blocks and certify
+    their values against the whole form, and mult then reduces the blocks.
+    A failure to factor a block is held until the mult record is out."""
     if not wanted:
         return
     A = h1_form(2 * N, dim, nodes=nodes).entries
-    C = _numerator_factor(N, dim)
+    blocks = _mirror_blocks(A, _numerator_factor(N, dim), 2 * N, dim)
     additive, failure = [], None
     if wanted != ["mult"]:
         try:
-            additive.extend(_additive(N, dim, A, C, wanted))
+            additive.extend(_additive(N, dim, A, blocks, wanted))
         except NumericError as exc:
             failure = exc
     if "mult" in wanted:
-        yield _multiplicative(N, dim, A, C)
+        yield _multiplicative(N, dim, A, blocks)
     yield from additive
     if failure is not None:
         raise failure
 
 
-def _additive(N: int, dim: int, A: np.ndarray, C: np.ndarray, wanted: list):
-    """The add_h1_denominator and h1_stability records among ``wanted``."""
-    # the graded basis puts the degree <= N block, where both additive
-    # numerators live, first
+def _additive(N: int, dim: int, A: np.ndarray, blocks: list, wanted: list):
+    """The add_h1_denominator and h1_stability records among ``wanted``,
+    from the blocks of ``_mirror_blocks`` and the whole form A in the
+    mirror basis."""
+    # the graded basis puts the degree <= N functions, where both additive
+    # numerators live, first, and so does each block: k of them
     n1 = math.comb(N + dim, dim)
-    factors = _schur_factors(A, n1)
-    _, _, LS = factors
+    ks = [np.count_nonzero(i < n1) for i, _ in blocks]
+    factors = [_reversed_factor(A, i, k) for (i, _), k in zip(blocks, ks)]
+    LSs = [L[-k:, -k:] for (_, L), k in zip(factors, ks)]
     if "add_h1_denominator" in wanted:
-        Y = solve_triangular(LS, C[:n1], lower=True)
+        # U^T A^-1 U is the sum over the blocks of Y^T Y, Y = L_S^-1 U_1, so
+        # its top eigenpair is that of the blocks' Y stacked
+        Ys = [solve_triangular(LS, U[:k], lower=True) for (_, U), LS, k in zip(blocks, LSs, ks)]
+        Y = np.vstack(Ys)
         mu, Z = eigh(Y.T @ Y)
-        v1 = solve_triangular(LS, Y @ Z[:, -1], lower=True, trans="T")
-        Bv1 = C[:n1] @ (C[:n1].T @ v1)
+        v = np.zeros(len(A))
+        for (p, L), Yb in zip(factors, Ys):
+            v[p] = _lift(L, Yb @ Z[:, -1])
+        # B = U U^T couples the blocks: B v is U_b times the sum of the
+        # blocks' U^T v on block b
+        Utv = sum(U.T @ v[i] for i, U in blocks)
+        Bv = np.zeros_like(v)
+        for i, U in blocks:
+            Bv[i] = U @ Utv
         yield ConstantRecord(
             dim=dim,
             N=N,
             kind="add_h1_denominator",
             value=float(mu[-1]),
             iterations=1,
-            residual=_pencil_residual(A, factors, v1, Bv1, mu[-1]),
+            residual=_pencil_residual(A, factors, v, Bv, mu[-1]),
         )
     if "h1_stability" in wanted:
-        lam, v1 = _congruent_top(A[:n1, :n1], LS)
-        Bv1 = A[:n1, :n1] @ v1
+        # the truncated H1 form is the blocks' leading parts, so its top
+        # eigenpair is the larger of theirs
+        tops = [
+            _congruent_top(A[np.ix_(i[:k], i[:k])], LS) for (i, _), LS, k in zip(blocks, LSs, ks)
+        ]
+        b = int(np.argmax([lam for lam, _ in tops]))
+        lam, y = tops[b]
+        p, L = factors[b]
+        v = np.zeros(len(A))
+        v[p] = _lift(L, y)
+        Bv = np.zeros_like(v)
+        Bv[:n1] = A[:n1, :n1] @ v[:n1]
         yield ConstantRecord(
             dim=dim,
             N=N,
             kind="h1_stability",
             value=lam / (N + 1),
             iterations=1,
-            residual=_pencil_residual(A, factors, v1, Bv1, lam),
+            residual=_pencil_residual(A, factors, v, Bv, lam),
         )
 
 
@@ -229,38 +260,49 @@ def _numerator_factor(N: int, dim: int) -> np.ndarray:
     return C
 
 
-def _schur_factors(A: np.ndarray, n1: int):
-    """(L22, W, LS): L22 L22^T = A22 for the trailing block, W = L22^-1 A21,
-    and LS LS^T = S = A11 - W^T W, the Schur complement of the leading n1
-    block. In the reversed block order A = [[L22, 0], [W^T, LS]] times its
-    transpose, so the supremum of a form B that vanishes off the leading
-    block against A is that of B11 against S."""
-    L22 = _chol_lower(A[n1:, n1:], A)
-    W = solve_triangular(L22, A[n1:, :n1], lower=True)
-    LS = _chol_lower(A[:n1, :n1] - W.T @ W, A)
-    return L22, W, LS
+def _reversed_factor(A: np.ndarray, i: np.ndarray, k: int):
+    """(p, L): the indices i of a mirror block of A with its first k, the
+    degree <= N functions, moved last, and the lower Cholesky factor L of
+    A[p, p]. In this reversed order L = [[L22, 0], [W^T, LS]], with
+    L22 L22^T = A22 for the rest of the block, W = L22^-1 A21 and
+    LS LS^T = S = A11 - W^T W, the Schur complement of the degree <= N
+    part, so the supremum of a form that vanishes off that part against
+    the block is that of its leading part against S."""
+    p = np.concatenate([i[k:], i[:k]])
+    # the transpose of the C-ordered copy is the Fortran-ordered array
+    # LAPACK factors in place, and it reads one triangle of it
+    return p, _chol_lower(A[np.ix_(p, p)].T, A)
 
 
-def _pencil_residual(A: np.ndarray, factors, v1: np.ndarray, Bv1: np.ndarray, lam: float) -> float:
-    """A^-1 norm of B v - lam A v in the full pencil, for v the unit A-norm
-    multiple of the lift (v1, -L22^-T W v1) of a leading-block maximizer;
-    Bv1 is B11 v1, the only block of B v that is not zero. The norm is
-    taken through the block factor of A in the reversed order."""
-    L22, W, LS = factors
-    n1 = v1.size
-    v = np.concatenate([v1, -solve_triangular(L22, W @ v1, lower=True, trans="T")])
+def _lift(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L^-T (0, y) for a factor L of ``_reversed_factor``: the block vector
+    whose degree <= N part is x = LS^-T y, and whose other part,
+    -L22^-T W x, minimizes the block's norm for that x."""
+    rhs = np.zeros(len(L))
+    rhs[len(L) - len(y) :] = y
+    return solve_triangular(L, rhs, lower=True, trans="T")
+
+
+def _pencil_residual(
+    A: np.ndarray, factors: list, v: np.ndarray, Bv: np.ndarray, lam: float
+) -> float:
+    """A^-1 norm of B v - lam A v over the A-norm of v, against the whole
+    form A, coupling between the blocks included. The A^-1 norm is taken
+    through each block's factor from ``_reversed_factor``."""
     Av = A @ v
-    res = -lam * Av
-    res[:n1] += Bv1
-    y2 = solve_triangular(L22, res[n1:], lower=True)
-    y1 = solve_triangular(LS, res[:n1] - W.T @ y2, lower=True)
-    return math.sqrt((y1 @ y1 + y2 @ y2) / (v @ Av))
+    res = Bv - lam * Av
+    total = 0.0
+    for p, L in factors:
+        y = solve_triangular(L, res[p], lower=True)
+        total += y @ y
+    return math.sqrt(total / (v @ Av))
 
 
-def _tridiagonalize(A: np.ndarray, C: np.ndarray, M: int, dim: int):
-    """(d, e, U): the diagonal and off-diagonal of T = Q^T A Q for the H1
-    form A on the degree-M basis, from one blocked Householder reduction
-    per mirror block of A, and U = Q^T C through the same reflectors.
+def _mirror_blocks(A: np.ndarray, C: np.ndarray, M: int, dim: int) -> list:
+    """The even and the odd mirror block of the H1 form A on the degree-M
+    basis, which it changes to the mirror basis in place, and the rows of
+    the numerator factor C in that basis: [(i, U)] for each block, even
+    first, with i the block's indices in the mirror basis and U = (W C)[i].
 
     The mirror x -> -x of the interval, or x <-> y of the triangle, is an
     isometry of the domain, so it commutes with A, and in the coordinates
@@ -268,12 +310,10 @@ def _tridiagonalize(A: np.ndarray, C: np.ndarray, M: int, dim: int):
     coupling between them. The change of basis W, orthogonal and block
     diagonal by degree, is applied to A in place and to a copy of C, slab
     by slab; in 1-D W = I and the blocks are the even- and odd-degree
-    Legendre functions. Only the two diagonal blocks of W A W^T are
-    gathered, so the coupling, zero up to roundoff, is dropped by
-    construction, and each block is reduced with its rows of W C. Q then
-    maps the even block's reduced coordinates first and the odd block's
-    after them: d and U are the two blocks' stacked, and e holds an exact
-    0 at the seam."""
+    Legendre functions. Every kind takes the two diagonal blocks A[i, i]
+    of W A W^T only, so the coupling, zero up to roundoff, is dropped by
+    construction. W keeps the degree order, so each block, like the basis,
+    lists its degree <= N functions first."""
     slabs, even = _mirror_basis(M, dim)
     U, start = C.copy(), 0
     for W in slabs:
@@ -284,10 +324,19 @@ def _tridiagonalize(A: np.ndarray, C: np.ndarray, M: int, dim: int):
             A[:, start:stop] = A[:, start:stop] @ W.T
             U[start:stop] = W @ U[start:stop]
         start = stop
+    return [(i, U[i]) for i in (np.flatnonzero(even), np.flatnonzero(~even))]
+
+
+def _tridiagonalize(A: np.ndarray, blocks: list):
+    """(d, e, U): the diagonal and off-diagonal of T = Q^T A Q for the H1
+    form A in the mirror basis, from one blocked Householder reduction per
+    block of ``_mirror_blocks``, and U = Q^T C through the same reflectors.
+    Q maps the even block's reduced coordinates first and the odd block's
+    after them: d and U are the two blocks' stacked, and e holds an exact
+    0 at the seam."""
     # one block at a time; the transpose of a block's C-ordered copy is the
     # Fortran-ordered array LAPACK takes, and it reads one triangle of it
-    blocks = (np.flatnonzero(even), np.flatnonzero(~even))
-    (d0, e0, U0), (d1, e1, U1) = (_reduce_block(A[np.ix_(i, i)].T, U[i]) for i in blocks)
+    (d0, e0, U0), (d1, e1, U1) = (_reduce_block(A[np.ix_(i, i)].T, U) for i, U in blocks)
     return np.concatenate([d0, d1]), np.concatenate([e0, [0.0], e1]), np.vstack([U0, U1])
 
 
@@ -303,7 +352,10 @@ def _reduce_block(F: np.ndarray, C: np.ndarray):
     _check_info("dsytrd_lwork", info)
     c, d, e, tau, info = dsytrd(F, lower=1, lwork=int(lwork), overwrite_a=1)
     _check_info("dsytrd", info)
-    reflectors = c[1:, : n - 1]
+    # the reflectors are c[1:, :n-1]; dormtr hands them to dormqr in place,
+    # with leading dimension n, and so does the Fortran-ordered view of
+    # c's n x (n-1) entries from c[1, 0], of which dormqr reads n-1 rows
+    reflectors = c.ravel(order="F")[1 : 1 + n * (n - 1)].reshape((n, n - 1), order="F")
     _, work, info = dormqr("L", "T", reflectors, tau, C[1:], -1)
     _check_info("dormqr", info)
     U = C.copy()
@@ -312,7 +364,7 @@ def _reduce_block(F: np.ndarray, C: np.ndarray):
     return d, e, U
 
 
-def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantRecord:
+def _multiplicative(N: int, dim: int, A: np.ndarray, blocks: list) -> ConstantRecord:
     """The mult record, as the maximum over the split parameter r of
     lambda(r) = lambda_max(2B, r I + A/r).
 
@@ -348,7 +400,7 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, C: np.ndarray) -> ConstantR
     3 * 55 = 165 evaluations and needs no cap; on the rows of ``table 1``
     it takes 8 to 12.
     """
-    d, e, U = _tridiagonalize(A, C, 2 * N, dim)
+    d, e, U = _tridiagonalize(A, blocks)
     # the Gershgorin interval of T: row i has radius |e_i-1| + |e_i|
     ae = np.abs(_finite(e, "e"))
     with np.errstate(over="ignore"):

@@ -305,7 +305,7 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     return parts[tuple(comps.T)]
 
 
-def line_functions(f, p: int, q: int, nodes: int = 40):
+def line_functions(f, p: int, q: int, nodes: int):
     """Callables for the eta3 line reduction of f at fixed (p, q).
 
     The first integrates f over cube cross-sections against the (p, q)
@@ -431,7 +431,7 @@ def _boundary_rule(dim: int, m: int):
     return np.column_stack([pts, np.full(len(pts), -1.0)]), wts
 
 
-def _boundary_norm_direct(f, dim: int, nodes: int = 40) -> float:
+def _boundary_norm_direct(f, dim: int, nodes: int) -> float:
     """Squared boundary norm by direct quadrature on the boundary piece."""
     if dim not in _BOTTOM:
         raise ParameterError(f"dim must be 2 or 3, got {dim}")
@@ -439,7 +439,7 @@ def _boundary_norm_direct(f, dim: int, nodes: int = 40) -> float:
     return float(wts @ _sample(f, pts) ** 2)
 
 
-def boundary_trace_parseval(f, dim: int, N: int = 12) -> float:
+def boundary_trace_parseval(f, dim: int, N: int) -> float:
     """Squared norm of f on the bottom piece, from the coefficient side.
 
     Expands f to degree N, restricts the expansion to the bottom piece and

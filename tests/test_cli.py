@@ -117,7 +117,7 @@ def test_constants_solver_failure_row(capsys, monkeypatch):
 def test_constants_failure_after_an_earlier_kind(capsys, monkeypatch):
     # the mult solver takes no Cholesky factor, so it prints its row before
     # the additive kind of the same N fails to factor the H1 form
-    def no_factor(a, lower=False):
+    def no_factor(a, **kwargs):
         raise LinAlgError("injected")
 
     monkeypatch.setattr(extremal, "cholesky", no_factor)

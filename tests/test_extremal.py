@@ -292,31 +292,67 @@ def test_additive_kind_keeps_full_accuracy():
 
 
 def test_additive_kinds_avoid_full_size_solves(monkeypatch):
-    # both additive kinds work on the degree-N block: no eigh of the full
-    # form, and no triangular solve of its size or with as many columns
+    # both additive kinds factor the two mirror blocks apart and solve on
+    # their degree-N parts: no eigh, Cholesky or triangular solve is larger
+    # than the larger block, nor has a solve as many columns
     N, dim = 4, 2
-    card = enumerate_basis(2 * N, dim).cardinality
+    even = _mirror_basis(2 * N, dim)[1]
+    block = max(np.count_nonzero(even), np.count_nonzero(~even))
+    assert block < even.size
     sizes = []
-    real_eigh, real_solve = extremal.eigh, extremal.solve_triangular
+    real_eigh, real_chol, real_solve = extremal.eigh, extremal.cholesky, extremal.solve_triangular
 
     def eigh(a, *args, **kwargs):
         sizes.append(a.shape[0])
         return real_eigh(a, *args, **kwargs)
+
+    def cholesky(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real_chol(a, *args, **kwargs)
 
     def solve_triangular(a, b, *args, **kwargs):
         sizes.extend([a.shape[0], b.shape[1] if b.ndim == 2 else 1])
         return real_solve(a, b, *args, **kwargs)
 
     monkeypatch.setattr(extremal, "eigh", eigh)
+    monkeypatch.setattr(extremal, "cholesky", cholesky)
     monkeypatch.setattr(extremal, "solve_triangular", solve_triangular)
     for kind in ("add_h1_denominator", "h1_stability"):
         next(row_constants(N, dim, (kind,)))
-    assert sizes and max(sizes) < card
+    assert sizes and max(sizes) <= block
+
+
+def test_additive_residual_sees_the_dropped_coupling(monkeypatch):
+    # in 1-D the mirror basis is the Legendre basis, and the split keeps
+    # the even-even and odd-odd entries of the form only: a coupling delta
+    # of P_0 and P_1 leaves the value as it is, but the residual, taken
+    # against the whole form, rises with it
+    real = extremal.h1_form
+    for N in (2, 6, 20):
+        values = set()
+        for delta in (0.0, 1e-8, 1e-3):
+
+            def coupled(M, dim, nodes=None, delta=delta):
+                A = real(M, dim, nodes=nodes)
+                entries = A.entries.copy()
+                entries[0, 1] += delta
+                entries[1, 0] += delta
+                return SymmetricForm(basis=A.basis, kind="h1", entries=entries)
+
+            monkeypatch.setattr(extremal, "h1_form", coupled)
+            rec = one_constant(N, 1, "add_h1_denominator")
+            values.add(rec.value)
+            if delta == 0.0:
+                assert rec.residual <= 1e-12, N
+            else:
+                assert rec.residual >= delta / 4.0, (N, delta, rec.residual)
+        assert len(values) == 1, N
 
 
 def test_h1_stability_asks_for_its_top_eigenpair_only(monkeypatch):
-    # the h1 kind uses the top eigenpair of the degree <= N block, so the
-    # eigensolver computes that one and no other
+    # the h1 kind uses the top eigenpair of the degree <= N part of each
+    # mirror block, so the eigensolver takes one leading part at a time and
+    # computes its top eigenpair and no other
     calls = []
     real_eigh = extremal.eigh
 
@@ -328,8 +364,9 @@ def test_h1_stability_asks_for_its_top_eigenpair_only(monkeypatch):
     for N, dim in _DENSE_ROWS:
         calls.clear()
         one_constant(N, dim, "h1_stability")
-        n1 = math.comb(N + dim, dim)
-        assert calls == [((n1, n1), [n1 - 1, n1 - 1])], (N, dim)
+        even = _mirror_basis(2 * N, dim)[1][: math.comb(N + dim, dim)]
+        leads = (np.count_nonzero(even), np.count_nonzero(~even))
+        assert calls == [((n, n), [n - 1, n - 1]) for n in leads], (N, dim)
 
 
 def test_multiplicative_avoids_full_size_decompositions(monkeypatch):
@@ -395,13 +432,21 @@ def test_row_constants_share_one_row():
         row_constants(0, 2)
 
 
+def _mult_record(N, dim, A, C):
+    """The mult record of a row with the H1 form A, which it changes to the
+    mirror basis in place, and the numerator factor C."""
+    return extremal._multiplicative(N, dim, A, extremal._mirror_blocks(A, C, 2 * N, dim))
+
+
 def test_triangle_row_peak_memory():
     # the H1 form is the identity plus one stiffness Gram, assembled by row
-    # blocks and symmetrized in place, and the reduction runs after the
-    # Schur kinds: the form stays within two arrays of the basis size and a
-    # row within two and a half
+    # blocks and symmetrized in place: it stays within two arrays of the
+    # basis size. A row changes the form to the mirror basis in place, the
+    # additive kinds factor copies of its two blocks, each a quarter of it,
+    # and mult gathers and reduces one block at a time: the row stays
+    # within 1.8 arrays
     unit = math.comb(2 * 24 + 2, 2) ** 2 * 8
-    for run, bound in ((lambda: h1_form(48, 2), 2.0), (lambda: list(row_constants(24, 2)), 2.5)):
+    for run, bound in ((lambda: h1_form(48, 2), 2.0), (lambda: list(row_constants(24, 2)), 1.8)):
         tracemalloc.start()
         try:
             run()
@@ -415,7 +460,7 @@ def test_triangle_row_peak_memory():
     A, C = h1_form(48, 2).entries, extremal._numerator_factor(24, 2)
     tracemalloc.start()
     try:
-        extremal._multiplicative(24, 2, A, C)
+        _mult_record(24, 2, A, C)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -423,7 +468,7 @@ def test_triangle_row_peak_memory():
     # the change of basis takes the form in place rather than a copy of it
     A = h1_form(8, 2).entries
     before = A.copy()
-    extremal._tridiagonalize(A, extremal._numerator_factor(4, 2), 8, 2)
+    extremal._mirror_blocks(A, extremal._numerator_factor(4, 2), 8, 2)
     assert not np.array_equal(A, before)
 
 
@@ -438,6 +483,13 @@ def test_tetrahedron_h1_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * unit, peak / unit
+
+
+def _reduced(A, C, M, dim):
+    """(d, e, U) of the mult reduction of the form A on the degree-M basis,
+    which it changes to the mirror basis in place, and the numerator
+    factor C."""
+    return extremal._tridiagonalize(A, extremal._mirror_blocks(A, C, M, dim))
 
 
 def test_tridiagonalize_reduces_each_parity_block():
@@ -455,7 +507,7 @@ def test_tridiagonalize_reduces_each_parity_block():
         A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
         if dim == 1:
             assert not np.any(A[::2, 1::2]), N
-        d, e, U = extremal._tridiagonalize(A.copy(), C, 2 * N, dim)
+        d, e, U = _reduced(A.copy(), C, 2 * N, dim)
         assert e[np.count_nonzero(_mirror_basis(2 * N, dim)[1]) - 1] == 0.0, (N, dim)
         T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         for mu in (1e-2, 1.0, 1e3):
@@ -493,7 +545,7 @@ def test_tridiagonalize_takes_any_mirror_symmetric_form():
         A = W.T @ X @ W
         A = (A + A.T) / 2.0
         C = rng.standard_normal((n, 3))
-        d, e, U = extremal._tridiagonalize(A.copy(), C, M, 2)
+        d, e, U = _reduced(A.copy(), C, M, 2)
         T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         for mu in (0.1, 10.0):
             got = U.T @ np.linalg.solve(mu * np.eye(n) + T, U)
@@ -518,11 +570,11 @@ def test_mirror_split_matches_the_whole_form_reduction(monkeypatch):
     # reduction gives one mult value
     for N in (1, 2, 3, 8, 12, 20):
         A, C = h1_form(2 * N, 2).entries, extremal._numerator_factor(N, 2)
-        rec = extremal._multiplicative(N, 2, A.copy(), C)
+        rec = _mult_record(N, 2, A.copy(), C)
         whole = extremal._reduce_block(A.T, C)
         with monkeypatch.context() as patch:
-            patch.setattr(extremal, "_tridiagonalize", lambda *args: whole)
-            want = extremal._multiplicative(N, 2, A, C)
+            patch.setattr(extremal, "_tridiagonalize", lambda A, blocks: whole)
+            want = extremal._multiplicative(N, 2, A, None)
         assert abs(rec.value - want.value) <= 1e-13 * want.value, N
 
 
@@ -596,9 +648,9 @@ def test_multiplicative_search_matches_bisection(monkeypatch):
     # sample lambda(r) near its maximum
     for N, dim in ((1, 1), (10, 1), (60, 1), (3, 2), (12, 2)):
         A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
-        reduced = extremal._tridiagonalize(A, C, 2 * N, dim)
-        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, C, M, dim: reduced)
-        rec = extremal._multiplicative(N, dim, A, C)
+        reduced = _reduced(A, C, 2 * N, dim)
+        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, blocks: reduced)
+        rec = extremal._multiplicative(N, dim, A, None)
         want = _bisected_mult(*reduced)
         assert abs(rec.value - want) <= 1e-14 * want, (N, dim)
         assert rec.residual <= 1e-14, (N, dim)
@@ -668,13 +720,13 @@ def test_multiplicative_rejects_nonfinite_reduction(monkeypatch):
     # they checked: a non-finite T or k x k matrix is a NumericError, also
     # where the arithmetic that made it is let pass without a warning
     A, C = h1_form(6, 1).entries, extremal._numerator_factor(3, 1)
-    d, e, U = extremal._tridiagonalize(A, C, 6, 1)
+    d, e, U = _reduced(A, C, 6, 1)
     U_inf = U.copy()
     U_inf[0] = np.inf
     for bad, name in (((np.full_like(d, np.nan), e, U), "d"), ((d, e, U_inf), "2 U")):
-        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, C, M, dim, bad=bad: bad)
+        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, blocks, bad=bad: bad)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match=f"{name}.* must be finite"):
-            extremal._multiplicative(3, 1, A, C)
+            extremal._multiplicative(3, 1, A, None)
 
 
 def test_multiplicative_rejects_a_bracket_it_cannot_take(monkeypatch):
@@ -683,12 +735,12 @@ def test_multiplicative_rejects_a_bracket_it_cannot_take(monkeypatch):
     # I or one whose bound overflows is a NumericError that names the
     # Gershgorin interval, not a math domain error or an overflow warning
     A, C = h1_form(6, 1).entries, extremal._numerator_factor(3, 1)
-    _, _, U = extremal._tridiagonalize(A, C, 6, 1)
+    _, _, U = _reduced(A, C, 6, 1)
     n = U.shape[0]
     for d, e in ((np.full(n, 0.5), np.zeros(n - 1)), (np.full(n, 1e308), np.full(n - 1, 1e308))):
-        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, C, M, dim, T=(d, e, U): T)
+        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, blocks, T=(d, e, U): T)
         with pytest.raises(NumericError, match="Gershgorin eigenvalue range"):
-            extremal._multiplicative(3, 1, A, C)
+            extremal._multiplicative(3, 1, A, None)
 
 
 def test_multiplicative_validation(monkeypatch):

@@ -200,11 +200,11 @@ def test_analyze_argument_checks():
         with pytest.raises(ParameterError, match="shape"):
             analyze(bad, 4, 2)
         with pytest.raises(ParameterError, match="shape"):
-            boundary_trace_parseval(bad, 2)
+            boundary_trace_parseval(bad, 2, N=12)
         with pytest.raises(ParameterError, match="shape"):
-            _boundary_norm_direct(bad, 3)
+            _boundary_norm_direct(bad, 3, nodes=40)
         with pytest.raises(ParameterError, match="shape"):
-            line_functions(bad, 1, 0)[0](0.3)
+            line_functions(bad, 1, 0, nodes=40)[0](0.3)
     # nor one that returns a value that is not finite, at every point or one
     for bad in (
         lambda x: np.full(len(x), np.nan),
@@ -214,9 +214,9 @@ def test_analyze_argument_checks():
         for call in (
             lambda: analyze(bad, 4, 2),
             lambda: analyze(bad, 3, 3),
-            lambda: boundary_trace_parseval(bad, 2),
-            lambda: _boundary_norm_direct(bad, 3),
-            lambda: line_functions(bad, 1, 0)[0](-0.3),
+            lambda: boundary_trace_parseval(bad, 2, N=12),
+            lambda: _boundary_norm_direct(bad, 3, nodes=40),
+            lambda: line_functions(bad, 1, 0, nodes=40)[0](-0.3),
         ):
             with pytest.raises(ParameterError, match="finite"):
                 call()
@@ -239,9 +239,9 @@ def test_degree_arguments_must_be_integers():
     f = lambda x: np.exp(x.sum(axis=1))
     for bad in (1.5, True, -1):
         with pytest.raises(ParameterError, match="p must"):
-            line_functions(f, bad, 0)
+            line_functions(f, bad, 0, nodes=40)
         with pytest.raises(ParameterError, match="q must"):
-            line_functions(f, 0, bad)
+            line_functions(f, 0, bad, nodes=40)
         with pytest.raises(ParameterError, match="p must"):
             _trace_coefficient_sums(f, bad, 0, [1], nodes=40)
         with pytest.raises(ParameterError, match="q must"):
@@ -255,7 +255,7 @@ def test_boundary_norm_direct_checks_dim():
     f = lambda x: np.exp(x.sum(axis=1))
     for dim in (1, 4):
         with pytest.raises(ParameterError, match="dim must"):
-            _boundary_norm_direct(f, dim)
+            _boundary_norm_direct(f, dim, nodes=40)
 
 
 def test_synthesize_checks_its_point():
@@ -270,7 +270,7 @@ def test_synthesize_checks_its_point():
 
 
 def test_line_functions_constant():
-    u_line, u_scaled = line_functions(lambda x: np.ones(len(x)), 0, 0)
+    u_line, u_scaled = line_functions(lambda x: np.ones(len(x)), 0, 0, nodes=40)
     for e3 in (-0.9, 0.0, 0.7):
         assert_allclose(u_line(e3), 2.0, rtol=1e-12)
         assert_allclose(u_scaled(e3), 2.0, rtol=1e-12)
@@ -278,7 +278,7 @@ def test_line_functions_constant():
 
 def test_line_functions_endpoint_decay():
     # for (p,q) != (0,0) the line function vanishes at eta3 = 1
-    u_line, u_scaled = line_functions(lambda x: x[:, 0] + x[:, 1] ** 2, 1, 0)
+    u_line, u_scaled = line_functions(lambda x: x[:, 0] + x[:, 1] ** 2, 1, 0, nodes=40)
     assert abs(u_line(1.0)) < 1e-12
     with pytest.raises(SingularityError):
         u_scaled(1.0)
@@ -371,8 +371,8 @@ def test_mirror_basis_is_even_or_odd_under_the_swap():
 def test_boundary_parseval_constant():
     # f = 1: the bottom edge/face has measure 2 in both dimensions
     one = lambda x: np.ones(len(x))
-    assert_allclose(boundary_trace_parseval(one, 2), 2.0, rtol=1e-12)
-    assert_allclose(boundary_trace_parseval(one, 3), 2.0, rtol=1e-12)
+    assert_allclose(boundary_trace_parseval(one, 2, N=12), 2.0, rtol=1e-12)
+    assert_allclose(boundary_trace_parseval(one, 3, N=12), 2.0, rtol=1e-12)
 
 
 def test_boundary_parseval_vs_direct():
@@ -382,14 +382,14 @@ def test_boundary_parseval_vs_direct():
     ]
     for dim, fn in cases:
         via_sum = boundary_trace_parseval(fn, dim, N=12)
-        assert_allclose(via_sum, _boundary_norm_direct(fn, dim), rtol=1e-11)
+        assert_allclose(via_sum, _boundary_norm_direct(fn, dim, nodes=40), rtol=1e-11)
 
 
 def test_boundary_parseval_validation():
     one = lambda x: np.ones(len(x))
     for dim in (1, 4):
         with pytest.raises(ParameterError, match="dim must"):
-            boundary_trace_parseval(one, dim)
+            boundary_trace_parseval(one, dim, N=12)
 
 
 @settings(max_examples=30, deadline=None)
