@@ -8,29 +8,31 @@ in 1-D and one per function of the bottom piece's degree-N basis above.
 
 The mirror of the domain (x -> -x on the interval, x <-> y on the
 triangle) commutes with A, so in the mirror basis of
-``simplex._mirror_basis`` A is an even and an odd block. A row changes A
-and C to that basis once (``_mirror_blocks``), and every kind works on the
-two blocks apart.
+``simplex._mirror_basis`` A is an even and an odd block. A row assembles
+A straight into those two blocks (``forms._h1_blocks``), with no array of
+the whole form, checks that the coupling it drops is at roundoff, and
+changes C to the same basis (``_split``); every kind works on the two
+blocks apart.
 
 The multiplicative constant mixes the mass, H1 and numerator forms; since
 sqrt(xy) = min_r (r x + y/r)/2 and the mass is the identity in the
 orthonormal basis, it is the maximum over r of the top eigenvalue of
-(2B, r I + A/r). A reduction A = Q T Q^T to tridiagonal T, one per block,
-carried through C, turns every such eigenvalue into a tridiagonal solve
-and a problem of C's column count. The maximizer is found in log r by a
-safeguarded interpolation search on the slope, in a bracket fixed by
-A = I + K, with K positive semidefinite, and a Gershgorin bound on T.
+(2B, r I + A/r). A reduction A = Q T Q^T to tridiagonal T, one per block
+and in place, carried through C, turns every such eigenvalue into a
+tridiagonal solve and a problem of C's column count. The maximizer is
+found in log r by a safeguarded interpolation search on the slope, in a
+bracket fixed by A = I + K, with K positive semidefinite, and a Gershgorin
+bound on T.
 
-Both additive numerators vanish off the degree-<=N functions, which the
-graded basis, and so each block, puts first, so each additive constant
-is an eigenproblem of that part's size against the block's Schur
-complement S = A11 - A12 A22^-1 A21, taken through one Cholesky factor
-of the block with that part ordered last, which ends in the factor L_S
-of S: the trace (2-D) or endpoint (1-D) constant is the top
-eigenvalue of the Gram of the two blocks' L_S^-1 C1 stacked, square in
-the numerator factor's column count, and the H1-stability constant the
-larger of the blocks' tops of L_S^-1 A11 L_S^-T. Their residuals are
-taken against the whole form, the coupling the split drops included.
+Both additive numerators vanish off the degree-<=N functions, which each
+block orders last, so each additive constant is an eigenproblem of that
+part's size against the block's Schur complement S = A11 - A12 A22^-1
+A21, taken through one Cholesky factor of the block, made in place,
+which ends in the factor of S: the trace (2-D) or endpoint (1-D)
+constant is the top eigenvalue of the Gram of the two blocks' RS^-T C1
+stacked, square in the numerator factor's column count, and the
+H1-stability constant the larger of the blocks' tops of RS^-T A11 RS^-1.
+Their residuals are taken against the two blocks.
 """
 
 from __future__ import annotations
@@ -40,15 +42,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (
-    LinAlgError,
-    cholesky,
-    eigh,
-    eigvalsh,
-    solve_triangular,
-)
+from scipy.linalg import eigh, eigvalsh, solve_triangular
+from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import (
     dormqr,
+    dpotrf,
     dptsv,
     dsyevr,
     dsyevr_lwork,
@@ -57,7 +55,7 @@ from scipy.linalg.lapack import (
 )
 
 from .errors import NumericError, ParameterError
-from .forms import h1_form
+from .forms import _h1_blocks
 from .jacobi import _check_int
 from .simplex import (
     _bottom_coefficients,
@@ -81,6 +79,9 @@ _KINDS = ("mult", "add_h1_denominator", "h1_stability")
 # the dimensions that rows, records and `constants --dim` accept
 _DIMS = (1, 2)
 _LOG_R_WIDTH = 1e-14
+# the largest even-odd coupling of the H1 form in the mirror basis, over
+# its largest entry, that a row drops; roundoff leaves 3e-13 at degree 110
+_COUPLING = 1e-10
 
 
 @dataclass(frozen=True)
@@ -107,25 +108,11 @@ class ConstantRecord:
             raise ParameterError(f"residual must be finite and nonnegative, got {self.residual}")
 
 
-def _chol_lower(Gm: np.ndarray, whole: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of Gm, which it overwrites. A failure raises
-    NumericError with the eigenvalue range of ``whole``, the form Gm is a
-    block of."""
-    try:
-        return cholesky(Gm, lower=True, overwrite_a=True)
-    except LinAlgError as exc:
-        ev = eigvalsh(whole)
-        raise NumericError(
-            "denominator form is not positive definite: "
-            f"eigenvalue range [{ev[0]:.6g}, {ev[-1]:.6g}]"
-        ) from exc
-
-
-def _congruent_top(Bm: np.ndarray, L: np.ndarray):
-    """Top eigenpair (lambda, y) of L^-1 Bm L^-T, L lower triangular, so
-    that lambda and L^-T y are the top eigenpair of the pencil (Bm, L L^T)."""
-    X = solve_triangular(L, Bm, lower=True)
-    C = solve_triangular(L, X.T, lower=True)
+def _congruent_top(Bm: np.ndarray, R: np.ndarray):
+    """Top eigenpair (lambda, y) of R^-T Bm R^-1, R upper triangular, so
+    that lambda and R^-1 y are the top eigenpair of the pencil (Bm, R^T R)."""
+    X = solve_triangular(R, Bm, trans="T", check_finite=False)
+    C = solve_triangular(R, X.T, trans="T", check_finite=False)
     n = len(C)
     w, Y = eigh((C + C.T) / 2.0, subset_by_index=[n - 1, n - 1])
     return float(w[-1]), Y[:, -1]
@@ -140,14 +127,15 @@ def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):
     and its ``residual`` certifies the value. For mult, the search in
     s = log r of ``_multiplicative``, the residual is |d lambda/ds| / lambda
     at the result. The additive kinds take one eigensolve each, and the
-    residual is the A^-1 norm of the eigen-residual in the full pencil.
+    residual is the A^-1 norm of the eigen-residual in the pencil of the
+    two mirror blocks of A, whose dropped coupling the row checks.
 
-    The H1 form on degree 2N and the truncated numerator factor (endpoint
-    evaluation in 1-D, the bottom edge in 2-D) are assembled once, when the
-    first record is asked for, and changed once to the mirror basis, where
-    every kind takes the form's two blocks apart (``_mirror_blocks``). A
-    solver failure raises when its kind is reached, after the records
-    before it.
+    The H1 form on degree 2N is assembled once, straight into its two
+    mirror blocks, when the first record is asked for, and every kind
+    works on those blocks and on the truncated numerator factor (endpoint
+    evaluation in 1-D, the bottom edge in 2-D) in the same coordinates
+    (``_split``). A solver failure raises when its kind is reached, after
+    the records before it.
     """
     if dim not in _DIMS:
         raise ParameterError(f"dim must be one of {_DIMS}, got {dim}")
@@ -159,80 +147,148 @@ def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):
 
 
 def _row(N: int, dim: int, wanted: list, nodes: int | None):
-    """The records of ``row_constants``. The form is changed to the mirror
-    basis in place; the additive kinds factor its two blocks and certify
-    their values against the whole form, and mult then reduces the blocks.
-    A failure to factor a block is held until the mult record is out."""
+    """The records of ``row_constants``. The additive kinds factor the two
+    blocks of ``_split`` in place and restore them, and mult then reduces
+    them in place. A failure to factor a block is held until the mult
+    record is out."""
     if not wanted:
         return
-    A = h1_form(2 * N, dim, nodes=nodes).entries
-    blocks = _mirror_blocks(A, _numerator_factor(N, dim), 2 * N, dim)
+    split = _split(N, dim, nodes)
     additive, failure = [], None
     if wanted != ["mult"]:
         try:
-            additive.extend(_additive(N, dim, A, blocks, wanted))
+            additive = _additive(N, dim, split, wanted)
         except NumericError as exc:
             failure = exc
     if "mult" in wanted:
-        yield _multiplicative(N, dim, A, blocks)
+        yield _multiplicative(N, dim, split)
     yield from additive
     if failure is not None:
         raise failure
 
 
-def _additive(N: int, dim: int, A: np.ndarray, blocks: list, wanted: list):
+def _split(N: int, dim: int, nodes: int | None = None) -> list:
+    """[(F, U, k)] for the even and the odd mirror block of the row's H1
+    form A on degree M = 2N: F the block from ``forms._h1_blocks``, with
+    its k functions of degree <= N ordered last, and U the rows of W C in
+    F's order, for the numerator factor C and the change of basis W of
+    ``_mirror_basis``.
+
+    The mirror x -> -x of the interval, or x <-> y of the triangle, is an
+    isometry of the domain, so it commutes with A, and in the coordinates
+    of ``_mirror_basis`` A splits into an even and an odd block with no
+    coupling between them; in 1-D W = I and the blocks are the even- and
+    odd-degree Legendre functions. Every kind takes the two blocks only,
+    so the coupling, zero up to roundoff, is dropped; a block that is not
+    finite, or a coupling above _COUPLING of the form's largest entry,
+    raises NumericError. W is
+    orthogonal and block diagonal by degree, applied to C slab by slab, and
+    C vanishes above degree N, so only the slabs up to N touch it."""
+    slabs, even = _mirror_basis(2 * N, dim)
+    orders, blocks, coupling = _h1_blocks(2 * N, dim, slabs, even, nodes)
+    for F in blocks:
+        _finite(F, "the H1 form's mirror blocks")
+    if coupling > _COUPLING:
+        raise NumericError(
+            f"the mirror blocks of the H1 form are coupled: relative coupling "
+            f"{coupling:.3e} above {_COUPLING:g}"
+        )
+    C, start = _numerator_factor(N, dim), 0
+    for W in slabs[: N + 1]:
+        stop = start + len(W)
+        # a slab of one function, every slab in 1-D, has W = [[1]]
+        if len(W) > 1:
+            C[start:stop] = W @ C[start:stop]
+        start = stop
+    lead = math.comb(N + dim, dim)
+    return [(F, C[p], np.count_nonzero(p < lead)) for F, p in zip(blocks, orders)]
+
+
+def _additive(N: int, dim: int, split: list, wanted: list) -> list:
     """The add_h1_denominator and h1_stability records among ``wanted``,
-    from the blocks of ``_mirror_blocks`` and the whole form A in the
-    mirror basis."""
-    # the graded basis puts the degree <= N functions, where both additive
-    # numerators live, first, and so does each block: k of them
-    n1 = math.comb(N + dim, dim)
-    ks = [np.count_nonzero(i < n1) for i, _ in blocks]
-    factors = [_reversed_factor(A, i, k) for (i, _), k in zip(blocks, ks)]
-    LSs = [L[-k:, -k:] for (_, L), k in zip(factors, ks)]
+    from the blocks of ``_split``.
+
+    Both additive numerators vanish off the degree <= N part, which ends
+    each block. Each block F = [[A22, A21], [A12, A11]] is factored in
+    place as R^T R, R upper triangular, into its upper triangle (dpotrf);
+    its lower triangle keeps the form and its diagonal is saved. In this
+    order R = [[R22, R21], [0, RS]], with RS^T RS = S = A11 - A12 A22^-1
+    A21, the Schur complement of the degree <= N part, so the supremum of a
+    form that vanishes off that part against the block is that of its
+    leading part against S. The diagonals are restored afterwards, failure
+    or not, so that the blocks are whole again for mult."""
+    diags = [F.diagonal().copy() for F, _, _ in split]
+    try:
+        for (F, _, _), diag in zip(split, diags):
+            _factor(F, diag)
+        return list(_additive_records(N, dim, split, diags, wanted))
+    finally:
+        for (F, _, _), diag in zip(split, diags):
+            np.fill_diagonal(F, diag)
+
+
+def _factor(F: np.ndarray, diag: np.ndarray) -> None:
+    """R^T R = F, R upper triangular, into F's upper triangle. A failure
+    raises NumericError with the eigenvalue range of the block, whose
+    diagonal ``diag`` it restores first."""
+    _, info = dpotrf(F, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
+        np.fill_diagonal(F, diag)
+        ev = eigvalsh(F, lower=True, check_finite=False)
+        raise NumericError(
+            "denominator form is not positive definite: "
+            f"eigenvalue range [{ev[0]:.6g}, {ev[-1]:.6g}] in a mirror block"
+        )
+    _check_info("dpotrf", info)
+
+
+def _additive_records(N: int, dim: int, split: list, diags: list, wanted: list):
+    """The records of ``_additive``, from the factored blocks."""
+    RSs = [F[-k:, -k:] for F, _, k in split]
     if "add_h1_denominator" in wanted:
-        # U^T A^-1 U is the sum over the blocks of Y^T Y, Y = L_S^-1 U_1, so
+        # U^T A^-1 U is the sum over the blocks of Y^T Y, Y = RS^-T U_1, so
         # its top eigenpair is that of the blocks' Y stacked
-        Ys = [solve_triangular(LS, U[:k], lower=True) for (_, U), LS, k in zip(blocks, LSs, ks)]
-        Y = np.vstack(Ys)
-        mu, Z = eigh(Y.T @ Y)
-        v = np.zeros(len(A))
-        for (p, L), Yb in zip(factors, Ys):
-            v[p] = _lift(L, Yb @ Z[:, -1])
+        Ys = [
+            solve_triangular(RS, U[-k:], trans="T", check_finite=False)
+            for (_, U, k), RS in zip(split, RSs)
+        ]
+        mu, Z = eigh(np.vstack(Ys).T @ np.vstack(Ys))
+        vs = [_lift(F, Y @ Z[:, -1]) for (F, _, _), Y in zip(split, Ys)]
         # B = U U^T couples the blocks: B v is U_b times the sum of the
         # blocks' U^T v on block b
-        Utv = sum(U.T @ v[i] for i, U in blocks)
-        Bv = np.zeros_like(v)
-        for i, U in blocks:
-            Bv[i] = U @ Utv
+        Utv = sum(U.T @ v for (_, U, _), v in zip(split, vs))
         yield ConstantRecord(
             dim=dim,
             N=N,
             kind="add_h1_denominator",
             value=float(mu[-1]),
             iterations=1,
-            residual=_pencil_residual(A, factors, v, Bv, mu[-1]),
+            residual=_pencil_residual(split, diags, vs, [U @ Utv for _, U, _ in split], mu[-1]),
         )
     if "h1_stability" in wanted:
-        # the truncated H1 form is the blocks' leading parts, so its top
-        # eigenpair is the larger of theirs
-        tops = [
-            _congruent_top(A[np.ix_(i[:k], i[:k])], LS) for (i, _), LS, k in zip(blocks, LSs, ks)
-        ]
+        # the truncated H1 form is the blocks' degree <= N parts A11, so its
+        # top eigenpair is the larger of theirs; each A11 is rebuilt from
+        # the lower triangle and the saved diagonal
+        leads = []
+        for (F, _, k), diag in zip(split, diags):
+            A11 = np.tril(F[-k:, -k:], -1)
+            A11 += A11.T
+            A11.flat[:: k + 1] = diag[-k:]
+            leads.append(A11)
+        tops = [_congruent_top(A11, RS) for A11, RS in zip(leads, RSs)]
         b = int(np.argmax([lam for lam, _ in tops]))
         lam, y = tops[b]
-        p, L = factors[b]
-        v = np.zeros(len(A))
-        v[p] = _lift(L, y)
-        Bv = np.zeros_like(v)
-        Bv[:n1] = A[:n1, :n1] @ v[:n1]
+        vs = [np.zeros(len(F)) for F, _, _ in split]
+        Bvs = [np.zeros(len(F)) for F, _, _ in split]
+        vs[b] = _lift(split[b][0], y)
+        Bvs[b][-len(y) :] = leads[b] @ vs[b][-len(y) :]
         yield ConstantRecord(
             dim=dim,
             N=N,
             kind="h1_stability",
             value=lam / (N + 1),
             iterations=1,
-            residual=_pencil_residual(A, factors, v, Bv, lam),
+            residual=_pencil_residual(split, diags, vs, Bvs, lam),
         )
 
 
@@ -260,83 +316,37 @@ def _numerator_factor(N: int, dim: int) -> np.ndarray:
     return C
 
 
-def _reversed_factor(A: np.ndarray, i: np.ndarray, k: int):
-    """(p, L): the indices i of a mirror block of A with its first k, the
-    degree <= N functions, moved last, and the lower Cholesky factor L of
-    A[p, p]. In this reversed order L = [[L22, 0], [W^T, LS]], with
-    L22 L22^T = A22 for the rest of the block, W = L22^-1 A21 and
-    LS LS^T = S = A11 - W^T W, the Schur complement of the degree <= N
-    part, so the supremum of a form that vanishes off that part against
-    the block is that of its leading part against S."""
-    p = np.concatenate([i[k:], i[:k]])
-    # the transpose of the C-ordered copy is the Fortran-ordered array
-    # LAPACK factors in place, and it reads one triangle of it
-    return p, _chol_lower(A[np.ix_(p, p)].T, A)
+def _lift(R: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """R^-1 (0, y) for a block factored by ``_factor``: the block vector
+    whose degree <= N part is x = RS^-1 y, and whose other part,
+    -R22^-1 R21 x, minimizes the block's norm for that x."""
+    rhs = np.zeros(len(R))
+    rhs[len(R) - len(y) :] = y
+    return solve_triangular(R, rhs, check_finite=False)
 
 
-def _lift(L: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """L^-T (0, y) for a factor L of ``_reversed_factor``: the block vector
-    whose degree <= N part is x = LS^-T y, and whose other part,
-    -L22^-T W x, minimizes the block's norm for that x."""
-    rhs = np.zeros(len(L))
-    rhs[len(L) - len(y) :] = y
-    return solve_triangular(L, rhs, lower=True, trans="T")
-
-
-def _pencil_residual(
-    A: np.ndarray, factors: list, v: np.ndarray, Bv: np.ndarray, lam: float
-) -> float:
-    """A^-1 norm of B v - lam A v over the A-norm of v, against the whole
-    form A, coupling between the blocks included. The A^-1 norm is taken
-    through each block's factor from ``_reversed_factor``."""
-    Av = A @ v
-    res = Bv - lam * Av
-    total = 0.0
-    for p, L in factors:
-        y = solve_triangular(L, res[p], lower=True)
+def _pencil_residual(split: list, diags: list, vs: list, Bvs: list, lam: float) -> float:
+    """A^-1 norm of B v - lam A v over the A-norm of v, with A the two
+    mirror blocks and v and B v given per block. A block's A v is taken on
+    its lower triangle, which keeps the form, with its saved diagonal, and
+    the A^-1 norm through the factor R in its upper triangle."""
+    total = vAv = 0.0
+    for (F, _, _), diag, v, Bv in zip(split, diags, vs, Bvs):
+        Av = dsymv(1.0, F, v, lower=1) + (diag - F.diagonal()) * v
+        y = solve_triangular(F, Bv - lam * Av, trans="T", check_finite=False)
         total += y @ y
-    return math.sqrt(total / (v @ Av))
+        vAv += v @ Av
+    return math.sqrt(total / vAv)
 
 
-def _mirror_blocks(A: np.ndarray, C: np.ndarray, M: int, dim: int) -> list:
-    """The even and the odd mirror block of the H1 form A on the degree-M
-    basis, which it changes to the mirror basis in place, and the rows of
-    the numerator factor C in that basis: [(i, U)] for each block, even
-    first, with i the block's indices in the mirror basis and U = (W C)[i].
-
-    The mirror x -> -x of the interval, or x <-> y of the triangle, is an
-    isometry of the domain, so it commutes with A, and in the coordinates
-    of ``_mirror_basis`` A splits into an even and an odd block with no
-    coupling between them. The change of basis W, orthogonal and block
-    diagonal by degree, is applied to A in place and to a copy of C, slab
-    by slab; in 1-D W = I and the blocks are the even- and odd-degree
-    Legendre functions. Every kind takes the two diagonal blocks A[i, i]
-    of W A W^T only, so the coupling, zero up to roundoff, is dropped by
-    construction. W keeps the degree order, so each block, like the basis,
-    lists its degree <= N functions first."""
-    slabs, even = _mirror_basis(M, dim)
-    U, start = C.copy(), 0
-    for W in slabs:
-        stop = start + len(W)
-        # a slab of one function, every slab in 1-D, has W = [[1]]
-        if len(W) > 1:
-            A[start:stop] = W @ A[start:stop]
-            A[:, start:stop] = A[:, start:stop] @ W.T
-            U[start:stop] = W @ U[start:stop]
-        start = stop
-    return [(i, U[i]) for i in (np.flatnonzero(even), np.flatnonzero(~even))]
-
-
-def _tridiagonalize(A: np.ndarray, blocks: list):
+def _tridiagonalize(split: list):
     """(d, e, U): the diagonal and off-diagonal of T = Q^T A Q for the H1
-    form A in the mirror basis, from one blocked Householder reduction per
-    block of ``_mirror_blocks``, and U = Q^T C through the same reflectors.
-    Q maps the even block's reduced coordinates first and the odd block's
-    after them: d and U are the two blocks' stacked, and e holds an exact
-    0 at the seam."""
-    # one block at a time; the transpose of a block's C-ordered copy is the
-    # Fortran-ordered array LAPACK takes, and it reads one triangle of it
-    (d0, e0, U0), (d1, e1, U1) = (_reduce_block(A[np.ix_(i, i)].T, U) for i, U in blocks)
+    form A in the mirror basis, from one blocked Householder reduction of
+    each block of ``_split`` in place, and U = Q^T C through the same
+    reflectors. Q maps the even block's reduced coordinates first and the
+    odd block's after them: d and U are the two blocks' stacked, and e
+    holds an exact 0 at the seam."""
+    (d0, e0, U0), (d1, e1, U1) = (_reduce_block(F, U) for F, U, _ in split)
     return np.concatenate([d0, d1]), np.concatenate([e0, [0.0], e1]), np.vstack([U0, U1])
 
 
@@ -364,7 +374,7 @@ def _reduce_block(F: np.ndarray, C: np.ndarray):
     return d, e, U
 
 
-def _multiplicative(N: int, dim: int, A: np.ndarray, blocks: list) -> ConstantRecord:
+def _multiplicative(N: int, dim: int, split: list) -> ConstantRecord:
     """The mult record, as the maximum over the split parameter r of
     lambda(r) = lambda_max(2B, r I + A/r).
 
@@ -400,7 +410,7 @@ def _multiplicative(N: int, dim: int, A: np.ndarray, blocks: list) -> ConstantRe
     3 * 55 = 165 evaluations and needs no cap; on the rows of ``table 1``
     it takes 8 to 12.
     """
-    d, e, U = _tridiagonalize(A, blocks)
+    d, e, U = _tridiagonalize(split)
     # the Gershgorin interval of T: row i has radius |e_i-1| + |e_i|
     ae = np.abs(_finite(e, "e"))
     with np.errstate(over="ignore"):

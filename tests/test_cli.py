@@ -10,12 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scipy.linalg import LinAlgError
-
 import simplex_spectra
 from simplex_spectra import cli, extremal, forms
 from simplex_spectra.cli import _TABLE_ROWS, _fmt, main
-from simplex_spectra.forms import SymmetricForm
 
 
 def run(capsys, *argv):
@@ -95,13 +92,13 @@ def test_constants_out_file(tmp_path, capsys):
 
 
 def _negated_h1(monkeypatch):
-    real = extremal.h1_form
+    real = extremal._h1_blocks
 
-    def negated(M, dim, nodes=None):
-        A = real(M, dim, nodes=nodes)
-        return SymmetricForm(basis=A.basis, kind="h1", entries=-A.entries)
+    def negated(*args, **kwargs):
+        orders, blocks, coupling = real(*args, **kwargs)
+        return orders, [-F for F in blocks], coupling
 
-    monkeypatch.setattr(extremal, "h1_form", negated)
+    monkeypatch.setattr(extremal, "_h1_blocks", negated)
 
 
 def test_constants_solver_failure_row(capsys, monkeypatch):
@@ -118,9 +115,9 @@ def test_constants_failure_after_an_earlier_kind(capsys, monkeypatch):
     # the mult solver takes no Cholesky factor, so it prints its row before
     # the additive kind of the same N fails to factor the H1 form
     def no_factor(a, **kwargs):
-        raise LinAlgError("injected")
+        return a, 1
 
-    monkeypatch.setattr(extremal, "cholesky", no_factor)
+    monkeypatch.setattr(extremal, "dpotrf", no_factor)
     code, out, err = run(capsys, "constants", "--dim", "2", "--n", "2")
     assert code == 1
     lines = out.strip().splitlines()
@@ -133,8 +130,10 @@ def test_constants_failure_after_an_earlier_kind(capsys, monkeypatch):
 
 def test_constants_row_assembles_each_form_once(capsys, monkeypatch):
     # count calls through every binding of each name, so that a call from
-    # any module is seen; the edge factor is closed-form, not a trace form
-    calls = {"h1_form": 0, "trace_form": 0}
+    # any module is seen; the edge factor is closed-form, not a trace form,
+    # and the H1 form is assembled by one chunk loop straight into its
+    # mirror blocks, never whole
+    calls = {"h1_form": 0, "_h1_blocks": 0, "_gram_chunks": 0, "trace_form": 0}
     for module in (cli, extremal, forms):
         for name in calls:
             real = getattr(module, name, None)
@@ -149,7 +148,7 @@ def test_constants_row_assembles_each_form_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "constants", "--dim", "2", "--n", "3..4")
     assert code == 0
     assert len(out.strip().splitlines()) == 1 + 2 * 3
-    assert calls == {"h1_form": 2, "trace_form": 0}
+    assert calls == {"h1_form": 0, "_h1_blocks": 2, "_gram_chunks": 2, "trace_form": 0}
 
 
 def test_verify_all_suites(capsys):

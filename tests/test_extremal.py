@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -20,9 +21,8 @@ from simplex_spectra import (
     trace_error_rate,
     trace_form,
 )
-from simplex_spectra import extremal
+from simplex_spectra import extremal, forms
 from simplex_spectra.cli import _TABLE_ROWS
-from simplex_spectra.forms import SymmetricForm
 from simplex_spectra.simplex import _mirror_basis
 
 # (N, dim) rows checked against the assembled dense pencil
@@ -300,13 +300,13 @@ def test_additive_kinds_avoid_full_size_solves(monkeypatch):
     block = max(np.count_nonzero(even), np.count_nonzero(~even))
     assert block < even.size
     sizes = []
-    real_eigh, real_chol, real_solve = extremal.eigh, extremal.cholesky, extremal.solve_triangular
+    real_eigh, real_chol, real_solve = extremal.eigh, extremal.dpotrf, extremal.solve_triangular
 
     def eigh(a, *args, **kwargs):
         sizes.append(a.shape[0])
         return real_eigh(a, *args, **kwargs)
 
-    def cholesky(a, *args, **kwargs):
+    def dpotrf(a, *args, **kwargs):
         sizes.append(a.shape[0])
         return real_chol(a, *args, **kwargs)
 
@@ -315,38 +315,62 @@ def test_additive_kinds_avoid_full_size_solves(monkeypatch):
         return real_solve(a, b, *args, **kwargs)
 
     monkeypatch.setattr(extremal, "eigh", eigh)
-    monkeypatch.setattr(extremal, "cholesky", cholesky)
+    monkeypatch.setattr(extremal, "dpotrf", dpotrf)
     monkeypatch.setattr(extremal, "solve_triangular", solve_triangular)
     for kind in ("add_h1_denominator", "h1_stability"):
         next(row_constants(N, dim, (kind,)))
     assert sizes and max(sizes) <= block
 
 
-def test_additive_residual_sees_the_dropped_coupling(monkeypatch):
-    # in 1-D the mirror basis is the Legendre basis, and the split keeps
-    # the even-even and odd-odd entries of the form only: a coupling delta
-    # of P_0 and P_1 leaves the value as it is, but the residual, taken
-    # against the whole form, rises with it
-    real = extremal.h1_form
+def test_row_checks_the_dropped_coupling(monkeypatch):
+    # a row keeps only the even-even and odd-odd blocks of the form in the
+    # mirror basis, and takes its residuals against them, so it measures
+    # the even-odd coupling it drops. A mirror basis whose degree-3 slab is
+    # turned by 1e-6 between an even and an odd coordinate no longer splits
+    # the triangle's form, and the row raises, naming that coupling
+    real = extremal._mirror_basis
+
+    def turned(M, dim):
+        slabs, even = real(M, dim)
+        W = slabs[3].copy()
+        c, s = math.cos(1e-6), math.sin(1e-6)
+        W[0], W[1] = c * W[0] - s * W[1], s * W[0] + c * W[1]
+        return slabs[:3] + [W] + slabs[4:], even
+
+    monkeypatch.setattr(extremal, "_mirror_basis", turned)
+    for kind in extremal._KINDS:
+        with pytest.raises(NumericError, match="relative coupling") as caught:
+            one_constant(4, 2, kind)
+        coupling = float(re.search(r"relative coupling (\S+)", str(caught.value)).group(1))
+        assert extremal._COUPLING < coupling < 1e-5, coupling
+    monkeypatch.undo()
+    # the mirror basis itself leaves roundoff, and the rows certify their
+    # values against the blocks
     for N in (2, 6, 20):
-        values = set()
-        for delta in (0.0, 1e-8, 1e-3):
+        for dim in (1, 2):
+            rec = one_constant(N, dim, "add_h1_denominator")
+            assert rec.residual <= 1e-12, (N, dim, rec.residual)
+        _, _, coupling = forms._h1_blocks(2 * N, 2, *_mirror_basis(2 * N, 2))
+        assert coupling <= 1e-12, (N, coupling)
+        # in 1-D the mirror basis is the Legendre basis, and the closed-form
+        # stiffness has no entry between degrees of odd sum
+        _, _, coupling = forms._h1_blocks(2 * N, 1, *_mirror_basis(2 * N, 1))
+        assert coupling == 0.0, N
 
-            def coupled(M, dim, nodes=None, delta=delta):
-                A = real(M, dim, nodes=nodes)
-                entries = A.entries.copy()
-                entries[0, 1] += delta
-                entries[1, 0] += delta
-                return SymmetricForm(basis=A.basis, kind="h1", entries=entries)
 
-            monkeypatch.setattr(extremal, "h1_form", coupled)
-            rec = one_constant(N, 1, "add_h1_denominator")
-            values.add(rec.value)
-            if delta == 0.0:
-                assert rec.residual <= 1e-12, N
-            else:
-                assert rec.residual >= delta / 4.0, (N, delta, rec.residual)
-        assert len(values) == 1, N
+def test_row_rejects_nonfinite_blocks(monkeypatch):
+    # LAPACK takes the blocks as they are, so a row checks them first
+    real = extremal._h1_blocks
+
+    def poisoned(*args, **kwargs):
+        orders, blocks, coupling = real(*args, **kwargs)
+        blocks[1][0, 0] = np.nan
+        return orders, blocks, coupling
+
+    monkeypatch.setattr(extremal, "_h1_blocks", poisoned)
+    for N, dim in ((3, 1), (3, 2)):
+        with pytest.raises(NumericError, match="mirror blocks must be finite"):
+            list(row_constants(N, dim))
 
 
 def test_h1_stability_asks_for_its_top_eigenpair_only(monkeypatch):
@@ -374,7 +398,7 @@ def test_multiplicative_avoids_full_size_decompositions(monkeypatch):
     # eigensolve or factorization it takes is of the numerator's column count
     N, dim = 4, 2
     sizes = []
-    for name in ("eigh", "eigvalsh", "cholesky", "dsyevr"):
+    for name in ("eigh", "eigvalsh", "dpotrf", "dsyevr"):
         real = getattr(extremal, name)
 
         def recorded(a, *args, _real=real, **kwargs):
@@ -432,21 +456,16 @@ def test_row_constants_share_one_row():
         row_constants(0, 2)
 
 
-def _mult_record(N, dim, A, C):
-    """The mult record of a row with the H1 form A, which it changes to the
-    mirror basis in place, and the numerator factor C."""
-    return extremal._multiplicative(N, dim, A, extremal._mirror_blocks(A, C, 2 * N, dim))
-
-
 def test_triangle_row_peak_memory():
-    # the H1 form is the identity plus one stiffness Gram, assembled by row
-    # blocks and symmetrized in place: it stays within two arrays of the
-    # basis size. A row changes the form to the mirror basis in place, the
-    # additive kinds factor copies of its two blocks, each a quarter of it,
-    # and mult gathers and reduces one block at a time: the row stays
-    # within 1.8 arrays
+    # the whole H1 form is one array of the basis size, written chunk by
+    # chunk below the diagonal and mirrored above it: with one chunk's
+    # temporaries it stays within 1.6 arrays (1.50 measured). A row never
+    # builds it: each chunk is changed to the mirror basis in its own
+    # buffer and written into the two mirror blocks, together half an
+    # array, which the additive kinds factor and mult reduces in place: the
+    # row stays within 1.3 arrays (1.02 measured)
     unit = math.comb(2 * 24 + 2, 2) ** 2 * 8
-    for run, bound in ((lambda: h1_form(48, 2), 2.0), (lambda: list(row_constants(24, 2)), 1.8)):
+    for run, bound in ((lambda: h1_form(48, 2), 1.6), (lambda: list(row_constants(24, 2)), 1.3)):
         tracemalloc.start()
         try:
             run()
@@ -454,22 +473,21 @@ def test_triangle_row_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= bound * unit, (bound, peak / unit)
-    # the mult kind changes the basis of the form in place and reduces its
-    # two mirror blocks one at a time, each a quarter of the form: with the
-    # form it stays within 1.8 arrays
-    A, C = h1_form(48, 2).entries, extremal._numerator_factor(24, 2)
+    # the mult kind reduces the two mirror blocks in place, one at a time:
+    # with the blocks, half an array, it stays within 0.65 arrays (0.57
+    # measured)
+    split = extremal._split(24, 2)
+    before = [F.copy() for F, _, _ in split]
     tracemalloc.start()
     try:
-        _mult_record(24, 2, A, C)
+        extremal._multiplicative(24, 2, split)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert A.nbytes + peak <= 1.8 * unit, (A.nbytes + peak) / unit
-    # the change of basis takes the form in place rather than a copy of it
-    A = h1_form(8, 2).entries
-    before = A.copy()
-    extremal._mirror_blocks(A, extremal._numerator_factor(4, 2), 8, 2)
-    assert not np.array_equal(A, before)
+    held = sum(F.nbytes for F in before)
+    assert held + peak <= 0.65 * unit, (held + peak) / unit
+    # the reduction takes the blocks in place rather than copies of them
+    assert not any(np.array_equal(F, G) for (F, _, _), G in zip(split, before))
 
 
 def test_tetrahedron_h1_peak_memory():
@@ -483,13 +501,6 @@ def test_tetrahedron_h1_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * unit, peak / unit
-
-
-def _reduced(A, C, M, dim):
-    """(d, e, U) of the mult reduction of the form A on the degree-M basis,
-    which it changes to the mirror basis in place, and the numerator
-    factor C."""
-    return extremal._tridiagonalize(A, extremal._mirror_blocks(A, C, M, dim))
 
 
 def test_tridiagonalize_reduces_each_parity_block():
@@ -507,7 +518,7 @@ def test_tridiagonalize_reduces_each_parity_block():
         A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
         if dim == 1:
             assert not np.any(A[::2, 1::2]), N
-        d, e, U = _reduced(A.copy(), C, 2 * N, dim)
+        d, e, U = extremal._tridiagonalize(extremal._split(N, dim))
         assert e[np.count_nonzero(_mirror_basis(2 * N, dim)[1]) - 1] == 0.0, (N, dim)
         T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         for mu in (1e-2, 1.0, 1e3):
@@ -530,6 +541,37 @@ def _dense_mirror(M, dim):
     return W, even
 
 
+def _dense_split(A, C, M, dim, lead):
+    """The row's [(F, U, k)] of ``extremal._split`` from a whole form A on
+    the degree-M basis and a factor C, by the dense change of basis: each
+    mirror block of W A W^T in the reverse of the basis order, symmetrized
+    and Fortran-ordered, its rows of W C, and the count of its coordinates
+    among the first ``lead``, which that order puts last."""
+    W, even = _dense_mirror(M, dim)
+    B, V = W @ A @ W.T, W @ C
+    split = []
+    for mask in (even, ~even):
+        order = np.flatnonzero(mask)[::-1]
+        k = np.count_nonzero(order < lead)
+        F = B[np.ix_(order, order)]
+        split.append((np.asfortranarray((F + F.T) / 2.0), V[order], k))
+    return split
+
+
+def test_mirror_blocks_match_the_whole_form():
+    # the blocks assembled chunk by chunk in the mirror basis are those of
+    # the whole form changed to it, to roundoff, and exactly symmetric; the
+    # rows of C follow them
+    for N, dim in ((1, 1), (10, 1), (1, 2), (2, 2), (8, 2), (12, 2)):
+        A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
+        want = _dense_split(A, C, 2 * N, dim, math.comb(N + dim, dim))
+        for (F, U, k), (G, V, m) in zip(extremal._split(N, dim), want):
+            assert F.flags.f_contiguous and np.array_equal(F, F.T), (N, dim)
+            assert np.max(np.abs(F - G)) <= 1e-15 * np.max(np.abs(A)), (N, dim)
+            assert np.max(np.abs(U - V)) <= 1e-15 * np.max(np.abs(C)), (N, dim)
+            assert k == m, (N, dim)
+
+
 def test_tridiagonalize_takes_any_mirror_symmetric_form():
     # a form that commutes with the mirror and couples every pair of
     # coordinates of one parity, the constant function too, which the H1
@@ -545,7 +587,7 @@ def test_tridiagonalize_takes_any_mirror_symmetric_form():
         A = W.T @ X @ W
         A = (A + A.T) / 2.0
         C = rng.standard_normal((n, 3))
-        d, e, U = _reduced(A.copy(), C, M, 2)
+        d, e, U = extremal._tridiagonalize(_dense_split(A, C, M, 2, math.comb(M // 2 + 2, 2)))
         T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         for mu in (0.1, 10.0):
             got = U.T @ np.linalg.solve(mu * np.eye(n) + T, U)
@@ -570,11 +612,11 @@ def test_mirror_split_matches_the_whole_form_reduction(monkeypatch):
     # reduction gives one mult value
     for N in (1, 2, 3, 8, 12, 20):
         A, C = h1_form(2 * N, 2).entries, extremal._numerator_factor(N, 2)
-        rec = _mult_record(N, 2, A.copy(), C)
+        rec = one_constant(N, 2, "mult")
         whole = extremal._reduce_block(A.T, C)
         with monkeypatch.context() as patch:
-            patch.setattr(extremal, "_tridiagonalize", lambda A, blocks: whole)
-            want = extremal._multiplicative(N, 2, A, None)
+            patch.setattr(extremal, "_tridiagonalize", lambda split: whole)
+            want = extremal._multiplicative(N, 2, None)
         assert abs(rec.value - want.value) <= 1e-13 * want.value, N
 
 
@@ -588,11 +630,14 @@ def test_multiplicative_bisection_bounded_by_bracket(monkeypatch):
     # c0^2 for c0 the constant function's row of the numerator factor: 1/2
     # in 1-D, 1 in 2-D; every other coordinate has a diagonal entry of at
     # least 1e15
-    def wide(M, dim, nodes=None):
-        basis = enumerate_basis(M, dim)
+    real = extremal._h1_blocks
+
+    def wide(M, dim, *args, **kwargs):
+        orders, _, _ = real(M, dim, *args, **kwargs)
+        # the change to the mirror basis keeps each coordinate's degree
+        degree = enumerate_basis(M, dim).components.sum(axis=1)
         spread = np.geomspace(1.0, 1e300, M + 1)
-        entries = np.diag(spread[basis.components.sum(axis=1)])
-        return SymmetricForm(basis=basis, kind="h1", entries=entries)
+        return orders, [np.diag(spread[degree[p]]).T for p in orders], 0.0
 
     calls = []
     real_dptsv = extremal.dptsv
@@ -602,7 +647,7 @@ def test_multiplicative_bisection_bounded_by_bracket(monkeypatch):
         assert len(calls) <= 100, "the bisection did not stop"
         return real_dptsv(*args, **kwargs)
 
-    monkeypatch.setattr(extremal, "h1_form", wide)
+    monkeypatch.setattr(extremal, "_h1_blocks", wide)
     monkeypatch.setattr(extremal, "dptsv", counted)
     for N, dim in ((3, 1), (10, 1), (3, 2), (6, 2)):
         calls.clear()
@@ -647,10 +692,9 @@ def test_multiplicative_search_matches_bisection(monkeypatch):
     # both searches run on one reduction, so they differ only in where they
     # sample lambda(r) near its maximum
     for N, dim in ((1, 1), (10, 1), (60, 1), (3, 2), (12, 2)):
-        A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
-        reduced = _reduced(A, C, 2 * N, dim)
-        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, blocks: reduced)
-        rec = extremal._multiplicative(N, dim, A, None)
+        reduced = extremal._tridiagonalize(extremal._split(N, dim))
+        monkeypatch.setattr(extremal, "_tridiagonalize", lambda split: reduced)
+        rec = extremal._multiplicative(N, dim, None)
         want = _bisected_mult(*reduced)
         assert abs(rec.value - want) <= 1e-14 * want, (N, dim)
         assert rec.residual <= 1e-14, (N, dim)
@@ -700,18 +744,18 @@ def test_multiplicative_search_bounded_when_interpolation_creeps(monkeypatch, so
 
 
 def test_multiplicative_rejects_indefinite_denominator(monkeypatch):
-    real = extremal.h1_form
+    real = extremal._h1_blocks
 
-    def negated(M, dim, nodes=None):
-        A = real(M, dim, nodes=nodes)
-        return SymmetricForm(basis=A.basis, kind="h1", entries=-A.entries)
+    def negated(*args, **kwargs):
+        orders, blocks, coupling = real(*args, **kwargs)
+        return orders, [-F for F in blocks], coupling
 
-    monkeypatch.setattr(extremal, "h1_form", negated)
+    monkeypatch.setattr(extremal, "_h1_blocks", negated)
     with pytest.raises(NumericError, match="eigenvalue range"):
         one_constant(2, 1, "mult")
     # the additive kinds share the row's H1 form and reject it the same way
     for kind in ("add_h1_denominator", "h1_stability"):
-        with pytest.raises(NumericError, match="eigenvalue range"):
+        with pytest.raises(NumericError, match="not positive definite: eigenvalue range"):
             one_constant(2, 1, kind)
 
 
@@ -719,14 +763,13 @@ def test_multiplicative_rejects_nonfinite_reduction(monkeypatch):
     # the search calls LAPACK without scipy's wrappers, so it checks what
     # they checked: a non-finite T or k x k matrix is a NumericError, also
     # where the arithmetic that made it is let pass without a warning
-    A, C = h1_form(6, 1).entries, extremal._numerator_factor(3, 1)
-    d, e, U = _reduced(A, C, 6, 1)
+    d, e, U = extremal._tridiagonalize(extremal._split(3, 1))
     U_inf = U.copy()
     U_inf[0] = np.inf
     for bad, name in (((np.full_like(d, np.nan), e, U), "d"), ((d, e, U_inf), "2 U")):
-        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, blocks, bad=bad: bad)
+        monkeypatch.setattr(extremal, "_tridiagonalize", lambda split, bad=bad: bad)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match=f"{name}.* must be finite"):
-            extremal._multiplicative(3, 1, A, None)
+            extremal._multiplicative(3, 1, None)
 
 
 def test_multiplicative_rejects_a_bracket_it_cannot_take(monkeypatch):
@@ -734,13 +777,12 @@ def test_multiplicative_rejects_a_bracket_it_cannot_take(monkeypatch):
     # which an H1 form, at least I, keeps finite and at least 1; a T below
     # I or one whose bound overflows is a NumericError that names the
     # Gershgorin interval, not a math domain error or an overflow warning
-    A, C = h1_form(6, 1).entries, extremal._numerator_factor(3, 1)
-    _, _, U = _reduced(A, C, 6, 1)
+    _, _, U = extremal._tridiagonalize(extremal._split(3, 1))
     n = U.shape[0]
     for d, e in ((np.full(n, 0.5), np.zeros(n - 1)), (np.full(n, 1e308), np.full(n - 1, 1e308))):
-        monkeypatch.setattr(extremal, "_tridiagonalize", lambda A, blocks, T=(d, e, U): T)
+        monkeypatch.setattr(extremal, "_tridiagonalize", lambda split, T=(d, e, U): T)
         with pytest.raises(NumericError, match="Gershgorin eigenvalue range"):
-            extremal._multiplicative(3, 1, A, None)
+            extremal._multiplicative(3, 1, None)
 
 
 def test_multiplicative_validation(monkeypatch):
@@ -748,7 +790,7 @@ def test_multiplicative_validation(monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled a form for invalid arguments")
 
-    monkeypatch.setattr(extremal, "h1_form", no_assembly)
+    monkeypatch.setattr(extremal, "_h1_blocks", no_assembly)
     for N, dim in ((0, 1), (2, 3), (2.5, 1), (True, 1), ("3", 2)):
         with pytest.raises(ParameterError):
             row_constants(N, dim, ("mult",))

@@ -26,7 +26,7 @@ def test_mass_is_identity():
     for dim, M in ((1, 12), (2, 9), (3, 6)):
         G = mass_form(M, dim)
         n = G.basis.cardinality
-        assert G.kind == "mass"
+        assert G.basis.dim == dim and G.basis.N == M
         assert np.max(np.abs(G.entries - np.eye(n))) < 1e-12
 
 
@@ -138,11 +138,14 @@ def test_volume_grams_match_tensor_grid():
     )
     for M, dim, nodes in cases:
         mass, h1 = _tensor_grid_grams(M, dim, _rule_size(M) if nodes is None else nodes)
-        for form, ref in ((mass_form(M, dim, nodes=nodes), mass), (h1_form(M, dim, nodes=nodes), h1)):
+        for name, form, ref in (
+            ("mass", mass_form(M, dim, nodes=nodes), mass),
+            ("h1", h1_form(M, dim, nodes=nodes), h1),
+        ):
             err = np.max(np.abs(form.entries - ref)) / np.max(np.abs(ref))
-            assert err < 1e-13, (form.kind, M, dim, nodes, err)
+            assert err < 1e-13, (name, M, dim, nodes, err)
             # exactly symmetric, so that a reduction may read either triangle
-            assert np.array_equal(form.entries, form.entries.T), (form.kind, M, dim)
+            assert np.array_equal(form.entries, form.entries.T), (name, M, dim)
 
 
 def test_h1_dominates_mass():
@@ -237,17 +240,13 @@ def test_form_validation():
     basis = enumerate_basis(2, 1)
     n = basis.cardinality
     good = np.eye(n)
-    SymmetricForm(basis=basis, kind="mass", entries=good)
+    SymmetricForm(basis=basis, entries=good)
     bad = good.copy()
     bad[0, 1] = 0.5
     with pytest.raises(ParameterError):
-        SymmetricForm(basis=basis, kind="mass", entries=bad)
-    # the endpoint evaluation form is a test oracle, not a kind of the package
-    for kind in ("gram", "point_eval"):
-        with pytest.raises(ParameterError):
-            SymmetricForm(basis=basis, kind=kind, entries=good)
+        SymmetricForm(basis=basis, entries=bad)
     with pytest.raises(ParameterError):
-        SymmetricForm(basis=basis, kind="mass", entries=np.eye(n + 1))
+        SymmetricForm(basis=basis, entries=np.eye(n + 1))
     with pytest.raises(ParameterError):
         mass_form(-1, 2)
     for nodes in (2, True, 10.5):
@@ -264,15 +263,15 @@ def test_symmetry_check_covers_every_block():
     assert _ROW_BLOCK < n < 2 * _ROW_BLOCK
     # the scale is the largest magnitude, here that of a negative entry
     good = -1e3 * np.eye(n)
-    SymmetricForm(basis=basis, kind="mass", entries=good)
+    SymmetricForm(basis=basis, entries=good)
     for i, j in ((n - 1, n - 2), (n - 3, 3), (3, n - 3), (5, 2), (0, _ROW_BLOCK)):
         bad = good.copy()
         bad[i, j] += 1e-9
         with pytest.raises(ParameterError, match="not symmetric"):
-            SymmetricForm(basis=basis, kind="mass", entries=bad)
+            SymmetricForm(basis=basis, entries=bad)
         # a skew under 1e-13 of the scale is roundoff, and is accepted
         bad[i, j] = good[i, j] + 1e-11
-        SymmetricForm(basis=basis, kind="mass", entries=bad)
+        SymmetricForm(basis=basis, entries=bad)
 
 
 def test_symmetric_form_rejects_non_finite_entries():
@@ -282,4 +281,4 @@ def test_symmetric_form_rejects_non_finite_entries():
         entries = np.eye(3)
         entries[1, 1] = bad
         with pytest.raises(ParameterError, match="finite"):
-            SymmetricForm(basis=basis, kind="mass", entries=entries)
+            SymmetricForm(basis=basis, entries=entries)
