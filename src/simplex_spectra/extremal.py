@@ -181,13 +181,17 @@ def _split(N: int, dim: int, nodes: int | None = None) -> list:
     odd-degree Legendre functions. Every kind takes the two blocks only,
     so the coupling, zero up to roundoff, is dropped; a block that is not
     finite, or a coupling above _COUPLING of the form's largest entry,
-    raises NumericError. W is
+    raises NumericError. The additive kinds factor each block in place,
+    which LAPACK does only on a Fortran-ordered float64 array, so a block of
+    another layout raises NumericError too. W is
     orthogonal and block diagonal by degree, applied to C slab by slab, and
     C vanishes above degree N, so only the slabs up to N touch it."""
     slabs, even = _mirror_basis(2 * N, dim)
     orders, blocks, coupling = _h1_blocks(2 * N, dim, slabs, even, nodes)
     for F in blocks:
         _finite(F, "the H1 form's mirror blocks")
+        if F.dtype != np.float64 or not F.flags.f_contiguous:
+            raise NumericError("the H1 form's mirror blocks must be Fortran-ordered float64 arrays")
     if coupling > _COUPLING:
         raise NumericError(
             f"the mirror blocks of the H1 form are coupled: relative coupling "

@@ -98,14 +98,14 @@ _GRADIENT = {
 }
 
 
-def _gram_chunks(basis: BasisSet, m: int, s: np.ndarray, integrands, by_slab: bool = False):
+def _gram_chunks(basis: BasisSet, m: int, s: np.ndarray, integrands):
     """The Gram of the basis scaled by s by its lower block triangle: an
     iterator of (r0, r1, X), X the chunk of rows r0..r1-1 and columns
     0..r1-1. Entry (i, j) sums, over the integrands (each a list of
     separable terms), the integral of the integrand of function i times the
-    same integrand of function j. A chunk has at most _ROW_BLOCK rows, and
-    only its diagonal square holds entries above the diagonal; with
-    ``by_slab`` its rows are whole degree slabs, a slab of more rows alone.
+    same integrand of function j. A chunk's rows are whole degree slabs, at
+    most _ROW_BLOCK of them but for a larger slab alone, and only its
+    diagonal square holds entries above the diagonal.
 
     The tensor Gauss rule integrates a separable product as the product of
     per-axis sums; axis k carries the volume factor half**k in its weights.
@@ -146,17 +146,15 @@ def _gram_chunks(basis: BasisSet, m: int, s: np.ndarray, integrands, by_slab: bo
                     prod *= (tabs[a[k], k] * weights[k]) @ tabs[b[k], k].T
                 key = a[last] + b[last]
                 groups[key] = groups.get(key, 0.0) + prod
-    # a chunk takes whole pieces, degree slabs or rows, while it has at most
-    # _ROW_BLOCK rows, and a larger piece alone
-    n = basis.cardinality
-    slab_ends = np.searchsorted(comps.sum(axis=1), np.arange(1, basis.N + 2))
+    # a chunk takes whole degree slabs while it has at most _ROW_BLOCK rows,
+    # and a larger slab alone
     ends, r0, prev = [], 0, 0
-    for end in slab_ends if by_slab else range(1, n + 1):
+    for end in np.searchsorted(comps.sum(axis=1), np.arange(1, basis.N + 2)):
         if end - r0 > _ROW_BLOCK and prev > r0:
             ends.append(prev)
             r0 = prev
         prev = end
-    ends.append(n)
+    ends.append(basis.cardinality)
 
     def chunks():
         r0 = 0
@@ -280,7 +278,7 @@ def _h1_blocks(M: int, dim: int, slabs: list, even: np.ndarray, nodes=None):
         # a symmetric C-ordered array is the transpose of a Fortran one
         blocks = [_interval_stiffness(s[p], p.astype(float)).T for p in orders]
     else:
-        chunks = _gram_chunks(basis, m, s, _GRADIENT[dim], by_slab=True)
+        chunks = _gram_chunks(basis, m, s, _GRADIENT[dim])
         blocks = [np.empty((len(p), len(p)), order="F") for p in orders]
         # each block in the basis order, and the count of its coordinates
         # among the first i of the basis

@@ -373,6 +373,23 @@ def test_row_rejects_nonfinite_blocks(monkeypatch):
             list(row_constants(N, dim))
 
 
+def test_row_rejects_blocks_it_cannot_factor_in_place(monkeypatch):
+    # dpotrf overwrites a block only if it is a Fortran-ordered float64
+    # array; on any other it factors a copy, and the kinds would solve
+    # against the unfactored block
+    real = extremal._h1_blocks
+    for relayout in (np.ascontiguousarray, lambda F: np.asfortranarray(F, dtype=np.float32)):
+
+        def relaid(*args, relayout=relayout, **kwargs):
+            orders, blocks, coupling = real(*args, **kwargs)
+            return orders, [blocks[0], relayout(blocks[1])], coupling
+
+        monkeypatch.setattr(extremal, "_h1_blocks", relaid)
+        for N, dim in ((3, 1), (3, 2)):
+            with pytest.raises(NumericError, match="Fortran-ordered float64"):
+                list(row_constants(N, dim))
+
+
 def test_h1_stability_asks_for_its_top_eigenpair_only(monkeypatch):
     # the h1 kind uses the top eigenpair of the degree <= N part of each
     # mirror block, so the eigensolver takes one leading part at a time and
@@ -459,7 +476,7 @@ def test_row_constants_share_one_row():
 def test_triangle_row_peak_memory():
     # the whole H1 form is one array of the basis size, written chunk by
     # chunk below the diagonal and mirrored above it: with one chunk's
-    # temporaries it stays within 1.6 arrays (1.50 measured). A row never
+    # temporaries it stays within 1.6 arrays (1.42 measured). A row never
     # builds it: each chunk is changed to the mirror basis in its own
     # buffer and written into the two mirror blocks, together half an
     # array, which the additive kinds factor and mult reduces in place: the
