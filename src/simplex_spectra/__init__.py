@@ -3,7 +3,7 @@ Jacobi evaluation and quadrature, coupling-factor identities, collapsed
 coordinate bases, dense quadratic forms, and the extremal constants of the
 boundary projection estimates."""
 
-from .errors import NumericError, ParameterError, SingularityError
+from .errors import NumericError, ParameterError
 from .extremal import (
     ConstantRecord,
     row_constants,

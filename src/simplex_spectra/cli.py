@@ -100,16 +100,12 @@ def _output(path: str | None, parser: argparse.ArgumentParser):
         yield stream
 
 
-def _nodes_for(N: int, safety: int) -> int | None:
-    return None if safety == 0 else _rule_size(2 * N) + safety
-
-
-def _emit_constants(dim: int, kinds, quad_safety: int, ns, stream) -> int:
+def _emit_constants(dim: int, kinds, ns, stream) -> int:
     print(_CSV_HEADER, file=stream)
     for N in ns:
         pending = [kind for kind in _KINDS if kind in kinds]
         try:
-            for rec in row_constants(N, dim, pending, nodes=_nodes_for(N, quad_safety)):
+            for rec in row_constants(N, dim, pending):
                 print(
                     f"{rec.dim},{rec.N},{rec.kind},{_fmt(rec.value)},"
                     f"{rec.iterations},{_fmt(rec.residual)}",
@@ -175,7 +171,7 @@ def _suite_coefficient_bound(args) -> VerificationReport:
 def _suite_orthogonality(args) -> VerificationReport:
     def checks():
         for dim, M in ((2, 8), (3, 6)):
-            form = mass_form(M, dim, nodes=_rule_size(M) + args.quad_safety)
+            form = mass_form(M, dim)
             comps, card = form.basis.components, form.basis.cardinality
             dev = np.abs(form.entries - np.eye(card))
 
@@ -185,13 +181,12 @@ def _suite_orthogonality(args) -> VerificationReport:
 
             yield f"gram-dim{dim}", dev, case
         # doubling exactness, relative to the largest entry of each form
-        for label, build in (
-            ("mass-3d", lambda nn: mass_form(5, 3, nodes=nn(16))),
-            ("h1-2d", lambda nn: h1_form(7, 2, nodes=nn(20))),
-            ("trace-2d", lambda nn: trace_form(6, 2, nodes=nn(18))),
+        for label, build, m in (
+            ("mass-3d", lambda nodes: mass_form(5, 3, nodes=nodes), _rule_size(5)),
+            ("h1-2d", lambda nodes: h1_form(7, 2, nodes=nodes), _rule_size(7)),
+            ("trace-2d", lambda nodes: trace_form(6, 2, nodes=nodes), _rule_size(6)),
         ):
-            base = build(lambda m: m + args.quad_safety)
-            dbl = build(lambda m: 2 * m + args.quad_safety)
+            base, dbl = build(m), build(2 * m)
             scale = max(float(np.max(np.abs(base.entries))), 1.0)
             key = f"doubling-{label}"
             yield key, float(np.max(np.abs(base.entries - dbl.entries))) / scale, lambda _: key
@@ -210,7 +205,7 @@ def _suite_finite_sum(args) -> VerificationReport:
         for label, fn in fns:
             for p, q in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
                 # one line function serves every N
-                sums = _trace_coefficient_sums(fn, p, q, (1, 2, 3), nodes=40 + args.quad_safety)
+                sums = _trace_coefficient_sums(fn, p, q, (1, 2, 3), nodes=40)
                 for N, (tail, short) in zip((1, 2, 3), sums):
                     key = f"{label}-p{p}q{q}N{N}"
                     yield key, abs(tail - short) / max(1.0, abs(tail)), lambda _: key
@@ -229,7 +224,7 @@ def _suite_trace_parseval(args) -> VerificationReport:
     def checks():
         for dim, label, fn in corpus:
             via_sum = boundary_trace_parseval(fn, dim, N=12)
-            direct = _boundary_norm_direct(fn, dim, nodes=40 + args.quad_safety)
+            direct = _boundary_norm_direct(fn, dim, nodes=40)
             key = f"dim{dim}-{label}"
             yield key, abs(via_sum - direct) / max(1.0, abs(direct)), lambda _: key
 
@@ -321,12 +316,10 @@ def main(argv=None) -> int:
     p_const.add_argument("--n", required=True, help="degree range A..B")
     p_const.add_argument("--kinds", help="comma list: mult, add, h1 (default: all for dim)")
     p_const.add_argument("--out", help="write CSV here instead of stdout")
-    p_const.add_argument("--quad-safety", type=int, default=0, help="extra quadrature points")
 
     p_verify = sub.add_parser("verify", help="run the identity verification suites")
     p_verify.add_argument("--suite", help="run one suite by name")
     p_verify.add_argument("--tol", type=float, help="override residual threshold, in (0, 1e-6]")
-    p_verify.add_argument("--quad-safety", type=int, default=0, help="extra quadrature points")
     p_verify.add_argument("--perturb-h2", type=float, default=0.0, help=argparse.SUPPRESS)
 
     p_rates = sub.add_parser("rates", help="boundary projection error rates")
@@ -338,17 +331,15 @@ def main(argv=None) -> int:
     p_table = sub.add_parser("table", help="reproduce a published table's row set")
     p_table.add_argument("which", type=int, choices=(1, 2))
     p_table.add_argument("--out", help="write CSV here instead of stdout")
-    p_table.add_argument("--quad-safety", type=int, default=0, help="extra quadrature points")
 
     args = parser.parse_args(argv)
-    if args.quad_safety < 0:
-        parser.error(f"--quad-safety must be >= 0, got {args.quad_safety}")
-
     if args.command == "verify":
         if args.tol is not None and not 0.0 < args.tol <= 1e-6:
             parser.error(f"tol must lie in (0, 1e-6], got {args.tol}")
         return _run_verify(args, parser)
     if args.command == "rates":
+        if args.quad_safety < 0:
+            parser.error(f"--quad-safety must be >= 0, got {args.quad_safety}")
         return _run_rates(args, parser)
 
     if args.command == "constants":
@@ -360,7 +351,7 @@ def main(argv=None) -> int:
         ns, kinds = _TABLE_ROWS[dim], _parse_kinds(None, dim, parser)
 
     with _output(args.out, parser) as stream:
-        return _emit_constants(dim, kinds, args.quad_safety, ns, stream)
+        return _emit_constants(dim, kinds, ns, stream)
 
 
 if __name__ == "__main__":

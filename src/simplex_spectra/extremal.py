@@ -94,16 +94,14 @@ class ConstantRecord:
     residual: float
 
     def __post_init__(self):
-        if self.dim not in _DIMS:
+        if _check_int("dim", self.dim) not in _DIMS:
             raise ParameterError(f"dim must be one of {_DIMS}, got {self.dim}")
-        if self.N < 1:
-            raise ParameterError(f"N must be >= 1, got {self.N}")
+        _check_int("N", self.N, least=1)
         if self.kind not in _KINDS:
             raise ParameterError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not (math.isfinite(self.value) and self.value > 0):
             raise ParameterError(f"value must be finite and positive, got {self.value}")
-        if self.iterations < 1:
-            raise ParameterError("iterations must be >= 1")
+        _check_int("iterations", self.iterations, least=1)
         if not (math.isfinite(self.residual) and self.residual >= 0):
             raise ParameterError(f"residual must be finite and nonnegative, got {self.residual}")
 
@@ -118,7 +116,7 @@ def _congruent_top(Bm: np.ndarray, R: np.ndarray):
     return float(w[-1]), Y[:, -1]
 
 
-def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):
+def row_constants(N: int, dim: int, kinds=_KINDS):
     """The constants of one (N, dim) row: an iterator of one ConstantRecord
     per requested kind, in the order of ("mult", "add_h1_denominator",
     "h1_stability").
@@ -134,26 +132,28 @@ def row_constants(N: int, dim: int, kinds=_KINDS, nodes: int | None = None):
     mirror blocks, when the first record is asked for, and every kind
     works on those blocks and on the truncated numerator factor (endpoint
     evaluation in 1-D, the bottom edge in 2-D) in the same coordinates
-    (``_split``). A solver failure raises when its kind is reached, after
-    the records before it.
+    (``_split``). The form is exact, in closed form in 1-D and on a Gauss
+    rule that integrates its polynomial integrands exactly in 2-D, so a
+    row follows from N and dim alone and takes no node count. A solver
+    failure raises when its kind is reached, after the records before it.
     """
-    if dim not in _DIMS:
+    if _check_int("dim", dim) not in _DIMS:
         raise ParameterError(f"dim must be one of {_DIMS}, got {dim}")
     N = _check_int("N", N, least=1)
     unknown = [k for k in kinds if k not in _KINDS]
     if unknown:
         raise ParameterError(f"kinds must be among {_KINDS}, got {unknown}")
-    return _row(N, dim, [k for k in _KINDS if k in kinds], nodes)
+    return _row(N, dim, [k for k in _KINDS if k in kinds])
 
 
-def _row(N: int, dim: int, wanted: list, nodes: int | None):
-    """The records of ``row_constants``. The additive kinds factor the two
-    blocks of ``_split`` in place and restore them, and mult then reduces
-    them in place. A failure to factor a block is held until the mult
-    record is out."""
+def _row(N: int, dim: int, wanted: list):
+    """The records of ``row_constants``, for validated N, dim and kinds.
+    The additive kinds factor the two blocks of ``_split`` in place and
+    restore them, and mult then reduces them in place. A failure to factor
+    a block is held until the mult record is out."""
     if not wanted:
         return
-    split = _split(N, dim, nodes)
+    split = _split(N, dim)
     additive, failure = [], None
     if wanted != ["mult"]:
         try:
@@ -167,12 +167,12 @@ def _row(N: int, dim: int, wanted: list, nodes: int | None):
         raise failure
 
 
-def _split(N: int, dim: int, nodes: int | None = None) -> list:
+def _split(N: int, dim: int) -> list:
     """[(F, U, k)] for the even and the odd mirror block of the row's H1
-    form A on degree M = 2N: F the block from ``forms._h1_blocks``, with
-    its k functions of degree <= N ordered last, and U the rows of W C in
-    F's order, for the numerator factor C and the change of basis W of
-    ``_mirror_basis``.
+    form A on degree M = 2N: F the block from ``forms._h1_blocks``, on the
+    exact rule that M sets, with its k functions of degree <= N ordered
+    last, and U the rows of W C in F's order, for the numerator factor C
+    and the change of basis W of ``_mirror_basis``.
 
     The mirror x -> -x of the interval, or x <-> y of the triangle, is an
     isometry of the domain, so it commutes with A, and in the coordinates
@@ -187,7 +187,7 @@ def _split(N: int, dim: int, nodes: int | None = None) -> list:
     orthogonal and block diagonal by degree, applied to C slab by slab, and
     C vanishes above degree N, so only the slabs up to N touch it."""
     slabs, even = _mirror_basis(2 * N, dim)
-    orders, blocks, coupling = _h1_blocks(2 * N, dim, slabs, even, nodes)
+    orders, blocks, coupling = _h1_blocks(2 * N, dim, slabs, even)
     for F in blocks:
         _finite(F, "the H1 form's mirror blocks")
         if F.dtype != np.float64 or not F.flags.f_contiguous:

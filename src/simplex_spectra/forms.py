@@ -39,6 +39,7 @@ from .simplex import (
     _gl_nodes,
     _node_count,
     _norm_sq,
+    _rule_size,
     enumerate_basis,
 )
 
@@ -246,7 +247,7 @@ def h1_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
     return SymmetricForm(basis=basis, entries=entries)
 
 
-def _h1_blocks(M: int, dim: int, slabs: list, even: np.ndarray, nodes=None):
+def _h1_blocks(M: int, dim: int, slabs: list, even: np.ndarray):
     """The H1 form of ``h1_form`` in the mirror coordinates (slabs, even) of
     ``simplex._mirror_basis``, as its even and its odd block, with no array
     of the whole form: (orders, blocks, coupling), even block first.
@@ -260,8 +261,11 @@ def _h1_blocks(M: int, dim: int, slabs: list, even: np.ndarray, nodes=None):
 
     In 1-D the mirror coordinates are the Legendre functions, and the
     blocks come from the closed-form stiffness, which has no entry of odd
-    i + j, so the coupling is 0. In 2-D each chunk of ``_gram_chunks`` is
-    changed to the mirror coordinates in its own buffer, W_d applied to
+    i + j, so the coupling is 0. In 2-D the stiffness is assembled on
+    ``_rule_size(M)`` = 2M + 6 Gauss points per direction, which integrate
+    its polynomial integrands exactly, so the blocks take no node count:
+    more points move them by roundoff only. Each chunk of ``_gram_chunks``
+    is changed to the mirror coordinates in its own buffer, W_d applied to
     each of its row slabs and W_d^T to each of its column slabs; its
     diagonal square is made symmetric from its lower triangle, and its
     even-even and odd-odd parts are written into the blocks at the places
@@ -269,7 +273,6 @@ def _h1_blocks(M: int, dim: int, slabs: list, even: np.ndarray, nodes=None):
     """
     M = _check_int("degree", M)
     basis = enumerate_basis(M, dim)
-    m = _node_count(M, nodes)
     s = _scaling_vector(basis)
     masks = (even, ~even)
     orders = [np.flatnonzero(mask)[::-1] for mask in masks]
@@ -278,7 +281,7 @@ def _h1_blocks(M: int, dim: int, slabs: list, even: np.ndarray, nodes=None):
         # a symmetric C-ordered array is the transpose of a Fortran one
         blocks = [_interval_stiffness(s[p], p.astype(float)).T for p in orders]
     else:
-        chunks = _gram_chunks(basis, m, s, _GRADIENT[dim])
+        chunks = _gram_chunks(basis, _rule_size(M), s, _GRADIENT[dim])
         blocks = [np.empty((len(p), len(p)), order="F") for p in orders]
         # each block in the basis order, and the count of its coordinates
         # among the first i of the basis
@@ -312,7 +315,7 @@ def trace_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
     """Boundary Gram over the bottom piece x_{dim-1} = -1: the bottom edge
     (2D) or the bottom face (3D)."""
     M = _check_int("degree", M)
-    if dim not in _BOTTOM:
+    if _check_int("dim", dim) not in _BOTTOM:
         raise ParameterError(f"trace forms need dim 2 or 3, got {dim}")
     basis = enumerate_basis(M, dim)
     s = _scaling_vector(basis)

@@ -28,7 +28,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import ParameterError, SingularityError
+from .errors import ParameterError
 from .jacobi import (
     JacobiWeight,
     _check_int,
@@ -67,10 +67,9 @@ class BasisSet:
     components: np.ndarray
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
+        if _check_int("dim", self.dim) not in (1, 2, 3):
             raise ParameterError(f"dim must be 1, 2, or 3, got {self.dim}")
-        if self.N < 0:
-            raise ParameterError(f"N must be nonnegative, got {self.N}")
+        _check_int("N", self.N)
         if self.components.shape != (math.comb(self.N + self.dim, self.dim), self.dim):
             raise ParameterError("components do not match the degree and dimension")
 
@@ -83,7 +82,7 @@ def _graded_components(N: int, dim: int) -> np.ndarray:
     """Components of every index of total degree <= N as rows of a
     (cardinality, dim) integer array: graded, lexicographic within a grade."""
     N = _check_int("N", N)
-    if dim not in (1, 2, 3):
+    if _check_int("dim", dim) not in (1, 2, 3):
         raise ParameterError(f"dim must be 1, 2, or 3, got {dim}")
     comps = np.indices((N + 1,) * dim).reshape(dim, -1).T
     # the grid is lexicographic already; a stable sort grades it and puts
@@ -306,12 +305,8 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
 
 
 def line_functions(f, p: int, q: int, nodes: int):
-    """Callables for the eta3 line reduction of f at fixed (p, q).
-
-    The first integrates f over cube cross-sections against the (p, q)
-    factor pair; the second divides out (1 - eta3)^(p+q), which is singular
-    at eta3 = 1 for (p, q) != (0, 0).
-    """
+    """The eta3 line reduction of f at fixed (p, q): a callable that
+    integrates f over cube cross-sections against the (p, q) factor pair."""
     p, q = _check_int("p", p), _check_int("q", q)
     m = _node_count(p + q, nodes)
     t, _ = _gl_nodes(m)
@@ -328,14 +323,7 @@ def line_functions(f, p: int, q: int, nodes: int):
             vals[i] = phi1 @ _sample(f, pts).reshape(m, m) @ phi2
         return vals if np.ndim(eta3) else float(vals[0])
 
-    def u_line_scaled(eta3):
-        e3s = np.atleast_1d(np.asarray(eta3, dtype=float))
-        if np.any(e3s == 1.0) and (p, q) != (0, 0):
-            raise SingularityError(f"scaled line function is singular at eta3 = 1 for (p, q) = ({p}, {q})")
-        vals = u_line(e3s) / (1.0 - e3s) ** (p + q)
-        return vals if np.ndim(eta3) else float(vals[0])
-
-    return u_line, u_line_scaled
+    return u_line
 
 
 def _legendre_derivative_values(values: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -360,8 +348,7 @@ def _trace_coefficient_sums(f, p: int, q: int, Ns, nodes: int) -> list:
     n = 2.0 * p + 2.0 * q + 2.0
     m = _node_count(max(p + q, *Ns), nodes)
     t, w = _gl_nodes(m)
-    u_line, _ = line_functions(f, p, q, nodes=m)
-    u_vals = u_line(t)
+    u_vals = line_functions(f, p, q, nodes=m)(t)
     du_vals = _legendre_derivative_values(u_vals, t, w)
 
     r_cap = m - 1
@@ -433,7 +420,7 @@ def _boundary_rule(dim: int, m: int):
 
 def _boundary_norm_direct(f, dim: int, nodes: int) -> float:
     """Squared boundary norm by direct quadrature on the boundary piece."""
-    if dim not in _BOTTOM:
+    if _check_int("dim", dim) not in _BOTTOM:
         raise ParameterError(f"dim must be 2 or 3, got {dim}")
     pts, wts = _boundary_rule(dim, _node_count(0, nodes))
     return float(wts @ _sample(f, pts) ** 2)
@@ -446,7 +433,7 @@ def boundary_trace_parseval(f, dim: int, N: int) -> float:
     sums its squared coefficients against the norms of the bottom piece's
     basis. Exact when f is a polynomial of degree <= N.
     """
-    if dim not in _BOTTOM:
+    if _check_int("dim", dim) not in _BOTTOM:
         raise ParameterError(f"dim must be 2 or 3, got {dim}")
     heads, b = _bottom_coefficients(analyze(f, N, dim), N, dim)
     return float(np.sum(_norm_sq(*heads.T) * b**2))

@@ -202,7 +202,7 @@ def test_identity_suites_within_tolerance():
         "finite-sum",
         "trace-parseval",
     )
-    args = argparse.Namespace(quad_safety=0, perturb_h2=0.0)
+    args = argparse.Namespace(perturb_h2=0.0)
     t0 = time.perf_counter()
     reports = {name: fn(args) for name, fn in _SUITES if name in wanted}
     elapsed = time.perf_counter() - t0
@@ -254,7 +254,7 @@ def test_quadrature_doubling_is_inert():
 def test_inequality_suite(interval_rows, triangle_rows):
     report = verify_deriv_norm_bound(60, 30)
     assert report.passed and report.max_residual < 0
-    hardy = dict(_SUITES)["hardy"](argparse.Namespace(quad_safety=0))
+    hardy = dict(_SUITES)["hardy"](argparse.Namespace())
     assert hardy.passed
     rows_2d, _ = triangle_rows
     assert all(v[0].value <= 4.0 for v in rows_2d.values())

@@ -4,8 +4,21 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import simplex_spectra
 from simplex_spectra import cli, errors, extremal, forms, identities, jacobi, simplex
+from simplex_spectra import (
+    ParameterError,
+    analyze,
+    boundary_trace_parseval,
+    enumerate_basis,
+    h1_form,
+    mass_form,
+    row_constants,
+    trace_form,
+)
 
 _MODULES = (errors, extremal, forms, identities, jacobi, simplex)
 
@@ -45,3 +58,29 @@ def test_readme_library_example_runs(capsys):
     # the values the example's comments quote
     assert out[0].startswith("2.7219") and out[3].startswith("1.0826")
     assert [line.split()[0] for line in out[4:]] == ["mult", "add_h1_denominator", "h1_stability"]
+
+
+def _affine(x):
+    return 1.0 + x[:, 0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda dim: list(row_constants(2, dim)),
+        lambda dim: h1_form(4, dim),
+        lambda dim: mass_form(4, dim),
+        lambda dim: trace_form(2, dim),
+        lambda dim: enumerate_basis(2, dim),
+        lambda dim: analyze(_affine, 2, dim),
+        lambda dim: boundary_trace_parseval(_affine, dim, 2),
+    ],
+    ids=["row_constants", "h1_form", "mass_form", "trace_form", "enumerate_basis", "analyze", "boundary_trace_parseval"],
+)
+def test_a_dim_that_is_not_an_integer_is_a_parameter_error(call):
+    # 2.0 and True pass a membership test in (1, 2), and numpy would take
+    # them on to a TypeError; a numpy integer is an integer
+    for dim in (2.0, True):
+        with pytest.raises(ParameterError, match="dim must"):
+            call(dim)
+    call(np.int64(2))

@@ -13,6 +13,7 @@ import pytest
 import simplex_spectra
 from simplex_spectra import cli, extremal, forms
 from simplex_spectra.cli import _TABLE_ROWS, _fmt, main
+from simplex_spectra.simplex import _rule_size
 
 
 def run(capsys, *argv):
@@ -199,12 +200,55 @@ def test_verify_failure_names_worst_components(capsys):
     assert re.search(r"worst: gram-dim[23] at \([0-9, ]+\) x \([0-9, ]+\)$", out, re.M)
 
 
-def test_orthogonality_worst_case_is_its_largest_residual():
-    # the doubling checks are the largest at some quadrature safeties
-    for quad_safety in (0, 1, 3):
-        report = cli._suite_orthogonality(argparse.Namespace(quad_safety=quad_safety))
-        key = max(report.details, key=report.details.get)
-        assert report.worst_case.startswith(key), quad_safety
+def test_orthogonality_worst_case_is_its_largest_residual(monkeypatch):
+    # a Gram entry is the worst at the suite's rules; an H1 form on the
+    # doubled rule moved by 1e-13 of itself makes a doubling check the worst
+    report = cli._suite_orthogonality(argparse.Namespace())
+    key = max(report.details, key=report.details.get)
+    assert key.startswith("gram-") and report.worst_case.startswith(key)
+    real = cli.h1_form
+
+    def moved(M, dim, nodes=None):
+        form = real(M, dim, nodes=nodes)
+        if nodes == 2 * _rule_size(M):
+            form = forms.SymmetricForm(basis=form.basis, entries=form.entries * (1.0 + 1e-13))
+        return form
+
+    monkeypatch.setattr(cli, "h1_form", moved)
+    report = cli._suite_orthogonality(argparse.Namespace())
+    assert max(report.details, key=report.details.get) == "doubling-h1-2d"
+    assert report.worst_case == "doubling-h1-2d"
+
+
+def test_constants_are_independent_of_the_h1_rule(capsys, monkeypatch):
+    # the row's H1 rule, 2M + 6 Gauss points per direction, is exact for
+    # the stiffness integrands: three more points per direction may move
+    # the iteration and residual columns by roundoff, and no printed 2-D
+    # value
+    argv = ("constants", "--dim", "2", "--n", "1..12")
+    _, default, _ = run(capsys, *argv)
+    sizes = []
+    real = forms._gram_chunks
+
+    def recorded(basis, m, *args):
+        sizes.append((basis.N, m))
+        return real(basis, m, *args)
+
+    monkeypatch.setattr(forms, "_gram_chunks", recorded)
+    monkeypatch.setattr(forms, "_rule_size", lambda M: 2 * M + 9)
+    code, widened, _ = run(capsys, *argv)
+    assert code == 0
+    assert sizes == [(2 * N, 4 * N + 9) for N in range(1, 13)]
+
+    def values(out):
+        return [line.split(",")[:4] for line in out.splitlines()]
+
+    assert values(widened) == values(default)
+    # a 1-D row takes its H1 form in closed form and assembles nothing by
+    # quadrature
+    sizes.clear()
+    code, _, _ = run(capsys, "table", "1")
+    assert code == 0 and sizes == []
 
 
 def test_rates_polynomial(capsys):
@@ -287,17 +331,24 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ["rates", "--family", "poly", "--n", "4..4"],
         ["rates", "--family", "poly", "--n", "7"],
         ["table", "3"],
-        ["constants", "--dim", "1", "--n", "1", "--quad-safety", "-100"],
-        ["verify", "--quad-safety", "-50"],
         ["rates", "--family", "poly", "--n", "4..8", "--quad-safety", "-60"],
-        ["table", "1", "--quad-safety", "-1"],
         ["constants", "--dim", "1", "--n", "1..2", "--out", missing],
         ["table", "1", "--out", missing],
         ["rates", "--family", "poly", "--n", "4..8", "--out", missing],
         [],
     ]
-    for argv in bad_argvs:
+    # the rules of constants, table and verify are exact, and take no
+    # extra quadrature points
+    unknown_argvs = [
+        ["constants", "--dim", "1", "--n", "1", "--quad-safety", "1"],
+        ["verify", "--quad-safety", "1"],
+        ["table", "1", "--quad-safety", "1"],
+    ]
+    for argv in bad_argvs + unknown_argvs:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2, argv
-        assert capsys.readouterr().out == "", argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        if argv in unknown_argvs:
+            assert "unrecognized arguments: --quad-safety 1" in captured.err, argv

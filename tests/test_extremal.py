@@ -98,11 +98,15 @@ def test_constant_record_validation():
     ConstantRecord(**good)
     for field, bad in [
         ("dim", 3),
+        ("dim", True),
+        ("dim", 2.0),
         ("N", 0),
+        ("N", 1.5),
         ("kind", "product"),
         ("value", -1.0),
         ("value", np.nan),
         ("iterations", 0),
+        ("iterations", 1.5),
         ("residual", -1e-3),
     ]:
         args = dict(good)

@@ -9,7 +9,6 @@ from oracles import jacobi_eval, synthesize
 from simplex_spectra import (
     BasisSet,
     ParameterError,
-    SingularityError,
     analyze,
     boundary_trace_parseval,
     enumerate_basis,
@@ -46,9 +45,11 @@ def test_enumerate_counts_and_order():
         assert degrees == sorted(degrees)
     b2 = enumerate_basis(2, 2)
     assert b2.components.tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
-    # a component array of the wrong size for (N, dim) is refused
-    with pytest.raises(ParameterError):
-        BasisSet(dim=2, N=3, components=_graded_components(2, 2))
+    # a component array of the wrong size for (N, dim) is refused, and so
+    # is an N or a dim that is not an integer
+    for dim, N in ((2, 3), (2, 2.0), (2.0, 2), (True, 2)):
+        with pytest.raises(ParameterError):
+            BasisSet(dim=dim, N=N, components=_graded_components(2, 2))
 
 
 def test_norm_frozen_values():
@@ -204,7 +205,7 @@ def test_analyze_argument_checks():
         with pytest.raises(ParameterError, match="shape"):
             _boundary_norm_direct(bad, 3, nodes=40)
         with pytest.raises(ParameterError, match="shape"):
-            line_functions(bad, 1, 0, nodes=40)[0](0.3)
+            line_functions(bad, 1, 0, nodes=40)(0.3)
     # nor one that returns a value that is not finite, at every point or one
     for bad in (
         lambda x: np.full(len(x), np.nan),
@@ -216,7 +217,7 @@ def test_analyze_argument_checks():
             lambda: analyze(bad, 3, 3),
             lambda: boundary_trace_parseval(bad, 2, N=12),
             lambda: _boundary_norm_direct(bad, 3, nodes=40),
-            lambda: line_functions(bad, 1, 0, nodes=40)[0](-0.3),
+            lambda: line_functions(bad, 1, 0, nodes=40)(-0.3),
         ):
             with pytest.raises(ParameterError, match="finite"):
                 call()
@@ -270,18 +271,15 @@ def test_synthesize_checks_its_point():
 
 
 def test_line_functions_constant():
-    u_line, u_scaled = line_functions(lambda x: np.ones(len(x)), 0, 0, nodes=40)
+    u_line = line_functions(lambda x: np.ones(len(x)), 0, 0, nodes=40)
     for e3 in (-0.9, 0.0, 0.7):
         assert_allclose(u_line(e3), 2.0, rtol=1e-12)
-        assert_allclose(u_scaled(e3), 2.0, rtol=1e-12)
 
 
 def test_line_functions_endpoint_decay():
     # for (p,q) != (0,0) the line function vanishes at eta3 = 1
-    u_line, u_scaled = line_functions(lambda x: x[:, 0] + x[:, 1] ** 2, 1, 0, nodes=40)
+    u_line = line_functions(lambda x: x[:, 0] + x[:, 1] ** 2, 1, 0, nodes=40)
     assert abs(u_line(1.0)) < 1e-12
-    with pytest.raises(SingularityError):
-        u_scaled(1.0)
 
 
 def test_trace_coefficient_sum_identity():
