@@ -30,12 +30,7 @@ from .identities import (
     verify_hardy,
     verify_weighted_antiderivative,
 )
-from .simplex import (
-    _boundary_norm_direct,
-    _rule_size,
-    _trace_coefficient_sums,
-    boundary_trace_parseval,
-)
+from .simplex import _boundary_norm_direct, _trace_coefficient_sums, boundary_trace_parseval
 
 _CSV_HEADER = "dim,N,kind,value,iterations,residual"
 _KIND_TOKENS = {
@@ -141,7 +136,7 @@ def _hardy_corpus():
 
 
 def _suite_factor_identities(args) -> VerificationReport:
-    return verify_factor_identities(50, 20, _h2_offset=args.perturb_h2)
+    return verify_factor_identities(50, 20)
 
 
 def _suite_connection(args) -> VerificationReport:
@@ -180,16 +175,18 @@ def _suite_orthogonality(args) -> VerificationReport:
                 return f"gram-dim{dim} at {tuple(comps[row].tolist())} x {tuple(comps[col].tolist())}"
 
             yield f"gram-dim{dim}", dev, case
-        # doubling exactness, relative to the largest entry of each form
-        for label, build, m in (
-            ("mass-3d", lambda nodes: mass_form(5, 3, nodes=nodes), _rule_size(5)),
-            ("h1-2d", lambda nodes: h1_form(7, 2, nodes=nodes), _rule_size(7)),
-            ("trace-2d", lambda nodes: trace_form(6, 2, nodes=nodes), _rule_size(6)),
+        # nesting: the basis is hierarchical, so the degree-M form is the
+        # leading block of the degree-2M form, which a larger rule assembles;
+        # relative to the largest entry of each form
+        for label, base, big in (
+            ("mass-3d", mass_form(5, 3), mass_form(10, 3)),
+            ("h1-2d", h1_form(7, 2), h1_form(14, 2)),
+            ("trace-2d", trace_form(6, 2), trace_form(12, 2)),
         ):
-            base, dbl = build(m), build(2 * m)
+            n = base.basis.cardinality
             scale = max(float(np.max(np.abs(base.entries))), 1.0)
-            key = f"doubling-{label}"
-            yield key, float(np.max(np.abs(base.entries - dbl.entries))) / scale, lambda _: key
+            key = f"nesting-{label}"
+            yield key, float(np.max(np.abs(base.entries - big.entries[:n, :n]))) / scale, lambda _: key
 
     return _report("orthogonality", 1e-11, checks())
 
@@ -205,7 +202,7 @@ def _suite_finite_sum(args) -> VerificationReport:
         for label, fn in fns:
             for p, q in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
                 # one line function serves every N
-                sums = _trace_coefficient_sums(fn, p, q, (1, 2, 3), nodes=40)
+                sums = _trace_coefficient_sums(fn, p, q, (1, 2, 3))
                 for N, (tail, short) in zip((1, 2, 3), sums):
                     key = f"{label}-p{p}q{q}N{N}"
                     yield key, abs(tail - short) / max(1.0, abs(tail)), lambda _: key
@@ -224,7 +221,7 @@ def _suite_trace_parseval(args) -> VerificationReport:
     def checks():
         for dim, label, fn in corpus:
             via_sum = boundary_trace_parseval(fn, dim, N=12)
-            direct = _boundary_norm_direct(fn, dim, nodes=40)
+            direct = _boundary_norm_direct(fn, dim)
             key = f"dim{dim}-{label}"
             yield key, abs(via_sum - direct) / max(1.0, abs(direct)), lambda _: key
 
@@ -295,7 +292,7 @@ def _run_rates(args, parser) -> int:
         parser.error(f"rates needs at least two degrees to fit a rate, got {args.n!r}")
     fn = _rate_function(args.family, a, parser)
     with _output(args.out, parser) as stream:
-        rows, slope, _ = trace_error_rate(fn, list(range(a, b + 1)), quad_safety=args.quad_safety)
+        rows, slope, _ = trace_error_rate(fn, list(range(a, b + 1)))
         print("family,N,error", file=stream)
         for N, err in rows:
             print(f"{args.family},{N},{_fmt(err)}", file=stream)
@@ -320,13 +317,11 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run the identity verification suites")
     p_verify.add_argument("--suite", help="run one suite by name")
     p_verify.add_argument("--tol", type=float, help="override residual threshold, in (0, 1e-6]")
-    p_verify.add_argument("--perturb-h2", type=float, default=0.0, help=argparse.SUPPRESS)
 
     p_rates = sub.add_parser("rates", help="boundary projection error rates")
     p_rates.add_argument("--family", required=True, help="poly | analytic | hs:S")
     p_rates.add_argument("--n", required=True, help="degree range A..B")
     p_rates.add_argument("--out", help="write CSV here instead of stdout")
-    p_rates.add_argument("--quad-safety", type=int, default=0, help="extra quadrature points")
 
     p_table = sub.add_parser("table", help="reproduce a published table's row set")
     p_table.add_argument("which", type=int, choices=(1, 2))
@@ -338,8 +333,6 @@ def main(argv=None) -> int:
             parser.error(f"tol must lie in (0, 1e-6], got {args.tol}")
         return _run_verify(args, parser)
     if args.command == "rates":
-        if args.quad_safety < 0:
-            parser.error(f"--quad-safety must be >= 0, got {args.quad_safety}")
         return _run_rates(args, parser)
 
     if args.command == "constants":

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,11 +100,11 @@ class ConstantRecord:
         _check_int("N", self.N, least=1)
         if self.kind not in _KINDS:
             raise ParameterError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.value) and self.value > 0):
-            raise ParameterError(f"value must be finite and positive, got {self.value}")
+        if not (isinstance(self.value, numbers.Real) and math.isfinite(self.value) and self.value > 0):
+            raise ParameterError(f"value must be finite and positive, got {self.value!r}")
         _check_int("iterations", self.iterations, least=1)
-        if not (math.isfinite(self.residual) and self.residual >= 0):
-            raise ParameterError(f"residual must be finite and nonnegative, got {self.residual}")
+        if not (isinstance(self.residual, numbers.Real) and math.isfinite(self.residual) and self.residual >= 0):
+            raise ParameterError(f"residual must be finite and nonnegative, got {self.residual!r}")
 
 
 def _congruent_top(Bm: np.ndarray, R: np.ndarray):
@@ -505,11 +506,11 @@ def _interpolate(
     return a + min(max(t, t_min), 1.0 - t_min) * (b - a)
 
 
-def trace_error_rate(u, N_list, quad_safety: int = 0):
+def trace_error_rate(u, N_list):
     """Boundary L2 errors of the volume projections of u on the triangle,
     with the log-log slope of error against N+1 fitted above a roundoff floor.
 
-    Degree N analyzes u on 2N + 40 + quad_safety points per direction. The
+    Degree N analyzes u on 2N + 40 points per direction, a fixed rule. The
     error is measured on the edge y = -1. The analysis of u in floating
     point leaves an error plateau that grows like (N+1)^2 and scales with
     the size of u on that edge, so each degree gets the floor
@@ -526,7 +527,6 @@ def trace_error_rate(u, N_list, quad_safety: int = 0):
     with the rows.
     """
     Ns = [_check_int("each degree", n, least=1) for n in N_list]
-    quad_safety = _check_int("quad_safety", quad_safety)
     if len(Ns) < 2:
         raise ParameterError("need at least two degrees to fit a rate")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
@@ -541,7 +541,7 @@ def trace_error_rate(u, N_list, quad_safety: int = 0):
 
     rows = []
     for N in Ns:
-        raw = analyze(u, N, 2, nodes=2 * N + 40 + quad_safety)
+        raw = analyze(u, N, 2, nodes=2 * N + 40)
         _, b = _bottom_coefficients(raw, N, 2)
         vals = b @ table[: N + 1]
         err = float(np.sqrt(np.sum(w_edge * (target - vals) ** 2)))

@@ -37,7 +37,6 @@ from .simplex import (
     _boundary_rule,
     _dubiner_matrix,
     _gl_nodes,
-    _node_count,
     _norm_sq,
     _rule_size,
     enumerate_basis,
@@ -199,14 +198,14 @@ def _gram(basis: BasisSet, m: int, s: np.ndarray, integrands) -> np.ndarray:
     return out
 
 
-def mass_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
+def mass_form(M: int, dim: int) -> SymmetricForm:
     """Quadrature-assembled L2 Gram of the scaled basis: the identity up to
     quadrature roundoff, assembled as the oracle of orthogonality and never
     on the way to a constant."""
     M = _check_int("degree", M)
     basis = enumerate_basis(M, dim)
     s = _scaling_vector(basis)
-    entries = _gram(basis, _node_count(M, nodes), s, [[(1.0, "V" * dim)]])
+    entries = _gram(basis, _rule_size(M), s, [[(1.0, "V" * dim)]])
     return SymmetricForm(basis=basis, entries=entries)
 
 
@@ -224,25 +223,23 @@ def _interval_stiffness(s: np.ndarray, k: np.ndarray) -> np.ndarray:
     return stiff
 
 
-def h1_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
+def h1_form(M: int, dim: int) -> SymmetricForm:
     """L2 + gradient Gram of the scaled basis: the identity, as the basis is
     orthonormal, plus the stiffness Gram. Only the stiffness is assembled;
     gradients are pulled back from cube coordinates with the collapsed
     powers cancelled exactly.
 
-    In 1-D the stiffness is exact, in closed form, and ``nodes`` is only
-    checked.
+    In 1-D the stiffness is exact, in closed form.
     """
     M = _check_int("degree", M)
     basis = enumerate_basis(M, dim)
-    m = _node_count(M, nodes)
     s = _scaling_vector(basis)
     if dim == 1:
         entries = _interval_stiffness(s, np.arange(M + 1.0))
         entries[::2, 1::2] = 0.0
         entries[1::2, ::2] = 0.0
     else:
-        entries = _gram(basis, m, s, _GRADIENT[dim])
+        entries = _gram(basis, _rule_size(M), s, _GRADIENT[dim])
     entries.flat[:: basis.cardinality + 1] += 1.0
     return SymmetricForm(basis=basis, entries=entries)
 
@@ -311,7 +308,7 @@ def _h1_blocks(M: int, dim: int, slabs: list, even: np.ndarray):
     return orders, blocks, float(coupling) / scale
 
 
-def trace_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
+def trace_form(M: int, dim: int) -> SymmetricForm:
     """Boundary Gram over the bottom piece x_{dim-1} = -1: the bottom edge
     (2D) or the bottom face (3D)."""
     M = _check_int("degree", M)
@@ -319,7 +316,7 @@ def trace_form(M: int, dim: int, nodes: int | None = None) -> SymmetricForm:
         raise ParameterError(f"trace forms need dim 2 or 3, got {dim}")
     basis = enumerate_basis(M, dim)
     s = _scaling_vector(basis)
-    bottom, w = _boundary_rule(dim, _node_count(M, nodes))
+    bottom, w = _boundary_rule(dim, _rule_size(M))
     factor = s[:, None] * _dubiner_matrix(basis, bottom) * np.sqrt(w)
     # numpy takes the product of an array with its transpose through BLAS
     # syrk, whose one triangle it mirrors: the Gram is exactly symmetric

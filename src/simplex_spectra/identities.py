@@ -158,13 +158,10 @@ def expand_pair(fn, dfn, alpha: int, n_terms: int, degree: int = 30) -> Coeffici
     return CoefficientPair(u=u, b=b, alpha=alpha)
 
 
-def verify_factor_identities(q_max: int, alpha_max: int, _h2_offset: float = 0.0) -> VerificationReport:
+def verify_factor_identities(q_max: int, alpha_max: int) -> VerificationReport:
     """Sweep 1 <= q <= q_max, 0 <= alpha <= alpha_max over the exact factor
     relations: the three norm-ratio identities, the difference identity
     h2 - h1 = h3, and the alternating three-term cancellation.
-
-    ``_h2_offset`` is a fault-injection hook for the verification harness:
-    it shifts the h2 value used in the cancellation sum only.
     """
     q_max = _check_int("q_max", q_max, least=2)
     alpha_max = _check_int("alpha_max", alpha_max)
@@ -185,7 +182,7 @@ def verify_factor_identities(q_max: int, alpha_max: int, _h2_offset: float = 0.0
     # drops out of the absolute residual
     res["cancellation"] = np.abs(
         _h1(q, a) / _one_sided_norm_sq(q, a)
-        - (_h2(q + 1, a) + _h2_offset) / _one_sided_norm_sq(q + 1, a)
+        - _h2(q + 1, a) / _one_sided_norm_sq(q + 1, a)
         + _h3(q + 2, a) / _one_sided_norm_sq(q + 2, a)
     )
 

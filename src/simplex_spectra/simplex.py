@@ -186,16 +186,14 @@ def _mirror_basis(M: int, dim: int):
 def _rule_size(N: int) -> int:
     # per-direction node count for degree-N bases, the one rule behind every
     # default rule in analysis, form assembly and the CLI; ample for every
-    # assembled integrand and re-validated by the doubling tests
+    # assembled integrand and re-validated by the nesting checks
     return 2 * N + 6
 
 
-def _node_count(N: int, nodes) -> int:
-    """Per-direction node count for a degree-N basis: the default rule, or
-    ``nodes`` when it is an integer of at least N + 2."""
-    if nodes is None:
-        return _rule_size(N)
-    return _check_int(f"nodes for a degree-{N} basis", nodes, least=N + 2)
+# per-direction node count of the line and boundary functions: it integrates
+# the finite-sum and trace-parseval polynomials exactly, and serves line
+# degrees p + q, and tail degrees N, up to _LINE_RULE - 2
+_LINE_RULE = 40
 
 
 def _lift(y: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -279,10 +277,11 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     """Raw inner products of f against every basis function of degree <= N.
 
     Integration runs on the cube with the map's volume factor explicit;
-    per-direction node count follows the degree (override with ``nodes``).
+    per-direction node count follows the degree (override with ``nodes``, an
+    integer of at least N + 2).
     """
     comps = _graded_components(N, dim)
-    m = _node_count(N, nodes)
+    m = _rule_size(N) if nodes is None else _check_int(f"nodes for a degree-{N} basis", nodes, least=N + 2)
     t, w = _gl_nodes(m)
     pts = _collapsed_grid(dim, m)
     half = (1.0 - t) / 2.0
@@ -304,11 +303,13 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     return parts[tuple(comps.T)]
 
 
-def line_functions(f, p: int, q: int, nodes: int):
+def line_functions(f, p: int, q: int):
     """The eta3 line reduction of f at fixed (p, q): a callable that
     integrates f over cube cross-sections against the (p, q) factor pair."""
     p, q = _check_int("p", p), _check_int("q", q)
-    m = _node_count(p + q, nodes)
+    if p + q > _LINE_RULE - 2:
+        raise ParameterError(f"p + q must be <= {_LINE_RULE - 2} on the {_LINE_RULE}-point rule, got {p + q}")
+    m = _LINE_RULE
     t, _ = _gl_nodes(m)
     section = _collapsed_grid(2, m)
     w1, w2 = _axis_weights(2, m)
@@ -335,7 +336,7 @@ def _legendre_derivative_values(values: np.ndarray, t: np.ndarray, w: np.ndarray
     return coeff @ _deriv_table(k_max, _LEG, t)
 
 
-def _trace_coefficient_sums(f, p: int, q: int, Ns, nodes: int) -> list:
+def _trace_coefficient_sums(f, p: int, q: int, Ns) -> list:
     """Both sides of the alternating tail identity at fixed (p, q), one
     (tail_sum, short_form) pair for each degree N in Ns: the alternating
     series of scaled line coefficients from degree N up, truncated once
@@ -345,13 +346,14 @@ def _trace_coefficient_sums(f, p: int, q: int, Ns, nodes: int) -> list:
     every degree."""
     Ns = [_check_int("N", N, least=1) for N in Ns]
     p, q = _check_int("p", p), _check_int("q", q)
+    if max(Ns) > _LINE_RULE - 2:
+        raise ParameterError(f"N must be <= {_LINE_RULE - 2} on the {_LINE_RULE}-point rule, got {max(Ns)}")
     n = 2.0 * p + 2.0 * q + 2.0
-    m = _node_count(max(p + q, *Ns), nodes)
-    t, w = _gl_nodes(m)
-    u_vals = line_functions(f, p, q, nodes=m)(t)
+    t, w = _gl_nodes(_LINE_RULE)
+    u_vals = line_functions(f, p, q)(t)
     du_vals = _legendre_derivative_values(u_vals, t, w)
 
-    r_cap = m - 1
+    r_cap = _LINE_RULE - 1
     rtab = _jacobi_table(r_cap, JacobiWeight(n, 0.0), t)
     w_u = w * (1.0 - t) ** (p + q + 2)
     w_u_extra = w * (p + q) * (1.0 - t) ** (p + q + 1)
@@ -418,11 +420,11 @@ def _boundary_rule(dim: int, m: int):
     return np.column_stack([pts, np.full(len(pts), -1.0)]), wts
 
 
-def _boundary_norm_direct(f, dim: int, nodes: int) -> float:
+def _boundary_norm_direct(f, dim: int) -> float:
     """Squared boundary norm by direct quadrature on the boundary piece."""
     if _check_int("dim", dim) not in _BOTTOM:
         raise ParameterError(f"dim must be 2 or 3, got {dim}")
-    pts, wts = _boundary_rule(dim, _node_count(0, nodes))
+    pts, wts = _boundary_rule(dim, _LINE_RULE)
     return float(wts @ _sample(f, pts) ** 2)
 
 

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import simplex_spectra
-from simplex_spectra import cli, extremal, forms
+from simplex_spectra import cli, extremal, forms, identities
 from simplex_spectra.cli import _TABLE_ROWS, _fmt, main
-from simplex_spectra.simplex import _rule_size
 
 
 def run(capsys, *argv):
@@ -170,24 +169,28 @@ def test_verify_single_suite(capsys):
     assert len(lines) == 1 and lines[0].startswith("hardy:")
 
 
-def test_verify_detects_seeded_defect(capsys):
-    code, out, err = run(
-        capsys, "verify", "--suite", "factor-identities", "--perturb-h2", "1e-6"
-    )
+def test_verify_detects_seeded_defect(capsys, monkeypatch):
+    # g2 off by 1e-6 breaks the g2-h2 ratio identity, which only that check
+    # of the suite reads
+    real = identities._g2
+    monkeypatch.setattr(identities, "_g2", lambda q, a: real(q, a) + 1e-6)
+    code, out, err = run(capsys, "verify", "--suite", "factor-identities")
     assert code == 1
     assert "FAIL" in out
-    assert "cancellation" in out
+    assert "  worst: ratio-g2-h2 at q=1, alpha=1" in out.splitlines()
     assert "failed suites: factor-identities" in err
 
 
-def test_verify_fails_on_a_nan_residual(capsys):
-    # every cancellation residual is NaN: the suite fails and names the
+def test_verify_fails_on_a_nan_residual(capsys, monkeypatch):
+    # every g2-h2 ratio residual is NaN: the suite fails and names the
     # first of them, though the other checks of the sweep are finite
-    code, out, err = run(capsys, "verify", "--suite", "factor-identities", "--perturb-h2", "nan")
+    real = identities._g2
+    monkeypatch.setattr(identities, "_g2", lambda q, a: real(q, a) + math.nan)
+    code, out, err = run(capsys, "verify", "--suite", "factor-identities")
     assert code == 1
     assert out.splitlines() == [
         "factor-identities: max residual nan (tol 1.0e-12) FAIL",
-        "  worst: cancellation at q=1, alpha=0",
+        "  worst: ratio-g2-h2 at q=1, alpha=0",
     ]
     assert "failed suites: factor-identities" in err
 
@@ -201,23 +204,23 @@ def test_verify_failure_names_worst_components(capsys):
 
 
 def test_orthogonality_worst_case_is_its_largest_residual(monkeypatch):
-    # a Gram entry is the worst at the suite's rules; an H1 form on the
-    # doubled rule moved by 1e-13 of itself makes a doubling check the worst
+    # a Gram entry is the worst at the suite's rules; the degree-14 H1 form
+    # moved by 1e-13 of itself makes a nesting check the worst
     report = cli._suite_orthogonality(argparse.Namespace())
     key = max(report.details, key=report.details.get)
     assert key.startswith("gram-") and report.worst_case.startswith(key)
     real = cli.h1_form
 
-    def moved(M, dim, nodes=None):
-        form = real(M, dim, nodes=nodes)
-        if nodes == 2 * _rule_size(M):
+    def moved(M, dim):
+        form = real(M, dim)
+        if M == 14:
             form = forms.SymmetricForm(basis=form.basis, entries=form.entries * (1.0 + 1e-13))
         return form
 
     monkeypatch.setattr(cli, "h1_form", moved)
     report = cli._suite_orthogonality(argparse.Namespace())
-    assert max(report.details, key=report.details.get) == "doubling-h1-2d"
-    assert report.worst_case == "doubling-h1-2d"
+    assert max(report.details, key=report.details.get) == "nesting-h1-2d"
+    assert report.worst_case == "nesting-h1-2d"
 
 
 def test_constants_are_independent_of_the_h1_rule(capsys, monkeypatch):
@@ -283,9 +286,9 @@ def test_rates_independent_of_blas_threads():
     assert outs[0] == outs[1]
 
 
-def test_rates_quad_safety_adds_to_each_degree(capsys, monkeypatch):
-    # --quad-safety K analyzes degree N on 2N + 40 + K points, not on one
-    # rule sized for the largest degree
+def test_rates_analyze_each_degree_on_its_own_rule(capsys, monkeypatch):
+    # degree N is analyzed on 2N + 40 points, not on one rule sized for the
+    # largest degree
     seen = []
     real = extremal.analyze
 
@@ -294,9 +297,9 @@ def test_rates_quad_safety_adds_to_each_degree(capsys, monkeypatch):
         return real(u, N, dim, nodes=nodes)
 
     monkeypatch.setattr(extremal, "analyze", recorded)
-    code, _, _ = run(capsys, "rates", "--family", "analytic", "--n", "4..6", "--quad-safety", "1")
+    code, _, _ = run(capsys, "rates", "--family", "analytic", "--n", "4..6")
     assert code == 0
-    assert seen == [(4, 49), (5, 51), (6, 53)]
+    assert seen == [(4, 48), (5, 50), (6, 52)]
 
 
 def test_largest_accepted_smoothness_runs_clean(capsys):
@@ -331,18 +334,19 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ["rates", "--family", "poly", "--n", "4..4"],
         ["rates", "--family", "poly", "--n", "7"],
         ["table", "3"],
-        ["rates", "--family", "poly", "--n", "4..8", "--quad-safety", "-60"],
         ["constants", "--dim", "1", "--n", "1..2", "--out", missing],
         ["table", "1", "--out", missing],
         ["rates", "--family", "poly", "--n", "4..8", "--out", missing],
         [],
     ]
-    # the rules of constants, table and verify are exact, and take no
-    # extra quadrature points
+    # every rule follows from its degree and takes no extra quadrature
+    # points, and verify injects no defect
     unknown_argvs = [
         ["constants", "--dim", "1", "--n", "1", "--quad-safety", "1"],
         ["verify", "--quad-safety", "1"],
         ["table", "1", "--quad-safety", "1"],
+        ["rates", "--family", "poly", "--n", "4..8", "--quad-safety", "1"],
+        ["verify", "--perturb-h2", "nan"],
     ]
     for argv in bad_argvs + unknown_argvs:
         with pytest.raises(SystemExit) as info:
@@ -351,4 +355,4 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         if argv in unknown_argvs:
-            assert "unrecognized arguments: --quad-safety 1" in captured.err, argv
+            assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err, argv

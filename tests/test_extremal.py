@@ -105,9 +105,11 @@ def test_constant_record_validation():
         ("kind", "product"),
         ("value", -1.0),
         ("value", np.nan),
+        ("value", "1.5"),
         ("iterations", 0),
         ("iterations", 1.5),
         ("residual", -1e-3),
+        ("residual", None),
     ]:
         args = dict(good)
         args[field] = bad
@@ -123,11 +125,11 @@ def test_multiplicative_interval_closed_form():
     assert rec.residual <= 1e-12
 
 
-def _numerator_form(N, dim, nodes=None):
+def _numerator_form(N, dim):
     """The truncated numerator form of an (N, dim) row, assembled: endpoint
     evaluation in 1-D, the bottom piece's trace form by quadrature above."""
     basis = enumerate_basis(2 * N, dim)
-    raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim, nodes=nodes).entries
+    raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim).entries
     return projection_form(raw, basis, N)
 
 
@@ -453,10 +455,9 @@ def test_numerator_factor_and_scaling_match_per_index_loops():
 
 def test_numerator_factor_matches_quadrature_forms():
     # the closed-form factor against the quadrature-assembled truncated forms
-    cases = [(N, 1, None) for N in (1, 5, 40)] + [(N, 2, None) for N in (1, 3, 8, 12)]
-    cases += [(8, 2, 18)] + [(N, 3, None) for N in (1, 2, 3, 4)]
-    for N, dim, nodes in cases:
-        want = _numerator_form(N, dim, nodes)
+    cases = [(N, 1) for N in (1, 5, 40)] + [(N, 2) for N in (1, 3, 8, 12)] + [(N, 3) for N in (1, 2, 3, 4)]
+    for N, dim in cases:
+        want = _numerator_form(N, dim)
         C = extremal._numerator_factor(N, dim)
         # one column per function of the bottom piece's degree-N basis
         assert C.shape == (len(want), math.comb(N + dim - 1, dim - 1))
@@ -870,9 +871,6 @@ def test_trace_rate_validation():
         trace_error_rate(f, [4, 2])
     with pytest.raises(ParameterError):
         trace_error_rate(f, [0, 2])
-    for bad in (-1, 1.5, True):
-        with pytest.raises(ParameterError, match="quad_safety"):
-            trace_error_rate(f, [4, 6], quad_safety=bad)
     for bad in (lambda x: 1.0, lambda x: np.ones(3), lambda x: x):
         with pytest.raises(ParameterError, match="shape"):
             trace_error_rate(bad, [4, 6])

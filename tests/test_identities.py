@@ -67,11 +67,13 @@ def test_factor_identity_sweep():
     }
 
 
-def test_factor_identity_sweep_detects_sabotage():
-    report = verify_factor_identities(50, 20, _h2_offset=1e-6)
+def test_factor_identity_sweep_detects_sabotage(monkeypatch):
+    # g2 off by 1e-6 fails the g2-h2 ratio check, the only one that reads it
+    monkeypatch.setattr(identities, "_g2", lambda q, a: _g2(q, a) + 1e-6)
+    report = verify_factor_identities(50, 20)
     assert not report.passed
-    assert report.details["cancellation"] > 1e-8
-    assert report.worst_case.startswith("cancellation")
+    assert report.details["ratio-g2-h2"] > 1e-8
+    assert report.worst_case.startswith("ratio-g2-h2")
 
 
 def test_connect_matches_quadrature_coefficients():

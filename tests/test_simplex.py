@@ -203,9 +203,9 @@ def test_analyze_argument_checks():
         with pytest.raises(ParameterError, match="shape"):
             boundary_trace_parseval(bad, 2, N=12)
         with pytest.raises(ParameterError, match="shape"):
-            _boundary_norm_direct(bad, 3, nodes=40)
+            _boundary_norm_direct(bad, 3)
         with pytest.raises(ParameterError, match="shape"):
-            line_functions(bad, 1, 0, nodes=40)(0.3)
+            line_functions(bad, 1, 0)(0.3)
     # nor one that returns a value that is not finite, at every point or one
     for bad in (
         lambda x: np.full(len(x), np.nan),
@@ -216,23 +216,11 @@ def test_analyze_argument_checks():
             lambda: analyze(bad, 4, 2),
             lambda: analyze(bad, 3, 3),
             lambda: boundary_trace_parseval(bad, 2, N=12),
-            lambda: _boundary_norm_direct(bad, 3, nodes=40),
-            lambda: line_functions(bad, 1, 0, nodes=40)(-0.3),
+            lambda: _boundary_norm_direct(bad, 3),
+            lambda: line_functions(bad, 1, 0)(-0.3),
         ):
             with pytest.raises(ParameterError, match="finite"):
                 call()
-
-
-def test_node_overrides_are_checked():
-    # a bool, a fraction and an empty rule are refused before any sampling
-    f = lambda x: np.exp(x.sum(axis=1))
-    for nodes in (True, 2.7, 0):
-        with pytest.raises(ParameterError, match="nodes"):
-            line_functions(f, 1, 0, nodes=nodes)
-        with pytest.raises(ParameterError, match="nodes"):
-            _trace_coefficient_sums(f, 0, 0, [1], nodes=nodes)
-        with pytest.raises(ParameterError, match="nodes"):
-            _boundary_norm_direct(f, 2, nodes=nodes)
 
 
 def test_degree_arguments_must_be_integers():
@@ -240,23 +228,29 @@ def test_degree_arguments_must_be_integers():
     f = lambda x: np.exp(x.sum(axis=1))
     for bad in (1.5, True, -1):
         with pytest.raises(ParameterError, match="p must"):
-            line_functions(f, bad, 0, nodes=40)
+            line_functions(f, bad, 0)
         with pytest.raises(ParameterError, match="q must"):
-            line_functions(f, 0, bad, nodes=40)
+            line_functions(f, 0, bad)
         with pytest.raises(ParameterError, match="p must"):
-            _trace_coefficient_sums(f, bad, 0, [1], nodes=40)
+            _trace_coefficient_sums(f, bad, 0, [1])
         with pytest.raises(ParameterError, match="q must"):
-            _trace_coefficient_sums(f, 0, bad, [1], nodes=40)
+            _trace_coefficient_sums(f, 0, bad, [1])
     for bad in (1.5, True, 0):
         with pytest.raises(ParameterError, match="N must"):
-            _trace_coefficient_sums(f, 0, 0, [bad], nodes=40)
+            _trace_coefficient_sums(f, 0, 0, [bad])
+    # the 40-point line rule serves degrees up to 38, in p + q and in N
+    line_functions(f, 38, 0)
+    with pytest.raises(ParameterError, match=r"p \+ q must be <= 38"):
+        line_functions(f, 20, 19)
+    with pytest.raises(ParameterError, match="N must be <= 38"):
+        _trace_coefficient_sums(f, 0, 0, [39])
 
 
 def test_boundary_norm_direct_checks_dim():
     f = lambda x: np.exp(x.sum(axis=1))
     for dim in (1, 4):
         with pytest.raises(ParameterError, match="dim must"):
-            _boundary_norm_direct(f, dim, nodes=40)
+            _boundary_norm_direct(f, dim)
 
 
 def test_synthesize_checks_its_point():
@@ -271,14 +265,14 @@ def test_synthesize_checks_its_point():
 
 
 def test_line_functions_constant():
-    u_line = line_functions(lambda x: np.ones(len(x)), 0, 0, nodes=40)
+    u_line = line_functions(lambda x: np.ones(len(x)), 0, 0)
     for e3 in (-0.9, 0.0, 0.7):
         assert_allclose(u_line(e3), 2.0, rtol=1e-12)
 
 
 def test_line_functions_endpoint_decay():
     # for (p,q) != (0,0) the line function vanishes at eta3 = 1
-    u_line = line_functions(lambda x: x[:, 0] + x[:, 1] ** 2, 1, 0, nodes=40)
+    u_line = line_functions(lambda x: x[:, 0] + x[:, 1] ** 2, 1, 0)
     assert abs(u_line(1.0)) < 1e-12
 
 
@@ -290,7 +284,7 @@ def test_trace_coefficient_sum_identity():
     for fn in fns:
         for p, q in ((0, 0), (1, 0), (1, 1)):
             for N in (1, 2, 3):
-                ((tail, short),) = _trace_coefficient_sums(fn, p, q, [N], nodes=40)
+                ((tail, short),) = _trace_coefficient_sums(fn, p, q, [N])
                 assert_allclose(tail, short, rtol=0, atol=1e-10 * max(1.0, abs(tail)))
 
 
@@ -298,8 +292,8 @@ def test_trace_coefficient_sums_match_single_degree():
     # one line function for several N gives the bits of one call per N
     f = lambda x: (0.3 + x[:, 0] + 0.7 * x[:, 1] - 0.4 * x[:, 2]) ** 5
     for p, q in ((0, 0), (2, 1)):
-        want = [_trace_coefficient_sums(f, p, q, [N], nodes=40)[0] for N in (1, 2, 3)]
-        assert _trace_coefficient_sums(f, p, q, (1, 2, 3), nodes=40) == want
+        want = [_trace_coefficient_sums(f, p, q, [N])[0] for N in (1, 2, 3)]
+        assert _trace_coefficient_sums(f, p, q, (1, 2, 3)) == want
 
 
 def test_axis_factors_match_per_weight_tables():
@@ -380,7 +374,7 @@ def test_boundary_parseval_vs_direct():
     ]
     for dim, fn in cases:
         via_sum = boundary_trace_parseval(fn, dim, N=12)
-        assert_allclose(via_sum, _boundary_norm_direct(fn, dim, nodes=40), rtol=1e-11)
+        assert_allclose(via_sum, _boundary_norm_direct(fn, dim), rtol=1e-11)
 
 
 def test_boundary_parseval_validation():
