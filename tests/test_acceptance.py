@@ -17,6 +17,7 @@ from simplex_spectra import (
     trace_error_rate,
     trace_form,
 )
+from simplex_spectra import forms
 from simplex_spectra.cli import _SUITES, _TABLE_ROWS
 from simplex_spectra.identities import verify_deriv_norm_bound
 from simplex_spectra.simplex import _dubiner_matrix, _gl_nodes, _norm_sq
@@ -235,6 +236,29 @@ def test_tetrahedron_gram_is_diagonal():
     assert np.max(np.abs(np.diag(gram) - expect)) <= 1e-11
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) <= 1e-11
+
+
+def test_quadrature_doubling_is_inert(monkeypatch):
+    # the default rule already integrates every assembled entry exactly:
+    # doubling its node count must not move any entry beyond roundoff
+    defaults = {}
+    for dim, M in ((2, 8), (3, 6)):
+        defaults["mass", dim, M] = mass_form(M, dim).entries
+    for dim, M in ((2, 7), (3, 5)):
+        defaults["h1", dim, M] = h1_form(M, dim).entries
+    defaults["trace", 2, 6] = trace_form(6, 2).entries
+    monkeypatch.setattr(forms, "_rule_size", lambda M: 2 * (2 * M + 6))
+    for dim, M in ((2, 8), (3, 6)):
+        a = defaults["mass", dim, M]
+        b = mass_form(M, dim).entries
+        assert np.max(np.abs(a - b)) <= 1e-12
+    for dim, M in ((2, 7), (3, 5)):
+        a = defaults["h1", dim, M]
+        b = h1_form(M, dim).entries
+        assert np.max(np.abs(a - b)) / np.max(np.abs(a)) <= 1e-12
+    a = defaults["trace", 2, 6]
+    b = trace_form(6, 2).entries
+    assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_forms_nest_in_their_degree():

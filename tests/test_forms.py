@@ -12,6 +12,7 @@ from simplex_spectra import (
     mass_form,
     trace_form,
 )
+from simplex_spectra import forms
 from simplex_spectra.forms import _ROW_BLOCK, _scaling_vector
 from simplex_spectra.simplex import _axis_factors, _boundary_rule, _dubiner_matrix, _gl_nodes, _norm_sq, _rule_size
 
@@ -207,6 +208,18 @@ def test_projection_form_blocks():
     assert np.max(np.abs(PB[dead])) == 0.0
     assert np.max(np.abs(PB[:, dead])) == 0.0
     assert np.array_equal(PB[np.ix_(live, live)], T.entries[np.ix_(live, live)])
+
+
+def test_quadrature_doubling_stability(monkeypatch):
+    # default rule already integrates every assembled entry: doubling the
+    # node count must not move any entry beyond roundoff
+    cases = [(mass_form, 2, 6), (mass_form, 3, 5), (h1_form, 2, 7), (h1_form, 3, 5), (trace_form, 2, 6)]
+    default = [build(M, dim).entries for build, dim, M in cases]
+    monkeypatch.setattr(forms, "_rule_size", lambda M: 2 * (2 * M + 6))
+    for (build, dim, M), A in zip(cases, default):
+        B = build(M, dim).entries
+        scale = np.max(np.abs(A)) if build is h1_form else 1.0
+        assert np.max(np.abs(A - B)) / scale < 1e-12, (build.__name__, dim, M)
 
 
 def test_form_validation():
