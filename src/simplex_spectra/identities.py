@@ -60,8 +60,7 @@ class CoefficientPair:
             raise ParameterError("coefficient sequences must be 1-d and share a truncation length")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(b))):
             raise ParameterError("coefficient sequences must be finite")
-        if self.alpha < 0:
-            raise ParameterError(f"alpha must be nonnegative, got {self.alpha}")
+        object.__setattr__(self, "alpha", _check_int("alpha", self.alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,17 +139,17 @@ def connect_coefficients(b, alpha: int) -> np.ndarray:
     return u
 
 
-def expand_pair(fn, dfn, alpha: int, n_terms: int, degree: int = 30) -> CoefficientPair:
+def expand_pair(fn, dfn, alpha: int, n_terms: int) -> CoefficientPair:
     """Quadrature coefficients of fn and dfn against weight (alpha, 0).
 
-    ``degree`` bounds the polynomial degree of fn so the rule can be chosen
-    degree-exact. Each callback takes the rule's nodes and must return one
-    value per node; any other shape is a ParameterError.
+    The rule is exact for fn and dfn of degree up to 30. Each callback
+    takes the rule's nodes and must return one value per node; any other
+    shape is a ParameterError.
     """
     alpha = _check_int("alpha", alpha)
     n_terms = _check_int("n_terms", n_terms, least=1)
     w = JacobiWeight(float(alpha), 0.0)
-    m = (degree + n_terms) // 2 + 4
+    m = (30 + n_terms) // 2 + 4
     rule = gauss_jacobi_rule(m, w)
     table = _jacobi_table(n_terms - 1, w, rule.nodes)
     u = table @ (rule.weights * _sample(fn, rule.nodes))
@@ -158,15 +157,13 @@ def expand_pair(fn, dfn, alpha: int, n_terms: int, degree: int = 30) -> Coeffici
     return CoefficientPair(u=u, b=b, alpha=alpha)
 
 
-def verify_factor_identities(q_max: int, alpha_max: int) -> VerificationReport:
-    """Sweep 1 <= q <= q_max, 0 <= alpha <= alpha_max over the exact factor
+def verify_factor_identities() -> VerificationReport:
+    """Sweep 1 <= q <= 50, 0 <= alpha <= 20 over the exact factor
     relations: the three norm-ratio identities, the difference identity
     h2 - h1 = h3, and the alternating three-term cancellation.
     """
-    q_max = _check_int("q_max", q_max, least=2)
-    alpha_max = _check_int("alpha_max", alpha_max)
-    q = np.arange(1.0, q_max + 1.0)[:, None]
-    a = np.arange(0.0, alpha_max + 1.0)[None, :]
+    q = np.arange(1.0, 51.0)[:, None]
+    a = np.arange(0.0, 21.0)[None, :]
 
     res = {
         "ratio-g1-h3": np.abs(
@@ -186,8 +183,7 @@ def verify_factor_identities(q_max: int, alpha_max: int) -> VerificationReport:
         + _h3(q + 2, a) / _one_sided_norm_sq(q + 2, a)
     )
 
-    cols = alpha_max + 1
-    checks = ((key, grid, lambda i: f"{key} at q={i // cols + 1}, alpha={i % cols}") for key, grid in res.items())
+    checks = ((key, grid, lambda i: f"{key} at q={i // a.size + 1}, alpha={i % a.size}") for key, grid in res.items())
     return _report("factor-identities", 1e-12, checks)
 
 
@@ -202,33 +198,25 @@ def verify_connection(pairs) -> VerificationReport:
     return _report("connection", 1e-12, checks())
 
 
-def _check_arguments(q_max, alpha_max, n_points):
-    """The sweep arguments of the point-wise identity checks as ints."""
-    return (
-        _check_int("q_max", q_max, least=1),
-        _check_int("alpha_max", alpha_max),
-        _check_int("n_points", n_points, least=1),
-    )
-
-
-def verify_weighted_antiderivative(q_max: int = 10, alpha_max: int = 6, n_points: int = 20) -> VerificationReport:
+def verify_weighted_antiderivative() -> VerificationReport:
     """Check the closed three-term forms of the weighted antiderivative.
 
-    Two checks per (q, alpha, x): the weighted integral of the degree-q
+    Two checks per (q, alpha, x) with 1 <= q <= 10, 0 <= alpha <= 6 and 20
+    points x from -0.96 to 0.98: the weighted integral of the degree-q
     polynomial from -1 to x against -(1-x)^alpha [h1 P_{q+1} + h2 P_q
     + h3 P_{q-1}](x), and the antiderivative's three-term form (g1, g2,
     g3 at q+1) against the plain integral. Per alpha, one table spans the rules on
     (-1, x) for every x, and one the points x.
     """
-    q_max, alpha_max, n_points = _check_arguments(q_max, alpha_max, n_points)
-    xs = np.linspace(-0.96, 0.98, n_points)
+    q_max = 10
+    xs = np.linspace(-0.96, 0.98, 20)
     base = gauss_jacobi_rule(48, JacobiWeight(0.0, 0.0))
     # row i is the rule transplanted to (-1, xs[i])
     half = 0.5 * (xs + 1.0)[:, None]
     nodes, wts = -1.0 + half * (base.nodes + 1.0), half * base.weights
 
     def checks():
-        for alpha in range(alpha_max + 1):
+        for alpha in range(7):
             fa = float(alpha)
             w = JacobiWeight(fa, 0.0)
             tab = _jacobi_table(q_max + 1, w, nodes)
@@ -247,13 +235,14 @@ def verify_weighted_antiderivative(q_max: int = 10, alpha_max: int = 6, n_points
     return _report("weighted-antiderivative", 1e-10, checks())
 
 
-def verify_deriv_representation(q_max: int = 10, alpha_max: int = 6, n_points: int = 20) -> VerificationReport:
-    """Check the three-term derivative representation of P_q/gamma_q."""
-    q_max, alpha_max, n_points = _check_arguments(q_max, alpha_max, n_points)
-    xs = np.linspace(-1.0, 1.0, n_points)
+def verify_deriv_representation() -> VerificationReport:
+    """Check the three-term derivative representation of P_q/gamma_q for
+    1 <= q <= 10 and 0 <= alpha <= 6 at 20 points from -1 to 1."""
+    q_max = 10
+    xs = np.linspace(-1.0, 1.0, 20)
 
     def checks():
-        for alpha in range(alpha_max + 1):
+        for alpha in range(7):
             fa = float(alpha)
             w = JacobiWeight(fa, 0.0)
             tab = _jacobi_table(q_max, w, xs)
@@ -270,15 +259,15 @@ def verify_deriv_representation(q_max: int = 10, alpha_max: int = 6, n_points: i
     return _report("deriv-representation", 1e-10, checks())
 
 
-def verify_deriv_norm_bound(q_max: int, alpha_max: int) -> VerificationReport:
+def verify_deriv_norm_bound() -> VerificationReport:
     """Weighted L2 norms of derivatives against the closed-form bound
-    4 q (q+1+alpha)^2 gamma_q; values are reported as normalized violations
-    (negative means the bound holds with margin)."""
-    q_max = _check_int("q_max", q_max, least=1)
-    alpha_max = _check_int("alpha_max", alpha_max)
+    4 q (q+1+alpha)^2 gamma_q for 1 <= q <= 60 and 0 <= alpha <= 30; values
+    are reported as normalized violations (negative means the bound holds
+    with margin)."""
+    q_max = 60
 
     def checks():
-        for alpha in range(alpha_max + 1):
+        for alpha in range(31):
             fa = float(alpha)
             w = JacobiWeight(fa, 0.0)
             rule = gauss_jacobi_rule(q_max + 1, w)
@@ -292,31 +281,29 @@ def verify_deriv_norm_bound(q_max: int, alpha_max: int) -> VerificationReport:
     return _report("deriv-norm-bound", 1e-10, checks())
 
 
-def _unit_interval_rule(beta: float, m: int = 48):
-    """Rule for integrals of x^beta * f(x) over (0, 1)."""
-    rule = gauss_jacobi_rule(m, JacobiWeight(0.0, beta))
+def _unit_interval_rule(beta: float):
+    """48-point rule for integrals of x^beta * f(x) over (0, 1)."""
+    rule = gauss_jacobi_rule(48, JacobiWeight(0.0, beta))
     x = 0.5 * (rule.nodes + 1.0)
     return x, rule.weights * 0.5 ** (beta + 1.0)
 
 
-def verify_hardy(beta_list, test_functions) -> VerificationReport:
-    """Weighted Hardy inequality on (0, 1) over a corpus of C^1 functions.
+def verify_hardy(test_functions) -> VerificationReport:
+    """Weighted Hardy inequality on (0, 1) for the weights x^beta, beta in
+    0, 1/2, 1, 2 and 3, over a corpus of C^1 functions.
 
-    ``test_functions`` holds (label, u, u_prime) triples or (u, u_prime)
-    pairs; violations are normalized by the right-hand side.
+    ``test_functions`` holds (label, u, u_prime) triples; each callback
+    must return one finite value per node, or it is a ParameterError.
+    Violations are normalized by the right-hand side.
     """
     def checks():
-        for beta in beta_list:
-            if beta <= -1.0:
-                raise ParameterError(f"beta must exceed -1, got {beta}")
-            fb = float(beta)
-            x_l, w_l = _unit_interval_rule(fb)
-            x_r, w_r = _unit_interval_rule(fb + 2.0)
-            for i, item in enumerate(test_functions):
-                label, u, du = item if len(item) == 3 else (f"fn{i}", item[0], item[1])
-                lhs = float(w_l @ u(x_l) ** 2)
-                rhs = (2.0 / (fb + 1.0)) ** 2 * float(w_r @ du(x_r) ** 2)
-                rhs += float(u(np.asarray(1.0))) ** 2 / (fb + 1.0)
+        for beta in (0.0, 0.5, 1.0, 2.0, 3.0):
+            x_l, w_l = _unit_interval_rule(beta)
+            x_r, w_r = _unit_interval_rule(beta + 2.0)
+            for label, u, du in test_functions:
+                lhs = float(w_l @ _sample(u, x_l) ** 2)
+                rhs = (2.0 / (beta + 1.0)) ** 2 * float(w_r @ _sample(du, x_r) ** 2)
+                rhs += float(_sample(u, np.ones(1))[0]) ** 2 / (beta + 1.0)
                 yield "hardy", (lhs - rhs) / rhs, lambda _: f"{label} at beta={beta}"
 
     return _report("hardy", 1e-10, checks())

@@ -32,8 +32,11 @@ class JacobiWeight:
     beta: float
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
-        if not (np.isfinite(a).all() and (a > -1.0).all() and -1.0 < self.beta < math.inf):
+        # numbers only: a string, a bool or an array beta is refused before
+        # any comparison could raise untyped
+        a, b = np.asarray(self.alpha), np.asarray(self.beta)
+        numeric = a.dtype.kind in "iuf" and b.dtype.kind in "iuf" and b.ndim == 0
+        if not (numeric and np.isfinite(a).all() and (a > -1.0).all() and -1.0 < b < math.inf):
             raise ParameterError(
                 "weight exponents must be finite and exceed -1, "
                 f"got alpha={self.alpha}, beta={self.beta}"
@@ -79,6 +82,8 @@ def _check_int(name: str, value, least: int = 0) -> int:
 
 def _one_weight(weight: JacobiWeight) -> JacobiWeight:
     """weight, checked to be one weight and not a column of them."""
+    if not isinstance(weight, JacobiWeight):
+        raise ParameterError(f"expected a JacobiWeight, got {weight!r}")
     if np.ndim(weight.alpha) != 0:
         raise ParameterError(f"expected one weight, got a column of {np.size(weight.alpha)}")
     return weight

@@ -1,7 +1,6 @@
 """End-to-end gate: published constants, identity residuals, orthogonality,
 projection correctness, and boundary convergence rates."""
 
-import argparse
 import time
 
 import numpy as np
@@ -203,9 +202,8 @@ def test_identity_suites_within_tolerance():
         "finite-sum",
         "trace-parseval",
     )
-    args = argparse.Namespace()
     t0 = time.perf_counter()
-    reports = {name: fn(args) for name, fn in _SUITES if name in wanted}
+    reports = {name: fn() for name, fn in _SUITES if name in wanted}
     elapsed = time.perf_counter() - t0
     assert set(reports) == set(wanted)
     for name, report in reports.items():
@@ -280,9 +278,9 @@ def test_forms_nest_in_their_degree():
 
 
 def test_inequality_suite(interval_rows, triangle_rows):
-    report = verify_deriv_norm_bound(60, 30)
+    report = verify_deriv_norm_bound()
     assert report.passed and report.max_residual < 0
-    hardy = dict(_SUITES)["hardy"](argparse.Namespace())
+    hardy = dict(_SUITES)["hardy"]()
     assert hardy.passed
     rows_2d, _ = triangle_rows
     assert all(v[0].value <= 4.0 for v in rows_2d.values())

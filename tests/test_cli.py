@@ -1,4 +1,3 @@
-import argparse
 import math
 import os
 import re
@@ -151,9 +150,32 @@ def test_constants_row_assembles_each_form_once(capsys, monkeypatch):
     assert calls == {"h1_form": 0, "_h1_blocks": 2, "_gram_chunks": 2, "trace_form": 0}
 
 
-def test_verify_all_suites(capsys):
+def test_verify_all_suites(capsys, monkeypatch):
+    # the suite table looks each verify_* function up on cli when it runs,
+    # so a name rebound there, as a counter or a tracer, sees its call
+    names = (
+        "verify_factor_identities",
+        "verify_connection",
+        "verify_weighted_antiderivative",
+        "verify_deriv_representation",
+        "verify_deriv_norm_bound",
+        "verify_hardy",
+        "verify_coefficient_bound",
+    )
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     code, out, err = run(capsys, "verify")
     assert code == 0
+    assert calls == dict.fromkeys(names, 1)
     assert err == ""
     lines = out.strip().splitlines()
     assert len(lines) == 10
@@ -203,10 +225,22 @@ def test_verify_failure_names_worst_components(capsys):
     assert re.search(r"worst: gram-dim[23] at \([0-9, ]+\) x \([0-9, ]+\)$", out, re.M)
 
 
+def test_every_failing_suite_names_its_worst_case(capsys):
+    # at a tolerance no residual meets, each FAIL line is followed by the
+    # worst: line of its suite
+    code, out, _ = run(capsys, "verify", "--tol", "1e-30")
+    assert code == 1
+    lines = out.splitlines()
+    fails = [i for i, ln in enumerate(lines) if ln.endswith(" FAIL")]
+    assert fails
+    for i in fails:
+        assert i + 1 < len(lines) and lines[i + 1].startswith("  worst: "), lines[i]
+
+
 def test_orthogonality_worst_case_is_its_largest_residual(monkeypatch):
     # a Gram entry is the worst at the suite's rules; the degree-14 H1 form
     # moved by 1e-13 of itself makes a nesting check the worst
-    report = cli._suite_orthogonality(argparse.Namespace())
+    report = cli._suite_orthogonality()
     key = max(report.details, key=report.details.get)
     assert key.startswith("gram-") and report.worst_case.startswith(key)
     real = cli.h1_form
@@ -218,7 +252,7 @@ def test_orthogonality_worst_case_is_its_largest_residual(monkeypatch):
         return form
 
     monkeypatch.setattr(cli, "h1_form", moved)
-    report = cli._suite_orthogonality(argparse.Namespace())
+    report = cli._suite_orthogonality()
     assert max(report.details, key=report.details.get) == "nesting-h1-2d"
     assert report.worst_case == "nesting-h1-2d"
 

@@ -55,7 +55,7 @@ def test_difference_identity(q, alpha):
 
 
 def test_factor_identity_sweep():
-    report = verify_factor_identities(50, 20)
+    report = verify_factor_identities()
     assert report.passed
     assert report.max_residual <= 1e-12
     assert set(report.details) == {
@@ -70,7 +70,7 @@ def test_factor_identity_sweep():
 def test_factor_identity_sweep_detects_sabotage(monkeypatch):
     # g2 off by 1e-6 fails the g2-h2 ratio check, the only one that reads it
     monkeypatch.setattr(identities, "_g2", lambda q, a: _g2(q, a) + 1e-6)
-    report = verify_factor_identities(50, 20)
+    report = verify_factor_identities()
     assert not report.passed
     assert report.details["ratio-g2-h2"] > 1e-8
     assert report.worst_case.startswith("ratio-g2-h2")
@@ -104,17 +104,23 @@ def test_connect_validation():
 
 
 def test_expand_pair_checks_callback_shapes():
-    # each callback must return one value per node of the rule; a wrong
-    # length, an extra axis or a scalar is named, not broadcast
-    for bad in (lambda x: np.ones(3), lambda x: x[:, None], lambda x: 1.0):
-        for fn, dfn in ((bad, np.cos), (np.sin, bad)):
-            with pytest.raises(ParameterError, match=r"must return shape \(\d+,\)"):
-                expand_pair(fn, dfn, 1, 5)
-    # and each value must be finite
-    for bad in (lambda x: np.full(len(x), np.nan), lambda x: np.where(x > 0.5, np.inf, x)):
-        for fn, dfn in ((bad, np.cos), (np.sin, bad)):
-            with pytest.raises(ParameterError, match="finite"):
-                expand_pair(fn, dfn, 1, 5)
+    # each callback, of expand_pair and of the Hardy sweep, must return one
+    # value per node of the rule; a wrong length, an extra axis or a scalar
+    # is named, not broadcast
+    callers = (
+        lambda fn, dfn: expand_pair(fn, dfn, 1, 5),
+        lambda fn, dfn: verify_hardy([("bad", fn, dfn)]),
+    )
+    for call in callers:
+        for bad in (lambda x: np.ones(3), lambda x: x[:, None], lambda x: 1.0):
+            for fn, dfn in ((bad, np.cos), (np.sin, bad)):
+                with pytest.raises(ParameterError, match=r"must return shape \(\d+,\)"):
+                    call(fn, dfn)
+        # and each value must be finite
+        for bad in (lambda x: np.full(len(x), np.nan), lambda x: np.where(x > 0.5, np.inf, x)):
+            for fn, dfn in ((bad, np.cos), (np.sin, bad)):
+                with pytest.raises(ParameterError, match="finite"):
+                    call(fn, dfn)
 
 
 def test_integer_arguments_validation():
@@ -123,21 +129,6 @@ def test_integer_arguments_validation():
         lambda: expand_pair(f, f, 0, 0),
         lambda: expand_pair(f, f, -1, 4),
         lambda: expand_pair(f, f, 0, 4.0),
-        lambda: verify_factor_identities(1, 3),
-        lambda: verify_factor_identities(5, -1),
-        lambda: verify_deriv_norm_bound(0, 2),
-        lambda: verify_deriv_norm_bound(4, -1),
-        lambda: verify_deriv_norm_bound(4, True),
-        # the point-wise sweeps reject what would give an empty or broken sweep
-        lambda: verify_weighted_antiderivative(0, 6, 20),
-        lambda: verify_weighted_antiderivative(10, -1, 20),
-        lambda: verify_weighted_antiderivative(10, 6, 0),
-        lambda: verify_weighted_antiderivative(10.0, 6, 20),
-        lambda: verify_deriv_representation(0, 6, 20),
-        lambda: verify_deriv_representation(10, -1, 20),
-        lambda: verify_deriv_representation(10, 6, 0),
-        lambda: verify_deriv_representation(10.0, 6, 20),
-        lambda: verify_deriv_representation(10, True, 20),
     ):
         with pytest.raises(ParameterError):
             call()
@@ -148,8 +139,10 @@ def test_coefficient_pair_validation():
         CoefficientPair(u=np.ones(3), b=np.ones(4), alpha=0)
     with pytest.raises(ParameterError):
         CoefficientPair(u=np.array([np.inf, 0.0]), b=np.zeros(2), alpha=0)
-    with pytest.raises(ParameterError):
-        CoefficientPair(u=np.ones(3), b=np.ones(3), alpha=-2)
+    # alpha is a nonnegative integer, as verify_connection requires
+    for alpha in (-2, 1.5, True, "a"):
+        with pytest.raises(ParameterError):
+            CoefficientPair(u=np.ones(3), b=np.ones(3), alpha=alpha)
 
 
 def _corpus():
@@ -174,15 +167,15 @@ def test_weighted_antiderivative_sweep():
     assert report.max_residual <= 1e-10
 
 
-def _antiderivative_residuals(q_max, alpha_max, n_points):
-    # point-by-point oracle: a fresh 48-point rule on (-1, x) for every
-    # (alpha, q, x), the worst residual of each check
+def _antiderivative_residuals():
+    # point-by-point oracle over the sweep's extent: a fresh 48-point rule on
+    # (-1, x) for every (alpha, q, x), the worst residual of each check
     worst = {"weighted-antiderivative": -1.0, "antiderivative": -1.0}
-    for alpha in range(alpha_max + 1):
+    for alpha in range(7):
         fa = float(alpha)
         w = JacobiWeight(fa, 0.0)
-        for q in range(1, q_max + 1):
-            for x in np.linspace(-0.96, 0.98, n_points):
+        for q in range(1, 11):
+            for x in np.linspace(-0.96, 0.98, 20):
                 base = gauss_jacobi_rule(48, JacobiWeight(0.0, 0.0))
                 half = 0.5 * (float(x) + 1.0)
                 nodes, wts = -1.0 + half * (base.nodes + 1.0), half * base.weights
@@ -207,10 +200,10 @@ def test_weighted_antiderivative_builds_one_rule(monkeypatch):
         return gauss_jacobi_rule(*args, **kwargs)
 
     monkeypatch.setattr(identities, "gauss_jacobi_rule", counted)
-    report = verify_weighted_antiderivative(q_max=5, alpha_max=3, n_points=9)
+    report = verify_weighted_antiderivative()
     assert len(calls) == 1
-    assert report.n_checks == 2 * 5 * 4 * 9
-    assert report.details == _antiderivative_residuals(5, 3, 9)
+    assert report.n_checks == 2 * 10 * 7 * 20
+    assert report.details == _antiderivative_residuals()
 
 
 def test_deriv_representation_sweep():
@@ -234,20 +227,21 @@ def _counting(monkeypatch, name):
 
 def test_weighted_antiderivative_reads_whole_tables(monkeypatch):
     calls = _counting(monkeypatch, "_jacobi_table")
-    report = verify_weighted_antiderivative(q_max=5, alpha_max=3, n_points=9)
-    assert report.n_checks == 2 * 5 * 4 * 9
-    assert len(calls) <= 2 * 4
+    report = verify_weighted_antiderivative()
+    assert report.n_checks == 2 * 10 * 7 * 20
+    assert len(calls) <= 2 * 7
 
 
-def _deriv_representation_residuals(q_max, alpha_max, n_points):
-    # point-by-point oracle: one jacobi_eval and three jacobi_deriv calls per
-    # (alpha, q), and the worst residual with the point where it sits
-    xs = np.linspace(-1.0, 1.0, n_points)
+def _deriv_representation_residuals():
+    # point-by-point oracle over the sweep's extent: one jacobi_eval and three
+    # jacobi_deriv calls per (alpha, q), and the worst residual with the
+    # point where it sits
+    xs = np.linspace(-1.0, 1.0, 20)
     worst, worst_case = -1.0, ""
-    for alpha in range(alpha_max + 1):
+    for alpha in range(7):
         fa = float(alpha)
         w = JacobiWeight(fa, 0.0)
-        for q in range(1, q_max + 1):
+        for q in range(1, 11):
             lhs = jacobi_eval(q, w, xs) / _one_sided_norm_sq(q, fa)
             rhs = (
                 _h1(q - 1.0, fa) / _one_sided_norm_sq(q - 1.0, fa) * jacobi_deriv(q - 1, w, xs)
@@ -264,16 +258,13 @@ def _deriv_representation_residuals(q_max, alpha_max, n_points):
 def test_deriv_representation_reads_whole_tables(monkeypatch):
     tables = _counting(monkeypatch, "_jacobi_table")
     derivs = _counting(monkeypatch, "_deriv_table")
-    for q_max, alpha_max, n_points in ((10, 6, 20), (4, 2, 7), (12, 8, 31)):
-        tables.clear()
-        derivs.clear()
-        report = verify_deriv_representation(q_max, alpha_max, n_points)
-        assert len(tables) == len(derivs) == alpha_max + 1
-        assert (report.details, report.worst_case) == _deriv_representation_residuals(q_max, alpha_max, n_points)
+    report = verify_deriv_representation()
+    assert len(tables) == len(derivs) == 7
+    assert (report.details, report.worst_case) == _deriv_representation_residuals()
 
 
 def test_deriv_norm_bound_wide_sweep():
-    report = verify_deriv_norm_bound(60, 30)
+    report = verify_deriv_norm_bound()
     assert report.passed
     # violations are normalized (I^2 - bound)/bound, so margin is negative
     assert report.max_residual < 0.0
@@ -286,7 +277,7 @@ def test_hardy_corpus():
         ("cubic", lambda x: (x - 0.3) ** 3, lambda x: 3 * (x - 0.3) ** 2),
         ("sqrt", lambda x: np.sqrt(x + 0.5), lambda x: 0.5 / np.sqrt(x + 0.5)),
     ]
-    report = verify_hardy([0.0, 0.5, 1.0, 2.0, 3.0], corpus)
+    report = verify_hardy(corpus)
     assert report.passed
     assert report.n_checks == 20
 

@@ -16,10 +16,22 @@ def test_weight_validation():
         JacobiWeight(-1.0, 0.0)
     with pytest.raises(ParameterError):
         JacobiWeight(0.0, -1.5)
-    # exponents must be finite, a column of them included
-    for alpha, beta in ((np.inf, 0.0), (0.0, np.inf), (np.nan, 0.0), (np.array([0.0, np.inf]), 0.0)):
+    # exponents must be finite numbers, a column of alphas included; a
+    # string or a column of betas is refused typed, and so is a rule asked
+    # for with anything but a weight
+    for alpha, beta in (
+        (np.inf, 0.0),
+        (0.0, np.inf),
+        (np.nan, 0.0),
+        (np.array([0.0, np.inf]), 0.0),
+        ("x", 0.0),
+        (0.0, "x"),
+        (0.0, np.array([0.0, 1.0])),
+    ):
         with pytest.raises(ParameterError):
             JacobiWeight(alpha, beta)
+    with pytest.raises(ParameterError):
+        gauss_jacobi_rule(3, "legendre")
 
 
 def test_public_functions_take_one_weight():
