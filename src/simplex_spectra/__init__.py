@@ -38,7 +38,6 @@ from .simplex import (
     analyze,
     boundary_trace_parseval,
     enumerate_basis,
-    line_functions,
 )
 
 __version__ = "0.1.0"

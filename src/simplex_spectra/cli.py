@@ -170,12 +170,13 @@ def _suite_finite_sum() -> VerificationReport:
         ("quintic", lambda x: (0.3 + x[:, 0] + 0.7 * x[:, 1] - 0.4 * x[:, 2]) ** 5),
     ]
 
+    pairs, Ns = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)), (1, 2, 3)
+
     def checks():
         for label, fn in fns:
-            for p, q in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
-                # one line function serves every N
-                sums = _trace_coefficient_sums(fn, p, q, (1, 2, 3))
-                for N, (tail, short) in zip((1, 2, 3), sums):
+            # one sample of fn serves every pair, one line function every N
+            for (p, q), sums in zip(pairs, _trace_coefficient_sums(fn, pairs, Ns)):
+                for N, (tail, short) in zip(Ns, sums):
                     key = f"{label}-p{p}q{q}N{N}"
                     yield key, abs(tail - short) / max(1.0, abs(tail)), lambda _: key
 
@@ -225,11 +226,9 @@ def _run_verify(args, parser) -> int:
         if args.suite is not None and name != args.suite:
             continue
         report = runner()
-        tol = args.tol if args.tol is not None else report.tolerance
-        ok = report.max_residual <= tol
-        status = "ok" if ok else "FAIL"
-        print(f"{name}: max residual {report.max_residual:.3e} (tol {tol:.1e}) {status}")
-        if not ok:
+        status = "ok" if report.passed else "FAIL"
+        print(f"{name}: max residual {report.max_residual:.3e} (tol {report.tolerance:.1e}) {status}")
+        if not report.passed:
             print(f"  worst: {report.worst_case}")
             failures.append(name)
     if failures:
@@ -290,7 +289,6 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the identity verification suites")
     p_verify.add_argument("--suite", help="run one suite by name")
-    p_verify.add_argument("--tol", type=float, help="override residual threshold, in (0, 1e-6]")
 
     p_rates = sub.add_parser("rates", help="boundary projection error rates")
     p_rates.add_argument("--family", required=True, help="poly | analytic | hs:S")
@@ -303,8 +301,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "verify":
-        if args.tol is not None and not 0.0 < args.tol <= 1e-6:
-            parser.error(f"tol must lie in (0, 1e-6], got {args.tol}")
         return _run_verify(args, parser)
     if args.command == "rates":
         return _run_rates(args, parser)

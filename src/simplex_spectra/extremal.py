@@ -57,7 +57,7 @@ from scipy.linalg.lapack import (
 
 from .errors import NumericError, ParameterError
 from .forms import _h1_blocks
-from .jacobi import _check_int
+from .jacobi import _check_int, _check_list
 from .simplex import (
     _bottom_coefficients,
     _bottom_restriction,
@@ -141,6 +141,7 @@ def row_constants(N: int, dim: int, kinds=_KINDS):
     if _check_int("dim", dim) not in _DIMS:
         raise ParameterError(f"dim must be one of {_DIMS}, got {dim}")
     N = _check_int("N", N, least=1)
+    kinds = _check_list("kinds", kinds)
     unknown = [k for k in kinds if k not in _KINDS]
     if unknown:
         raise ParameterError(f"kinds must be among {_KINDS}, got {unknown}")
@@ -526,7 +527,7 @@ def trace_error_rate(u, N_list):
     Returns ([(N, error), ...], slope, [floor_N, ...]), the floors aligned
     with the rows.
     """
-    Ns = [_check_int("each degree", n, least=1) for n in N_list]
+    Ns = [_check_int("each degree", n, least=1) for n in _check_list("N_list", N_list)]
     if len(Ns) < 2:
         raise ParameterError("need at least two degrees to fit a rate")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):

@@ -14,6 +14,7 @@ from .errors import ParameterError
 from .jacobi import (
     JacobiWeight,
     _check_int,
+    _check_list,
     _deriv_table,
     _g1,
     _g2,
@@ -52,8 +53,7 @@ class CoefficientPair:
     alpha: int
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        u, b = _floats("u", self.u), _floats("b", self.b)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "b", b)
         if u.ndim != 1 or u.shape != b.shape:
@@ -61,6 +61,14 @@ class CoefficientPair:
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(b))):
             raise ParameterError("coefficient sequences must be finite")
         object.__setattr__(self, "alpha", _check_int("alpha", self.alpha))
+
+
+def _floats(name: str, value) -> np.ndarray:
+    """value as a float array; ParameterError unless it converts."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be numeric, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +136,7 @@ def connect_coefficients(b, alpha: int) -> np.ndarray:
     Returns u of length len(b) - 1 with u[q] filled for 1 <= q <= len(b) - 2;
     u[0] is NaN because the relation starts at q = 1.
     """
-    bs = np.asarray(b, dtype=float)
+    bs = _floats("b", b)
     if bs.ndim != 1 or bs.size < 3:
         raise ParameterError("need at least 3 derivative coefficients")
     alpha = _check_int("alpha", alpha)
@@ -189,6 +197,7 @@ def verify_factor_identities() -> VerificationReport:
 
 def verify_connection(pairs) -> VerificationReport:
     """Check each quadrature-computed pair against connect_coefficients."""
+    pairs = _check_list("pairs", pairs, lambda pair: isinstance(pair, CoefficientPair))
     def checks():
         for i, pair in enumerate(pairs):
             u = connect_coefficients(pair.b, pair.alpha)
@@ -294,8 +303,10 @@ def verify_hardy(test_functions) -> VerificationReport:
 
     ``test_functions`` holds (label, u, u_prime) triples; each callback
     must return one finite value per node, or it is a ParameterError.
-    Violations are normalized by the right-hand side.
+    Violations are normalized by the right-hand side, so a function whose
+    right-hand side is zero is a ParameterError too.
     """
+    test_functions = _check_list("test_functions", test_functions, lambda t: isinstance(t, tuple) and len(t) == 3)
     def checks():
         for beta in (0.0, 0.5, 1.0, 2.0, 3.0):
             x_l, w_l = _unit_interval_rule(beta)
@@ -304,6 +315,8 @@ def verify_hardy(test_functions) -> VerificationReport:
                 lhs = float(w_l @ _sample(u, x_l) ** 2)
                 rhs = (2.0 / (beta + 1.0)) ** 2 * float(w_r @ _sample(du, x_r) ** 2)
                 rhs += float(_sample(u, np.ones(1))[0]) ** 2 / (beta + 1.0)
+                if rhs == 0.0:
+                    raise ParameterError(f"{label}: the right-hand side is zero at beta={beta}")
                 yield "hardy", (lhs - rhs) / rhs, lambda _: f"{label} at beta={beta}"
 
     return _report("hardy", 1e-10, checks())
@@ -314,6 +327,7 @@ def verify_coefficient_bound(pairs) -> VerificationReport:
 
     Not a tight-constant claim; truncated tails only shrink the right-hand
     side, so passing is meaningful."""
+    pairs = _check_list("pairs", pairs, lambda pair: isinstance(pair, CoefficientPair))
     def checks():
         for i, pair in enumerate(pairs):
             fa = float(pair.alpha)

@@ -80,6 +80,19 @@ def _check_int(name: str, value, least: int = 0) -> int:
     return int(value)
 
 
+def _check_list(name: str, value, fits=None) -> list:
+    """value's items as a list; ParameterError unless it is iterable and,
+    if ``fits`` is given, fits(item) holds for every item."""
+    try:
+        items = list(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be iterable, got {value!r}") from None
+    bad = [item for item in items if fits is not None and not fits(item)]
+    if bad:
+        raise ParameterError(f"{name} holds an item of the wrong kind: {bad[0]!r}")
+    return items
+
+
 def _one_weight(weight: JacobiWeight) -> JacobiWeight:
     """weight, checked to be one weight and not a column of them."""
     if not isinstance(weight, JacobiWeight):

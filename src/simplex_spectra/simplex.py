@@ -1,7 +1,7 @@
 """Collapsed-coordinate machinery on the reference triangle and tetrahedron:
 the cube-to-simplex map, the orthogonal polynomial basis adapted to it,
 analysis of functions into expansions, boundary traces, and the
-line-function reduction behind the trace identities.
+finite-sum reduction behind the trace identities.
 
 The one home of the collapsed layout: on cube axis k the basis function
 with components c has the factor P_{c_k}^(2s+k, 0)(eta_k) ((1 - eta_k)/2)^s,
@@ -43,7 +43,6 @@ __all__ = [
     "BasisSet",
     "enumerate_basis",
     "analyze",
-    "line_functions",
     "boundary_trace_parseval",
 ]
 
@@ -196,23 +195,18 @@ def _rule_size(N: int) -> int:
 _LINE_RULE = 40
 
 
-def _lift(y: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Points one dimension up over the simplex points y (rows) and the
-    collapsed coordinates e (columns), y-major: y shrinks toward the top
-    vertex by (1 - e)/2 and e becomes the last coordinate."""
-    half = (1.0 - e) / 2.0
-    x = (1.0 + y[:, None, :]) * half[None, :, None] - 1.0
-    last = np.broadcast_to(e[None, :, None], (len(y), len(e), 1))
-    return np.concatenate([x, last], axis=2).reshape(-1, y.shape[1] + 1)
-
-
 def _collapsed_grid(dim: int, m: int) -> np.ndarray:
     """The m-point tensor Gauss grid of the cube mapped onto the simplex,
-    as (m**dim, dim) points with eta_1 slowest."""
+    as (m**dim, dim) points with eta_1 slowest: each axis after the first
+    shrinks the points so far toward the top vertex by (1 - eta)/2 and
+    appends eta as the last coordinate."""
     t, _ = _gl_nodes(m)
+    half = (1.0 - t) / 2.0
     pts = t[:, None]
     for _ in range(1, dim):
-        pts = _lift(pts, t)
+        x = (1.0 + pts[:, None, :]) * half[None, :, None] - 1.0
+        last = np.broadcast_to(t[None, :, None], (len(pts), m, 1))
+        pts = np.concatenate([x, last], axis=2).reshape(-1, pts.shape[1] + 1)
     return pts
 
 
@@ -262,6 +256,8 @@ def _sample(f, pts: np.ndarray) -> np.ndarray:
     """The callback f at the (npts, dim) points, or at npts nodes of a 1-d
     rule, as a float array of shape (npts,); ParameterError if f returns
     any other shape or a value that is not finite."""
+    if not callable(f):
+        raise ParameterError(f"function must be callable, got {f!r}")
     vals = np.asarray(f(pts), dtype=float)
     if vals.shape != (len(pts),):
         raise ParameterError(
@@ -303,80 +299,60 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     return parts[tuple(comps.T)]
 
 
-def line_functions(f, p: int, q: int):
-    """The eta3 line reduction of f at fixed (p, q): a callable that
-    integrates f over cube cross-sections against the (p, q) factor pair."""
-    p, q = _check_int("p", p), _check_int("q", q)
-    if p + q > _LINE_RULE - 2:
-        raise ParameterError(f"p + q must be <= {_LINE_RULE - 2} on the {_LINE_RULE}-point rule, got {p + q}")
-    m = _LINE_RULE
-    t, _ = _gl_nodes(m)
-    section = _collapsed_grid(2, m)
-    w1, w2 = _axis_weights(2, m)
-    phi1 = w1 * _axis_factors(0, p, t)["V"][0, p]
-    phi2 = w2 * _axis_factors(1, p + q, t)["V"][p, q]
-
-    def u_line(eta3):
-        e3s = np.atleast_1d(np.asarray(eta3, dtype=float))
-        vals = np.empty(e3s.shape)
-        for i, e3 in enumerate(e3s):
-            pts = _lift(section, np.array([e3]))
-            vals[i] = phi1 @ _sample(f, pts).reshape(m, m) @ phi2
-        return vals if np.ndim(eta3) else float(vals[0])
-
-    return u_line
-
-
-def _legendre_derivative_values(values: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Derivative at the nodes of the polynomial interpolating the sampled
-    values, via its Legendre expansion."""
-    k_max = t.size - 1
-    tab = _jacobi_table(k_max, _LEG, t)
-    coeff = (np.arange(k_max + 1) + 0.5) * (tab @ (w * values))
-    return coeff @ _deriv_table(k_max, _LEG, t)
-
-
-def _trace_coefficient_sums(f, p: int, q: int, Ns) -> list:
-    """Both sides of the alternating tail identity at fixed (p, q), one
-    (tail_sum, short_form) pair for each degree N in Ns: the alternating
-    series of scaled line coefficients from degree N up, truncated once
-    three consecutive terms drop below 1e-14, and its closed three-term
-    counterpart built from the derivative of the scaled line function. One
-    line function and its coefficients, which do not depend on N, serve
-    every degree."""
+def _trace_coefficient_sums(f, pairs, Ns) -> list:
+    """Both sides of the alternating tail identity, for each (p, q) in pairs
+    a list of (tail_sum, short_form), one for each degree N in Ns: the
+    alternating series of scaled line coefficients from degree N up,
+    truncated once three consecutive terms drop below 1e-14, and its closed
+    three-term counterpart built from the derivative of the scaled line
+    function, f integrated over the eta3 cross-sections against the (p, q)
+    factor pair. One sample of f serves every pair, and one line function
+    and its coefficients, which do not depend on N, every degree."""
     Ns = [_check_int("N", N, least=1) for N in Ns]
-    p, q = _check_int("p", p), _check_int("q", q)
+    pairs = [(_check_int("p", p), _check_int("q", q)) for p, q in pairs]
     if max(Ns) > _LINE_RULE - 2:
         raise ParameterError(f"N must be <= {_LINE_RULE - 2} on the {_LINE_RULE}-point rule, got {max(Ns)}")
-    n = 2.0 * p + 2.0 * q + 2.0
-    t, w = _gl_nodes(_LINE_RULE)
-    u_vals = line_functions(f, p, q)(t)
-    du_vals = _legendre_derivative_values(u_vals, t, w)
-
-    r_cap = _LINE_RULE - 1
-    rtab = _jacobi_table(r_cap, JacobiWeight(n, 0.0), t)
-    w_u = w * (1.0 - t) ** (p + q + 2)
-    w_u_extra = w * (p + q) * (1.0 - t) ** (p + q + 1)
-    u_tilde = rtab @ (w_u * u_vals)
-    du_tilde = rtab @ (w_u * du_vals + w_u_extra * u_vals)
-
-    # 2^n / gamma_r in the tail reduces to (2r+n+1)/2
-    scale, short_scale = 2.0 ** -(p + q + 2), 2.0 ** -(p + q + 3)
+    top = max(p + q for p, q in pairs)
+    if top > _LINE_RULE - 2:
+        raise ParameterError(f"p + q must be <= {_LINE_RULE - 2} on the {_LINE_RULE}-point rule, got {top}")
+    m, r_cap = _LINE_RULE, _LINE_RULE - 1
+    t, w = _gl_nodes(m)
+    # each eta3 node's (eta1, eta2) section as a contiguous (m, m) array,
+    # which the contraction reads with the bits of a sample of it alone
+    sections = np.ascontiguousarray(_sample(f, _collapsed_grid(3, m)).reshape(m * m, m).T).reshape(m, m, m)
+    w1, w2 = _axis_weights(2, m)
+    V1, V2 = _axis_factors(0, max(p for p, _ in pairs), t)["V"][0], _axis_factors(1, top, t)["V"]
+    legendre, d_legendre = _jacobi_table(r_cap, _LEG, t), _deriv_table(r_cap, _LEG, t)
     sums = []
-    for N in Ns:
-        # tail of the alternating series
-        tail, below = 0.0, 0
-        for r in range(N, r_cap + 1):
-            term = (-1.0) ** r * (2.0 * r + n + 1.0) / 2.0 * scale * u_tilde[r]
-            tail += term
-            below = below + 1 if abs(term) < 1e-14 else 0
-            if below >= 3:
-                break
+    for p, q in pairs:
+        n = 2.0 * p + 2.0 * q + 2.0
+        phi1, phi2 = w1 * V1[p], w2 * V2[p, q]
+        u_vals = np.array([phi1 @ section @ phi2 for section in sections])
+        # the derivative of the interpolant, through its Legendre expansion
+        du_vals = ((np.arange(m) + 0.5) * (legendre @ (w * u_vals))) @ d_legendre
+        rtab = _jacobi_table(r_cap, JacobiWeight(n, 0.0), t)
+        w_u = w * (1.0 - t) ** (p + q + 2)
+        w_u_extra = w * (p + q) * (1.0 - t) ** (p + q + 1)
+        u_tilde = rtab @ (w_u * u_vals)
+        du_tilde = rtab @ (w_u * du_vals + w_u_extra * u_vals)
 
-        short = (-1.0) ** N * _h2(float(N), n) * (2.0 * N + n + 1.0) * short_scale * du_tilde[N]
-        for r in (N - 1, N):
-            short += (-1.0) ** (r + 1) * _h3(r + 1.0, n) * (2.0 * (r + 1.0) + n + 1.0) * short_scale * du_tilde[r]
-        sums.append((tail, short))
+        # 2^n / gamma_r in the tail reduces to (2r+n+1)/2
+        scale, short_scale = 2.0 ** -(p + q + 2), 2.0 ** -(p + q + 3)
+        sums.append([])
+        for N in Ns:
+            # tail of the alternating series
+            tail, below = 0.0, 0
+            for r in range(N, r_cap + 1):
+                term = (-1.0) ** r * (2.0 * r + n + 1.0) / 2.0 * scale * u_tilde[r]
+                tail += term
+                below = below + 1 if abs(term) < 1e-14 else 0
+                if below >= 3:
+                    break
+
+            short = (-1.0) ** N * _h2(float(N), n) * (2.0 * N + n + 1.0) * short_scale * du_tilde[N]
+            for r in (N - 1, N):
+                short += (-1.0) ** (r + 1) * _h3(r + 1.0, n) * (2.0 * (r + 1.0) + n + 1.0) * short_scale * du_tilde[r]
+            sums[-1].append((tail, short))
     return sums
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import simplex_spectra
-from simplex_spectra import cli, extremal, forms, identities
+from simplex_spectra import cli, extremal, forms, identities, simplex
 from simplex_spectra.cli import _TABLE_ROWS, _fmt, main
 
 
@@ -217,24 +217,43 @@ def test_verify_fails_on_a_nan_residual(capsys, monkeypatch):
     assert "failed suites: factor-identities" in err
 
 
-def test_verify_failure_names_worst_components(capsys):
+def _fail_every_suite(monkeypatch):
+    # every report gets a tolerance of 1e-30, which no residual meets
+    for module in (cli, identities):
+        real = module._report
+        monkeypatch.setattr(module, "_report", lambda name, tol, checks, real=real: real(name, 1e-30, checks))
+
+
+def test_verify_failure_names_worst_components(capsys, monkeypatch):
     # the worst Gram entry is labelled by the component tuples of its row
     # and column
-    code, out, _ = run(capsys, "verify", "--suite", "orthogonality", "--tol", "1e-30")
+    _fail_every_suite(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--suite", "orthogonality")
     assert code == 1
     assert re.search(r"worst: gram-dim[23] at \([0-9, ]+\) x \([0-9, ]+\)$", out, re.M)
 
 
-def test_every_failing_suite_names_its_worst_case(capsys):
+def test_every_failing_suite_names_its_worst_case(capsys, monkeypatch):
     # at a tolerance no residual meets, each FAIL line is followed by the
     # worst: line of its suite
-    code, out, _ = run(capsys, "verify", "--tol", "1e-30")
+    _fail_every_suite(monkeypatch)
+    code, out, _ = run(capsys, "verify")
     assert code == 1
     lines = out.splitlines()
     fails = [i for i, ln in enumerate(lines) if ln.endswith(" FAIL")]
     assert fails
     for i in fails:
         assert i + 1 < len(lines) and lines[i + 1].startswith("  worst: "), lines[i]
+
+
+def test_finite_sum_samples_each_function_once(monkeypatch):
+    # one sample of each of the three corpus functions serves all five
+    # (p, q) pairs and every eta3 node
+    calls = []
+    real = simplex._sample
+    monkeypatch.setattr(simplex, "_sample", lambda f, pts: calls.append(len(pts)) or real(f, pts))
+    assert cli._suite_finite_sum().passed
+    assert calls == [simplex._LINE_RULE**3] * 3
 
 
 def test_orthogonality_worst_case_is_its_largest_residual(monkeypatch):
@@ -311,13 +330,17 @@ def test_rates_independent_of_blas_threads():
     # OpenBLAS reads its thread count once, at load, so each count needs
     # its own process
     path = os.pathsep.join([str(Path(simplex_spectra.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    argv = [sys.executable, "-m", "simplex_spectra.cli", "rates", "--family", "hs:1.3", "--n", "50..55"]
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        outs.append(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
-    assert outs[0].startswith("family,N,error\n")
-    assert outs[0] == outs[1]
+    for argv, head in (
+        (["rates", "--family", "hs:1.3", "--n", "50..55"], "family,N,error\n"),
+        (["verify"], "factor-identities: "),
+    ):
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            cmd = [sys.executable, "-m", "simplex_spectra.cli", *argv]
+            outs.append(subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout)
+        assert outs[0].startswith(head), argv
+        assert outs[0] == outs[1], argv
 
 
 def test_rates_analyze_each_degree_on_its_own_rule(capsys, monkeypatch):
@@ -357,7 +380,6 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ["constants", "--dim", "1", "--n", "0..2"],
         ["constants", "--dim", "1", "--n", "x"],
         ["constants", "--dim", "1", "--n", "2", "--kinds", "slope"],
-        ["verify", "--tol", "1e-3"],
         ["verify", "--suite", "no-such-suite"],
         ["rates", "--family", "hs:0.3", "--n", "4..8"],
         ["rates", "--family", "hs:inf", "--n", "4..8"],
@@ -374,13 +396,15 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         [],
     ]
     # every rule follows from its degree and takes no extra quadrature
-    # points, and verify injects no defect
+    # points, verify injects no defect, and each suite keeps its own
+    # tolerance
     unknown_argvs = [
         ["constants", "--dim", "1", "--n", "1", "--quad-safety", "1"],
         ["verify", "--quad-safety", "1"],
         ["table", "1", "--quad-safety", "1"],
         ["rates", "--family", "poly", "--n", "4..8", "--quad-safety", "1"],
         ["verify", "--perturb-h2", "nan"],
+        ["verify", "--tol", "1e-3"],
     ]
     for argv in bad_argvs + unknown_argvs:
         with pytest.raises(SystemExit) as info:

@@ -474,6 +474,8 @@ def test_row_constants_share_one_row():
     assert [r.kind for r in recs] == ["mult", "h1_stability"]
     with pytest.raises(ParameterError):
         row_constants(2, 2, ("mult", "slope"))
+    with pytest.raises(ParameterError, match="kinds must be iterable"):
+        row_constants(2, 1, None)
     with pytest.raises(ParameterError):
         row_constants(0, 2)
 
@@ -871,6 +873,8 @@ def test_trace_rate_validation():
         trace_error_rate(f, [4, 2])
     with pytest.raises(ParameterError):
         trace_error_rate(f, [0, 2])
+    with pytest.raises(ParameterError, match="must be iterable"):
+        trace_error_rate(f, 5)
     for bad in (lambda x: 1.0, lambda x: np.ones(3), lambda x: x):
         with pytest.raises(ParameterError, match="shape"):
             trace_error_rate(bad, [4, 6])

@@ -101,6 +101,13 @@ def test_connect_validation():
         connect_coefficients([1.0, 2.0], 0)
     with pytest.raises(ParameterError):
         connect_coefficients(np.ones(5), -1)
+    with pytest.raises(ParameterError, match="numeric"):
+        connect_coefficients("x", 1)
+    # the sweeps over pairs take CoefficientPair items only
+    for verify in (verify_connection, verify_coefficient_bound):
+        for pairs in ([(1, 2)], [_corpus()[0], "pair"], None):
+            with pytest.raises(ParameterError):
+                verify(pairs)
 
 
 def test_expand_pair_checks_callback_shapes():
@@ -121,6 +128,12 @@ def test_expand_pair_checks_callback_shapes():
             for fn, dfn in ((bad, np.cos), (np.sin, bad)):
                 with pytest.raises(ParameterError, match="finite"):
                     call(fn, dfn)
+    # the Hardy sweep takes (label, u, u') triples, and normalizes each
+    # violation by a right-hand side that must not be zero
+    zero = lambda x: 0.0 * x
+    for corpus in ([("a", np.sin)], [np.sin], 5, [("z", zero, zero)]):
+        with pytest.raises(ParameterError):
+            verify_hardy(corpus)
 
 
 def test_integer_arguments_validation():
@@ -139,6 +152,8 @@ def test_coefficient_pair_validation():
         CoefficientPair(u=np.ones(3), b=np.ones(4), alpha=0)
     with pytest.raises(ParameterError):
         CoefficientPair(u=np.array([np.inf, 0.0]), b=np.zeros(2), alpha=0)
+    with pytest.raises(ParameterError, match="numeric"):
+        CoefficientPair(u="ab", b="cd", alpha=0)
     # alpha is a nonnegative integer, as verify_connection requires
     for alpha in (-2, 1.5, True, "a"):
         with pytest.raises(ParameterError):

@@ -13,7 +13,6 @@ from simplex_spectra import (
     boundary_trace_parseval,
     enumerate_basis,
     JacobiWeight,
-    line_functions,
 )
 from functools import reduce
 
@@ -205,7 +204,7 @@ def test_analyze_argument_checks():
         with pytest.raises(ParameterError, match="shape"):
             _boundary_norm_direct(bad, 3)
         with pytest.raises(ParameterError, match="shape"):
-            line_functions(bad, 1, 0)(0.3)
+            _trace_coefficient_sums(bad, [(1, 0)], [1])
     # nor one that returns a value that is not finite, at every point or one
     for bad in (
         lambda x: np.full(len(x), np.nan),
@@ -217,10 +216,19 @@ def test_analyze_argument_checks():
             lambda: analyze(bad, 3, 3),
             lambda: boundary_trace_parseval(bad, 2, N=12),
             lambda: _boundary_norm_direct(bad, 3),
-            lambda: line_functions(bad, 1, 0)(-0.3),
+            lambda: _trace_coefficient_sums(bad, [(1, 0)], [1]),
         ):
             with pytest.raises(ParameterError, match="finite"):
                 call()
+    # nor anything that is not a function
+    for call in (
+        lambda: analyze(3, 3, 2),
+        lambda: boundary_trace_parseval(np.ones(3), 2, N=12),
+        lambda: _boundary_norm_direct("f", 3),
+        lambda: _trace_coefficient_sums(None, [(1, 0)], [1]),
+    ):
+        with pytest.raises(ParameterError, match="callable"):
+            call()
 
 
 def test_degree_arguments_must_be_integers():
@@ -228,22 +236,18 @@ def test_degree_arguments_must_be_integers():
     f = lambda x: np.exp(x.sum(axis=1))
     for bad in (1.5, True, -1):
         with pytest.raises(ParameterError, match="p must"):
-            line_functions(f, bad, 0)
+            _trace_coefficient_sums(f, [(0, 0), (bad, 0)], [1])
         with pytest.raises(ParameterError, match="q must"):
-            line_functions(f, 0, bad)
-        with pytest.raises(ParameterError, match="p must"):
-            _trace_coefficient_sums(f, bad, 0, [1])
-        with pytest.raises(ParameterError, match="q must"):
-            _trace_coefficient_sums(f, 0, bad, [1])
+            _trace_coefficient_sums(f, [(0, bad)], [1])
     for bad in (1.5, True, 0):
         with pytest.raises(ParameterError, match="N must"):
-            _trace_coefficient_sums(f, 0, 0, [bad])
+            _trace_coefficient_sums(f, [(0, 0)], [bad])
     # the 40-point line rule serves degrees up to 38, in p + q and in N
-    line_functions(f, 38, 0)
+    _trace_coefficient_sums(f, [(38, 0)], [38])
     with pytest.raises(ParameterError, match=r"p \+ q must be <= 38"):
-        line_functions(f, 20, 19)
+        _trace_coefficient_sums(f, [(0, 0), (20, 19)], [1])
     with pytest.raises(ParameterError, match="N must be <= 38"):
-        _trace_coefficient_sums(f, 0, 0, [39])
+        _trace_coefficient_sums(f, [(0, 0)], [39])
 
 
 def test_boundary_norm_direct_checks_dim():
@@ -264,16 +268,18 @@ def test_synthesize_checks_its_point():
     assert vals.shape == (3,) and np.all(np.isfinite(vals))
 
 
-def test_line_functions_constant():
-    u_line = line_functions(lambda x: np.ones(len(x)), 0, 0)
-    for e3 in (-0.9, 0.0, 0.7):
-        assert_allclose(u_line(e3), 2.0, rtol=1e-12)
-
-
-def test_line_functions_endpoint_decay():
-    # for (p,q) != (0,0) the line function vanishes at eta3 = 1
-    u_line = line_functions(lambda x: x[:, 0] + x[:, 1] ** 2, 1, 0)
-    assert abs(u_line(1.0)) < 1e-12
+def test_trace_coefficient_sums_constant():
+    # f = 1 has the constant line function 2, the area of the triangle, at
+    # (p, q) = (0, 0): its coefficients vanish from degree 1 up and its
+    # derivative is zero, so both sides vanish to roundoff at every N
+    (sums,) = _trace_coefficient_sums(lambda x: np.ones(len(x)), [(0, 0)], (1, 2, 3))
+    assert len(sums) == 3
+    for tail, short in sums:
+        assert abs(tail) < 1e-12 and abs(short) < 1e-12
+    # f = 1 + x3 has the line function 2 (1 + eta3), whose degree-1 term
+    # alone makes the N = 1 sums -1
+    (sums,) = _trace_coefficient_sums(lambda x: 1.0 + x[:, 2], [(0, 0)], (1, 2, 3))
+    assert_allclose(sums, [(-1.0, -1.0), (0.0, 0.0), (0.0, 0.0)], rtol=0, atol=1e-12)
 
 
 def test_trace_coefficient_sum_identity():
@@ -281,19 +287,23 @@ def test_trace_coefficient_sum_identity():
         lambda x: x[:, 2] ** 3,
         lambda x: x[:, 0] * x[:, 1] + 0.5 * x[:, 1] * x[:, 2] ** 2,
     ]
+    pairs = ((0, 0), (1, 0), (1, 1))
     for fn in fns:
-        for p, q in ((0, 0), (1, 0), (1, 1)):
-            for N in (1, 2, 3):
-                ((tail, short),) = _trace_coefficient_sums(fn, p, q, [N])
+        for sums in _trace_coefficient_sums(fn, pairs, (1, 2, 3)):
+            for tail, short in sums:
                 assert_allclose(tail, short, rtol=0, atol=1e-10 * max(1.0, abs(tail)))
 
 
 def test_trace_coefficient_sums_match_single_degree():
-    # one line function for several N gives the bits of one call per N
+    # one line function for several N gives the bits of one call per N, and
+    # one sample for several pairs the bits of one call per pair
     f = lambda x: (0.3 + x[:, 0] + 0.7 * x[:, 1] - 0.4 * x[:, 2]) ** 5
     for p, q in ((0, 0), (2, 1)):
-        want = [_trace_coefficient_sums(f, p, q, [N])[0] for N in (1, 2, 3)]
-        assert _trace_coefficient_sums(f, p, q, (1, 2, 3)) == want
+        want = [_trace_coefficient_sums(f, [(p, q)], [N])[0][0] for N in (1, 2, 3)]
+        assert _trace_coefficient_sums(f, [(p, q)], (1, 2, 3)) == [want]
+    pairs = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1))
+    want = [_trace_coefficient_sums(f, [pair], (1, 2, 3))[0] for pair in pairs]
+    assert _trace_coefficient_sums(f, pairs, (1, 2, 3)) == want
 
 
 def test_axis_factors_match_per_weight_tables():
