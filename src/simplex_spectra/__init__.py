@@ -10,7 +10,6 @@ from .extremal import (
     trace_error_rate,
 )
 from .forms import (
-    SymmetricForm,
     h1_form,
     mass_form,
     trace_form,
@@ -34,7 +33,6 @@ from .jacobi import (
     gauss_jacobi_rule,
 )
 from .simplex import (
-    BasisSet,
     analyze,
     boundary_trace_parseval,
     enumerate_basis,

@@ -56,18 +56,18 @@ from scipy.linalg.lapack import (
 )
 
 from .errors import NumericError, ParameterError
-from .forms import _h1_blocks
+from .forms import _h1_blocks, _scaling_vector
 from .jacobi import _check_int, _check_list
 from .simplex import (
     _bottom_coefficients,
     _bottom_restriction,
     _boundary_rule,
     _component_values,
-    _graded_components,
     _mirror_basis,
     _norm_sq,
     _sample,
     analyze,
+    enumerate_basis,
 )
 
 __all__ = [
@@ -312,7 +312,7 @@ def _numerator_factor(N: int, dim: int) -> np.ndarray:
     """
     # the degree <= N rows lead the graded degree-2N basis, in the order
     # of the degree-N basis
-    s = 1.0 / np.sqrt(_norm_sq(*_graded_components(N, dim).T))
+    s = _scaling_vector(enumerate_basis(N, dim))
     C = np.zeros((math.comb(2 * N + dim, dim), math.comb(N + dim - 1, dim - 1)))
     if dim == 1:
         C[: s.size, 0] = s
@@ -538,7 +538,7 @@ def trace_error_rate(u, N_list):
     scale = 2.0 * np.finfo(float).eps * float(np.max(np.abs(target)))
     # the edge's heads are the 1-D basis, graded 0..N, so the table of the
     # largest degree holds every degree's in its leading rows
-    table = _component_values(_graded_components(Ns[-1], 1), edge[:, :-1])
+    table = _component_values(enumerate_basis(Ns[-1], 1), edge[:, :-1])
 
     rows = []
     for N in Ns:

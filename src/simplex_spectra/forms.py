@@ -1,5 +1,6 @@
 """Dense symmetric bilinear forms (mass, H1, bottom-piece trace) over the
-orthonormalized bases.
+orthonormalized bases, each returned as its (n, n) array in the order of
+``simplex.enumerate_basis``.
 
 The basis is orthonormal, so the H1 form is the identity plus the stiffness
 Gram, and only the stiffness is assembled. The 1-D stiffness is exact, in
@@ -23,7 +24,6 @@ largest magnitude of the even-odd coupling it drops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +31,10 @@ from .errors import ParameterError
 from .jacobi import _check_int
 from .simplex import (
     _BOTTOM,
-    BasisSet,
     _axis_factors,
     _axis_weights,
     _boundary_rule,
-    _dubiner_matrix,
+    _component_values,
     _gl_nodes,
     _norm_sq,
     _rule_size,
@@ -43,46 +42,20 @@ from .simplex import (
 )
 
 __all__ = [
-    "SymmetricForm",
     "mass_form",
     "h1_form",
     "trace_form",
 ]
 
-@dataclass(frozen=True, eq=False)
-class SymmetricForm:
-    """One assembled quadratic form over an orthonormalized basis."""
-
-    basis: BasisSet
-    entries: np.ndarray
-
-    def __post_init__(self):
-        n = self.basis.cardinality
-        if self.entries.shape != (n, n):
-            raise ParameterError(f"entries must be {n}x{n}, got {self.entries.shape}")
-        hi, lo = float(self.entries.max()), float(self.entries.min())
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise ParameterError("entries must be finite")
-        scale = max(hi, -lo, 1e-300)
-        skew = 0.0
-        # each block of rows against the matching columns, below and on the
-        # diagonal, so that no full-size temporary is made
-        for r0 in range(0, n, _ROW_BLOCK):
-            r1 = min(r0 + _ROW_BLOCK, n)
-            block = self.entries[r0:r1, :r1] - self.entries[:r1, r0:r1].T
-            skew = max(skew, float(np.max(np.abs(block))))
-        if skew > 1e-13 * scale:
-            raise ParameterError(f"entries are not symmetric: relative skew {skew / scale:.3e}")
-
-
-# rows per block of the symmetry check, and the most rows per chunk of the
-# volume Grams but for a larger degree slab; a chunk's temporaries are two
-# such row blocks of the basis
+# the most rows per chunk of the volume Grams but for a larger degree slab;
+# a chunk's temporaries are two such row blocks of the basis
 _ROW_BLOCK = 128
 
 
-def _scaling_vector(basis: BasisSet) -> np.ndarray:
-    return 1.0 / np.sqrt(_norm_sq(*basis.components.T))
+def _scaling_vector(comps: np.ndarray) -> np.ndarray:
+    """The orthonormalizing scales of the basis functions with these rows
+    of components."""
+    return 1.0 / np.sqrt(_norm_sq(*comps.T))
 
 
 # Each integrand is a list of separable terms (coefficient, kinds): letter k
@@ -98,10 +71,11 @@ _GRADIENT = {
 }
 
 
-def _gram_chunks(basis: BasisSet, m: int, s: np.ndarray, integrands):
-    """The Gram of the basis scaled by s by its lower block triangle: an
-    iterator of (r0, r1, X), X the chunk of rows r0..r1-1 and columns
-    0..r1-1. Entry (i, j) sums, over the integrands (each a list of
+def _gram_chunks(M: int, dim: int, integrands):
+    """The Gram of the orthonormalized degree-M basis in dim dimensions, on
+    ``_rule_size(M)`` Gauss points per direction, by its lower block
+    triangle: an iterator of (r0, r1, X), X the chunk of rows r0..r1-1 and
+    columns 0..r1-1. Entry (i, j) sums, over the integrands (each a list of
     separable terms), the integral of the integrand of function i times the
     same integrand of function j. A chunk's rows are whole degree slabs, at
     most _ROW_BLOCK of them but for a larger slab alone, and only its
@@ -119,21 +93,22 @@ def _gram_chunks(basis: BasisSet, m: int, s: np.ndarray, integrands):
     the caller allocates what the chunks go into; the chunks are built as
     they are iterated.
     """
+    comps, m, last = enumerate_basis(M, dim), _rule_size(M), dim - 1
+    s = _scaling_vector(comps)
     t, _ = _gl_nodes(m)
-    weights = _axis_weights(basis.dim, m)
-    comps, last = basis.components, basis.dim - 1
+    weights = _axis_weights(dim, m)
     # tables keyed (kind, axis): a row per prefix on the leading axes, found
     # by np.unique on one integer each (slow on rows), a row per function on
     # the last, scaled by s
-    code = comps[:, :last] @ (basis.N + 1) ** np.arange(last)
+    code = comps[:, :last] @ (M + 1) ** np.arange(last)
     _, first, at = np.unique(code, return_index=True, return_inverse=True)
     prefix = np.cumsum(comps, axis=1) - comps
     named = {term for terms in integrands for _, term in terms}
     tabs = {}
-    for k in range(basis.dim):
+    for k in range(dim):
         rows, scale = (first, 1.0) if k < last else (slice(None), s[:, None])
         kinds = "".join({term[k] for term in named})
-        factors = _axis_factors(k, basis.N, t, kinds)
+        factors = _axis_factors(k, M, t, kinds)
         for kind in kinds:
             tabs[kind, k] = scale * factors.pop(kind)[prefix[rows, k], comps[rows, k]]
     del factors  # the whole-axis tables, before the caller's allocations
@@ -149,12 +124,12 @@ def _gram_chunks(basis: BasisSet, m: int, s: np.ndarray, integrands):
     # a chunk takes whole degree slabs while it has at most _ROW_BLOCK rows,
     # and a larger slab alone
     ends, r0, prev = [], 0, 0
-    for end in np.searchsorted(comps.sum(axis=1), np.arange(1, basis.N + 2)):
+    for end in np.searchsorted(comps.sum(axis=1), np.arange(1, M + 2)):
         if end - r0 > _ROW_BLOCK and prev > r0:
             ends.append(prev)
             r0 = prev
         prev = end
-    ends.append(basis.cardinality)
+    ends.append(len(comps))
 
     def chunks():
         r0 = 0
@@ -185,11 +160,11 @@ def _lower_to_upper(square: np.ndarray) -> None:
     square[j, i] = square[i, j]
 
 
-def _gram(basis: BasisSet, m: int, s: np.ndarray, integrands) -> np.ndarray:
+def _gram(M: int, dim: int, integrands) -> np.ndarray:
     """The whole Gram of ``_gram_chunks``: each chunk below and on the
     diagonal, and mirrored above it, so exactly symmetric by construction."""
-    n = basis.cardinality
-    chunks = _gram_chunks(basis, m, s, integrands)
+    chunks = _gram_chunks(M, dim, integrands)
+    n = math.comb(M + dim, dim)
     out = np.empty((n, n))
     for r0, r1, X in chunks:
         _lower_to_upper(X[:, r0:])
@@ -198,15 +173,13 @@ def _gram(basis: BasisSet, m: int, s: np.ndarray, integrands) -> np.ndarray:
     return out
 
 
-def mass_form(M: int, dim: int) -> SymmetricForm:
+def mass_form(M: int, dim: int) -> np.ndarray:
     """Quadrature-assembled L2 Gram of the scaled basis: the identity up to
     quadrature roundoff, assembled as the oracle of orthogonality and never
     on the way to a constant."""
     M = _check_int("degree", M)
-    basis = enumerate_basis(M, dim)
-    s = _scaling_vector(basis)
-    entries = _gram(basis, _rule_size(M), s, [[(1.0, "V" * dim)]])
-    return SymmetricForm(basis=basis, entries=entries)
+    dim = _check_int("dim", dim)
+    return _gram(M, dim, [[(1.0, "V" * dim)]])
 
 
 def _interval_stiffness(s: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -223,7 +196,7 @@ def _interval_stiffness(s: np.ndarray, k: np.ndarray) -> np.ndarray:
     return stiff
 
 
-def h1_form(M: int, dim: int) -> SymmetricForm:
+def h1_form(M: int, dim: int) -> np.ndarray:
     """L2 + gradient Gram of the scaled basis: the identity, as the basis is
     orthonormal, plus the stiffness Gram. Only the stiffness is assembled;
     gradients are pulled back from cube coordinates with the collapsed
@@ -232,16 +205,15 @@ def h1_form(M: int, dim: int) -> SymmetricForm:
     In 1-D the stiffness is exact, in closed form.
     """
     M = _check_int("degree", M)
-    basis = enumerate_basis(M, dim)
-    s = _scaling_vector(basis)
+    comps = enumerate_basis(M, dim)
     if dim == 1:
-        entries = _interval_stiffness(s, np.arange(M + 1.0))
+        entries = _interval_stiffness(_scaling_vector(comps), np.arange(M + 1.0))
         entries[::2, 1::2] = 0.0
         entries[1::2, ::2] = 0.0
     else:
-        entries = _gram(basis, _rule_size(M), s, _GRADIENT[dim])
-    entries.flat[:: basis.cardinality + 1] += 1.0
-    return SymmetricForm(basis=basis, entries=entries)
+        entries = _gram(M, dim, _GRADIENT[dim])
+    entries.flat[:: len(comps) + 1] += 1.0
+    return entries
 
 
 def _h1_blocks(M: int, dim: int, slabs: list, even: np.ndarray):
@@ -269,16 +241,15 @@ def _h1_blocks(M: int, dim: int, slabs: list, even: np.ndarray):
     of its rows and columns and at the transposed ones.
     """
     M = _check_int("degree", M)
-    basis = enumerate_basis(M, dim)
-    s = _scaling_vector(basis)
     masks = (even, ~even)
     orders = [np.flatnonzero(mask)[::-1] for mask in masks]
     coupling = 0.0
     if dim == 1:
+        s = _scaling_vector(enumerate_basis(M, 1))
         # a symmetric C-ordered array is the transpose of a Fortran one
         blocks = [_interval_stiffness(s[p], p.astype(float)).T for p in orders]
     else:
-        chunks = _gram_chunks(basis, _rule_size(M), s, _GRADIENT[dim])
+        chunks = _gram_chunks(M, dim, _GRADIENT[dim])
         blocks = [np.empty((len(p), len(p)), order="F") for p in orders]
         # each block in the basis order, and the count of its coordinates
         # among the first i of the basis
@@ -308,16 +279,15 @@ def _h1_blocks(M: int, dim: int, slabs: list, even: np.ndarray):
     return orders, blocks, float(coupling) / scale
 
 
-def trace_form(M: int, dim: int) -> SymmetricForm:
+def trace_form(M: int, dim: int) -> np.ndarray:
     """Boundary Gram over the bottom piece x_{dim-1} = -1: the bottom edge
     (2D) or the bottom face (3D)."""
     M = _check_int("degree", M)
     if _check_int("dim", dim) not in _BOTTOM:
         raise ParameterError(f"trace forms need dim 2 or 3, got {dim}")
-    basis = enumerate_basis(M, dim)
-    s = _scaling_vector(basis)
+    comps = enumerate_basis(M, dim)
     bottom, w = _boundary_rule(dim, _rule_size(M))
-    factor = s[:, None] * _dubiner_matrix(basis, bottom) * np.sqrt(w)
+    factor = _scaling_vector(comps)[:, None] * _component_values(comps, bottom) * np.sqrt(w)
     # numpy takes the product of an array with its transpose through BLAS
     # syrk, whose one triangle it mirrors: the Gram is exactly symmetric
-    return SymmetricForm(basis=basis, entries=factor @ factor.T)
+    return factor @ factor.T

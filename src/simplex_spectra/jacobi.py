@@ -44,12 +44,17 @@ class JacobiWeight:
 
     @property
     def zeroth_moment(self) -> float:
-        """Integral of the weight over [-1, 1]."""
+        """Integral of the weight over [-1, 1]; ParameterError where it
+        overflows a float."""
         a, b = _one_weight(self).alpha, self.beta
         log_m = (
             (a + b + 1.0) * np.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
         )
-        return float(np.exp(log_m))
+        with np.errstate(over="ignore"):
+            moment = float(np.exp(log_m))
+        if not math.isfinite(moment):
+            raise ParameterError(f"the zeroth moment of the weight overflows: its log is {log_m:.6g}")
+        return moment
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +73,8 @@ class QuadratureRule:
             raise ParameterError("nodes and weights must be 1-d arrays of equal nonzero length")
         if not (np.all(np.diff(nodes) > 0.0) and nodes[0] > -1.0 and nodes[-1] < 1.0):
             raise ParameterError("nodes must be strictly increasing and interior to (-1, 1)")
-        if np.any(weights <= 0.0):
-            raise ParameterError("weights must be positive")
+        if not (np.all(weights > 0.0) and np.all(np.isfinite(weights))):
+            raise ParameterError("weights must be positive and finite")
 
 
 def _check_int(name: str, value, least: int = 0) -> int:

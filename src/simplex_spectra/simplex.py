@@ -10,7 +10,7 @@ s = c_0 + ... + c_{k-1}, and the volume factor ((1 - eta_k)/2)^k.
 its weights and the factor tables in any dimension, the tables of one axis
 for every prefix sum at once, indexed [s, c, node], and
 ``_component_values`` evaluates the same factors at simplex points for any
-rows of components. A basis is the graded array of ``_graded_components``,
+rows of components. A basis is the graded array of ``enumerate_basis``,
 and ``_bottom_restriction`` writes its restriction to the bottom piece
 x_{dim-1} = -1 through the basis one dimension down. ``_mirror_basis``
 writes each degree slab of the interval or triangle basis in coordinates
@@ -23,7 +23,6 @@ Convention: function callbacks are vectorized over points, taking an
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -40,7 +39,6 @@ from .jacobi import (
 )
 
 __all__ = [
-    "BasisSet",
     "enumerate_basis",
     "analyze",
     "boundary_trace_parseval",
@@ -56,30 +54,10 @@ def _gl_nodes(m: int):
     return rule.nodes, rule.weights
 
 
-@dataclass(frozen=True, eq=False)
-class BasisSet:
-    """Graded-lex ordered basis of total degree <= N in the given dimension,
-    held as the read-only (cardinality, dim) array of its components."""
-
-    dim: int
-    N: int
-    components: np.ndarray
-
-    def __post_init__(self):
-        if _check_int("dim", self.dim) not in (1, 2, 3):
-            raise ParameterError(f"dim must be 1, 2, or 3, got {self.dim}")
-        _check_int("N", self.N)
-        if self.components.shape != (math.comb(self.N + self.dim, self.dim), self.dim):
-            raise ParameterError("components do not match the degree and dimension")
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.components)
-
-
-def _graded_components(N: int, dim: int) -> np.ndarray:
-    """Components of every index of total degree <= N as rows of a
-    (cardinality, dim) integer array: graded, lexicographic within a grade."""
+def enumerate_basis(N: int, dim: int) -> np.ndarray:
+    """Components of every index of total degree <= N as the rows of a
+    read-only (cardinality, dim) integer array: graded, lexicographic
+    within a grade."""
     N = _check_int("N", N)
     if _check_int("dim", dim) not in (1, 2, 3):
         raise ParameterError(f"dim must be 1, 2, or 3, got {dim}")
@@ -87,14 +65,9 @@ def _graded_components(N: int, dim: int) -> np.ndarray:
     # the grid is lexicographic already; a stable sort grades it and puts
     # the indices of degree <= N first
     order = np.argsort(comps.sum(axis=1), kind="stable")
-    return comps[order[: math.comb(N + dim, dim)]]
-
-
-def enumerate_basis(N: int, dim: int) -> BasisSet:
-    """All indices of total degree <= N, graded, lexicographic within a grade."""
-    comps = _graded_components(N, dim)
+    comps = comps[order[: math.comb(N + dim, dim)]]
     comps.setflags(write=False)
-    return BasisSet(dim=dim, N=int(N), components=comps)
+    return comps
 
 
 def _norm_sq(p, q=None, r=None):
@@ -107,15 +80,6 @@ def _norm_sq(p, q=None, r=None):
     if r is None:
         return n
     return n * (2.0 / (2.0 * p + 2.0 * q + 2.0 * r + 3.0))
-
-
-def _dubiner_matrix(basis: BasisSet, pts) -> np.ndarray:
-    """Values of every basis function at the (npts, dim) points, shape
-    (card, npts)."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != basis.dim:
-        raise ParameterError(f"points must have shape (npts, {basis.dim}), got {pts.shape}")
-    return _component_values(basis.components, pts)
 
 
 def _component_values(comps: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -164,7 +128,7 @@ def _mirror_basis(M: int, dim: int):
     """
     if dim not in (1, 2):
         raise ParameterError(f"the mirror basis is built for dim 1 and 2, got {dim}")
-    comps = _graded_components(M, dim)
+    comps = enumerate_basis(M, dim)
     # new coordinate p of degree d sits where the function with first
     # component p does: in 1-D p = d
     even = comps[:, 0] % 2 == 0
@@ -276,7 +240,7 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     per-direction node count follows the degree (override with ``nodes``, an
     integer of at least N + 2).
     """
-    comps = _graded_components(N, dim)
+    comps = enumerate_basis(N, dim)
     m = _rule_size(N) if nodes is None else _check_int(f"nodes for a degree-{N} basis", nodes, least=N + 2)
     t, w = _gl_nodes(m)
     pts = _collapsed_grid(dim, m)
@@ -291,7 +255,7 @@ def analyze(f, N: int, dim: int, nodes: int | None = None) -> np.ndarray:
     for k in range(dim):
         V = _axis_factors(k, N, t)["V"]
         contracted = np.zeros((N + 1,) * (k + 1) + (m,) * (dim - k - 1))
-        prefixes = map(tuple, _graded_components(N, k).tolist()) if k else [()]
+        prefixes = map(tuple, enumerate_basis(N, k).tolist()) if k else [()]
         for prefix in prefixes:
             s = sum(prefix)
             contracted[prefix][: N - s + 1] = np.einsum("cn,n...->c...", V[s, : N - s + 1], parts[prefix])
@@ -366,12 +330,12 @@ def _bottom_restriction(N: int, dim: int):
 
     There the last axis factor is its endpoint value (-1)^c, c the last
     component, and the head components index the (dim-1)-dimensional basis,
-    so row k of ``_graded_components(N, dim)`` equals sign[k] times the
-    function in row col[k] of heads = ``_graded_components(N, dim - 1)``.
+    so row k of ``enumerate_basis(N, dim)`` equals sign[k] times the
+    function in row col[k] of heads = ``enumerate_basis(N, dim - 1)``.
     Returns (heads, col, sign).
     """
-    comps = _graded_components(N, dim)
-    heads = _graded_components(N, dim - 1)
+    comps = enumerate_basis(N, dim)
+    heads = enumerate_basis(N, dim - 1)
     rank = np.zeros((N + 1,) * (dim - 1), dtype=int)
     rank[tuple(heads.T)] = np.arange(len(heads))
     return heads, rank[tuple(comps[:, :-1].T)], (-1.0) ** comps[:, -1]
@@ -384,7 +348,7 @@ def _bottom_coefficients(raw: np.ndarray, N: int, dim: int):
     in basis order."""
     heads, col, sign = _bottom_restriction(N, dim)
     b = np.zeros(len(heads))
-    np.add.at(b, col, sign * raw / _norm_sq(*_graded_components(N, dim).T))
+    np.add.at(b, col, sign * raw / _norm_sq(*enumerate_basis(N, dim).T))
     return heads, b
 
 

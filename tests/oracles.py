@@ -14,7 +14,7 @@ from scipy.linalg import eigh, lu_factor, lu_solve
 
 from simplex_spectra.forms import _scaling_vector
 from simplex_spectra.jacobi import JacobiWeight, _deriv_table, _g1, _g2, _g3, _jacobi_table
-from simplex_spectra.simplex import _dubiner_matrix, _norm_sq, enumerate_basis
+from simplex_spectra.simplex import _component_values, _norm_sq, enumerate_basis
 
 
 def jacobi_eval(n, weight, x):
@@ -53,10 +53,12 @@ def jacobi_antideriv(n, alpha, x):
     return _g1(q, a) * table[n] + _g2(q, a) * table[n - 1] + _g3(q, a) * table[n - 2]
 
 
-def synthesize(coeffs, basis, pts):
-    """Values at the (npts, dim) simplex points of the expansion on
-    ``basis`` with raw inner-product coefficients ``coeffs``."""
-    return (np.asarray(coeffs, dtype=float) / _norm_sq(*basis.components.T)) @ _dubiner_matrix(basis, pts)
+def synthesize(coeffs, comps, pts):
+    """Values at the (npts, dim) simplex points of the expansion with raw
+    inner-product coefficients ``coeffs`` on the basis functions whose
+    component rows are ``comps``."""
+    values = _component_values(comps, np.asarray(pts, dtype=float))
+    return (np.asarray(coeffs, dtype=float) / _norm_sq(*comps.T)) @ values
 
 
 def point_eval_form(M):
@@ -67,11 +69,11 @@ def point_eval_form(M):
     return np.outer(s, s)
 
 
-def projection_form(B, basis, N):
-    """The entries B of a form on ``basis`` composed with coefficient
-    truncation to degree N on both arguments: the rows and columns above
-    degree N zeroed."""
-    live = basis.components.sum(axis=1) <= N
+def projection_form(B, comps, N):
+    """The entries B of a form on the basis with component rows ``comps``
+    composed with coefficient truncation to degree N on both arguments: the
+    rows and columns above degree N zeroed."""
+    live = comps.sum(axis=1) <= N
     return live[:, None] * B * live
 
 

@@ -19,7 +19,7 @@ from simplex_spectra import (
 from simplex_spectra import forms
 from simplex_spectra.cli import _SUITES, _TABLE_ROWS
 from simplex_spectra.identities import verify_deriv_norm_bound
-from simplex_spectra.simplex import _dubiner_matrix, _gl_nodes, _norm_sq
+from simplex_spectra.simplex import _component_values, _gl_nodes, _norm_sq
 
 # published 4-decimal interval constants: N -> (mult, add)
 INTERVAL_TABLE = {
@@ -212,7 +212,7 @@ def test_identity_suites_within_tolerance():
 
 
 def test_tetrahedron_gram_is_diagonal():
-    basis = enumerate_basis(6, 3)
+    comps = enumerate_basis(6, 3)
     t, wt = _gl_nodes(18)
     E = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
     w = (
@@ -228,9 +228,9 @@ def test_tetrahedron_gram_is_diagonal():
             E[:, 2],
         ]
     )
-    tab = _dubiner_matrix(basis, pts)
+    tab = _component_values(comps, pts)
     gram = (tab * w) @ tab.T
-    expect = _norm_sq(*basis.components.T)
+    expect = _norm_sq(*comps.T)
     assert np.max(np.abs(np.diag(gram) - expect)) <= 1e-11
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) <= 1e-11
@@ -241,21 +241,21 @@ def test_quadrature_doubling_is_inert(monkeypatch):
     # doubling its node count must not move any entry beyond roundoff
     defaults = {}
     for dim, M in ((2, 8), (3, 6)):
-        defaults["mass", dim, M] = mass_form(M, dim).entries
+        defaults["mass", dim, M] = mass_form(M, dim)
     for dim, M in ((2, 7), (3, 5)):
-        defaults["h1", dim, M] = h1_form(M, dim).entries
-    defaults["trace", 2, 6] = trace_form(6, 2).entries
+        defaults["h1", dim, M] = h1_form(M, dim)
+    defaults["trace", 2, 6] = trace_form(6, 2)
     monkeypatch.setattr(forms, "_rule_size", lambda M: 2 * (2 * M + 6))
     for dim, M in ((2, 8), (3, 6)):
         a = defaults["mass", dim, M]
-        b = mass_form(M, dim).entries
+        b = mass_form(M, dim)
         assert np.max(np.abs(a - b)) <= 1e-12
     for dim, M in ((2, 7), (3, 5)):
         a = defaults["h1", dim, M]
-        b = h1_form(M, dim).entries
+        b = h1_form(M, dim)
         assert np.max(np.abs(a - b)) / np.max(np.abs(a)) <= 1e-12
     a = defaults["trace", 2, 6]
-    b = trace_form(6, 2).entries
+    b = trace_form(6, 2)
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -270,9 +270,9 @@ def test_forms_nest_in_their_degree():
         (h1_form, 5, 3),
         (trace_form, 6, 2),
     ):
-        A = build(M, dim).entries
+        A = build(M, dim)
         n = len(A)
-        B = build(2 * M, dim).entries[:n, :n]
+        B = build(2 * M, dim)[:n, :n]
         err = np.max(np.abs(A - B)) / max(np.max(np.abs(A)), 1.0)
         assert err < 1e-12, (build.__name__, M, dim, err)
 
@@ -292,12 +292,12 @@ def test_projection_reproduces_polynomials():
     rng = np.random.default_rng(20)
     for dim in (1, 2, 3):
         for N in range(1, 7):
-            basis = enumerate_basis(N, dim)
-            scale = np.sqrt(_norm_sq(*basis.components.T))
+            comps = enumerate_basis(N, dim)
+            scale = np.sqrt(_norm_sq(*comps.T))
             for _ in range(17):
-                c = rng.standard_normal(basis.cardinality)
+                c = rng.standard_normal(len(comps))
                 # c holds orthonormal coefficients; c * scale the raw ones
-                v = lambda x: synthesize(c * scale, basis, x)
+                v = lambda x: synthesize(c * scale, comps, x)
                 chat = analyze(v, N, dim) / scale
                 assert np.max(np.abs(chat - c)) <= 1e-11
 
@@ -318,7 +318,7 @@ def test_projection_matches_normal_equations():
     b = (mono * w) @ f(pts)
     coef = np.linalg.solve(A, b)
 
-    basis = enumerate_basis(N, dim)
+    comps = enumerate_basis(N, dim)
     raw = analyze(f, N, dim)
 
     rng = np.random.default_rng(4)
@@ -329,7 +329,7 @@ def test_projection_matches_normal_equations():
     oracle_vals = coef @ np.array(
         [test_pts[:, 0] ** a * test_pts[:, 1] ** b for a, b in powers]
     )
-    proj_vals = synthesize(raw, basis, test_pts)
+    proj_vals = synthesize(raw, comps, test_pts)
     assert np.max(np.abs(proj_vals - oracle_vals)) <= 1e-10
 
 

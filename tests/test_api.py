@@ -1,7 +1,10 @@
 """The public surface: package exports and the README's library example."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,11 @@ def test_module_exports_are_package_names():
     for module in _MODULES:
         for name in module.__all__:
             assert getattr(simplex_spectra, name) is getattr(module, name), (module.__name__, name)
+    # and the package exports nothing else, so a removed name cannot linger
+    # in __init__ alone
+    public = {name for name, value in vars(simplex_spectra).items() if not name.startswith("_")}
+    modules = {name for name in public if inspect.ismodule(getattr(simplex_spectra, name))}
+    assert public - modules == {name for module in _MODULES for name in module.__all__}
 
 
 def test_every_export_is_used_by_the_package():
@@ -50,6 +58,19 @@ def test_every_export_is_used_by_the_package():
                 continue
             calls = len(re.findall(rf"\b{name}\(", sources)) - len(re.findall(rf"\bdef {name}\(", sources))
             assert calls > 0 or f"{name}(" in example, (module.__name__, name)
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # importing the package loads scipy.linalg alone of scipy's
+    # subpackages; any of these would add a large share of its import time
+    path = os.pathsep.join([str(Path(simplex_spectra.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    probe = "import sys, simplex_spectra; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "simplex_spectra" in out
+    for heavy in ("scipy.optimize", "scipy.special", "scipy.sparse", "scipy.integrate"):
+        assert heavy not in out, heavy
 
 
 def test_readme_library_example_runs(capsys):

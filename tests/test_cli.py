@@ -262,15 +262,15 @@ def test_orthogonality_worst_case_is_its_largest_residual(monkeypatch):
     report = cli._suite_orthogonality()
     key = max(report.details, key=report.details.get)
     assert key.startswith("gram-") and report.worst_case.startswith(key)
-    real = cli.h1_form
+    real = forms.h1_form
 
     def moved(M, dim):
         form = real(M, dim)
         if M == 14:
-            form = forms.SymmetricForm(basis=form.basis, entries=form.entries * (1.0 + 1e-13))
+            form = form * (1.0 + 1e-13)
         return form
 
-    monkeypatch.setattr(cli, "h1_form", moved)
+    monkeypatch.setattr(forms, "h1_form", moved)
     report = cli._suite_orthogonality()
     assert max(report.details, key=report.details.get) == "nesting-h1-2d"
     assert report.worst_case == "nesting-h1-2d"
@@ -283,14 +283,18 @@ def test_constants_are_independent_of_the_h1_rule(capsys, monkeypatch):
     # value
     argv = ("constants", "--dim", "2", "--n", "1..12")
     _, default, _ = run(capsys, *argv)
-    sizes = []
-    real = forms._gram_chunks
+    sizes, nodes = [], []
+    real, real_nodes = forms._gram_chunks, forms._gl_nodes
 
-    def recorded(basis, m, *args):
-        sizes.append((basis.N, m))
-        return real(basis, m, *args)
+    def recorded(M, dim, integrands):
+        # the degree asked for, and the node count the assembly then takes
+        nodes.clear()
+        chunks = real(M, dim, integrands)
+        sizes.append((M, *nodes))
+        return chunks
 
     monkeypatch.setattr(forms, "_gram_chunks", recorded)
+    monkeypatch.setattr(forms, "_gl_nodes", lambda m: nodes.append(m) or real_nodes(m))
     monkeypatch.setattr(forms, "_rule_size", lambda M: 2 * M + 9)
     code, widened, _ = run(capsys, *argv)
     assert code == 0

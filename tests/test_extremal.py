@@ -128,15 +128,14 @@ def test_multiplicative_interval_closed_form():
 def _numerator_form(N, dim):
     """The truncated numerator form of an (N, dim) row, assembled: endpoint
     evaluation in 1-D, the bottom piece's trace form by quadrature above."""
-    basis = enumerate_basis(2 * N, dim)
-    raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim).entries
-    return projection_form(raw, basis, N)
+    raw = point_eval_form(2 * N) if dim == 1 else trace_form(2 * N, dim)
+    return projection_form(raw, enumerate_basis(2 * N, dim), N)
 
 
 def _mult_forms(N, dim):
     """Entries of the truncated numerator, assembled mass and H1 forms of
     the mult row."""
-    return _numerator_form(N, dim), mass_form(2 * N, dim).entries, h1_form(2 * N, dim).entries
+    return _numerator_form(N, dim), mass_form(2 * N, dim), h1_form(2 * N, dim)
 
 
 def _dense_lambda(B, M, A, r):
@@ -239,7 +238,7 @@ def test_multiplicative_extended_precision_oracle():
         assert abs(value - mp.mpf("1.18184916803903096795")) <= mp.mpf("1e-20")
     for N in (1, 2, 5, 10, 20):
         value, gram = _legendre_mult_oracle(N)
-        A = h1_form(2 * N, 1).entries
+        A = h1_form(2 * N, 1)
         # the closed-form Gram is the oracle's up to the rounding of its entries
         assert np.max(np.abs(gram - A)) <= 1e-15 * np.max(np.abs(gram)), N
         rec = one_constant(N, 1, "mult")
@@ -250,7 +249,7 @@ def test_interval_h1_form_is_the_exact_legendre_gram():
     for M in (4, 40):
         with mp.workdps(40):
             exact, _ = _legendre_h1_gram(M)
-            A = h1_form(M, 1).entries
+            A = h1_form(M, 1)
             for i in range(M + 1):
                 for j in range(M + 1):
                     if (i + j) % 2:
@@ -275,11 +274,11 @@ def test_additive_point_extended_precision_oracle():
 def test_additive_kinds_match_dense_oracle():
     for N, dim in _DENSE_ROWS:
         A = h1_form(2 * N, dim)
-        h1_truncated = projection_form(A.entries, A.basis, N)
+        h1_truncated = projection_form(A, enumerate_basis(2 * N, dim), N)
         cases = (("add_h1_denominator", _numerator_form(N, dim), 1), ("h1_stability", h1_truncated, N + 1))
         for kind, form, scale in cases:
             rec = one_constant(N, dim, kind)
-            want = rayleigh_sup(form, A.entries) / scale
+            want = rayleigh_sup(form, A) / scale
             assert abs(rec.value - want) <= 1e-13 * want, (N, dim, kind)
             assert rec.residual <= 1e-12, (N, dim, kind)
 
@@ -291,7 +290,7 @@ def test_additive_kind_keeps_full_accuracy():
     # errs by 8e-13, 2e-9 and 8e-13, because T^-1 is as ill conditioned as
     # A^-1 and the reduction's backward error is not refined away
     for N, dim in ((120, 1), (480, 1), (24, 2)):
-        A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
+        A, C = h1_form(2 * N, dim), extremal._numerator_factor(N, dim)
         want = refined_additive(A, C)
         rec = one_constant(N, dim, "add_h1_denominator")
         assert abs(rec.value - want) <= 1e-14 * want, (N, dim, rec.value, want)
@@ -441,9 +440,9 @@ def test_numerator_factor_and_scaling_match_per_index_loops():
     for dim in (1, 2):
         for N in (1, 7, 24):
             basis = enumerate_basis(2 * N, dim)
-            comps = basis.components.tolist()
+            comps = basis.tolist()
             s = np.array([1.0 / np.sqrt(_norm_sq(*c)) for c in comps])
-            C = np.zeros((basis.cardinality, 1 if dim == 1 else N + 1))
+            C = np.zeros((len(basis), 1 if dim == 1 else N + 1))
             for k, c in enumerate(comps):
                 if sum(c) <= N and dim == 1:
                     C[k, 0] = s[k]
@@ -539,7 +538,7 @@ def test_tridiagonalize_reduces_each_parity_block():
     # times the condition of mu I + A, about 1e7 at N = 60: there it is
     # 2.8e-13 off a 30-digit solve at mu = 1
     for N, dim in ((1, 1), (2, 1), (10, 1), (60, 1), (3, 2), (8, 2), (12, 2)):
-        A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
+        A, C = h1_form(2 * N, dim), extremal._numerator_factor(N, dim)
         if dim == 1:
             assert not np.any(A[::2, 1::2]), N
         d, e, U = extremal._tridiagonalize(extremal._split(N, dim))
@@ -587,7 +586,7 @@ def test_mirror_blocks_match_the_whole_form():
     # the whole form changed to it, to roundoff, and exactly symmetric; the
     # rows of C follow them
     for N, dim in ((1, 1), (10, 1), (1, 2), (2, 2), (8, 2), (12, 2)):
-        A, C = h1_form(2 * N, dim).entries, extremal._numerator_factor(N, dim)
+        A, C = h1_form(2 * N, dim), extremal._numerator_factor(N, dim)
         want = _dense_split(A, C, 2 * N, dim, math.comb(N + dim, dim))
         for (F, U, k), (G, V, m) in zip(extremal._split(N, dim), want):
             assert F.flags.f_contiguous and np.array_equal(F, F.T), (N, dim)
@@ -624,7 +623,7 @@ def test_mirror_blocks_of_the_triangle_form_are_uncoupled():
     # W A W^T, with W the mirror basis, block diagonal by degree, has a
     # coupling between its even and odd coordinates at the roundoff level
     for N in (1, 2, 3, 8, 12):
-        A = h1_form(2 * N, 2).entries
+        A = h1_form(2 * N, 2)
         W, even = _dense_mirror(2 * N, 2)
         coupling = (W @ A @ W.T)[np.ix_(even, ~even)]
         assert np.max(np.abs(coupling)) <= 1e-12 * np.max(np.abs(A)), N
@@ -635,7 +634,7 @@ def test_mirror_split_matches_the_whole_form_reduction(monkeypatch):
     # before the mirror split, kept as its oracle: the search on either
     # reduction gives one mult value
     for N in (1, 2, 3, 8, 12, 20):
-        A, C = h1_form(2 * N, 2).entries, extremal._numerator_factor(N, 2)
+        A, C = h1_form(2 * N, 2), extremal._numerator_factor(N, 2)
         rec = one_constant(N, 2, "mult")
         whole = extremal._reduce_block(A.T, C)
         with monkeypatch.context() as patch:
@@ -659,7 +658,7 @@ def test_multiplicative_bisection_bounded_by_bracket(monkeypatch):
     def wide(M, dim, *args, **kwargs):
         orders, _, _ = real(M, dim, *args, **kwargs)
         # the change to the mirror basis keeps each coordinate's degree
-        degree = enumerate_basis(M, dim).components.sum(axis=1)
+        degree = enumerate_basis(M, dim).sum(axis=1)
         spread = np.geomspace(1.0, 1e300, M + 1)
         return orders, [np.diag(spread[degree[p]]).T for p in orders], 0.0
 
@@ -855,7 +854,7 @@ def test_trace_rate_edge_collapse_matches_per_index_loop():
     for N in Ns:
         raw = analyze(u, N, 2, nodes=2 * N + 40)
         ap = np.zeros(N + 1)
-        for k, (p, q) in enumerate(enumerate_basis(N, 2).components.tolist()):
+        for k, (p, q) in enumerate(enumerate_basis(N, 2).tolist()):
             ap[p] += (-1.0) ** q * raw[k] / _norm_sq(p, q)
         vals = ap @ _jacobi_table(N, JacobiWeight(0.0, 0.0), t_edge)
         want.append((N, float(np.sqrt(np.sum(w_edge * (target - vals) ** 2)))))

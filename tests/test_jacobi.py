@@ -52,6 +52,18 @@ def test_zeroth_moment():
     # int (1-x)(1+x)^0 = 2 over [-1,1] gives 2^2 B(2,1) = 2
     assert_allclose(JacobiWeight(1.0, 0.0).zeroth_moment, 2.0, rtol=1e-14)
     assert_allclose(JacobiWeight(0.0, 0.0).zeroth_moment, 2.0, rtol=1e-14)
+    # 2^1001 B(1001, 1) = 2^1001 / 1001 is about 2.1e298, and its rule's
+    # weights are finite (the moment is the exp of a logarithm near 687,
+    # whose rounding is a relative error near 1e-12); at alpha or beta =
+    # 2000 the moment overflows a float, which is refused rather than given
+    # infinite weights
+    assert_allclose(JacobiWeight(1000.0, 0.0).zeroth_moment, 2.0**1001 / 1001, rtol=1e-11)
+    assert np.all(np.isfinite(gauss_jacobi_rule(20, JacobiWeight(1000.0, 0.0)).weights))
+    for weight in (JacobiWeight(2000.0, 0.0), JacobiWeight(0.0, 2000.0), JacobiWeight(1040.0, 0.0)):
+        with pytest.raises(ParameterError, match="overflows"):
+            weight.zeroth_moment
+        with pytest.raises(ParameterError, match="overflows"):
+            gauss_jacobi_rule(20, weight)
 
 
 def test_degree_rejection():
@@ -222,6 +234,13 @@ def test_quadrature_rule_validation():
         QuadratureRule(nodes=np.array([0.3, 0.1]), weights=ones)
     with pytest.raises(ParameterError):
         QuadratureRule(nodes=np.array([0.1, 0.3]), weights=np.array([1.0, -1.0]))
+    # NaN and inf fail no test of sign, and are refused as not finite
+    for weights in ([np.nan, np.inf], [1.0, np.inf], [np.nan, 1.0]):
+        with pytest.raises(ParameterError, match="finite"):
+            QuadratureRule(nodes=np.array([0.1, 0.3]), weights=np.array(weights))
+    for nodes in ([0.1, np.nan], [np.nan], [0.1, np.inf], [-np.inf, 0.1]):
+        with pytest.raises(ParameterError):
+            QuadratureRule(nodes=np.array(nodes), weights=np.ones(len(nodes)))
 
 
 def test_antideriv_frozen_value():

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from oracles import jacobi_eval, synthesize
 
 from simplex_spectra import (
-    BasisSet,
     ParameterError,
     analyze,
     boundary_trace_parseval,
@@ -16,7 +15,6 @@ from simplex_spectra import (
 )
 from functools import reduce
 
-from simplex_spectra import simplex
 from simplex_spectra.jacobi import _deriv_table, _jacobi_table
 from simplex_spectra.simplex import (
     _axis_factors,
@@ -25,8 +23,6 @@ from simplex_spectra.simplex import (
     _boundary_rule,
     _collapsed_grid,
     _component_values,
-    _dubiner_matrix,
-    _graded_components,
     _gl_nodes,
     _mirror_basis,
     _norm_sq,
@@ -37,18 +33,17 @@ from simplex_spectra.simplex import (
 
 def test_enumerate_counts_and_order():
     for dim, N, count in ((1, 6, 7), (2, 5, 21), (3, 4, 35)):
-        basis = enumerate_basis(N, dim)
-        assert basis.cardinality == count
-        degrees = basis.components.sum(axis=1).tolist()
+        comps = enumerate_basis(N, dim)
+        assert comps.shape == (count, dim)
+        degrees = comps.sum(axis=1).tolist()
         # graded order: degrees never decrease, truncation is a prefix
         assert degrees == sorted(degrees)
-    b2 = enumerate_basis(2, 2)
-    assert b2.components.tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
-    # a component array of the wrong size for (N, dim) is refused, and so
-    # is an N or a dim that is not an integer
-    for dim, N in ((2, 3), (2, 2.0), (2.0, 2), (True, 2)):
+    assert enumerate_basis(2, 2).tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
+    # an N or a dim that is not an integer is refused, and so is a dim
+    # with no simplex basis
+    for dim, N in ((2, 2.0), (2.0, 2), (True, 2), (4, 2), (0, 2)):
         with pytest.raises(ParameterError):
-            BasisSet(dim=dim, N=N, components=_graded_components(2, 2))
+            enumerate_basis(N, dim)
 
 
 def test_norm_frozen_values():
@@ -62,7 +57,7 @@ def test_norm_frozen_values():
 def test_dubiner_gram_small():
     # modest-degree orthogonality on both simplices by direct quadrature
     for dim, N in ((2, 5), (3, 4)):
-        basis = enumerate_basis(N, dim)
+        comps = enumerate_basis(N, dim)
         pts, w = _boundary_rule(dim + 1, 2 * N + 6) if dim == 2 else (None, None)
         if dim == 2:
             pts = pts[:, :2]
@@ -85,13 +80,13 @@ def test_dubiner_gram_small():
                     E[:, 2],
                 ]
             )
-        tab = _dubiner_matrix(basis, pts)
+        tab = _component_values(comps, pts)
         # any component rows, repeated or out of order, evaluate to the
         # matching rows of the basis matrix
         rows = np.r_[np.arange(len(tab))[::-3], 0, 0, len(tab) - 1, 4]
-        assert np.array_equal(_component_values(basis.components[rows], pts), tab[rows])
+        assert np.array_equal(_component_values(comps[rows], pts), tab[rows])
         gram = (tab * w) @ tab.T
-        diag = _norm_sq(*basis.components.T)
+        diag = _norm_sq(*comps.T)
         assert_allclose(np.diag(gram), diag, rtol=1e-12)
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-13
@@ -119,9 +114,9 @@ def test_analyze_synthesize_round_trip():
     rng = np.random.default_rng(11)
     # 3-D N=9 has several (p, q) that share one prefix sum p + q
     for dim, N in ((1, 4), (2, 4), (3, 4), (3, 9)):
-        basis = enumerate_basis(N, dim)
-        coeffs = rng.standard_normal(basis.cardinality)
-        raw = analyze(lambda x: synthesize(coeffs, basis, x), N, dim)
+        comps = enumerate_basis(N, dim)
+        coeffs = rng.standard_normal(len(comps))
+        raw = analyze(lambda x: synthesize(coeffs, comps, x), N, dim)
         assert_allclose(raw, coeffs, rtol=0, atol=1e-12)
         # a polynomial of degree N given by monomials, analyzed on the
         # collapsed grid, is reproduced at points off the grid
@@ -133,7 +128,7 @@ def test_analyze_synthesize_round_trip():
 
         # random points of the closed simplex: x = -1 + 2 (barycentric)
         pts = -1.0 + 2.0 * rng.dirichlet(np.ones(dim + 1), size=20)[:, :dim]
-        got = synthesize(analyze(u, N, dim), basis, pts)
+        got = synthesize(analyze(u, N, dim), comps, pts)
         assert got.shape == (20,)
         assert_allclose(got, u(pts), rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(u(pts)))))
 
@@ -155,35 +150,28 @@ def test_basis_order_is_graded_lex():
                 (c for c in itertools.product(range(N + 1), repeat=dim) if sum(c) <= N),
                 key=lambda c: (sum(c), c),
             )
-            assert [tuple(c) for c in _graded_components(N, dim).tolist()] == want
-            basis = enumerate_basis(N, dim)
-            assert [tuple(c) for c in basis.components.tolist()] == want
-            # the basis holds the component array itself, read-only
-            assert np.array_equal(basis.components, _graded_components(N, dim))
-            assert not basis.components.flags.writeable
+            comps = enumerate_basis(N, dim)
+            assert [tuple(c) for c in comps.tolist()] == want
+            # the basis is its component array, read-only
+            assert not comps.flags.writeable
             with pytest.raises(ValueError):
-                basis.components[0, 0] = 1
+                comps[0, 0] = 1
 
 
-def test_analyze_order_without_basis_objects(monkeypatch):
-    # rows follow enumerate_basis(N, dim).components, checked against raw inner
-    # products from the basis matrix on the same collapsed grid; analyze
-    # itself builds no BasisSet
+def test_analyze_order_without_basis_objects():
+    # rows follow enumerate_basis(N, dim), checked against raw inner
+    # products from the basis matrix on the same collapsed grid
     f = lambda x: np.exp(0.7 * x[:, 0] - 0.4 * x.sum(axis=1)) + x[:, -1] ** 2
     oracles = {}
     for dim, N in ((1, 9), (2, 9), (3, 6)):
         m = _rule_size(N)
         pts = _collapsed_grid(dim, m)
         wts = reduce(np.multiply.outer, _axis_weights(dim, m)).ravel()
-        oracles[dim, N] = _dubiner_matrix(enumerate_basis(N, dim), pts) @ (wts * f(pts))
+        oracles[dim, N] = _component_values(enumerate_basis(N, dim), pts) @ (wts * f(pts))
 
-    calls = []
-    real = simplex.enumerate_basis
-    monkeypatch.setattr(simplex, "enumerate_basis", lambda *a: calls.append(a) or real(*a))
     for (dim, N), want in oracles.items():
         got = analyze(f, N, dim)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (dim, N)
-    assert calls == []
 
 
 def test_analyze_argument_checks():
@@ -258,13 +246,9 @@ def test_boundary_norm_direct_checks_dim():
 
 
 def test_synthesize_checks_its_point():
-    # the basis matrix takes points as an (npts, 2) array, one point included
-    basis = enumerate_basis(3, 2)
-    for pts in ([[-0.5, -0.5, -0.5]], [[-0.5]], [-0.5, -0.5]):
-        with pytest.raises(ParameterError, match="shape"):
-            _dubiner_matrix(basis, pts)
     # the closed simplex is accepted, its vertices included
-    vals = synthesize(np.ones(basis.cardinality), basis, [[1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    comps = enumerate_basis(3, 2)
+    vals = synthesize(np.ones(len(comps)), comps, [[1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     assert vals.shape == (3,) and np.all(np.isfinite(vals))
 
 
@@ -340,7 +324,7 @@ def test_mirror_basis_is_orthogonal_per_degree_slab():
         for M in (0, 1, 6, 24, 48, 80, 110):
             slabs, even = _mirror_basis(M, dim)
             assert [len(W) for W in slabs] == [1 if dim == 1 else d + 1 for d in range(M + 1)]
-            assert even.shape == (len(_graded_components(M, dim)),)
+            assert even.shape == (len(enumerate_basis(M, dim)),)
             for W in slabs:
                 assert np.max(np.abs(W @ W.T - np.eye(len(W)))) <= 1e-12, (dim, M)
     assert np.array_equal(_mirror_basis(5, 1)[1], [True, False] * 3)
@@ -354,7 +338,7 @@ def test_mirror_basis_is_even_or_odd_under_the_swap():
     # x and -x to one value up to (-1)^k
     rng = np.random.default_rng(7)
     for dim, M in ((1, 9), (2, 3), (2, 12), (2, 24)):
-        comps = _graded_components(M, dim)
+        comps = enumerate_basis(M, dim)
         pts = rng.uniform(-1.0, 1.0, (400, dim))
         pts = pts[pts.sum(axis=1) < 2.0 - dim]
         mirrored = -pts if dim == 1 else pts[:, ::-1]
