@@ -15,10 +15,8 @@ from .forms import (
     trace_form,
 )
 from .identities import (
-    CoefficientPair,
     VerificationReport,
     connect_coefficients,
-    expand_pair,
     verify_coefficient_bound,
     verify_connection,
     verify_deriv_norm_bound,

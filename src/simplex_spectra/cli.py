@@ -21,7 +21,6 @@ from . import forms
 from .identities import (
     VerificationReport,
     _report,
-    expand_pair,
     verify_coefficient_bound,
     verify_connection,
     verify_deriv_norm_bound,
@@ -114,27 +113,6 @@ def _emit_constants(dim: int, kinds, ns, stream) -> int:
     return 0
 
 
-# verification suite corpora (fixed, no randomness: output must be byte-stable)
-
-def _pair_corpus():
-    specs = [
-        (np.exp, np.exp, 0, 24),
-        (lambda x: np.cos(2.0 * x), lambda x: -2.0 * np.sin(2.0 * x), 1, 24),
-        (lambda x: 1.0 / (2.0 + x), lambda x: -1.0 / (2.0 + x) ** 2, 2, 28),
-        (lambda x: np.sin(x) + x**3, lambda x: np.cos(x) + 3.0 * x**2, 3, 24),
-    ]
-    return [expand_pair(fn, dfn, alpha, n) for fn, dfn, alpha, n in specs]
-
-
-def _hardy_corpus():
-    return [
-        ("exponential", np.exp, np.exp),
-        ("cosine", lambda x: np.cos(3.0 * x), lambda x: -3.0 * np.sin(3.0 * x)),
-        ("shifted-cubic", lambda x: (x - 0.3) ** 3, lambda x: 3.0 * (x - 0.3) ** 2),
-        ("sqrt-shift", lambda x: np.sqrt(x + 0.5), lambda x: 0.5 / np.sqrt(x + 0.5)),
-    ]
-
-
 def _suite_orthogonality() -> VerificationReport:
     # the forms are called through their module: perfbench's tracer wraps
     # any form function bound in cli and reads a basis record from its
@@ -207,12 +185,12 @@ def _suite_trace_parseval() -> VerificationReport:
 # so a name rebound here, to count or trace the call, takes effect
 _SUITES = (
     ("factor-identities", lambda: verify_factor_identities()),
-    ("connection", lambda: verify_connection(_pair_corpus())),
+    ("connection", lambda: verify_connection()),
     ("weighted-antiderivative", lambda: verify_weighted_antiderivative()),
     ("deriv-representation", lambda: verify_deriv_representation()),
     ("deriv-norm-bound", lambda: verify_deriv_norm_bound()),
-    ("hardy", lambda: verify_hardy(_hardy_corpus())),
-    ("coefficient-bound", lambda: verify_coefficient_bound(_pair_corpus())),
+    ("hardy", lambda: verify_hardy()),
+    ("coefficient-bound", lambda: verify_coefficient_bound()),
     ("orthogonality", _suite_orthogonality),
     ("finite-sum", _suite_finite_sum),
     ("trace-parseval", _suite_trace_parseval),

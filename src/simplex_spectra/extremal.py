@@ -85,6 +85,11 @@ _LOG_R_WIDTH = 1e-14
 _COUPLING = 1e-10
 
 
+def _finite_real(value) -> bool:
+    """Whether value is a finite real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ConstantRecord:
     dim: int
@@ -100,10 +105,10 @@ class ConstantRecord:
         _check_int("N", self.N, least=1)
         if self.kind not in _KINDS:
             raise ParameterError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not (isinstance(self.value, numbers.Real) and math.isfinite(self.value) and self.value > 0):
+        if not (_finite_real(self.value) and self.value > 0):
             raise ParameterError(f"value must be finite and positive, got {self.value!r}")
         _check_int("iterations", self.iterations, least=1)
-        if not (isinstance(self.residual, numbers.Real) and math.isfinite(self.residual) and self.residual >= 0):
+        if not (_finite_real(self.residual) and self.residual >= 0):
             raise ParameterError(f"residual must be finite and nonnegative, got {self.residual!r}")
 
 

@@ -14,7 +14,6 @@ from .errors import ParameterError
 from .jacobi import (
     JacobiWeight,
     _check_int,
-    _check_list,
     _deriv_table,
     _g1,
     _g2,
@@ -29,10 +28,8 @@ from .jacobi import (
 from .simplex import _sample
 
 __all__ = [
-    "CoefficientPair",
     "VerificationReport",
     "connect_coefficients",
-    "expand_pair",
     "verify_factor_identities",
     "verify_connection",
     "verify_weighted_antiderivative",
@@ -41,34 +38,6 @@ __all__ = [
     "verify_hardy",
     "verify_coefficient_bound",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class CoefficientPair:
-    """Raw weighted expansion coefficients of a function (u) and its
-    derivative (b) for the shared weight (alpha, 0)."""
-
-    u: np.ndarray
-    b: np.ndarray
-    alpha: int
-
-    def __post_init__(self):
-        u, b = _floats("u", self.u), _floats("b", self.b)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "b", b)
-        if u.ndim != 1 or u.shape != b.shape:
-            raise ParameterError("coefficient sequences must be 1-d and share a truncation length")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(b))):
-            raise ParameterError("coefficient sequences must be finite")
-        object.__setattr__(self, "alpha", _check_int("alpha", self.alpha))
-
-
-def _floats(name: str, value) -> np.ndarray:
-    """value as a float array; ParameterError unless it converts."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be numeric, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +105,10 @@ def connect_coefficients(b, alpha: int) -> np.ndarray:
     Returns u of length len(b) - 1 with u[q] filled for 1 <= q <= len(b) - 2;
     u[0] is NaN because the relation starts at q = 1.
     """
-    bs = _floats("b", b)
+    try:
+        bs = np.asarray(b, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"b must be numeric, got {b!r}") from None
     if bs.ndim != 1 or bs.size < 3:
         raise ParameterError("need at least 3 derivative coefficients")
     alpha = _check_int("alpha", alpha)
@@ -147,22 +119,26 @@ def connect_coefficients(b, alpha: int) -> np.ndarray:
     return u
 
 
-def expand_pair(fn, dfn, alpha: int, n_terms: int) -> CoefficientPair:
-    """Quadrature coefficients of fn and dfn against weight (alpha, 0).
-
-    The rule is exact for fn and dfn of degree up to 30. Each callback
-    takes the rule's nodes and must return one value per node; any other
-    shape is a ParameterError.
-    """
-    alpha = _check_int("alpha", alpha)
-    n_terms = _check_int("n_terms", n_terms, least=1)
-    w = JacobiWeight(float(alpha), 0.0)
-    m = (30 + n_terms) // 2 + 4
-    rule = gauss_jacobi_rule(m, w)
-    table = _jacobi_table(n_terms - 1, w, rule.nodes)
-    u = table @ (rule.weights * _sample(fn, rule.nodes))
-    b = table @ (rule.weights * _sample(dfn, rule.nodes))
-    return CoefficientPair(u=u, b=b, alpha=alpha)
+def _pair_corpus() -> list:
+    """The fixed corpus of the connection and coefficient-bound sweeps:
+    (u, b, alpha) triples, the quadrature coefficients of a function (u)
+    and of its derivative (b) against the weight (alpha, 0), from a rule
+    exact for both up to degree 30."""
+    specs = [
+        (np.exp, np.exp, 0, 24),
+        (lambda x: np.cos(2.0 * x), lambda x: -2.0 * np.sin(2.0 * x), 1, 24),
+        (lambda x: 1.0 / (2.0 + x), lambda x: -1.0 / (2.0 + x) ** 2, 2, 28),
+        (lambda x: np.sin(x) + x**3, lambda x: np.cos(x) + 3.0 * x**2, 3, 24),
+    ]
+    pairs = []
+    for fn, dfn, alpha, n_terms in specs:
+        w = JacobiWeight(float(alpha), 0.0)
+        rule = gauss_jacobi_rule((30 + n_terms) // 2 + 4, w)
+        table = _jacobi_table(n_terms - 1, w, rule.nodes)
+        u = table @ (rule.weights * _sample(fn, rule.nodes))
+        b = table @ (rule.weights * _sample(dfn, rule.nodes))
+        pairs.append((u, b, alpha))
+    return pairs
 
 
 def verify_factor_identities() -> VerificationReport:
@@ -195,14 +171,15 @@ def verify_factor_identities() -> VerificationReport:
     return _report("factor-identities", 1e-12, checks)
 
 
-def verify_connection(pairs) -> VerificationReport:
-    """Check each quadrature-computed pair against connect_coefficients."""
-    pairs = _check_list("pairs", pairs, lambda pair: isinstance(pair, CoefficientPair))
+def verify_connection() -> VerificationReport:
+    """Check the quadrature coefficients u of each function of the pair
+    corpus against connect_coefficients of its derivative's b, for the
+    weights (alpha, 0) with alpha 0, 1, 2 and 3."""
     def checks():
-        for i, pair in enumerate(pairs):
-            u = connect_coefficients(pair.b, pair.alpha)
-            r = np.abs(u[1:] - pair.u[1 : u.size])
-            yield "connection", r, lambda j: f"pair {i} (alpha={pair.alpha}) at q={1 + j}"
+        for i, (u_quad, b, alpha) in enumerate(_pair_corpus()):
+            u = connect_coefficients(b, alpha)
+            r = np.abs(u[1:] - u_quad[1 : u.size])
+            yield "connection", r, lambda j: f"pair {i} (alpha={alpha}) at q={1 + j}"
 
     return _report("connection", 1e-12, checks())
 
@@ -297,48 +274,47 @@ def _unit_interval_rule(beta: float):
     return x, rule.weights * 0.5 ** (beta + 1.0)
 
 
-def verify_hardy(test_functions) -> VerificationReport:
+def verify_hardy() -> VerificationReport:
     """Weighted Hardy inequality on (0, 1) for the weights x^beta, beta in
-    0, 1/2, 1, 2 and 3, over a corpus of C^1 functions.
+    0, 1/2, 1, 2 and 3, over a fixed corpus of four C^1 functions, none
+    zero at x = 1. Violations are normalized by the right-hand side."""
+    corpus = [
+        ("exponential", np.exp, np.exp),
+        ("cosine", lambda x: np.cos(3.0 * x), lambda x: -3.0 * np.sin(3.0 * x)),
+        ("shifted-cubic", lambda x: (x - 0.3) ** 3, lambda x: 3.0 * (x - 0.3) ** 2),
+        ("sqrt-shift", lambda x: np.sqrt(x + 0.5), lambda x: 0.5 / np.sqrt(x + 0.5)),
+    ]
 
-    ``test_functions`` holds (label, u, u_prime) triples; each callback
-    must return one finite value per node, or it is a ParameterError.
-    Violations are normalized by the right-hand side, so a function whose
-    right-hand side is zero is a ParameterError too.
-    """
-    test_functions = _check_list("test_functions", test_functions, lambda t: isinstance(t, tuple) and len(t) == 3)
     def checks():
         for beta in (0.0, 0.5, 1.0, 2.0, 3.0):
             x_l, w_l = _unit_interval_rule(beta)
             x_r, w_r = _unit_interval_rule(beta + 2.0)
-            for label, u, du in test_functions:
+            for label, u, du in corpus:
                 lhs = float(w_l @ _sample(u, x_l) ** 2)
                 rhs = (2.0 / (beta + 1.0)) ** 2 * float(w_r @ _sample(du, x_r) ** 2)
                 rhs += float(_sample(u, np.ones(1))[0]) ** 2 / (beta + 1.0)
-                if rhs == 0.0:
-                    raise ParameterError(f"{label}: the right-hand side is zero at beta={beta}")
                 yield "hardy", (lhs - rhs) / rhs, lambda _: f"{label} at beta={beta}"
 
     return _report("hardy", 1e-10, checks())
 
 
-def verify_coefficient_bound(pairs) -> VerificationReport:
-    """Sanity check of the product-of-sums coefficient bound with constant 10.
+def verify_coefficient_bound() -> VerificationReport:
+    """Sanity check of the product-of-sums coefficient bound with constant
+    10 over the pair corpus of verify_connection.
 
     Not a tight-constant claim; truncated tails only shrink the right-hand
     side, so passing is meaningful."""
-    pairs = _check_list("pairs", pairs, lambda pair: isinstance(pair, CoefficientPair))
     def checks():
-        for i, pair in enumerate(pairs):
-            fa = float(pair.alpha)
-            j = np.arange(pair.u.size, dtype=float)
+        for i, (u, b, alpha) in enumerate(_pair_corpus()):
+            fa = float(alpha)
+            j = np.arange(u.size, dtype=float)
             inv_norm = 1.0 / _one_sided_norm_sq(j, fa)
-            u_tail = np.cumsum((pair.u**2 * inv_norm)[::-1])[::-1]
-            b_tail = np.cumsum((pair.b**2 * inv_norm)[::-1])[::-1]
-            for q in range(1, pair.u.size - 1):
-                lhs = pair.b[q - 1] ** 2 + pair.b[q] ** 2
+            u_tail = np.cumsum((u**2 * inv_norm)[::-1])[::-1]
+            b_tail = np.cumsum((b**2 * inv_norm)[::-1])[::-1]
+            for q in range(1, u.size - 1):
+                lhs = b[q - 1] ** 2 + b[q] ** 2
                 rhs = 10.0 * 2.0 ** (fa + 1.0) * np.sqrt(u_tail[q]) * np.sqrt(b_tail[q - 1])
                 scale = max(rhs, 1e-300)
-                yield "coefficient-bound", (lhs - rhs) / scale, lambda _: f"pair {i} (alpha={pair.alpha}) at q={q}"
+                yield "coefficient-bound", (lhs - rhs) / scale, lambda _: f"pair {i} (alpha={alpha}) at q={q}"
 
     return _report("coefficient-bound", 1e-10, checks())

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import re
@@ -182,6 +183,15 @@ def test_verify_all_suites(capsys, monkeypatch):
     for ln in lines:
         assert ln.endswith(" ok")
         assert "max residual" in ln
+
+
+def test_verify_suites_take_no_input():
+    # every sweep fixes its own corpus and extent, so neither a suite runner
+    # nor an exported verify_* function has a parameter to pass one through
+    verifiers = [getattr(identities, name) for name in identities.__all__ if name.startswith("verify_")]
+    assert len(verifiers) == 7
+    for fn in [runner for _, runner in cli._SUITES] + verifiers:
+        assert not inspect.signature(fn).parameters, fn
 
 
 def test_verify_single_suite(capsys):

@@ -79,6 +79,9 @@ def test_additive_validation():
     ):
         with pytest.raises(ParameterError):
             row_constants(N, dim, (kind,))
+    # a string of kinds is not a list of its characters
+    with pytest.raises(ParameterError, match="not the string 'mult'"):
+        row_constants(2, 1, "mult")
 
 
 def test_dim_messages_name_the_accepted_dims(monkeypatch):
@@ -106,10 +109,12 @@ def test_constant_record_validation():
         ("value", -1.0),
         ("value", np.nan),
         ("value", "1.5"),
+        ("value", True),
         ("iterations", 0),
         ("iterations", 1.5),
         ("residual", -1e-3),
         ("residual", None),
+        ("residual", False),
     ]:
         args = dict(good)
         args[field] = bad
@@ -874,6 +879,8 @@ def test_trace_rate_validation():
         trace_error_rate(f, [0, 2])
     with pytest.raises(ParameterError, match="must be iterable"):
         trace_error_rate(f, 5)
+    with pytest.raises(ParameterError, match="not the string '45'"):
+        trace_error_rate(f, "45")
     for bad in (lambda x: 1.0, lambda x: np.ones(3), lambda x: x):
         with pytest.raises(ParameterError, match="shape"):
             trace_error_rate(bad, [4, 6])

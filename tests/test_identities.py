@@ -7,11 +7,9 @@ from numpy.testing import assert_allclose
 from oracles import jacobi_antideriv, jacobi_deriv, jacobi_eval
 
 from simplex_spectra import (
-    CoefficientPair,
     ParameterError,
     VerificationReport,
     connect_coefficients,
-    expand_pair,
     verify_coefficient_bound,
     verify_connection,
     verify_deriv_norm_bound,
@@ -77,11 +75,14 @@ def test_factor_identity_sweep_detects_sabotage(monkeypatch):
 
 
 def test_connect_matches_quadrature_coefficients():
+    # quadrature coefficients of exp, its own derivative, for (alpha, 0)
     for alpha in (0, 1, 3):
-        pair = expand_pair(np.exp, np.exp, alpha, 20)
-        pred = connect_coefficients(pair.b, alpha)
+        w = JacobiWeight(float(alpha), 0.0)
+        rule = gauss_jacobi_rule(29, w)
+        coeffs = _jacobi_table(19, w, rule.nodes) @ (rule.weights * np.exp(rule.nodes))
+        pred = connect_coefficients(coeffs, alpha)
         assert np.isnan(pred[0])
-        assert_allclose(pred[1:], pair.u[1 : pred.size], rtol=0, atol=1e-12)
+        assert_allclose(pred[1:], coeffs[1 : pred.size], rtol=0, atol=1e-12)
 
 
 def test_connect_legendre_normalized_reduction():
@@ -103,74 +104,10 @@ def test_connect_validation():
         connect_coefficients(np.ones(5), -1)
     with pytest.raises(ParameterError, match="numeric"):
         connect_coefficients("x", 1)
-    # the sweeps over pairs take CoefficientPair items only
-    for verify in (verify_connection, verify_coefficient_bound):
-        for pairs in ([(1, 2)], [_corpus()[0], "pair"], None):
-            with pytest.raises(ParameterError):
-                verify(pairs)
-
-
-def test_expand_pair_checks_callback_shapes():
-    # each callback, of expand_pair and of the Hardy sweep, must return one
-    # value per node of the rule; a wrong length, an extra axis or a scalar
-    # is named, not broadcast
-    callers = (
-        lambda fn, dfn: expand_pair(fn, dfn, 1, 5),
-        lambda fn, dfn: verify_hardy([("bad", fn, dfn)]),
-    )
-    for call in callers:
-        for bad in (lambda x: np.ones(3), lambda x: x[:, None], lambda x: 1.0):
-            for fn, dfn in ((bad, np.cos), (np.sin, bad)):
-                with pytest.raises(ParameterError, match=r"must return shape \(\d+,\)"):
-                    call(fn, dfn)
-        # and each value must be finite
-        for bad in (lambda x: np.full(len(x), np.nan), lambda x: np.where(x > 0.5, np.inf, x)):
-            for fn, dfn in ((bad, np.cos), (np.sin, bad)):
-                with pytest.raises(ParameterError, match="finite"):
-                    call(fn, dfn)
-    # the Hardy sweep takes (label, u, u') triples, and normalizes each
-    # violation by a right-hand side that must not be zero
-    zero = lambda x: 0.0 * x
-    for corpus in ([("a", np.sin)], [np.sin], 5, [("z", zero, zero)]):
-        with pytest.raises(ParameterError):
-            verify_hardy(corpus)
-
-
-def test_integer_arguments_validation():
-    f = np.exp
-    for call in (
-        lambda: expand_pair(f, f, 0, 0),
-        lambda: expand_pair(f, f, -1, 4),
-        lambda: expand_pair(f, f, 0, 4.0),
-    ):
-        with pytest.raises(ParameterError):
-            call()
-
-
-def test_coefficient_pair_validation():
-    with pytest.raises(ParameterError):
-        CoefficientPair(u=np.ones(3), b=np.ones(4), alpha=0)
-    with pytest.raises(ParameterError):
-        CoefficientPair(u=np.array([np.inf, 0.0]), b=np.zeros(2), alpha=0)
-    with pytest.raises(ParameterError, match="numeric"):
-        CoefficientPair(u="ab", b="cd", alpha=0)
-    # alpha is a nonnegative integer, as verify_connection requires
-    for alpha in (-2, 1.5, True, "a"):
-        with pytest.raises(ParameterError):
-            CoefficientPair(u=np.ones(3), b=np.ones(3), alpha=alpha)
-
-
-def _corpus():
-    return [
-        expand_pair(np.exp, np.exp, 0, 24),
-        expand_pair(lambda x: np.cos(2 * x), lambda x: -2 * np.sin(2 * x), 1, 24),
-        expand_pair(lambda x: 1 / (2 + x), lambda x: -1 / (2 + x) ** 2, 2, 28),
-        expand_pair(lambda x: np.sin(x) + x**3, lambda x: np.cos(x) + 3 * x**2, 3, 24),
-    ]
 
 
 def test_verify_connection_corpus():
-    report = verify_connection(_corpus())
+    report = verify_connection()
     assert report.passed
     assert report.max_residual <= 1e-12
     assert report.n_checks > 0
@@ -286,19 +223,13 @@ def test_deriv_norm_bound_wide_sweep():
 
 
 def test_hardy_corpus():
-    corpus = [
-        ("exp", np.exp, np.exp),
-        ("cos", lambda x: np.cos(3 * x), lambda x: -3 * np.sin(3 * x)),
-        ("cubic", lambda x: (x - 0.3) ** 3, lambda x: 3 * (x - 0.3) ** 2),
-        ("sqrt", lambda x: np.sqrt(x + 0.5), lambda x: 0.5 / np.sqrt(x + 0.5)),
-    ]
-    report = verify_hardy(corpus)
+    report = verify_hardy()
     assert report.passed
     assert report.n_checks == 20
 
 
 def test_coefficient_bound_corpus():
-    report = verify_coefficient_bound(_corpus())
+    report = verify_coefficient_bound()
     assert report.passed
     assert report.max_residual < 0.0
 
@@ -341,7 +272,7 @@ def test_report_rule():
     assert labelled == [("a0", 1), ("b1", 1)]
     assert report.max_residual == 4.0
     assert (report.name, report.tolerance) == ("toy", 1e-10)
-    empty = verify_connection([])
+    empty = identities._report("empty", 1e-10, [])
     assert (empty.details, empty.n_checks, empty.worst_case, empty.max_residual) == ({}, 0, "", 0.0)
 
 
