@@ -516,10 +516,11 @@ def trace_error_rate(u, N_list):
     """Boundary L2 errors of the volume projections of u on the triangle,
     with the log-log slope of error against N+1 fitted above a roundoff floor.
 
-    Degree N analyzes u on 2N + 40 points per direction, a fixed rule. The
-    error is measured on the edge y = -1. The analysis of u in floating
-    point leaves an error plateau that grows like (N+1)^2 and scales with
-    the size of u on that edge, so each degree gets the floor
+    Each degree takes its leading block of one analysis of u on 2 max(N) + 40
+    points per direction: the top row is that of its degree analyzed alone, and
+    a lower row depends on the largest degree only through the rule. The error,
+    on the edge y = -1, has a floating-point plateau that grows like (N+1)^2
+    and scales with the size of u on that edge, so each degree gets the floor
 
         floor_N = 2 * eps * (N+1)^2 * max_edge |u|,
 
@@ -529,8 +530,7 @@ def trace_error_rate(u, N_list):
     floor. When fewer than two degrees clear the floor, as for a polynomial
     that every degree reproduces, the slope is nan.
 
-    Returns ([(N, error), ...], slope, [floor_N, ...]), the floors aligned
-    with the rows.
+    Returns ([(N, error), ...], slope, [floor_N, ...]), floors by row.
     """
     Ns = [_check_int("each degree", n, least=1) for n in _check_list("N_list", N_list)]
     if len(Ns) < 2:
@@ -541,14 +541,14 @@ def trace_error_rate(u, N_list):
     edge, w_edge = _boundary_rule(2, 400)
     target = _sample(u, edge)
     scale = 2.0 * np.finfo(float).eps * float(np.max(np.abs(target)))
-    # the edge's heads are the 1-D basis, graded 0..N, so the table of the
-    # largest degree holds every degree's in its leading rows
+    # the edge's heads and the volume basis are graded 0..N, so the table and
+    # the analysis at the largest degree hold every degree's in leading rows
     table = _component_values(enumerate_basis(Ns[-1], 1), edge[:, :-1])
+    raw = analyze(u, Ns[-1], 2, nodes=2 * Ns[-1] + 40)
 
     rows = []
     for N in Ns:
-        raw = analyze(u, N, 2, nodes=2 * N + 40)
-        _, b = _bottom_coefficients(raw, N, 2)
+        _, b = _bottom_coefficients(raw[: math.comb(N + 2, 2)], N, 2)
         vals = b @ table[: N + 1]
         err = float(np.sqrt(np.sum(w_edge * (target - vals) ** 2)))
         rows.append((N, err))

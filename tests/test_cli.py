@@ -345,7 +345,7 @@ def test_rates_independent_of_blas_threads():
     # its own process
     path = os.pathsep.join([str(Path(simplex_spectra.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
     for argv, head in (
-        (["rates", "--family", "hs:1.3", "--n", "50..55"], "family,N,error\n"),
+        (["rates", "--family", "hs:1.3", "--n", "4..60"], "family,N,error\n"),
         (["verify"], "factor-identities: "),
     ):
         outs = []
@@ -357,9 +357,9 @@ def test_rates_independent_of_blas_threads():
         assert outs[0] == outs[1], argv
 
 
-def test_rates_analyze_each_degree_on_its_own_rule(capsys, monkeypatch):
-    # degree N is analyzed on 2N + 40 points, not on one rule sized for the
-    # largest degree
+def test_rates_analyze_once_per_call(capsys, monkeypatch):
+    # one analysis at the largest degree, on its 2N + 40 points, serves
+    # every degree of the call
     seen = []
     real = extremal.analyze
 
@@ -370,7 +370,7 @@ def test_rates_analyze_each_degree_on_its_own_rule(capsys, monkeypatch):
     monkeypatch.setattr(extremal, "analyze", recorded)
     code, _, _ = run(capsys, "rates", "--family", "analytic", "--n", "4..6")
     assert code == 0
-    assert seen == [(4, 48), (5, 50), (6, 52)]
+    assert seen == [(6, 52)]
 
 
 def test_largest_accepted_smoothness_runs_clean(capsys):

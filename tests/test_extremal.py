@@ -847,7 +847,7 @@ def test_trace_rate_analytic_decay():
 
 def test_trace_rate_edge_collapse_matches_per_index_loop():
     # the array collapse onto the edge gives the bits of a per-index sum in
-    # basis order
+    # basis order, each degree reading the leading block of one analysis
     from simplex_spectra.jacobi import JacobiWeight, _jacobi_table
     from simplex_spectra.simplex import _gl_nodes, _norm_sq, analyze
 
@@ -855,9 +855,10 @@ def test_trace_rate_edge_collapse_matches_per_index_loop():
     Ns = list(range(4, 21))
     t_edge, w_edge = _gl_nodes(400)
     target = u(np.column_stack([t_edge, -np.ones_like(t_edge)]))
+    top = analyze(u, 20, 2, nodes=80)
     want = []
     for N in Ns:
-        raw = analyze(u, N, 2, nodes=2 * N + 40)
+        raw = top[: math.comb(N + 2, 2)]
         ap = np.zeros(N + 1)
         for k, (p, q) in enumerate(enumerate_basis(N, 2).tolist()):
             ap[p] += (-1.0) ** q * raw[k] / _norm_sq(p, q)
@@ -865,6 +866,33 @@ def test_trace_rate_edge_collapse_matches_per_index_loop():
         want.append((N, float(np.sqrt(np.sum(w_edge * (target - vals) ** 2)))))
     rows, _, _ = trace_error_rate(u, Ns)
     assert rows == want
+
+
+def test_trace_rate_rows_no_farther_from_a_finer_rule():
+    # every row reads the analysis on the largest degree's rule, at least as
+    # fine as its own 2N + 40 points: no row is farther from a 700-point
+    # reference than the row analyzed on its own rule, beyond roundoff, and
+    # the top row is that row bit for bit
+    from simplex_spectra.simplex import _boundary_rule, _bottom_coefficients, _component_values, analyze
+
+    Ns = list(range(4, 21))
+    edge, w_edge = _boundary_rule(2, 400)
+    table = _component_values(enumerate_basis(Ns[-1], 1), edge[:, :-1])
+    for s in (1.3, 1.9):
+        u = lambda x, s=s: ((x[:, 0] - 1.0) ** 2 + (x[:, 1] + 1.0) ** 2) ** (s / 2.0)
+        target = u(edge)
+
+        def error(raw, N):
+            _, b = _bottom_coefficients(raw[: math.comb(N + 2, 2)], N, 2)
+            return float(np.sqrt(np.sum(w_edge * (target - b @ table[: N + 1]) ** 2)))
+
+        reference = analyze(u, Ns[-1], 2, nodes=700)
+        rows, _, _ = trace_error_rate(u, Ns)
+        own = [error(analyze(u, N, 2, nodes=2 * N + 40), N) for N in Ns]
+        for (N, got), alone in zip(rows, own):
+            want = error(reference, N)
+            assert abs(got - want) <= abs(alone - want) + 1e-6 * want, (s, N)
+        assert rows[-1][1] == own[-1]
 
 
 def test_trace_rate_validation():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -172,6 +173,19 @@ def test_analyze_order_without_basis_objects():
     for (dim, N), want in oracles.items():
         got = analyze(f, N, dim)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (dim, N)
+
+
+def test_analyze_nests_in_its_degree():
+    # the basis is graded, so on one rule the analysis at a lower degree is
+    # the leading block of the analysis at a higher one, bit for bit
+    f = lambda x: np.exp(0.7 * x[:, 0] - 0.4 * x.sum(axis=1)) + np.abs(x[:, -1] - 0.3) ** 1.5
+    rules = ((60, 160), (33, 80), (20, 50))
+    for dim in (1, 2, 3):
+        # the 3-D grid on 160 points per direction is too large for a unit test
+        for top, m in rules[dim // 3 :]:
+            raw = analyze(f, top, dim, nodes=m)
+            for N in (0, 1, top // 3, top - 1):
+                assert np.array_equal(analyze(f, N, dim, nodes=m), raw[: math.comb(N + dim, dim)]), (dim, top, N)
 
 
 def test_analyze_argument_checks():
